@@ -3,7 +3,7 @@
 from .assembly import (OperatorSet, apply_pec, assemble_curl_curl,
                        assemble_edge_load, assemble_edge_mass,
                        assemble_interface_mass, assemble_mixed_curl,
-                       assemble_partial, boundary_dof_mask, build_operator_set)
+                       boundary_dof_mask, build_operator_set)
 from .dynamics import (BlowUpError, CflConstants, EnergyReport, FieldState,
                        LeapfrogStepper, Snapshot, cfl_max_timestep,
                        discrete_energy, init_state, run_simulation)
@@ -19,7 +19,6 @@ from .mesh import (Arc, CellTag, EdgeTag, InterfaceSpec, Mesh, MeshError,
 from .physics import (KuboParams, ManufacturedCase, MaterialParams, PmlSpec,
                       SourceSpec, damping_profile, dipole_source_cells,
                       eval_source, kubo_sigma0)
-from .sparse_solve import (SolverConfig, SolverError, lumped_inverse_apply,
-                           solve_spd, spmv)
+from .sparse_solve import SolverConfig, SolverError, solve_spd
 
 __version__ = "0.1.0"

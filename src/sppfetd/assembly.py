@@ -29,11 +29,10 @@ class OperatorSet:
     s          : curl-curl (grad-curl inner product)
     s_phys     : curl-curl restricted to physical cells
     c          : cells x edges mixed matrix, entry = integral of curl(phi_e)
-    dx, dy     : cells x edges partial-derivative matrices for the split field
     g          : interface mass on the graphene curve (tangential traces)
     areas      : cell areas (diagonal of the P0 mass)
     sigma_x/y  : damping samples at cell centroids
-    c1, c2     : physical / absorber indicator per cell (c2 = 1 - c1)
+    c1         : physical-region indicator per cell (1 - c1 marks the collar)
     pec_mask   : boolean mask of constrained edge DoFs
     """
 
@@ -44,28 +43,12 @@ class OperatorSet:
     s: sp.csr_matrix
     s_phys: sp.csr_matrix
     c: sp.csr_matrix
-    dx: sp.csr_matrix
-    dy: sp.csr_matrix
     g: sp.csr_matrix
     areas: np.ndarray
     sigma_x: np.ndarray
     sigma_y: np.ndarray
     c1: np.ndarray
-    c2: np.ndarray
     pec_mask: np.ndarray
-
-    @property
-    def m_h(self) -> np.ndarray:
-        """Diagonal of the P0 cell mass."""
-        return self.areas
-
-    @property
-    def m_h_sx(self) -> np.ndarray:
-        return self.areas * self.sigma_x
-
-    @property
-    def m_h_sy(self) -> np.ndarray:
-        return self.areas * self.sigma_y
 
 
 def _cell_coeff(mesh: Mesh, coeff) -> np.ndarray:
@@ -119,38 +102,17 @@ def assemble_curl_curl(mesh: Mesh, coeff=None) -> sp.csr_matrix:
     return _scatter_edges(mesh, local)
 
 
-def _scatter_cells_edges(mesh: Mesh, local: np.ndarray) -> sp.csr_matrix:
-    rows = np.repeat(np.arange(mesh.n_triangles), 3)
-    cols = mesh.tri_edges.ravel()
-    mat = sp.coo_matrix((local.ravel(), (rows, cols)),
-                        shape=(mesh.n_triangles, mesh.n_edges))
-    out = mat.tocsr()
-    out.sum_duplicates()
-    return out
-
-
 def assemble_mixed_curl(mesh: Mesh) -> sp.csr_matrix:
     """Cells x edges matrix with entry (K, e) = integral over K of curl(phi_e)."""
     rule = triangle_quadrature(1)
     _, curls, _ = cell_basis_data(mesh, rule)
-    return _scatter_cells_edges(mesh, mesh.areas[:, None] * curls)
-
-
-def assemble_partial(mesh: Mesh, axis: str) -> sp.csr_matrix:
-    """Cells x edges matrix of the TEz split derivatives.
-
-    axis "x": entry (K, e) = integral of d/dx (phi_e)_y;
-    axis "y": entry (K, e) = integral of d/dy (phi_e)_x.
-    """
-    if axis not in ("x", "y"):
-        raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
-    rule = triangle_quadrature(1)
-    _, curls, g = cell_basis_data(mesh, rule)
-    # For Whitney fields d/dx (phi)_y = -d/dy (phi)_x = curl(phi) / 2 pointwise.
-    local = mesh.areas[:, None] * curls / 2.0
-    if axis == "y":
-        local = -local
-    return _scatter_cells_edges(mesh, local)
+    rows = np.repeat(np.arange(mesh.n_triangles), 3)
+    mat = sp.coo_matrix(((mesh.areas[:, None] * curls).ravel(),
+                         (rows, mesh.tri_edges.ravel())),
+                        shape=(mesh.n_triangles, mesh.n_edges))
+    out = mat.tocsr()
+    out.sum_duplicates()
+    return out
 
 
 def assemble_interface_mass(mesh: Mesh, interface_edges=None) -> sp.csr_matrix:
@@ -206,13 +168,6 @@ def apply_pec(matrix: sp.spmatrix, mask: np.ndarray) -> sp.csr_matrix:
     return out
 
 
-def constrain_rhs(rhs: np.ndarray, mask: np.ndarray, values=None) -> np.ndarray:
-    """Force constrained entries of a right-hand side to their Dirichlet values."""
-    out = np.array(rhs, dtype=float)
-    out[mask] = 0.0 if values is None else values[mask]
-    return out
-
-
 def build_operator_set(mesh: Mesh, sigma_x=None, sigma_y=None) -> OperatorSet:
     """Assemble every operator needed by the merged time step.
 
@@ -223,7 +178,6 @@ def build_operator_set(mesh: Mesh, sigma_x=None, sigma_y=None) -> OperatorSet:
     sigma_x = np.zeros(nt) if sigma_x is None else np.asarray(sigma_x, dtype=float)
     sigma_y = np.zeros(nt) if sigma_y is None else np.asarray(sigma_y, dtype=float)
     c1 = (mesh.cell_tags == CellTag.PHYSICAL).astype(float)
-    c2 = 1.0 - c1
 
     # D1 = diag(sigma_y, sigma_x): E_x is damped by sigma_y, E_y by sigma_x.
     d1 = np.column_stack([sigma_y, sigma_x])
@@ -235,13 +189,10 @@ def build_operator_set(mesh: Mesh, sigma_x=None, sigma_y=None) -> OperatorSet:
         s=assemble_curl_curl(mesh),
         s_phys=assemble_curl_curl(mesh, c1),
         c=assemble_mixed_curl(mesh),
-        dx=assemble_partial(mesh, "x"),
-        dy=assemble_partial(mesh, "y"),
         g=assemble_interface_mass(mesh),
         areas=mesh.areas.copy(),
         sigma_x=sigma_x,
         sigma_y=sigma_y,
         c1=c1,
-        c2=c2,
         pec_mask=boundary_dof_mask(mesh),
     )

@@ -24,11 +24,14 @@ def _parse_h(text: str) -> list:
     out = []
     for tok in text.split(","):
         tok = tok.strip()
-        if "/" in tok:
-            num, den = tok.split("/")
-            out.append(float(num) / float(den))
-        else:
-            out.append(float(tok))
+        try:
+            if "/" in tok:
+                num, den = tok.split("/")
+                out.append(float(num) / float(den))
+            else:
+                out.append(float(tok))
+        except (ValueError, ZeroDivisionError):
+            raise ConfigError(f"invalid mesh size '{tok}'") from None
     return out
 
 

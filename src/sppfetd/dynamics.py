@@ -190,47 +190,48 @@ class LeapfrogStepper:
         self.a_pec = apply_pec(self.a_raw, ops.pec_mask)
         self.first_pec = apply_pec(self.first_raw, ops.pec_mask)
         self.ct = ops.c.T.tocsr()
+        # Every operator acting on e_n, combined once: 2 M_lead - S_phys/mu0
+        # - (sigma0/tau0) G.
+        self.k = (self.first_raw - (1.0 / mu0) * ops.s_phys
+                  - (params.sigma0 / tau0) * ops.g).tocsr()
 
         # Split-field magnetic update coefficients per cell.
         self._hx_num = mu0 / tau - mu0 * ops.sigma_x / (2.0 * eps0)
         self._hx_den = mu0 / tau + mu0 * ops.sigma_x / (2.0 * eps0)
         self._hy_num = mu0 / tau - mu0 * ops.sigma_y / (2.0 * eps0)
         self._hy_den = mu0 / tau + mu0 * ops.sigma_y / (2.0 * eps0)
+        # Per-cell weights of the magnetic coupling in the edge right-hand side.
+        self._w_sum = ops.c1 / (2.0 * tau0)
+        self._w_diff = (1.0 - ops.c1) / tau
+        self._w_ks = ops.c1 / mu0
 
     def step_h(self, state: FieldState, ks_cells: np.ndarray):
-        """Advance the split magnetic components by one half-shifted step."""
-        ops = self.ops
-        half_ks = 0.5 * ks_cells
-        drive_x = (ops.dx @ state.e_curr) / ops.areas + half_ks
-        drive_y = (ops.dy @ state.e_curr) / ops.areas - half_ks
-        hzx = (self._hx_num * state.hzx - drive_x) / self._hx_den
-        hzy = (self._hy_num * state.hzy + drive_y) / self._hy_den
+        """Advance the split magnetic components by one half-shifted step.
+
+        The two split derivatives of a Whitney field are +curl(E)/2 and
+        -curl(E)/2 on each cell, so both components share one drive.
+        """
+        drive = 0.5 * ((self.ops.c @ state.e_curr) / self.ops.areas + ks_cells)
+        hzx = (self._hx_num * state.hzx - drive) / self._hx_den
+        hzy = (self._hy_num * state.hzy - drive) / self._hy_den
         return hzx, hzy
 
     def step_e(self, state: FieldState, hzx_new, hzy_new, ks_cells,
                extra_load=None, bc_values=None, first_step_velocity=None):
         """Solve the edge system for the next electric field."""
-        ops, params, tau = self.ops, self.params, self.tau
-        mu0, tau0, sigma0 = params.mu0, params.tau0, params.sigma0
-
         h_sum = hzx_new + state.hzx + hzy_new + state.hzy
         h_diff = hzx_new - state.hzx + hzy_new - state.hzy
-        h_term = (ops.c1 / (2.0 * tau0)) * h_sum + (ops.c2 / tau) * h_diff
-
-        rhs = (-(1.0 / mu0) * (ops.s_phys @ state.e_curr)
-               + self.ct @ (h_term - (1.0 / mu0) * (ops.c1 * ks_cells)))
-        if sigma0 != 0.0:
-            rhs -= (sigma0 / tau0) * (ops.g @ state.e_curr)
+        h_term = self._w_sum * h_sum + self._w_diff * h_diff - self._w_ks * ks_cells
+        rhs = self.k @ state.e_curr + self.ct @ h_term
         if extra_load is not None:
             rhs += extra_load
 
         if state.step == 0:
-            if first_step_velocity is None:
-                first_step_velocity = np.zeros_like(state.e_curr)
-            rhs += self.first_raw @ state.e_curr + 2.0 * tau * (self.b_raw @ first_step_velocity)
+            if first_step_velocity is not None:
+                rhs += 2.0 * self.tau * (self.b_raw @ first_step_velocity)
             a_raw, a_pec = self.first_raw, self.first_pec
         else:
-            rhs += self.first_raw @ state.e_curr - self.b_raw @ state.e_prev
+            rhs -= self.b_raw @ state.e_prev
             a_raw, a_pec = self.a_raw, self.a_pec
 
         return self._solve_constrained(a_raw, a_pec, rhs, bc_values, state.e_curr)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -216,23 +215,20 @@ def run_convergence_study(mode: str, h_list, tau: float = 1e-4,
 
     mode "fixed" runs every mesh with the same small time step for
     `n_steps` steps; mode "coupled" ties tau to h via `tau_ratio` and runs
-    to `final_time`.  Worker threads are capped by SPPFETD_THREADS.
+    to `final_time`.
     """
     if mode not in ("fixed", "coupled"):
         raise ConfigError(f"unknown convergence mode '{mode}'")
     h_list = list(h_list)
+    if not all(h > 0 for h in h_list):
+        raise ConfigError("mesh sizes must be positive")
     for prev, cur in zip(h_list[:-1], h_list[1:]):
         if abs(prev / cur - 2.0) > 1e-9:
             raise ConfigError("mesh sizes must halve between rows")
     solver = solver or SolverConfig()
 
-    threads = int(os.environ.get("SPPFETD_THREADS", "1") or 1)
-    args = [(h, mode, tau, n_steps, final_time, tau_ratio, solver) for h in h_list]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=min(threads, len(h_list))) as pool:
-            errors = list(pool.map(lambda a: _convergence_single(*a), args))
-    else:
-        errors = [_convergence_single(*a) for a in args]
+    errors = [_convergence_single(h, mode, tau, n_steps, final_time, tau_ratio, solver)
+              for h in h_list]
     return ErrorTable(hs=h_list,
                       e_errors=[e for e, _ in errors],
                       h_errors=[h for _, h in errors])

@@ -2,8 +2,7 @@
 
 The edge systems solved each time step are mass dominated and well
 conditioned at CFL-scale time steps, so Jacobi-preconditioned CG with
-sequential reductions is both fast and bitwise reproducible.  The cell
-(P0) mass matrix is diagonal and is inverted by componentwise division.
+sequential reductions is both fast and bitwise reproducible.
 """
 
 from __future__ import annotations
@@ -36,13 +35,6 @@ class SolverConfig:
             raise ValueError("max_iter must be at least 1")
         if self.preconditioner not in ("jacobi", "none"):
             raise ValueError(f"unknown preconditioner '{self.preconditioner}'")
-
-
-def spmv(a: sp.spmatrix, x: np.ndarray) -> np.ndarray:
-    """CSR matrix-vector product with dimension checking."""
-    if a.shape[1] != len(x):
-        raise ValueError(f"dimension mismatch: {a.shape} @ ({len(x)},)")
-    return a @ x
 
 
 def solve_spd(a: sp.spmatrix, b: np.ndarray, config: SolverConfig | None = None,
@@ -105,13 +97,3 @@ def solve_spd(a: sp.spmatrix, b: np.ndarray, config: SolverConfig | None = None,
         f"CG did not converge in {max_iter} iterations "
         f"(relative residual {res / b_norm:.3e}, target {config.tol:.3e})",
         residual=res / b_norm, iterations=max_iter)
-
-
-def lumped_inverse_apply(diag: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve diag(d) x = b exactly; the P0 mass matrix is diagonal."""
-    diag = np.asarray(diag, dtype=float)
-    if diag.shape != np.shape(b):
-        raise ValueError("dimension mismatch between diagonal and right-hand side")
-    if np.any(diag == 0.0):
-        raise ValueError("zero diagonal entry in lumped mass")
-    return np.asarray(b, dtype=float) / diag

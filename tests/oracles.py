@@ -77,6 +77,13 @@ def dense_edge_mass(mesh, coeff=None, n=8):
     return out
 
 
+def dense_cell_areas(mesh, n=4):
+    """Cell areas as the integral of 1 over each mapped reference triangle."""
+    _, wts = duffy_rule(n)
+    return np.array([wts.sum() * cell_maps(mesh, cell)[3]
+                     for cell in range(mesh.n_triangles)])
+
+
 def dense_curl_curl(mesh, coeff=None):
     ne = mesh.n_edges
     out = np.zeros((ne, ne))
@@ -211,3 +218,70 @@ def dense_leapfrog_step(mesh, params, tau, e_prev, e_curr, h_old, ks,
     e_new = np.zeros_like(e_curr)
     e_new[free] = np.linalg.solve(a_mat[np.ix_(free, free)], rhs[free])
     return e_new, h_new
+
+
+def dense_merged_step(mesh, params, tau, e_prev, e_curr, hx_old, hy_old, ks,
+                      g_dense=None, mask=None, sigma=None, velocity=None):
+    """Independent dense implementation of one merged interface/collar step.
+
+    With every cell physical, no damping and no velocity this is the plain
+    scheme of `dense_leapfrog_step`, written in split form.  Returns
+    (e_new, hx_new, hy_new).
+
+    `sigma` = (sigma_x, sigma_y) per cell switches on the collar damping;
+    cells tagged physical carry the sheet scheme, the others the split-field
+    scheme.  Passing `velocity` makes this the first step: the pre-initial
+    level is eliminated through e_prev = e_new - 2 tau velocity.
+
+    Magnetic update, per component a in {x, y}:
+      mu0 (Ha_new - Ha_old)/tau + mu0 sigma_a/(2 eps0) (Ha_new + Ha_old)
+        = -/+ (D_a E)|_K - Ks/2,
+    with the split derivatives integrated by the divergence theorem.
+    Electric update: the second-order-in-time equation with the averaged
+    magnetic coupling in physical cells and its time difference in the
+    collar, solved on the unconstrained block.
+    """
+    eps0, mu0, tau0, sig0 = params.eps0, params.mu0, params.tau0, params.sigma0
+    nt = mesh.n_triangles
+    c1 = (mesh.cell_tags == 0).astype(float)
+    sx, sy = (np.zeros(nt), np.zeros(nt)) if sigma is None else sigma
+    md = dense_edge_mass(mesh)
+    md_phys = dense_edge_mass(mesh, c1)
+    md1 = dense_edge_mass(mesh, np.column_stack([sy, sx]))
+    sd_phys = dense_curl_curl(mesh, c1)
+    cd = dense_mixed_curl(mesh)
+    dxd = dense_partial_divergence(mesh, "x")
+    dyd = dense_partial_divergence(mesh, "y")
+    gd = np.zeros_like(md) if g_dense is None else g_dense
+    if mask is None:
+        mask = mesh.edge_tags == 2
+
+    area = mesh.areas
+
+    def split_update(h, sig, drive):
+        lo = mu0 / tau - mu0 * sig / (2.0 * eps0)
+        hi = mu0 / tau + mu0 * sig / (2.0 * eps0)
+        return (lo * h + drive) / hi
+
+    hx_new = split_update(hx_old, sx, -(dxd @ e_curr) / area - 0.5 * ks)
+    hy_new = split_update(hy_old, sy, (dyd @ e_curr) / area - 0.5 * ks)
+    h_new, h_prev = hx_new + hy_new, hx_old + hy_old
+
+    damp = md1 + (eps0 / tau0) * md_phys
+    a_mat = (eps0 / tau ** 2) * md + damp / (2.0 * tau)
+    b_mat = (eps0 / tau ** 2) * md - damp / (2.0 * tau)
+    rhs = ((2.0 * eps0 / tau ** 2) * (md @ e_curr)
+           - (1.0 / mu0) * (sd_phys @ e_curr)
+           - (sig0 / tau0) * (gd @ e_curr)
+           + cd.T @ (c1 / (2.0 * tau0) * (h_new + h_prev)
+                     + (1.0 - c1) / tau * (h_new - h_prev)
+                     - c1 / mu0 * ks))
+    if velocity is None:
+        rhs -= b_mat @ e_prev
+    else:
+        a_mat = a_mat + b_mat
+        rhs += 2.0 * tau * (b_mat @ velocity)
+    free = ~mask
+    e_new = np.zeros_like(e_curr)
+    e_new[free] = np.linalg.solve(a_mat[np.ix_(free, free)], rhs[free])
+    return e_new, hx_new, hy_new

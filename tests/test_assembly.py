@@ -4,8 +4,8 @@ import scipy.sparse as sp
 
 from sppfetd.assembly import (apply_pec, assemble_curl_curl, assemble_edge_load,
                               assemble_edge_mass, assemble_interface_mass,
-                              assemble_mixed_curl, assemble_partial,
-                              boundary_dof_mask, build_operator_set)
+                              assemble_mixed_curl, boundary_dof_mask,
+                              build_operator_set)
 from sppfetd.elements import interpolate_hcurl
 from sppfetd.mesh import (InterfaceSpec, Segment, generate_rect_mesh,
                           snap_interface)
@@ -96,10 +96,10 @@ def test_mixed_curl_on_rotational_field(small_mesh):
 
 
 def test_partial_matrices(small_mesh):
-    dx = assemble_partial(small_mesh, "x")
-    dy = assemble_partial(small_mesh, "y")
+    # For Whitney fields the split derivatives are +-curl/2 per cell, so the
+    # stepper reuses C for both; check that against the brute-force partials.
     c_mat = assemble_mixed_curl(small_mesh)
-    assert abs(c_mat - (dx - dy)).max() <= 1e-13
+    dx, dy = 0.5 * c_mat, -0.5 * c_mat
     np.testing.assert_allclose(dx.toarray(), oracles.dense_partial(small_mesh, "x"),
                                atol=1e-7)
     np.testing.assert_allclose(dy.toarray(), oracles.dense_partial(small_mesh, "y"),
@@ -110,8 +110,6 @@ def test_partial_matrices(small_mesh):
     np.testing.assert_allclose(dx @ dofs, 0.5 * small_mesh.areas, rtol=1e-12)
     const = interpolate_hcurl(lambda p: np.tile([1.0, 2.0], (len(p), 1)), small_mesh)
     assert np.abs(dy @ const).max() <= 1e-13
-    with pytest.raises(ValueError):
-        assemble_partial(small_mesh, "z")
 
 
 def test_interface_mass_diagonal(small_mesh):
@@ -204,8 +202,7 @@ def test_operator_set_symmetry_and_oracle(small_mesh):
                                oracles.dense_curl_curl(small_mesh), atol=1e-12)
     np.testing.assert_allclose(ops.c.toarray(),
                                oracles.dense_mixed_curl(small_mesh), atol=1e-12)
-    np.testing.assert_allclose(ops.m_h, small_mesh.areas, atol=1e-15)
-    np.testing.assert_allclose(ops.m_h_sx, small_mesh.areas * sx, atol=1e-15)
+    np.testing.assert_allclose(ops.areas, small_mesh.areas, atol=1e-15)
 
 
 def test_step_system_matrix_positive_definite(small_mesh):

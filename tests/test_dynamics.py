@@ -9,6 +9,7 @@ from sppfetd.elements import interpolate_hcurl
 from sppfetd.mesh import (InterfaceSpec, Segment, classify_cells,
                           generate_rect_mesh, snap_interface)
 from sppfetd.physics import ManufacturedCase, MaterialParams
+from sppfetd.sparse_solve import SolverConfig
 
 import oracles
 
@@ -152,7 +153,7 @@ def test_step_h_collar_recurrence_scalar_oracle():
     state = FieldState(e_prev=np.zeros_like(e), e_curr=e,
                        hzx=np.zeros(2), hzy=np.zeros(2), step=1, tau=tau)
     hzx, _ = stepper.step_h(state, ks)
-    expected = (-(ops.dx @ e) / mesh.areas - 0.5 * ks) * tau / (1.5 * params.mu0)
+    expected = (-(0.5 * ops.c @ e) / mesh.areas - 0.5 * ks) * tau / (1.5 * params.mu0)
     np.testing.assert_allclose(hzx, expected, rtol=1e-12)
 
 
@@ -209,6 +210,43 @@ def test_merged_step_with_interface_matches_dense(small_setup):
     e_ref, _ = oracles.dense_leapfrog_step(mesh, params, tau, e_prev, e_curr,
                                            h_old, ks, g_dense=g_dense)
     np.testing.assert_allclose(e_new, e_ref, atol=1e-12)
+
+
+@pytest.mark.parametrize("first_step", [True, False])
+def test_merged_step_collar_and_sheet_matches_dense(first_step):
+    # physical core with a snapped sheet inside a damped collar, sigma0 > 0
+    # and a source in every cell: one step against the dense merged scheme
+    mesh = generate_rect_mesh((0, 1, 0, 1), 2, 2, 1)
+    edges = snap_interface(mesh, InterfaceSpec([Segment((0, 0.5), (1, 0.5))]))
+    collar = mesh.cell_tags != 0
+    assert collar.any() and not collar.all() and len(edges) > 0
+    rng = np.random.default_rng(6)
+    sx = np.where(collar, rng.uniform(10.0, 100.0, mesh.n_triangles), 0.0)
+    sy = np.where(collar, rng.uniform(10.0, 100.0, mesh.n_triangles), 0.0)
+    ops = build_operator_set(mesh, sx, sy)
+    params = MaterialParams(eps0=1.3, mu0=0.7, tau0=0.8, sigma0=2.5)
+    tau = 0.005
+    stepper = LeapfrogStepper(ops, params, tau, SolverConfig(tol=1e-14))
+    mask = ops.pec_mask
+    e_prev = rng.standard_normal(mesh.n_edges); e_prev[mask] = 0
+    e_curr = rng.standard_normal(mesh.n_edges); e_curr[mask] = 0
+    hzx = rng.standard_normal(mesh.n_triangles)
+    hzy = rng.standard_normal(mesh.n_triangles)
+    ks = rng.standard_normal(mesh.n_triangles)
+    velocity = rng.standard_normal(mesh.n_edges) if first_step else None
+    state = FieldState(e_prev=e_prev.copy(), e_curr=e_curr.copy(),
+                       hzx=hzx.copy(), hzy=hzy.copy(),
+                       step=0 if first_step else 1, tau=tau)
+    hzx_new, hzy_new = stepper.step_h(state, ks)
+    e_new = stepper.step_e(state, hzx_new, hzy_new, ks,
+                           first_step_velocity=velocity)
+    e_ref, hx_ref, hy_ref = oracles.dense_merged_step(
+        mesh, params, tau, e_prev, e_curr, hzx, hzy, ks,
+        g_dense=oracles.dense_interface_mass(mesh, edges), mask=mask,
+        sigma=(sx, sy), velocity=velocity)
+    np.testing.assert_allclose(hzx_new, hx_ref, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(hzy_new, hy_ref, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(e_new, e_ref, rtol=1e-11, atol=1e-11 * np.abs(e_ref).max())
 
 
 def test_collar_step_matches_scalar_recurrence():

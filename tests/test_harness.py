@@ -247,12 +247,16 @@ def test_cli_scenario_smoke(tmp_path, capsys):
     assert (tmp_path / "sc" / "energy.csv").exists()
 
 
-def test_convergence_study_thread_cap_is_deterministic(monkeypatch):
-    t1 = run_convergence_study("coupled", [1 / 10, 1 / 20])
-    monkeypatch.setenv("SPPFETD_THREADS", "2")
-    t2 = run_convergence_study("coupled", [1 / 10, 1 / 20])
-    assert t1.e_errors == t2.e_errors
-    assert t1.h_errors == t2.h_errors
+@pytest.mark.parametrize("h", ["1/0", "0", "-1/10", "x"])
+def test_cli_convergence_rejects_bad_mesh_size(h, capsys):
+    assert cli_main(["convergence", "--mode", "coupled", f"--h={h}"]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("h_list", [[0.0], [1 / 10, 0.0], [-0.1]])
+def test_convergence_study_rejects_nonpositive_h(h_list):
+    with pytest.raises(ConfigError, match="positive"):
+        run_convergence_study("coupled", h_list)
 
 
 def test_convergence_errors_decrease_monotonically():

@@ -4,35 +4,7 @@ import scipy.sparse as sp
 
 from sppfetd.assembly import assemble_edge_mass
 from sppfetd.mesh import generate_rect_mesh
-from sppfetd.sparse_solve import (SolverConfig, SolverError,
-                                  lumped_inverse_apply, solve_spd, spmv)
-
-
-def test_spmv_identity():
-    a = sp.eye(5, format="csr")
-    x = np.arange(5.0)
-    np.testing.assert_array_equal(spmv(a, x), x)
-
-
-def test_spmv_dense_fixture():
-    dense = np.array([[2.0, 0.0, 1.0], [0.0, 3.0, 0.0], [1.0, 0.0, 4.0]])
-    a = sp.csr_matrix(dense)
-    x = np.array([1.0, -2.0, 0.5])
-    np.testing.assert_allclose(spmv(a, x), dense @ x)
-
-
-def test_spmv_quadratic_form_identity():
-    rng = np.random.default_rng(0)
-    dense = rng.standard_normal((6, 6))
-    a = sp.csr_matrix(dense)
-    x = rng.standard_normal(6)
-    ax = spmv(a, x)
-    assert x @ spmv(sp.csr_matrix(dense.T), ax) == pytest.approx(ax @ ax, rel=1e-14)
-
-
-def test_spmv_dimension_mismatch():
-    with pytest.raises(ValueError):
-        spmv(sp.eye(3, format="csr"), np.zeros(4))
+from sppfetd.sparse_solve import SolverConfig, SolverError, solve_spd
 
 
 def test_solve_diagonal():
@@ -107,19 +79,10 @@ def test_solver_config_validation():
         SolverConfig(preconditioner="ilu")
 
 
-def test_lumped_inverse():
+def test_solve_spd_on_cell_mass_is_division():
+    # the P0 cell mass is diag(areas); CG on it must reproduce b / areas
     mesh = generate_rect_mesh((0, 1, 0, 1), 2, 2, 0)
     areas = mesh.areas
-    np.testing.assert_allclose(lumped_inverse_apply(areas, areas), 1.0)
-    rng = np.random.default_rng(5)
-    b = rng.standard_normal(len(areas))
-    direct = lumped_inverse_apply(areas, b)
+    b = np.random.default_rng(5).standard_normal(len(areas))
     via_cg = solve_spd(sp.diags(areas).tocsr(), b, SolverConfig(tol=1e-13))
-    np.testing.assert_allclose(direct, via_cg, atol=1e-12)
-    np.testing.assert_allclose(lumped_inverse_apply(areas, 3.0 * b), 3.0 * direct,
-                               rtol=1e-14)
-
-
-def test_lumped_inverse_rejects_zero_diagonal():
-    with pytest.raises(ValueError):
-        lumped_inverse_apply(np.array([1.0, 0.0]), np.ones(2))
+    np.testing.assert_allclose(via_cg, b / areas, atol=1e-12)
