@@ -1,9 +1,9 @@
 """2-D FETD simulator for TEz Maxwell with zero-thickness graphene interfaces."""
 
-from .assembly import (OperatorSet, apply_pec, assemble_curl_curl,
-                       assemble_edge_load, assemble_edge_mass,
-                       assemble_interface_mass, assemble_mixed_curl,
-                       boundary_dof_mask, build_operator_set)
+from .assembly import (OperatorSet, apply_pec, assemble_edge_load,
+                       assemble_edge_mass, assemble_interface_mass,
+                       assemble_mixed_curl, boundary_dof_mask,
+                       build_operator_set)
 from .dynamics import (BlowUpError, CflConstants, EnergyReport, FieldState,
                        LeapfrogStepper, Snapshot, cfl_max_timestep,
                        discrete_energy, init_state, run_simulation)
@@ -19,6 +19,6 @@ from .mesh import (Arc, CellTag, EdgeTag, InterfaceSpec, Mesh, MeshError,
 from .physics import (KuboParams, ManufacturedCase, MaterialParams, PmlSpec,
                       SourceSpec, damping_profile, dipole_source_cells,
                       eval_source, kubo_sigma0)
-from .sparse_solve import SolverConfig, SolverError, solve_spd
+from .sparse_solve import SolverError, factorize
 
 __version__ = "0.1.0"

@@ -26,9 +26,9 @@ class OperatorSet:
     m_e        : edge mass
     m_e_phys   : edge mass restricted to physical cells (C1 weight)
     m_d1       : edge mass weighted by diag(sigma_y, sigma_x)
-    s          : curl-curl (grad-curl inner product)
-    s_phys     : curl-curl restricted to physical cells
-    c          : cells x edges mixed matrix, entry = integral of curl(phi_e)
+    c          : cells x edges mixed matrix, entry = integral of curl(phi_e);
+                 Whitney curls are constant per cell, so the curl-curl
+                 matrix is exactly C^T diag(1/areas) C
     g          : interface mass on the graphene curve (tangential traces)
     areas      : cell areas (diagonal of the P0 mass)
     sigma_x/y  : damping samples at cell centroids
@@ -40,8 +40,6 @@ class OperatorSet:
     m_e: sp.csr_matrix
     m_e_phys: sp.csr_matrix
     m_d1: sp.csr_matrix
-    s: sp.csr_matrix
-    s_phys: sp.csr_matrix
     c: sp.csr_matrix
     g: sp.csr_matrix
     areas: np.ndarray
@@ -90,15 +88,6 @@ def assemble_edge_mass(mesh: Mesh, coeff=None) -> sp.csr_matrix:
     weighted = phi * w[:, None, None, :]
     local = 2.0 * mesh.areas[:, None, None] * np.einsum(
         "q,tqkd,tqld->tkl", rule.weights, weighted, phi)
-    return _scatter_edges(mesh, local)
-
-
-def assemble_curl_curl(mesh: Mesh, coeff=None) -> sp.csr_matrix:
-    """Curl-curl matrix; curls are constant per cell."""
-    w = _cell_coeff(mesh, coeff)[:, 0]
-    rule = triangle_quadrature(1)
-    _, curls, _ = cell_basis_data(mesh, rule)  # (nt, 3)
-    local = (w * mesh.areas)[:, None, None] * curls[:, :, None] * curls[:, None, :]
     return _scatter_edges(mesh, local)
 
 
@@ -186,8 +175,6 @@ def build_operator_set(mesh: Mesh, sigma_x=None, sigma_y=None) -> OperatorSet:
         m_e=assemble_edge_mass(mesh),
         m_e_phys=assemble_edge_mass(mesh, c1),
         m_d1=assemble_edge_mass(mesh, d1),
-        s=assemble_curl_curl(mesh),
-        s_phys=assemble_curl_curl(mesh, c1),
         c=assemble_mixed_curl(mesh),
         g=assemble_interface_mass(mesh),
         areas=mesh.areas.copy(),

@@ -1,6 +1,8 @@
 """Command-line entry points.
 
-Exit codes: 0 success, 2 configuration error, 3 field blow-up.
+Exit codes: 0 success, 2 configuration or mesh error (also a check-cfl
+violation), 3 field blow-up, 4 solver failure (a singular step matrix or
+a non-finite right-hand side).
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from .sparse_solve import SolverError
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_BLOWUP = 3
+EXIT_SOLVER = 4
 
 
 def _parse_h(text: str) -> list:
@@ -119,7 +122,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, MeshError, ValueError) as exc:
+    except (ConfigError, MeshError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except BlowUpError as exc:
@@ -127,7 +130,7 @@ def main(argv=None) -> int:
         return EXIT_BLOWUP
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_BLOWUP
+        return EXIT_SOLVER
 
 
 if __name__ == "__main__":

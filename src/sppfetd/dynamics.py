@@ -2,11 +2,11 @@
 
 Each step first updates the two split magnetic components cell by cell
 (the P0 mass is diagonal, so those solves are exact divisions), then
-solves one symmetric positive definite edge system for the new electric
-field.  Subdomain indicator coefficients merge the interface scheme in
-the physical region with the split-field damping scheme in the collar;
-with the damping off and every cell physical the update reduces exactly
-to the plain interface scheme.
+solves one symmetric positive definite edge system, factored once, for
+the new electric field.  Subdomain indicator coefficients merge the
+interface scheme in the physical region with the split-field damping
+scheme in the collar; with the damping off and every cell physical the
+update reduces exactly to the plain interface scheme.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .assembly import OperatorSet, apply_pec
 from .elements import interpolate_hcurl, project_l2_p0
 from .mesh import Mesh
 from .physics import MaterialParams
-from .sparse_solve import SolverConfig, solve_spd
+from .sparse_solve import factorize
 
 
 class BlowUpError(RuntimeError):
@@ -168,32 +168,37 @@ def _default_velocity_field(h0, params: MaterialParams, h: float):
 
 
 class LeapfrogStepper:
-    """Precomputed matrices and coefficients of the merged update."""
+    """Per-cell coefficients and the factored edge system of the merged update.
 
-    def __init__(self, ops: OperatorSet, params: MaterialParams, tau: float,
-                 solver: SolverConfig | None = None):
+    The electric step is solved for the change over two levels,
+
+        A (e_{n+1} - e_{n-1}) = 2 M_lead (e_n - e_{n-1}) - (sigma0/tau0) G e_n
+                                + C^T (h_term - c1/(mu0 |K|) C e_n) + load,
+
+    with A = M_lead + M_damp, which only needs M_E, C and G per step
+    (the physical curl-curl matrix is C^T diag(c1/|K|) C).  On the first
+    step the pre-initial level is eliminated through the initial velocity
+    v, which turns A into 2 M_lead, e_{n-1} into zero and adds
+    2 tau (M_lead - M_damp) v to the right-hand side.  Each of the two
+    matrices is factored the first time a step needs it, and the first
+    one is dropped before the second is built.
+    """
+
+    def __init__(self, ops: OperatorSet, params: MaterialParams, tau: float):
         if tau <= 0:
             raise ValueError("time step must be positive")
         self.ops = ops
         self.params = params
         self.tau = tau
-        self.solver = solver or SolverConfig()
 
         eps0, mu0, tau0 = params.eps0, params.mu0, params.tau0
-        m_lead = (eps0 / tau ** 2) * ops.m_e
-        m_damp = (1.0 / (2.0 * tau)) * ops.m_d1 + (eps0 / (2.0 * tau * tau0)) * ops.m_e_phys
-        self.a_raw = (m_lead + m_damp).tocsr()
-        self.b_raw = (m_lead - m_damp).tocsr()
-        # First step: the pre-initial level is eliminated through the initial
-        # velocity, which turns the system matrix into a_raw + b_raw.
-        self.first_raw = (2.0 * m_lead).tocsr()
-        self.a_pec = apply_pec(self.a_raw, ops.pec_mask)
-        self.first_pec = apply_pec(self.first_raw, ops.pec_mask)
-        self.ct = ops.c.T.tocsr()
-        # Every operator acting on e_n, combined once: 2 M_lead - S_phys/mu0
-        # - (sigma0/tau0) G.
-        self.k = (self.first_raw - (1.0 / mu0) * ops.s_phys
-                  - (params.sigma0 / tau0) * ops.g).tocsr()
+        # M_lead = lead M_E and M_damp = d1 M_D1 + phys M_E_phys.
+        self._lead = eps0 / tau ** 2
+        self._d1 = 1.0 / (2.0 * tau)
+        self._phys = eps0 / (2.0 * tau * tau0)
+        self._g_coeff = params.sigma0 / tau0
+        self._factored_first = None           # which matrix _solve factors
+        self._solve = self._lift = None
 
         # Split-field magnetic update coefficients per cell.
         self._hx_num = mu0 / tau - mu0 * ops.sigma_x / (2.0 * eps0)
@@ -204,6 +209,23 @@ class LeapfrogStepper:
         self._w_sum = ops.c1 / (2.0 * tau0)
         self._w_diff = (1.0 - ops.c1) / tau
         self._w_ks = ops.c1 / mu0
+        self._w_curl = ops.c1 / (mu0 * ops.areas)
+
+    def _factor(self, first: bool):
+        """Factored step matrix and its boundary columns, built on demand."""
+        if self._factored_first is not first:
+            self._solve = self._lift = None
+            ops = self.ops
+            m_lead = self._lead * ops.m_e
+            if first:
+                a = 2.0 * m_lead
+            else:
+                a = m_lead + (self._d1 * ops.m_d1 + self._phys * ops.m_e_phys)
+            a = a.tocsr()
+            self._lift = a[:, ops.pec_mask]
+            self._solve = factorize(apply_pec(a, ops.pec_mask))
+            self._factored_first = first
+        return self._solve, self._lift
 
     def step_h(self, state: FieldState, ks_cells: np.ndarray):
         """Advance the split magnetic components by one half-shifted step.
@@ -218,38 +240,39 @@ class LeapfrogStepper:
 
     def step_e(self, state: FieldState, hzx_new, hzy_new, ks_cells,
                extra_load=None, bc_values=None, first_step_velocity=None):
-        """Solve the edge system for the next electric field."""
+        """Solve the edge system for the next electric field.
+
+        `bc_values` carries Dirichlet data on the outer boundary; None
+        imposes the conducting boundary.
+        """
+        ops = self.ops
+        first = state.step == 0
+        e_old = np.zeros_like(state.e_curr) if first else state.e_prev
         h_sum = hzx_new + state.hzx + hzy_new + state.hzy
         h_diff = hzx_new - state.hzx + hzy_new - state.hzy
-        h_term = self._w_sum * h_sum + self._w_diff * h_diff - self._w_ks * ks_cells
-        rhs = self.k @ state.e_curr + self.ct @ h_term
+        h_term = (self._w_sum * h_sum + self._w_diff * h_diff
+                  - self._w_ks * ks_cells - self._w_curl * (ops.c @ state.e_curr))
+        rhs = ((2.0 * self._lead) * (ops.m_e @ (state.e_curr - e_old))
+               - self._g_coeff * (ops.g @ state.e_curr) + ops.c.T @ h_term)
         if extra_load is not None:
             rhs += extra_load
+        if first and first_step_velocity is not None:
+            v = first_step_velocity
+            b_v = self._lead * (ops.m_e @ v) - (self._d1 * (ops.m_d1 @ v)
+                                                 + self._phys * (ops.m_e_phys @ v))
+            rhs += 2.0 * self.tau * b_v
 
-        if state.step == 0:
-            if first_step_velocity is not None:
-                rhs += 2.0 * self.tau * (self.b_raw @ first_step_velocity)
-            a_raw, a_pec = self.first_raw, self.first_pec
-        else:
-            rhs -= self.b_raw @ state.e_prev
-            a_raw, a_pec = self.a_raw, self.a_pec
-
-        return self._solve_constrained(a_raw, a_pec, rhs, bc_values, state.e_curr)
-
-    def _solve_constrained(self, a_raw, a_pec, rhs, bc_values, warm):
-        mask = self.ops.pec_mask
-        x0 = np.array(warm, dtype=float)
-        if bc_values is None:
-            rhs = np.array(rhs, dtype=float)
-            rhs[mask] = 0.0
-            x0[mask] = 0.0
-        else:
-            lifted = np.zeros_like(rhs)
-            lifted[mask] = bc_values[mask]
-            rhs = rhs - a_raw @ lifted
-            rhs[mask] = bc_values[mask]
-            x0[mask] = bc_values[mask]
-        return solve_spd(a_pec, rhs, self.solver, x0=x0)
+        # Lift the boundary values: the change is known there, and only
+        # A's boundary columns carry it into the free rows.  The factored
+        # matrix has identity rows and zero columns on the boundary, so the
+        # solve leaves the free values independent of rhs[mask].
+        solve, lift = self._factor(first)
+        mask = ops.pec_mask
+        target = 0.0 if bc_values is None else bc_values[mask]
+        rhs -= lift @ (target - e_old[mask])
+        e_next = e_old + solve(rhs)
+        e_next[mask] = target
+        return e_next
 
     def advance(self, state: FieldState, ks_cells, extra_load=None,
                 bc_values=None, first_step_velocity=None) -> FieldState:
@@ -272,13 +295,16 @@ def discrete_energy(state: FieldState, ops: OperatorSet,
 
     Uses e_prev/e_curr as the two electric levels and hz as the magnetic
     half level sitting between them; every term is a nonnegative
-    quadratic form of the assembled matrices.
+    quadratic form of the assembled matrices, the curl-curl form as
+    sum over cells of (C e)_K^2 / |K|.
     """
     e_new, e_old = state.e_curr, state.e_prev
     tau = state.tau
     diff = (e_new - e_old) / tau
-    s_new = float(e_new @ (ops.s @ e_new))
-    s_old = float(e_old @ (ops.s @ e_old))
+    curl_new = ops.c @ e_new
+    curl_old = ops.c @ e_old
+    s_new = float(curl_new @ (curl_new / ops.areas))
+    s_old = float(curl_old @ (curl_old / ops.areas))
     g_new = float(e_new @ (ops.g @ e_new))
     g_old = float(e_old @ (ops.g @ e_old))
     hz = state.hz
@@ -297,7 +323,6 @@ def run_simulation(mesh: Mesh, ops: OperatorSet, params: MaterialParams,
                    tau: float, n_steps: int, source=None, e0=None, h0=None,
                    dt_e0=None, extra_load=None, bc_values=None,
                    snapshot_every: int = 0, energy_every: int = 1,
-                   solver: SolverConfig | None = None,
                    blowup_factor: float = 1e12) -> SimulationResult:
     """Run the leapfrog scheme for `n_steps` steps.
 
@@ -313,7 +338,7 @@ def run_simulation(mesh: Mesh, ops: OperatorSet, params: MaterialParams,
     state, velocity = init_state(mesh, ops, params, e0=e0, h0=h0,
                                  ks0_cells=ks0, tau=tau, dt_e0=dt_e0,
                                  zero_boundary=bc_values is None)
-    stepper = LeapfrogStepper(ops, params, tau, solver=solver)
+    stepper = LeapfrogStepper(ops, params, tau)
     result = SimulationResult(state=state)
 
     if snapshot_every > 0:

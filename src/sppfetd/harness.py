@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -18,10 +19,9 @@ from .mesh import (Arc, InterfaceSpec, Mesh, Segment,
 from .physics import (KuboParams, ManufacturedCase, MaterialParams, PmlSpec,
                       SourceSpec, damping_at_centroids, dipole_source_cells,
                       eval_source, kubo_sigma0)
-from .sparse_solve import SolverConfig
 
 MICRON = 1e-6
-CONFIG_VERSION = 1
+CONFIG_VERSION = 2
 
 
 class ConfigError(ValueError):
@@ -49,7 +49,6 @@ class SimulationConfig:
     snapshot_every: int = 0
     out_dir: str = "out"
     cfl: CflConstants = field(default_factory=CflConstants)
-    solver: SolverConfig = field(default_factory=SolverConfig)
     manufactured: bool = False
 
     def __post_init__(self):
@@ -59,6 +58,10 @@ class SimulationConfig:
             raise ConfigError("n_steps must be nonnegative")
         if self.snapshot_every < 0:
             raise ConfigError("snapshot cadence must be nonnegative")
+        if not 0.0 < self.pml_err < 1.0:
+            raise ConfigError("pml reflection target must lie in (0, 1)")
+        if self.pml_eta <= 0:
+            raise ConfigError("pml impedance must be positive")
 
     def resolved_material(self) -> MaterialParams:
         if self.kubo is not None:
@@ -190,8 +193,7 @@ def build_manufactured_problem(h: float, params: MaterialParams | None = None):
 
 
 def _convergence_single(h: float, mode: str, tau: float, n_steps: int,
-                        final_time: float, tau_ratio: float,
-                        solver: SolverConfig):
+                        final_time: float, tau_ratio: float):
     mesh, ops, case = build_manufactured_problem(h)
     if mode == "fixed":
         step_tau, steps = tau, n_steps
@@ -203,14 +205,13 @@ def _convergence_single(h: float, mode: str, tau: float, n_steps: int,
         mesh, ops, case.params, step_tau, steps,
         source=drivers.source, e0=None, h0=None, dt_e0=case.dt_e0,
         extra_load=drivers.extra_load, bc_values=drivers.bc_values,
-        snapshot_every=0, energy_every=0, solver=solver)
+        snapshot_every=0, energy_every=0)
     return l2_errors(result.state, case, mesh, steps * step_tau)
 
 
 def run_convergence_study(mode: str, h_list, tau: float = 1e-4,
                           n_steps: int = 1000, final_time: float = 0.01,
-                          tau_ratio: float = 200.0,
-                          solver: SolverConfig | None = None) -> ErrorTable:
+                          tau_ratio: float = 200.0) -> ErrorTable:
     """Manufactured-solution study over a halving sequence of mesh sizes.
 
     mode "fixed" runs every mesh with the same small time step for
@@ -225,9 +226,13 @@ def run_convergence_study(mode: str, h_list, tau: float = 1e-4,
     for prev, cur in zip(h_list[:-1], h_list[1:]):
         if abs(prev / cur - 2.0) > 1e-9:
             raise ConfigError("mesh sizes must halve between rows")
-    solver = solver or SolverConfig()
+    if mode == "fixed" and (tau <= 0 or n_steps < 0):
+        raise ConfigError("fixed mode needs a positive tau and nonnegative steps")
+    if mode == "coupled" and (tau_ratio <= 0 or final_time < 0):
+        raise ConfigError("coupled mode needs a positive tau ratio and "
+                          "nonnegative final time")
 
-    errors = [_convergence_single(h, mode, tau, n_steps, final_time, tau_ratio, solver)
+    errors = [_convergence_single(h, mode, tau, n_steps, final_time, tau_ratio)
               for h in h_list]
     return ErrorTable(hs=h_list,
                       e_errors=[e for e, _ in errors],
@@ -400,7 +405,10 @@ def run(config: SimulationConfig, out_dir: str | None = None) -> SimulationResul
         source, extra_load = drivers.source, drivers.extra_load
         bc_values, dt_e0 = drivers.bc_values, case.dt_e0
     elif config.source is not None:
-        cells = dipole_source_cells(mesh, config.source)
+        try:
+            cells = dipole_source_cells(mesh, config.source)
+        except ValueError as exc:   # a dipole outside the mesh or in the collar
+            raise ConfigError(str(exc)) from exc
         spec = config.source
 
         def source(step, t, _cells=cells, _spec=spec):
@@ -410,8 +418,7 @@ def run(config: SimulationConfig, out_dir: str | None = None) -> SimulationResul
         mesh, ops, params, config.tau, config.n_steps, source=source,
         dt_e0=dt_e0, extra_load=extra_load, bc_values=bc_values,
         snapshot_every=config.snapshot_every,
-        energy_every=max(config.snapshot_every, 1) if config.n_steps else 0,
-        solver=config.solver)
+        energy_every=max(config.snapshot_every, 1) if config.n_steps else 0)
 
     out = out_dir or config.out_dir
     if out:
@@ -517,8 +524,6 @@ def config_to_json(config: SimulationConfig) -> dict:
         "snapshot_every": config.snapshot_every,
         "out_dir": config.out_dir,
         "cfl": {"c_in": config.cfl.c_in, "c_tr": config.cfl.c_tr},
-        "solver": {"tol": config.solver.tol, "max_iter": config.solver.max_iter,
-                   "preconditioner": config.solver.preconditioner},
         "manufactured": config.manufactured,
     }
     if config.kubo is not None:
@@ -534,8 +539,13 @@ def config_to_json(config: SimulationConfig) -> dict:
 
 
 def config_from_json(data: dict) -> SimulationConfig:
-    if data.get("version") != CONFIG_VERSION:
+    if data.get("version") not in (1, CONFIG_VERSION):
         raise ConfigError(f"unsupported config version {data.get('version')!r}")
+    if "solver" in data:
+        # Version 1 configured an iterative solver; the step matrix is now
+        # factored directly, so those settings have no effect.
+        warnings.warn("ignoring the obsolete 'solver' block of the configuration",
+                      stacklevel=2)
     try:
         mesh_spec = data["mesh"]
         kwargs = dict(
@@ -568,8 +578,6 @@ def config_from_json(data: dict) -> SimulationConfig:
                                           src.get("n_cycles"))
         if "cfl" in data:
             kwargs["cfl"] = CflConstants(**data["cfl"])
-        if "solver" in data:
-            kwargs["solver"] = SolverConfig(**data["solver"])
         return SimulationConfig(**kwargs)
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ConfigError):

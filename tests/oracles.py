@@ -221,7 +221,8 @@ def dense_leapfrog_step(mesh, params, tau, e_prev, e_curr, h_old, ks,
 
 
 def dense_merged_step(mesh, params, tau, e_prev, e_curr, hx_old, hy_old, ks,
-                      g_dense=None, mask=None, sigma=None, velocity=None):
+                      g_dense=None, mask=None, sigma=None, velocity=None, bc=None,
+                      load=None):
     """Independent dense implementation of one merged interface/collar step.
 
     With every cell physical, no damping and no velocity this is the plain
@@ -231,7 +232,10 @@ def dense_merged_step(mesh, params, tau, e_prev, e_curr, hx_old, hy_old, ks,
     `sigma` = (sigma_x, sigma_y) per cell switches on the collar damping;
     cells tagged physical carry the sheet scheme, the others the split-field
     scheme.  Passing `velocity` makes this the first step: the pre-initial
-    level is eliminated through e_prev = e_new - 2 tau velocity.
+    level is eliminated through e_prev = e_new - 2 tau velocity.  `bc`, a
+    full edge vector, prescribes e_new on the constrained edges (zero when
+    omitted); the free rows then carry the known columns to the right.
+    `load` is an edge vector added to the electric right-hand side.
 
     Magnetic update, per component a in {x, y}:
       mu0 (Ha_new - Ha_old)/tau + mu0 sigma_a/(2 eps0) (Ha_new + Ha_old)
@@ -281,7 +285,12 @@ def dense_merged_step(mesh, params, tau, e_prev, e_curr, hx_old, hy_old, ks,
     else:
         a_mat = a_mat + b_mat
         rhs += 2.0 * tau * (b_mat @ velocity)
+    if load is not None:
+        rhs += load
     free = ~mask
     e_new = np.zeros_like(e_curr)
+    if bc is not None:
+        e_new[mask] = bc[mask]
+        rhs = rhs - a_mat[:, mask] @ bc[mask]
     e_new[free] = np.linalg.solve(a_mat[np.ix_(free, free)], rhs[free])
     return e_new, hx_new, hy_new

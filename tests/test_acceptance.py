@@ -7,6 +7,7 @@ effectiveness, sheet localisation) dominate.
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from sppfetd.assembly import (apply_pec, assemble_edge_mass,
                               build_operator_set)
@@ -142,8 +143,11 @@ def test_criterion_5_assembly_oracles():
         "M_E_phys": (ops.m_e_phys.toarray(), oracles.dense_edge_mass(mesh, c1)),
         "M_D1": (ops.m_d1.toarray(),
                  oracles.dense_edge_mass(mesh, np.column_stack([sy, sx]))),
-        "S": (ops.s.toarray(), oracles.dense_curl_curl(mesh)),
-        "S_phys": (ops.s_phys.toarray(), oracles.dense_curl_curl(mesh, c1)),
+        # Whitney curls are constant per cell: S = C^T diag(1/|K|) C.
+        "S": ((ops.c.T @ sp.diags(1.0 / ops.areas) @ ops.c).toarray(),
+              oracles.dense_curl_curl(mesh)),
+        "S_phys": ((ops.c.T @ sp.diags(c1 / ops.areas) @ ops.c).toarray(),
+                   oracles.dense_curl_curl(mesh, c1)),
         "C": (ops.c.toarray(), oracles.dense_mixed_curl(mesh)),
         # Whitney split derivatives are +-curl/2 per cell: Dx = C/2, Dy = -C/2.
         "Dx": (0.5 * ops.c.toarray(), oracles.dense_partial_divergence(mesh, "x")),

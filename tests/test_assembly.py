@@ -2,16 +2,21 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from sppfetd.assembly import (apply_pec, assemble_curl_curl, assemble_edge_load,
-                              assemble_edge_mass, assemble_interface_mass,
-                              assemble_mixed_curl, boundary_dof_mask,
-                              build_operator_set)
+from sppfetd.assembly import (apply_pec, assemble_edge_load, assemble_edge_mass,
+                              assemble_interface_mass, assemble_mixed_curl,
+                              boundary_dof_mask, build_operator_set)
 from sppfetd.elements import interpolate_hcurl
 from sppfetd.mesh import (InterfaceSpec, Segment, generate_rect_mesh,
                           snap_interface)
-from sppfetd.sparse_solve import solve_spd
+from sppfetd.sparse_solve import factorize
 
 import oracles
+
+
+def curl_curl(mesh, coeff=1.0):
+    """C^T diag(coeff/|K|) C: the curl-curl form as the stepper applies it."""
+    c_mat = assemble_mixed_curl(mesh)
+    return (c_mat.T @ sp.diags(coeff / mesh.areas) @ c_mat).tocsr()
 
 
 @pytest.fixture
@@ -55,7 +60,7 @@ def test_edge_mass_rejects_negative_coefficient(small_mesh):
 def test_curl_curl_single_triangle_entries(pair_mesh):
     # constant curls +-2 on half-unit cells, area 1/2: entries +-2
     s_dense = oracles.dense_curl_curl(pair_mesh)
-    got = assemble_curl_curl(pair_mesh).toarray()
+    got = curl_curl(pair_mesh).toarray()
     np.testing.assert_allclose(got, s_dense, atol=1e-12)
     cell_edges = pair_mesh.tri_edges[0]
     local = got[np.ix_(cell_edges, cell_edges)]
@@ -64,14 +69,14 @@ def test_curl_curl_single_triangle_entries(pair_mesh):
 
 
 def test_curl_curl_kernel_contains_gradients(small_mesh):
-    s_mat = assemble_curl_curl(small_mesh)
+    s_mat = curl_curl(small_mesh)
     dofs = interpolate_hcurl(lambda p: np.column_stack([p[:, 1], p[:, 0]]),
                              small_mesh)  # grad(xy)
     assert np.abs(s_mat @ dofs).max() <= 1e-10
 
 
 def test_curl_curl_rank_euler(small_mesh):
-    s_mat = assemble_curl_curl(small_mesh).toarray()
+    s_mat = curl_curl(small_mesh).toarray()
     expected = small_mesh.n_edges - small_mesh.n_vertices + 1
     assert np.linalg.matrix_rank(s_mat, tol=1e-10) == expected
     pecced = apply_pec(sp.csr_matrix(s_mat), boundary_dof_mask(small_mesh))
@@ -171,7 +176,7 @@ def test_apply_pec_two_triangle_mesh(pair_mesh):
     rng = np.random.default_rng(0)
     b = rng.standard_normal(pair_mesh.n_edges)
     b[mask] = 0.0
-    x = solve_spd(m_pec, b)
+    x = factorize(m_pec)(b)
     assert np.abs(x[mask]).max() == 0.0
 
 
@@ -190,15 +195,16 @@ def test_operator_set_symmetry_and_oracle(small_mesh):
     sx = np.abs(rng.standard_normal(small_mesh.n_triangles))
     sy = np.abs(rng.standard_normal(small_mesh.n_triangles))
     ops = build_operator_set(small_mesh, sx, sy)
-    for name in ("m_e", "m_e_phys", "s", "s_phys", "g", "m_d1"):
-        mat = getattr(ops, name)
+    s_mat = (ops.c.T @ sp.diags(1.0 / ops.areas) @ ops.c).tocsr()
+    s_phys = (ops.c.T @ sp.diags(ops.c1 / ops.areas) @ ops.c).tocsr()
+    for mat in (ops.m_e, ops.m_e_phys, ops.g, ops.m_d1, s_mat, s_phys):
         assert abs(mat - mat.T).max() <= 1e-13
     np.testing.assert_allclose(ops.m_e.toarray(),
                                oracles.dense_edge_mass(small_mesh), atol=1e-12)
     np.testing.assert_allclose(
         ops.m_d1.toarray(),
         oracles.dense_edge_mass(small_mesh, np.column_stack([sy, sx])), atol=1e-12)
-    np.testing.assert_allclose(ops.s.toarray(),
+    np.testing.assert_allclose(s_mat.toarray(),
                                oracles.dense_curl_curl(small_mesh), atol=1e-12)
     np.testing.assert_allclose(ops.c.toarray(),
                                oracles.dense_mixed_curl(small_mesh), atol=1e-12)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from sppfetd import sparse_solve
 from sppfetd.assembly import build_operator_set
 from sppfetd.dynamics import (BlowUpError, CflConstants, FieldState,
                               LeapfrogStepper, cfl_max_timestep,
@@ -9,7 +11,6 @@ from sppfetd.elements import interpolate_hcurl
 from sppfetd.mesh import (InterfaceSpec, Segment, classify_cells,
                           generate_rect_mesh, snap_interface)
 from sppfetd.physics import ManufacturedCase, MaterialParams
-from sppfetd.sparse_solve import SolverConfig
 
 import oracles
 
@@ -226,7 +227,7 @@ def test_merged_step_collar_and_sheet_matches_dense(first_step):
     ops = build_operator_set(mesh, sx, sy)
     params = MaterialParams(eps0=1.3, mu0=0.7, tau0=0.8, sigma0=2.5)
     tau = 0.005
-    stepper = LeapfrogStepper(ops, params, tau, SolverConfig(tol=1e-14))
+    stepper = LeapfrogStepper(ops, params, tau)
     mask = ops.pec_mask
     e_prev = rng.standard_normal(mesh.n_edges); e_prev[mask] = 0
     e_curr = rng.standard_normal(mesh.n_edges); e_curr[mask] = 0
@@ -247,6 +248,44 @@ def test_merged_step_collar_and_sheet_matches_dense(first_step):
     np.testing.assert_allclose(hzx_new, hx_ref, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(hzy_new, hy_ref, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(e_new, e_ref, rtol=1e-11, atol=1e-11 * np.abs(e_ref).max())
+
+
+@pytest.mark.parametrize("first_step", [True, False])
+def test_merged_step_with_dirichlet_data_matches_dense(first_step):
+    # inhomogeneous boundary data, as the manufactured runs impose it: both
+    # field levels are nonzero on the boundary and the new level takes bc
+    mesh = generate_rect_mesh((0, 1, 0, 1), 2, 2, 1)
+    edges = snap_interface(mesh, InterfaceSpec([Segment((0, 0.5), (1, 0.5))]))
+    collar = mesh.cell_tags != 0
+    rng = np.random.default_rng(11)
+    sx = np.where(collar, rng.uniform(10.0, 100.0, mesh.n_triangles), 0.0)
+    sy = np.where(collar, rng.uniform(10.0, 100.0, mesh.n_triangles), 0.0)
+    ops = build_operator_set(mesh, sx, sy)
+    params = MaterialParams(eps0=1.3, mu0=0.7, tau0=0.8, sigma0=2.5)
+    tau = 0.005
+    stepper = LeapfrogStepper(ops, params, tau)
+    mask = ops.pec_mask
+    e_prev = rng.standard_normal(mesh.n_edges)
+    e_curr = rng.standard_normal(mesh.n_edges)
+    hzx = rng.standard_normal(mesh.n_triangles)
+    hzy = rng.standard_normal(mesh.n_triangles)
+    ks = rng.standard_normal(mesh.n_triangles)
+    load = rng.standard_normal(mesh.n_edges)
+    bc = rng.standard_normal(mesh.n_edges)
+    velocity = rng.standard_normal(mesh.n_edges) if first_step else None
+    state = FieldState(e_prev=e_prev.copy(), e_curr=e_curr.copy(),
+                       hzx=hzx.copy(), hzy=hzy.copy(),
+                       step=0 if first_step else 1, tau=tau)
+    hzx_new, hzy_new = stepper.step_h(state, ks)
+    e_new = stepper.step_e(state, hzx_new, hzy_new, ks, extra_load=load,
+                           bc_values=bc, first_step_velocity=velocity)
+    e_ref, _, _ = oracles.dense_merged_step(
+        mesh, params, tau, e_prev, e_curr, hzx, hzy, ks,
+        g_dense=oracles.dense_interface_mass(mesh, edges), mask=mask,
+        sigma=(sx, sy), velocity=velocity, bc=bc, load=load)
+    assert np.array_equal(e_new[mask], bc[mask])
+    np.testing.assert_allclose(e_new, e_ref, rtol=1e-11,
+                               atol=1e-11 * np.abs(e_ref).max())
 
 
 def test_collar_step_matches_scalar_recurrence():
@@ -378,6 +417,34 @@ def test_run_zero_steps_initial_snapshot_only(small_setup):
     result = run_simulation(mesh, ops, UNIT, 0.01, 0, snapshot_every=5)
     assert len(result.snapshots) == 1 and result.snapshots[0].step == 0
     assert result.energy == []
+
+
+@pytest.mark.parametrize("n_steps,factorisations", [(0, 0), (1, 1), (4, 2)])
+def test_run_factors_each_step_matrix_once(small_setup, monkeypatch,
+                                           n_steps, factorisations):
+    # a zero-step run factors nothing; the first-step matrix and the main
+    # one are each factored once, and the stepper keeps no other
+    # edge-by-edge matrix than the factor and the boundary columns
+    mesh, ops = small_setup
+    calls = []
+    real_splu = sparse_solve.splu
+
+    def counting_splu(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real_splu(*args, **kwargs)
+
+    monkeypatch.setattr(sparse_solve, "splu", counting_splu)
+    run_simulation(mesh, ops, UNIT, 0.01, n_steps, energy_every=0)
+    assert len(calls) == factorisations
+
+    stepper = LeapfrogStepper(ops, UNIT, 0.01)
+    state, _ = init_state(mesh, ops, UNIT, tau=0.01)
+    for _ in range(2):
+        stepper.advance(state, np.zeros(mesh.n_triangles))
+    square = [name for name, value in vars(stepper).items()
+              if sp.issparse(value) and value.shape == (mesh.n_edges, mesh.n_edges)]
+    assert square == []
+    assert stepper._lift.shape == (mesh.n_edges, int(ops.pec_mask.sum()))
 
 
 def test_run_linear_in_source(small_setup):

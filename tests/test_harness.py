@@ -176,6 +176,30 @@ def test_config_json_round_trip():
     assert isinstance(again.interface.primitives[1], Arc)
 
 
+def test_config_v2_round_trip_has_no_solver_block():
+    cfg = scenario("bifurcated-straight")
+    data = json.loads(json.dumps(config_to_json(cfg)))
+    assert data["version"] == 2 and "solver" not in data
+    assert config_from_json(data) == cfg
+
+
+def test_config_v1_solver_block_is_ignored_with_warning():
+    data = config_to_json(scenario("bulb"))
+    data["version"] = 1
+    data["solver"] = {"tol": 1e-10, "max_iter": None, "preconditioner": "jacobi"}
+    with pytest.warns(UserWarning, match="solver"):
+        cfg = config_from_json(data)
+    assert cfg == scenario("bulb")
+
+
+@pytest.mark.parametrize("pml", [{"pml_err": 0.0}, {"pml_err": 1.5},
+                                 {"pml_eta": -377.0}])
+def test_config_rejects_bad_pml_settings(pml):
+    # these reached the absorber set-up as bare ValueErrors before
+    with pytest.raises(ConfigError, match="pml"):
+        SimulationConfig(**pml)
+
+
 def test_config_rejects_bad_version():
     with pytest.raises(ConfigError):
         config_from_json({"version": 99})
@@ -253,6 +277,14 @@ def test_cli_convergence_rejects_bad_mesh_size(h, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [["--mode", "fixed", "--tau=-1e-4"],
+                                  ["--mode", "fixed", "--steps=-3"],
+                                  ["--mode", "coupled", "--T=-0.01"]])
+def test_cli_convergence_rejects_bad_step_settings(args, capsys):
+    assert cli_main(["convergence", "--h", "1/10", *args]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("h_list", [[0.0], [1 / 10, 0.0], [-0.1]])
 def test_convergence_study_rejects_nonpositive_h(h_list):
     with pytest.raises(ConfigError, match="positive"):
@@ -273,6 +305,29 @@ def test_scenario_geometries_snap_cleanly(name):
     cfg = scenario(name)
     mesh = build_mesh_for(cfg)  # snapping validates the mesh invariants
     assert len(mesh.interface_edges()) > 100
+
+
+def test_cli_source_outside_mesh_is_configuration_error(tmp_path, capsys):
+    cfg = SimulationConfig(
+        name="offmesh", bounds=(0.0, 1.0, 0.0, 1.0), nx=4, ny=4,
+        material=MaterialParams.unit(), tau=0.01, n_steps=2,
+        source=SourceSpec(((2.0, 0.5, 1.0),), f0=1.0, h_norm=1.0))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config_to_json(cfg)))
+    assert cli_main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    assert "outside the mesh" in capsys.readouterr().err
+
+
+def test_cli_solver_failure_exit_code(tmp_path, capsys):
+    # eps0 / tau^2 underflows to zero, so the step matrix is singular
+    cfg = SimulationConfig(
+        name="singular", bounds=(0.0, 1.0, 0.0, 1.0), nx=4, ny=4,
+        material=MaterialParams(eps0=1e-300, mu0=1.0, tau0=1.0, sigma0=0.0),
+        tau=1e100, n_steps=2)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config_to_json(cfg)))
+    assert cli_main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 4
+    assert "solver failure" in capsys.readouterr().err
 
 
 def test_cli_blowup_exit_code(tmp_path):
