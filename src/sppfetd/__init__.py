@@ -7,9 +7,8 @@ from .assembly import (OperatorSet, apply_pec, assemble_edge_load,
 from .dynamics import (BlowUpError, CflConstants, EnergyReport, FieldState,
                        LeapfrogStepper, Snapshot, cfl_max_timestep,
                        discrete_energy, init_state, run_simulation)
-from .elements import (QuadratureRule, eval_edge_basis, edge_basis_curls,
-                       interpolate_hcurl, project_l2_p0, segment_quadrature,
-                       triangle_quadrature)
+from .elements import (QuadratureRule, interpolate_hcurl, project_l2_p0,
+                       segment_quadrature, triangle_quadrature)
 from .harness import (ErrorTable, SimulationConfig, l2_errors, load_config,
                       run, run_convergence_study, scenario, write_energy_log,
                       write_snapshot)

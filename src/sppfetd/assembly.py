@@ -23,9 +23,8 @@ ASSEMBLY_DEGREE = 3
 class OperatorSet:
     """Assembled operators for the merged graphene/absorber step.
 
-    m_e        : edge mass
-    m_e_phys   : edge mass restricted to physical cells (C1 weight)
-    m_d1       : edge mass weighted by diag(sigma_y, sigma_x)
+    m_e        : edge mass (the step matrix is one more edge mass with
+                 per-cell weights, assembled by the stepper)
     c          : cells x edges mixed matrix, entry = integral of curl(phi_e);
                  Whitney curls are constant per cell, so the curl-curl
                  matrix is exactly C^T diag(1/areas) C
@@ -38,8 +37,6 @@ class OperatorSet:
 
     mesh: Mesh
     m_e: sp.csr_matrix
-    m_e_phys: sp.csr_matrix
-    m_d1: sp.csr_matrix
     c: sp.csr_matrix
     g: sp.csr_matrix
     areas: np.ndarray
@@ -52,16 +49,12 @@ class OperatorSet:
 def _cell_coeff(mesh: Mesh, coeff) -> np.ndarray:
     """Normalise a coefficient spec to an (nt, 2) diagonal-weight array."""
     nt = mesh.n_triangles
-    if coeff is None:
-        return np.ones((nt, 2))
-    arr = np.asarray(coeff, dtype=float)
-    if arr.ndim == 0:
-        return np.full((nt, 2), float(arr))
+    arr = np.asarray(1.0 if coeff is None else coeff, dtype=float)
     if arr.shape == (nt,):
-        return np.repeat(arr[:, None], 2, axis=1)
-    if arr.shape == (nt, 2):
-        return arr
-    raise ValueError(f"coefficient shape {arr.shape} does not match {nt} cells")
+        arr = arr[:, None]
+    if arr.shape not in ((), (nt, 1), (nt, 2)):
+        raise ValueError(f"coefficient shape {arr.shape} does not match {nt} cells")
+    return np.broadcast_to(arr, (nt, 2))
 
 
 def _scatter_edges(mesh: Mesh, local: np.ndarray) -> sp.csr_matrix:
@@ -84,7 +77,7 @@ def assemble_edge_mass(mesh: Mesh, coeff=None) -> sp.csr_matrix:
     if np.any(w < 0.0) or not np.all(np.isfinite(w)):
         raise ValueError("edge-mass coefficient must be finite and nonnegative")
     rule = triangle_quadrature(ASSEMBLY_DEGREE)
-    phi, _, _ = cell_basis_data(mesh, rule)  # (nt, nq, 3, 2)
+    phi, _ = cell_basis_data(mesh, rule)  # (nt, nq, 3, 2)
     weighted = phi * w[:, None, None, :]
     local = 2.0 * mesh.areas[:, None, None] * np.einsum(
         "q,tqkd,tqld->tkl", rule.weights, weighted, phi)
@@ -94,7 +87,7 @@ def assemble_edge_mass(mesh: Mesh, coeff=None) -> sp.csr_matrix:
 def assemble_mixed_curl(mesh: Mesh) -> sp.csr_matrix:
     """Cells x edges matrix with entry (K, e) = integral over K of curl(phi_e)."""
     rule = triangle_quadrature(1)
-    _, curls, _ = cell_basis_data(mesh, rule)
+    _, curls = cell_basis_data(mesh, rule)
     rows = np.repeat(np.arange(mesh.n_triangles), 3)
     mat = sp.coo_matrix(((mesh.areas[:, None] * curls).ravel(),
                          (rows, mesh.tri_edges.ravel())),
@@ -104,21 +97,16 @@ def assemble_mixed_curl(mesh: Mesh) -> sp.csr_matrix:
     return out
 
 
-def assemble_interface_mass(mesh: Mesh, interface_edges=None) -> sp.csr_matrix:
+def assemble_interface_mass(mesh: Mesh) -> sp.csr_matrix:
     """Tangential-trace mass on the graphene curve.
 
     The Whitney tangential trace along an edge is 1/length on its own edge
     and vanishes on every other edge, so the matrix is diagonal with entry
     1/length for each interface edge.
     """
-    if interface_edges is None:
-        interface_edges = mesh.interface_edges()
-    interface_edges = np.asarray(interface_edges, dtype=np.int64)
+    iface = mesh.interface_edges()
     ne = mesh.n_edges
-    if len(interface_edges) == 0:
-        return sp.csr_matrix((ne, ne))
-    data = 1.0 / mesh.edge_lengths[interface_edges]
-    return sp.coo_matrix((data, (interface_edges, interface_edges)),
+    return sp.coo_matrix((1.0 / mesh.edge_lengths[iface], (iface, iface)),
                          shape=(ne, ne)).tocsr()
 
 
@@ -128,7 +116,7 @@ def assemble_edge_load(mesh: Mesh, field, degree: int = ASSEMBLY_DEGREE) -> np.n
     `field` maps an (n, 2) point array to (n, 2) vector values.
     """
     rule = triangle_quadrature(degree)
-    phi, _, _ = cell_basis_data(mesh, rule)
+    phi, _ = cell_basis_data(mesh, rule)
     pts = quad_points_physical(mesh, rule)
     flat = pts.reshape(-1, 2)
     vals = np.asarray(field(flat), dtype=float).reshape(pts.shape)
@@ -166,20 +154,14 @@ def build_operator_set(mesh: Mesh, sigma_x=None, sigma_y=None) -> OperatorSet:
     nt = mesh.n_triangles
     sigma_x = np.zeros(nt) if sigma_x is None else np.asarray(sigma_x, dtype=float)
     sigma_y = np.zeros(nt) if sigma_y is None else np.asarray(sigma_y, dtype=float)
-    c1 = (mesh.cell_tags == CellTag.PHYSICAL).astype(float)
-
-    # D1 = diag(sigma_y, sigma_x): E_x is damped by sigma_y, E_y by sigma_x.
-    d1 = np.column_stack([sigma_y, sigma_x])
     return OperatorSet(
         mesh=mesh,
         m_e=assemble_edge_mass(mesh),
-        m_e_phys=assemble_edge_mass(mesh, c1),
-        m_d1=assemble_edge_mass(mesh, d1),
         c=assemble_mixed_curl(mesh),
         g=assemble_interface_mass(mesh),
         areas=mesh.areas.copy(),
         sigma_x=sigma_x,
         sigma_y=sigma_y,
-        c1=c1,
+        c1=(mesh.cell_tags == CellTag.PHYSICAL).astype(float),
         pec_mask=boundary_dof_mask(mesh),
     )

@@ -15,19 +15,27 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import OperatorSet, apply_pec
+from .assembly import OperatorSet, apply_pec, assemble_edge_mass
 from .elements import interpolate_hcurl, project_l2_p0
 from .mesh import Mesh
 from .physics import MaterialParams
 from .sparse_solve import factorize
 
 
-class BlowUpError(RuntimeError):
-    """Field norms exceeded the divergence guard (CFL violation or bad setup)."""
+# A field magnitude this many times the early-step scale counts as a blow-up.
+BLOWUP_FACTOR = 1e12
 
-    def __init__(self, message, step):
+
+class BlowUpError(RuntimeError):
+    """Field norms exceeded the divergence guard (CFL violation or bad setup).
+
+    `result` holds the output of the steps before the failing one.
+    """
+
+    def __init__(self, message, step, result=None):
         super().__init__(message)
         self.step = step
+        self.result = result
 
 
 @dataclass(frozen=True)
@@ -175,13 +183,14 @@ class LeapfrogStepper:
         A (e_{n+1} - e_{n-1}) = 2 M_lead (e_n - e_{n-1}) - (sigma0/tau0) G e_n
                                 + C^T (h_term - c1/(mu0 |K|) C e_n) + load,
 
-    with A = M_lead + M_damp, which only needs M_E, C and G per step
-    (the physical curl-curl matrix is C^T diag(c1/|K|) C).  On the first
-    step the pre-initial level is eliminated through the initial velocity
-    v, which turns A into 2 M_lead, e_{n-1} into zero and adds
-    2 tau (M_lead - M_damp) v to the right-hand side.  Each of the two
-    matrices is factored the first time a step needs it, and the first
-    one is dropped before the second is built.
+    with M_lead = (eps0/tau^2) M_E, which only needs M_E, C and G per step
+    (the physical curl-curl matrix is C^T diag(c1/|K|) C).  A = M_lead +
+    M_damp is one edge mass with the per-cell weight eps0/tau^2 +
+    c1 eps0/(2 tau tau0) + diag(sigma_y, sigma_x)/(2 tau).  On the first
+    step the initial velocity v eliminates the pre-initial level: A turns
+    into 2 M_lead, e_{n-1} into zero and 2 tau (2 M_lead v - A v) joins the
+    right-hand side.  Each matrix is factored when a step first needs it;
+    the first factor is dropped before A's is built, and `a` once factored.
     """
 
     def __init__(self, ops: OperatorSet, params: MaterialParams, tau: float):
@@ -192,11 +201,13 @@ class LeapfrogStepper:
         self.tau = tau
 
         eps0, mu0, tau0 = params.eps0, params.mu0, params.tau0
-        # M_lead = lead M_E and M_damp = d1 M_D1 + phys M_E_phys.
         self._lead = eps0 / tau ** 2
-        self._d1 = 1.0 / (2.0 * tau)
-        self._phys = eps0 / (2.0 * tau * tau0)
         self._g_coeff = params.sigma0 / tau0
+        # E_x is damped by sigma_y and E_y by sigma_x.
+        base = self._lead + ops.c1 * eps0 / (2.0 * tau * tau0)
+        self._a_weights = np.column_stack([base + ops.sigma_y / (2.0 * tau),
+                                           base + ops.sigma_x / (2.0 * tau)])
+        self.a = assemble_edge_mass(ops.mesh, self._a_weights)
         self._factored_first = None           # which matrix _solve factors
         self._solve = self._lift = None
 
@@ -211,20 +222,23 @@ class LeapfrogStepper:
         self._w_ks = ops.c1 / mu0
         self._w_curl = ops.c1 / (mu0 * ops.areas)
 
+    def _step_matrix(self):
+        """A; assembled again only when a step needs it after it was dropped."""
+        if self.a is None:
+            self.a = assemble_edge_mass(self.ops.mesh, self._a_weights)
+        return self.a
+
     def _factor(self, first: bool):
         """Factored step matrix and its boundary columns, built on demand."""
         if self._factored_first is not first:
             self._solve = self._lift = None
             ops = self.ops
-            m_lead = self._lead * ops.m_e
-            if first:
-                a = 2.0 * m_lead
-            else:
-                a = m_lead + (self._d1 * ops.m_d1 + self._phys * ops.m_e_phys)
-            a = a.tocsr()
+            a = (2.0 * self._lead) * ops.m_e if first else self._step_matrix()
             self._lift = a[:, ops.pec_mask]
             self._solve = factorize(apply_pec(a, ops.pec_mask))
             self._factored_first = first
+            if not first:
+                self.a = None
         return self._solve, self._lift
 
     def step_h(self, state: FieldState, ks_cells: np.ndarray):
@@ -258,9 +272,8 @@ class LeapfrogStepper:
             rhs += extra_load
         if first and first_step_velocity is not None:
             v = first_step_velocity
-            b_v = self._lead * (ops.m_e @ v) - (self._d1 * (ops.m_d1 @ v)
-                                                 + self._phys * (ops.m_e_phys @ v))
-            rhs += 2.0 * self.tau * b_v
+            rhs += (2.0 * self.tau) * ((2.0 * self._lead) * (ops.m_e @ v)
+                                       - self._step_matrix() @ v)
 
         # Lift the boundary values: the change is known there, and only
         # A's boundary columns carry it into the free rows.  The factored
@@ -322,8 +335,8 @@ def discrete_energy(state: FieldState, ops: OperatorSet,
 def run_simulation(mesh: Mesh, ops: OperatorSet, params: MaterialParams,
                    tau: float, n_steps: int, source=None, e0=None, h0=None,
                    dt_e0=None, extra_load=None, bc_values=None,
-                   snapshot_every: int = 0, energy_every: int = 1,
-                   blowup_factor: float = 1e12) -> SimulationResult:
+                   snapshot_every: int = 0,
+                   energy_every: int = 1) -> SimulationResult:
     """Run the leapfrog scheme for `n_steps` steps.
 
     source     : callable (step, t) -> per-cell K_s values, or None.
@@ -331,7 +344,8 @@ def run_simulation(mesh: Mesh, ops: OperatorSet, params: MaterialParams,
     bc_values  : callable t -> full edge vector carrying Dirichlet data on
                  the outer boundary; None imposes the conducting boundary.
     Snapshots include the initial state; the energy log starts after the
-    first step.  Raises BlowUpError when a field norm passes the guard.
+    first step.  Raises BlowUpError, carrying the result so far, when a
+    field norm passes the guard.
     """
     n_cells = mesh.n_triangles
     ks0 = source(0, 0.0) if source is not None else None
@@ -357,13 +371,14 @@ def run_simulation(mesh: Mesh, ops: OperatorSet, params: MaterialParams,
 
         peak = max(np.max(np.abs(state.e_curr)), np.max(np.abs(state.hz)))
         if not np.isfinite(peak):
-            raise BlowUpError(f"non-finite field at step {state.step}", state.step)
+            raise BlowUpError(f"non-finite field at step {state.step}",
+                              state.step, result)
         if state.step <= 10:
             scale = max(scale, peak)
-        elif peak > blowup_factor * max(scale, np.finfo(float).tiny):
+        elif peak > BLOWUP_FACTOR * max(scale, np.finfo(float).tiny):
             raise BlowUpError(
-                f"field magnitude {peak:.3e} exceeded {blowup_factor:.0e} x "
-                f"initial scale at step {state.step}", state.step)
+                f"field magnitude {peak:.3e} exceeded {BLOWUP_FACTOR:.0e} x "
+                f"initial scale at step {state.step}", state.step, result)
 
         if energy_every > 0 and state.step % energy_every == 0:
             result.energy.append(discrete_energy(state, ops, params))

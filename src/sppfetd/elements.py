@@ -61,65 +61,20 @@ def segment_quadrature(degree: int) -> QuadratureRule:
     return QuadratureRule(0.5 * (xi + 1.0), 0.5 * w, degree)
 
 
-def barycentric_gradients(tri: np.ndarray):
-    """(signed area, gradients (3, 2)) of barycentric coordinates."""
-    tri = np.asarray(tri, dtype=float)
-    d1 = tri[1] - tri[0]
-    d2 = tri[2] - tri[0]
-    area = 0.5 * (d1[0] * d2[1] - d1[1] * d2[0])
-    if area <= 0.0:
-        raise ValueError(f"degenerate or misoriented triangle (area {area:.3e})")
-    g = np.empty((3, 2))
-    for i in range(3):
-        j, k = (i + 1) % 3, (i + 2) % 3
-        g[i, 0] = tri[j, 1] - tri[k, 1]
-        g[i, 1] = tri[k, 0] - tri[j, 0]
-    return area, g / (2.0 * area)
-
-
-def eval_edge_basis(tri: np.ndarray, points: np.ndarray, signs=(1, 1, 1)) -> np.ndarray:
-    """Whitney basis values at `points` (k, 2), returned as (k, 3, 2).
-
-    Basis j follows the local counterclockwise edge TRI_EDGE_LOCAL[j]
-    scaled by signs[j]; pass the mesh orientation signs to obtain the
-    globally oriented basis.
-    """
-    tri = np.asarray(tri, dtype=float)
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    _, g = barycentric_gradients(tri)
-    # lambda_i(x) = lambda_i(p0) + grad(lambda_i) . (x - p0)
-    rel = pts - tri[0]
-    lam = np.array([1.0, 0.0, 0.0])[None, :] + rel @ g.T
-    out = np.empty((len(pts), 3, 2))
-    for k, (i, j) in enumerate(TRI_EDGE_LOCAL):
-        out[:, k, :] = signs[k] * (lam[:, i, None] * g[j] - lam[:, j, None] * g[i])
-    return out
-
-
-def edge_basis_curls(tri: np.ndarray, signs=(1, 1, 1)) -> np.ndarray:
-    """Constant curl of each Whitney basis on the triangle, (3,)."""
-    _, g = barycentric_gradients(tri)
-    out = np.empty(3)
-    for k, (i, j) in enumerate(TRI_EDGE_LOCAL):
-        out[k] = 2.0 * signs[k] * (g[i, 0] * g[j, 1] - g[i, 1] * g[j, 0])
-    return out
-
-
 def cell_basis_data(mesh: Mesh, rule: QuadratureRule):
     """Vectorised basis data for every cell of the mesh.
 
-    Returns (phi, curls, grads) where phi has shape (nt, nq, 3, 2) holding
-    the globally oriented Whitney values at the rule's points, curls has
-    shape (nt, 3), and grads the barycentric gradients (nt, 3, 2).
+    Returns (phi, curls) where phi has shape (nt, nq, 3, 2) holding the
+    globally oriented Whitney values at the rule's points and curls has
+    shape (nt, 3).
     """
     tris = mesh.vertices[mesh.triangles]           # (nt, 3, 2)
-    areas = mesh.areas
     g = np.empty((len(tris), 3, 2))
     for i in range(3):
         j, k = (i + 1) % 3, (i + 2) % 3
         g[:, i, 0] = tris[:, j, 1] - tris[:, k, 1]
         g[:, i, 1] = tris[:, k, 0] - tris[:, j, 0]
-    g /= (2.0 * areas)[:, None, None]
+    g /= (2.0 * mesh.areas)[:, None, None]
 
     lam = rule.points                               # (nq, 3)
     signs = mesh.tri_edge_signs.astype(float)       # (nt, 3)
@@ -131,7 +86,7 @@ def cell_basis_data(mesh: Mesh, rule: QuadratureRule):
         phi[:, :, k, :] *= signs[:, k, None, None]
         curls[:, k] = 2.0 * signs[:, k] * (g[:, i, 0] * g[:, j, 1]
                                            - g[:, i, 1] * g[:, j, 0])
-    return phi, curls, g
+    return phi, curls
 
 
 def quad_points_physical(mesh: Mesh, rule: QuadratureRule) -> np.ndarray:
@@ -142,7 +97,7 @@ def quad_points_physical(mesh: Mesh, rule: QuadratureRule) -> np.ndarray:
 
 def eval_edge_field(mesh: Mesh, dofs: np.ndarray, rule: QuadratureRule) -> np.ndarray:
     """Edge-DoF field evaluated at the rule's points per cell, (nt, nq, 2)."""
-    phi, _, _ = cell_basis_data(mesh, rule)
+    phi, _ = cell_basis_data(mesh, rule)
     local = dofs[mesh.tri_edges]                    # (nt, 3)
     return np.einsum("tk,tqkd->tqd", local, phi)
 

@@ -10,8 +10,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .assembly import build_operator_set
-from .dynamics import (CflConstants, FieldState, SimulationResult, Snapshot,
-                       run_simulation)
+from .dynamics import (BlowUpError, CflConstants, FieldState,
+                       SimulationResult, Snapshot, run_simulation)
 from .elements import (cell_basis_data, eval_edge_field, quad_points_physical,
                        segment_quadrature, triangle_quadrature)
 from .mesh import (Arc, InterfaceSpec, Mesh, Segment,
@@ -142,8 +142,7 @@ class ManufacturedDrivers:
         self.weights = rule.weights
         self.pts = quad_points_physical(mesh, rule)
         self.flat = self.pts.reshape(-1, 2)
-        phi, _, _ = cell_basis_data(mesh, rule)
-        self.phi = phi
+        self.phi, _ = cell_basis_data(mesh, rule)
         self.tau0 = case.params.tau0
 
         seg = segment_quadrature(degree)
@@ -414,27 +413,33 @@ def run(config: SimulationConfig, out_dir: str | None = None) -> SimulationResul
         def source(step, t, _cells=cells, _spec=spec):
             return eval_source(_spec, t, _cells, mesh.n_triangles)
 
-    result = run_simulation(
-        mesh, ops, params, config.tau, config.n_steps, source=source,
-        dt_e0=dt_e0, extra_load=extra_load, bc_values=bc_values,
-        snapshot_every=config.snapshot_every,
-        energy_every=max(config.snapshot_every, 1) if config.n_steps else 0)
-
     out = out_dir or config.out_dir
+    try:
+        result = run_simulation(
+            mesh, ops, params, config.tau, config.n_steps, source=source,
+            dt_e0=dt_e0, extra_load=extra_load, bc_values=bc_values,
+            snapshot_every=config.snapshot_every,
+            energy_every=max(config.snapshot_every, 1) if config.n_steps else 0)
+    except BlowUpError as exc:
+        # Keep the diagnostics written up to the failing step.
+        _write_outputs(exc.result, mesh, out)
+        raise
+    _write_outputs(result, mesh, out)
+    return result
+
+
+def _write_outputs(result: SimulationResult, mesh: Mesh, out) -> None:
     if out:
         os.makedirs(out, exist_ok=True)
         for snap in result.snapshots:
             write_snapshot(snap, mesh, os.path.join(out, f"snap_{snap.step:06d}.vtk"))
         write_energy_log(result.energy, os.path.join(out, "energy.csv"))
-    return result
 
 
 # -- output -------------------------------------------------------------------
 
-def write_snapshot(snap, mesh: Mesh, path) -> None:
+def write_snapshot(snap: Snapshot, mesh: Mesh, path) -> None:
     """Legacy ASCII VTK unstructured grid with cell data Hz and E."""
-    if isinstance(snap, FieldState):
-        snap = Snapshot(snap.step, snap.step * snap.tau, snap.e_curr, snap.hz)
     rule = triangle_quadrature(1)
     e_cells = eval_edge_field(mesh, snap.e, rule)[:, 0, :]
     try:
@@ -539,6 +544,9 @@ def config_to_json(config: SimulationConfig) -> dict:
 
 
 def config_from_json(data: dict) -> SimulationConfig:
+    if not isinstance(data, dict):
+        raise ConfigError("configuration must be a JSON object, "
+                          f"not {type(data).__name__}")
     if data.get("version") not in (1, CONFIG_VERSION):
         raise ConfigError(f"unsupported config version {data.get('version')!r}")
     if "solver" in data:
@@ -579,7 +587,7 @@ def config_from_json(data: dict) -> SimulationConfig:
         if "cfl" in data:
             kwargs["cfl"] = CflConstants(**data["cfl"])
         return SimulationConfig(**kwargs)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(f"invalid configuration: {exc}") from exc

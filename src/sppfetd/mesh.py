@@ -197,9 +197,6 @@ class Mesh:
     def n_edges(self) -> int:
         return len(self.edges)
 
-    def boundary_edges(self) -> np.ndarray:
-        return np.flatnonzero(self.edge_tags == EdgeTag.OUTER_BOUNDARY)
-
     def interface_edges(self) -> np.ndarray:
         return np.flatnonzero(self.edge_tags == EdgeTag.INTERFACE)
 
@@ -415,26 +412,32 @@ def load_mesh(path) -> Mesh:
 
     pos = 1
 
+    def row(fields):
+        if pos >= len(lines):
+            fail(len(lines) - 1, f"unexpected end of file, expected '{fields}'")
+        parts = lines[pos].split()
+        if len(parts) != len(fields.split()):
+            fail(pos, f"expected '{fields}'")
+        return parts
+
     def expect_block(name):
         nonlocal pos
-        if pos >= len(lines):
-            fail(len(lines) - 1, f"missing block '{name}'")
-        parts = lines[pos].split()
-        if len(parts) != 2 or parts[0] != name:
+        parts = row(f"{name} <count>")
+        if parts[0] != name:
             fail(pos, f"expected block header '{name} <count>'")
         try:
             count = int(parts[1])
         except ValueError:
             fail(pos, f"bad count in '{name}' block")
+        if count < 0:
+            fail(pos, f"negative count in '{name}' block")
         pos += 1
         return count
 
     nv = expect_block("VERTICES")
     vertices = np.empty((nv, 2))
     for i in range(nv):
-        parts = lines[pos].split()
-        if len(parts) != 2:
-            fail(pos, "expected 'x y'")
+        parts = row("x y")
         try:
             vertices[i] = [float(parts[0]), float(parts[1])]
         except ValueError:
@@ -445,9 +448,7 @@ def load_mesh(path) -> Mesh:
     triangles = np.empty((nt, 3), dtype=np.int64)
     cell_tags = np.empty(nt, dtype=np.uint8)
     for i in range(nt):
-        parts = lines[pos].split()
-        if len(parts) != 4:
-            fail(pos, "expected 'i j k tag'")
+        parts = row("i j k tag")
         try:
             triangles[i] = [int(parts[0]), int(parts[1]), int(parts[2])]
             tag = int(parts[3])
@@ -467,9 +468,7 @@ def load_mesh(path) -> Mesh:
     np_tags = expect_block("EDGETAGS")
     listed = []
     for i in range(np_tags):
-        parts = lines[pos].split()
-        if len(parts) != 3:
-            fail(pos, "expected 'i j tag'")
+        parts = row("i j tag")
         try:
             a, b, tag = int(parts[0]), int(parts[1]), int(parts[2])
         except ValueError:

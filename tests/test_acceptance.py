@@ -137,12 +137,23 @@ def test_criterion_5_assembly_oracles():
     ops = build_operator_set(mesh, sx, sy)
     c1 = ops.c1
     areas = oracles.dense_cell_areas(mesh)
+    tau, params = 0.01, MaterialParams.unit()
+    stepper = LeapfrogStepper(ops, params, tau)
+    dense_m_e = oracles.dense_edge_mass(mesh)
+    dense_m_phys = oracles.dense_edge_mass(mesh, c1)
+    dense_m_d1 = oracles.dense_edge_mass(mesh, np.column_stack([sy, sx]))
+    # A = M_lead + M_damp, assembled by the stepper as one weighted mass.
+    dense_a = ((params.eps0 / tau ** 2) * dense_m_e + dense_m_d1 / (2 * tau)
+               + (params.eps0 / (2 * tau * params.tau0)) * dense_m_phys)
 
     checks = {
-        "M_E": (ops.m_e.toarray(), oracles.dense_edge_mass(mesh)),
-        "M_E_phys": (ops.m_e_phys.toarray(), oracles.dense_edge_mass(mesh, c1)),
-        "M_D1": (ops.m_d1.toarray(),
-                 oracles.dense_edge_mass(mesh, np.column_stack([sy, sx]))),
+        "M_E": (ops.m_e.toarray(), dense_m_e),
+        "M_E_phys": (assemble_edge_mass(mesh, c1).toarray(), dense_m_phys),
+        "M_D1": (assemble_edge_mass(mesh, np.column_stack(
+            [ops.sigma_y, ops.sigma_x])).toarray(), dense_m_d1),
+        # relative to the leading coefficient eps0/tau^2 = 1e4
+        "A": (stepper.a.toarray() * tau ** 2 / params.eps0,
+              dense_a * tau ** 2 / params.eps0),
         # Whitney curls are constant per cell: S = C^T diag(1/|K|) C.
         "S": ((ops.c.T @ sp.diags(1.0 / ops.areas) @ ops.c).toarray(),
               oracles.dense_curl_curl(mesh)),
@@ -163,11 +174,8 @@ def test_criterion_5_assembly_oracles():
 
     eig_me = np.linalg.eigvalsh(
         apply_pec(ops.m_e, ops.pec_mask).toarray()).min()
-    tau, params = 0.01, MaterialParams.unit()
-    a_mat = ((params.eps0 / tau ** 2) * ops.m_e + (1 / (2 * tau)) * ops.m_d1
-             + (params.eps0 / (2 * tau * params.tau0)) * ops.m_e_phys)
     eig_step = np.linalg.eigvalsh(
-        apply_pec(a_mat.tocsr(), ops.pec_mask).toarray()).min()
+        apply_pec(stepper.a, ops.pec_mask).toarray()).min()
     ok = ok and eig_me > 0 and eig_step > 0
     _report(5, "assembly matches dense quadrature oracle", ok,
             f"max entry deviation {max(worst.values()):.3e} "
@@ -270,7 +278,8 @@ def test_criterion_8_spp_localization():
             dist = np.minimum(dist, np.hypot(*(c - proj).T))
         band = ((dist <= 2 * mesh.h_y) & (mesh.cell_tags == 0)).astype(float)
         m_band = assemble_edge_mass(mesh, band)
-        fracs.append(float(e @ (m_band @ e)) / float(e @ (ops.m_e_phys @ e)))
+        m_phys = assemble_edge_mass(mesh, ops.c1)
+        fracs.append(float(e @ (m_band @ e)) / float(e @ (m_phys @ e)))
     ratio = fracs[0] / fracs[1]
     ok = ratio >= 3.0
     _report(8, "sheet-bound wave localization", ok,

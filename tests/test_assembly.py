@@ -5,9 +5,11 @@ import scipy.sparse as sp
 from sppfetd.assembly import (apply_pec, assemble_edge_load, assemble_edge_mass,
                               assemble_interface_mass, assemble_mixed_curl,
                               boundary_dof_mask, build_operator_set)
+from sppfetd.dynamics import LeapfrogStepper
 from sppfetd.elements import interpolate_hcurl
 from sppfetd.mesh import (InterfaceSpec, Segment, generate_rect_mesh,
                           snap_interface)
+from sppfetd.physics import MaterialParams
 from sppfetd.sparse_solve import factorize
 
 import oracles
@@ -195,14 +197,19 @@ def test_operator_set_symmetry_and_oracle(small_mesh):
     sx = np.abs(rng.standard_normal(small_mesh.n_triangles))
     sy = np.abs(rng.standard_normal(small_mesh.n_triangles))
     ops = build_operator_set(small_mesh, sx, sy)
+    # the physical and damping masses the step matrix combines
+    m_phys = assemble_edge_mass(small_mesh, ops.c1)
+    m_d1 = assemble_edge_mass(small_mesh, np.column_stack([ops.sigma_y, ops.sigma_x]))
     s_mat = (ops.c.T @ sp.diags(1.0 / ops.areas) @ ops.c).tocsr()
     s_phys = (ops.c.T @ sp.diags(ops.c1 / ops.areas) @ ops.c).tocsr()
-    for mat in (ops.m_e, ops.m_e_phys, ops.g, ops.m_d1, s_mat, s_phys):
+    for mat in (ops.m_e, m_phys, ops.g, m_d1, s_mat, s_phys):
         assert abs(mat - mat.T).max() <= 1e-13
     np.testing.assert_allclose(ops.m_e.toarray(),
                                oracles.dense_edge_mass(small_mesh), atol=1e-12)
     np.testing.assert_allclose(
-        ops.m_d1.toarray(),
+        m_phys.toarray(), oracles.dense_edge_mass(small_mesh, ops.c1), atol=1e-12)
+    np.testing.assert_allclose(
+        m_d1.toarray(),
         oracles.dense_edge_mass(small_mesh, np.column_stack([sy, sx])), atol=1e-12)
     np.testing.assert_allclose(s_mat.toarray(),
                                oracles.dense_curl_curl(small_mesh), atol=1e-12)
@@ -216,8 +223,11 @@ def test_step_system_matrix_positive_definite(small_mesh):
     sx = np.abs(rng.standard_normal(small_mesh.n_triangles))
     ops = build_operator_set(small_mesh, sx, sx)
     tau, eps0, tau0 = 1e-3, 1.0, 1.0
-    a_mat = ((eps0 / tau ** 2) * ops.m_e + (1.0 / (2 * tau)) * ops.m_d1
-             + (eps0 / (2 * tau * tau0)) * ops.m_e_phys)
-    a_pec = apply_pec(a_mat.tocsr(), ops.pec_mask)
+    m_d1 = assemble_edge_mass(small_mesh, np.column_stack([ops.sigma_y, ops.sigma_x]))
+    a_mat = ((eps0 / tau ** 2) * ops.m_e + (1.0 / (2 * tau)) * m_d1
+             + (eps0 / (2 * tau * tau0)) * assemble_edge_mass(small_mesh, ops.c1))
+    stepper = LeapfrogStepper(ops, MaterialParams(eps0=eps0, tau0=tau0), tau)
+    assert abs(stepper.a - a_mat).max() <= 1e-12 * abs(a_mat).max()
+    a_pec = apply_pec(stepper.a, ops.pec_mask)
     eigvals = np.linalg.eigvalsh(a_pec.toarray())
     assert eigvals.min() > 0

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from sppfetd import sparse_solve
+from sppfetd import assembly, dynamics, sparse_solve
 from sppfetd.assembly import build_operator_set
 from sppfetd.dynamics import (BlowUpError, CflConstants, FieldState,
                               LeapfrogStepper, cfl_max_timestep,
@@ -445,6 +445,49 @@ def test_run_factors_each_step_matrix_once(small_setup, monkeypatch,
               if sp.issparse(value) and value.shape == (mesh.n_edges, mesh.n_edges)]
     assert square == []
     assert stepper._lift.shape == (mesh.n_edges, int(ops.pec_mask.sum()))
+
+
+@pytest.mark.parametrize("n_steps", [0, 1, 4])
+def test_edge_mass_kernel_runs_once_per_matrix(monkeypatch, n_steps):
+    # the operator set assembles M_E and the stepper A = M_lead + M_damp,
+    # one quadrature pass each however many steps run
+    mesh = generate_rect_mesh((0, 1, 0, 1), 4, 4, 1)
+    sx = np.linspace(0.0, 2.0, mesh.n_triangles)
+    calls = []
+    real = assembly.assemble_edge_mass
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].n_triangles)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(assembly, "assemble_edge_mass", counting)
+    ops = build_operator_set(mesh, sx, sx[::-1])
+    assert len(calls) == 1
+    monkeypatch.setattr(dynamics, "assemble_edge_mass", counting)
+    h0 = lambda p: np.sin(np.pi * p[:, 0]) * np.sin(np.pi * p[:, 1])
+    run_simulation(mesh, ops, UNIT, 0.01, n_steps, h0=h0, energy_every=0)
+    assert len(calls) == 2
+
+
+def test_reused_stepper_matches_fresh_one(small_setup):
+    # A is dropped once factored; a stepper restarted from step 0 with an
+    # initial velocity must rebuild it and reproduce a fresh stepper
+    mesh, ops = small_setup
+    h0 = lambda p: np.cos(np.pi * p[:, 0]) * np.sin(np.pi * p[:, 1])
+
+    def three_steps(stepper):
+        state, vel = init_state(mesh, ops, UNIT, h0=h0, tau=0.01)
+        for n in range(3):
+            stepper.advance(state, np.zeros(mesh.n_triangles),
+                            first_step_velocity=vel if n == 0 else None)
+        return state.e_curr
+
+    reused = LeapfrogStepper(ops, UNIT, 0.01)
+    first = three_steps(reused)
+    assert reused.a is None
+    np.testing.assert_array_equal(three_steps(reused), first)
+    np.testing.assert_array_equal(
+        three_steps(LeapfrogStepper(ops, UNIT, 0.01)), first)
 
 
 def test_run_linear_in_source(small_setup):

@@ -3,73 +3,92 @@ import math
 import numpy as np
 import pytest
 
-from sppfetd.elements import (edge_basis_curls, eval_edge_basis, eval_edge_field,
+from sppfetd.elements import (QuadratureRule, cell_basis_data, eval_edge_field,
                               interpolate_hcurl, project_l2_p0,
-                              segment_quadrature, triangle_quadrature)
-from sppfetd.mesh import TRI_EDGE_LOCAL, generate_rect_mesh
+                              quad_points_physical, segment_quadrature,
+                              triangle_quadrature)
+from sppfetd.mesh import TRI_EDGE_LOCAL, Mesh, generate_rect_mesh
 
 from oracles import duffy_rule, ref_whitney
 
 RIGHT = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
 
-def _moment_matrix(tri, signs=(1, 1, 1)):
-    """Tangential moments of the three basis functions over the CCW edges."""
+def _one_cell(tri, order=(0, 1, 2)):
+    """One-cell mesh of `tri` whose local vertex k has global index order[k]."""
+    verts = np.empty((3, 2))
+    verts[list(order)] = tri
+    return Mesh(verts, [list(order)])
+
+
+def _basis_at(mesh, bary):
+    """Production Whitney values at barycentric points, (nt, n, 3, 2)."""
+    bary = np.atleast_2d(bary)
+    rule = QuadratureRule(bary, np.full(len(bary), 0.5 / len(bary)), 0)
+    return cell_basis_data(mesh, rule)[0]
+
+
+def _moment_matrix(mesh):
+    """Tangential moments of the three basis functions over the cell's edges."""
     rule = segment_quadrature(3)
     out = np.zeros((3, 3))
     for k, (i, j) in enumerate(TRI_EDGE_LOCAL):
-        p0, p1 = tri[i], tri[j]
-        length = np.linalg.norm(p1 - p0)
-        tang = signs[k] * (p1 - p0) / length
-        for sq, wq in zip(rule.points, rule.weights):
-            x = p0 + sq * (p1 - p0)
-            out[k] += wq * length * eval_edge_basis(tri, x[None, :], signs)[0] @ tang
+        bary = np.zeros((len(rule.points), 3))
+        bary[:, i] = 1.0 - rule.points
+        bary[:, j] = rule.points
+        e = mesh.tri_edges[0, k]
+        trace = _basis_at(mesh, bary)[0] @ mesh.edge_tangents[e]   # (nq, 3)
+        out[k] = mesh.edge_lengths[e] * (rule.weights @ trace)
     return out
 
 
 def test_duality_identity_on_random_triangles():
     rng = np.random.default_rng(7)
+    checked = set()
     for _ in range(10):
         tri = rng.uniform(-2, 2, size=(3, 2))
         d1, d2 = tri[1] - tri[0], tri[2] - tri[0]
         if d1[0] * d2[1] - d1[1] * d2[0] < 0.05:
             continue
-        np.testing.assert_allclose(_moment_matrix(tri), np.eye(3), atol=1e-12)
+        mesh = _one_cell(tri, rng.permutation(3))
+        checked.add(tuple(mesh.tri_edge_signs[0]))
+        np.testing.assert_allclose(_moment_matrix(mesh), np.eye(3), atol=1e-12)
+    assert len(checked) > 1   # more than one orientation pattern was covered
 
 
 def test_midpoint_tangential_value():
     # duality means the own-edge tangential trace integrates to 1, and for
     # the constant Whitney trace: value * length = 1 at the midpoint
-    mid = 0.5 * (RIGHT[0] + RIGHT[1])
-    phi = eval_edge_basis(RIGHT, mid[None, :])[0]
+    phi = _basis_at(_one_cell(RIGHT), [0.5, 0.5, 0.0])[0, 0]
     tangential = phi[0] @ np.array([1.0, 0.0])
     assert tangential * 1.0 == pytest.approx(1.0, abs=1e-13)
 
 
 def test_curl_constants_unit_right_triangle():
-    curls = edge_basis_curls(RIGHT)
-    np.testing.assert_allclose(np.abs(curls), 2.0, atol=1e-13)
-    flipped = edge_basis_curls(RIGHT, signs=(1, -1, 1))
-    np.testing.assert_allclose(flipped, [2.0, -2.0, 2.0], atol=1e-13)
-
-
-def test_degenerate_triangle_rejected():
-    flat = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
-    with pytest.raises(ValueError):
-        eval_edge_basis(flat, np.array([[0.5, 0.0]]))
+    # |curl| = 2 / (2 |K|) * 2 = 2 on the unit right triangle; the sign is
+    # the mesh orientation sign of each edge
+    mesh = _one_cell(RIGHT)
+    _, curls = cell_basis_data(mesh, triangle_quadrature(1))
+    np.testing.assert_allclose(curls[0], [2.0, 2.0, -2.0], atol=1e-13)
+    flipped = _one_cell(RIGHT, order=(2, 1, 0))
+    _, curls = cell_basis_data(flipped, triangle_quadrature(1))
+    np.testing.assert_array_equal(flipped.tri_edge_signs[0], [-1, -1, 1])
+    np.testing.assert_allclose(curls[0], [-2.0, -2.0, 2.0], atol=1e-13)
 
 
 def test_piola_map_preserves_tangential_moments():
     # covariant map of the reference basis against direct evaluation on the
     # mapped triangle: same functions, so same moment matrices
     tri = np.array([[0.2, -0.1], [1.3, 0.4], [0.1, 1.1]])
-    m = generate_rect_mesh((0, 1, 0, 1), 1, 1, 0)
     ref_pts, _ = duffy_rule(4)
     jac = np.column_stack([tri[1] - tri[0], tri[2] - tri[0]])
-    phys = (jac @ ref_pts.T).T + tri[0]
-    direct = eval_edge_basis(tri, phys)
-    mapped = ref_whitney(ref_pts) @ np.linalg.inv(jac)
-    np.testing.assert_allclose(direct, mapped, atol=1e-12)
+    for order in ((0, 1, 2), (2, 0, 1), (1, 2, 0)):
+        mesh = _one_cell(tri, order)
+        bary = np.column_stack([1.0 - ref_pts.sum(axis=1), ref_pts])
+        direct = _basis_at(mesh, bary)[0]
+        mapped = ref_whitney(ref_pts) @ np.linalg.inv(jac)
+        np.testing.assert_allclose(
+            direct, mapped * mesh.tri_edge_signs[0][None, :, None], atol=1e-12)
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
@@ -124,7 +143,6 @@ def test_interpolation_reproduces_rotational_mode():
     dofs = interpolate_hcurl(lambda p: np.column_stack([-p[:, 1], p[:, 0]]), m)
     rule = triangle_quadrature(2)
     vals = eval_edge_field(m, dofs, rule)
-    from sppfetd.elements import quad_points_physical
     pts = quad_points_physical(m, rule)
     exact = np.stack([-pts[:, :, 1], pts[:, :, 0]], axis=2)
     np.testing.assert_allclose(vals, exact, atol=1e-13)
@@ -144,20 +162,22 @@ def test_projection_linear_means():
 
 
 def test_tangential_continuity_across_interior_edges():
+    # point q of the rule is the midpoint of local edge q of every cell
     m = generate_rect_mesh((0, 1, 0, 1), 3, 3, 0)
     rng = np.random.default_rng(3)
     dofs = rng.standard_normal(m.n_edges)
+    mids = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
+    rule = QuadratureRule(mids, np.full(3, 1 / 6), 0)
+    np.testing.assert_allclose(quad_points_physical(m, rule),
+                               m.edge_midpoints[m.tri_edges], atol=1e-15)
+    phi, _ = cell_basis_data(m, rule)                          # (nt, 3, 3, 2)
+    field = np.einsum("tk,tqkd->tqd", dofs[m.tri_edges], phi)  # (nt, 3, 2)
+    trace = np.einsum("tqd,tqd->tq", field, m.edge_tangents[m.tri_edges])
     interior = np.flatnonzero(m.edge_triangle_count == 2)
-    for e in interior[:20]:
-        mid = m.edge_midpoints[e]
-        tang = m.edge_tangents[e]
-        cells = np.flatnonzero((m.tri_edges == e).any(axis=1))
-        traces = []
-        for cell in cells:
-            tri = m.vertices[m.triangles[cell]]
-            phi = eval_edge_basis(tri, mid[None, :], m.tri_edge_signs[cell])[0]
-            traces.append(dofs[m.tri_edges[cell]] @ phi @ tang)
-        assert traces[0] == pytest.approx(traces[1], abs=1e-12)
+    for e in interior:
+        cells, local = np.nonzero(m.tri_edges == e)
+        assert trace[cells[0], local[0]] == pytest.approx(
+            trace[cells[1], local[1]], abs=1e-12)
 
 
 def test_cell_areas_partition_domain():

@@ -330,7 +330,7 @@ def test_cli_solver_failure_exit_code(tmp_path, capsys):
     assert "solver failure" in capsys.readouterr().err
 
 
-def test_cli_blowup_exit_code(tmp_path):
+def test_cli_blowup_exit_code(tmp_path, capsys):
     cfg = SimulationConfig(
         name="unstable", bounds=(0.0, 1.0, 0.0, 1.0), nx=6, ny=6,
         material=MaterialParams.unit(), tau=2.0, n_steps=400,
@@ -338,3 +338,32 @@ def test_cli_blowup_exit_code(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(config_to_json(cfg)))
     assert cli_main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 3
+    # the energy log written before the guard tripped is kept
+    step = int(capsys.readouterr().err.split("at step ")[-1])
+    rows = (tmp_path / "o" / "energy.csv").read_text().splitlines()
+    assert rows[0].startswith("step,")
+    assert [int(r.split(",")[0]) for r in rows[1:]] == list(range(1, step))
+
+
+def test_cli_truncated_mesh_file_is_configuration_error(tmp_path, capsys):
+    mesh_path = tmp_path / "short.mesh"
+    mesh_path.write_text("SPPMESH 1\nVERTICES 4\n0 0\n1 0\n")
+    cfg = SimulationConfig(name="short", mesh_file=str(mesh_path),
+                           material=MaterialParams.unit(), tau=0.01, n_steps=1)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config_to_json(cfg)))
+    assert cli_main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    assert f"{mesh_path}:4: unexpected end of file" in capsys.readouterr().err
+
+
+def test_cli_config_that_is_not_an_object_is_configuration_error(tmp_path, capsys):
+    cfg_path = tmp_path / "list.json"
+    cfg_path.write_text("[1, 2]")
+    assert cli_main(["run", str(cfg_path)]) == 2
+    assert "JSON object" in capsys.readouterr().err
+    # nested blocks that are not objects either
+    cfg = config_to_json(SimulationConfig(bounds=(0.0, 1.0, 0.0, 1.0), nx=2, ny=2))
+    for key in ("pml", "interface"):
+        cfg_path.write_text(json.dumps({**cfg, key: [1]}))
+        assert cli_main(["run", str(cfg_path)]) == 2
+        assert "configuration error" in capsys.readouterr().err

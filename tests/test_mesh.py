@@ -141,6 +141,20 @@ def test_load_rejects_negative_area_with_line_number(tmp_path):
         load_mesh(path)
 
 
+@pytest.mark.parametrize("text,line", [
+    ("SPPMESH 1\nVERTICES 4\n0 0\n1 0\n", 4),
+    ("SPPMESH 1\nVERTICES 3\n0 0\n1 0\n0 1\nTRIANGLES 2\n0 1 2 0\n", 7),
+    ("SPPMESH 1\nVERTICES 3\n0 0\n1 0\n0 1\nTRIANGLES 1\n0 1 2 0\n"
+     "EDGETAGS 1\n", 8),
+    ("SPPMESH 1\nVERTICES -1\n", 2),
+])
+def test_load_rejects_truncated_file_with_line_number(tmp_path, text, line):
+    path = tmp_path / "cut.txt"
+    path.write_text(text)
+    with pytest.raises(MeshError, match=rf"cut\.txt:{line}: "):
+        load_mesh(path)
+
+
 def test_load_two_triangle_fixture_with_interface(tmp_path):
     path = tmp_path / "two.txt"
     path.write_text("SPPMESH 1\nVERTICES 4\n0 0\n1 0\n1 1\n0 1\n"
@@ -160,6 +174,8 @@ def test_load_rejects_malformed_header(tmp_path):
 
 
 def test_mesh_rejects_misoriented_triangle():
-    verts = [[0, 0], [1, 0], [0, 1]]
-    with pytest.raises(MeshError, match="counterclockwise"):
-        Mesh(verts, [[0, 2, 1]])
+    # clockwise, and degenerate (three collinear vertices, zero area)
+    for verts, tris in (([[0, 0], [1, 0], [0, 1]], [[0, 2, 1]]),
+                        ([[0, 0], [1, 0], [2, 0]], [[0, 1, 2]])):
+        with pytest.raises(MeshError, match="counterclockwise"):
+            Mesh(verts, tris)
