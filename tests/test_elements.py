@@ -76,6 +76,13 @@ def test_curl_constants_unit_right_triangle():
     np.testing.assert_allclose(curls[0], [-2.0, -2.0, 2.0], atol=1e-13)
 
 
+def test_degenerate_triangle_rejected():
+    # a zero-area cell never reaches the basis: building its mesh fails
+    flat = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+    with pytest.raises(ValueError, match="counterclockwise"):
+        _one_cell(flat)
+
+
 def test_piola_map_preserves_tangential_moments():
     # covariant map of the reference basis against direct evaluation on the
     # mapped triangle: same functions, so same moment matrices
