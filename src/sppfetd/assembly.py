@@ -113,17 +113,21 @@ def assemble_interface_mass(mesh: Mesh) -> sp.csr_matrix:
 def assemble_edge_load(mesh: Mesh, field, degree: int = ASSEMBLY_DEGREE) -> np.ndarray:
     """Load vector b_e = integral of field . phi_e over the mesh.
 
-    `field` maps an (n, 2) point array to (n, 2) vector values.
+    `field` maps an (n, 2) point array to (n, 2) vector values, or to
+    (m, n, 2) for m fields at once, which gives (m, n_edges) loads from one
+    evaluation of the basis.
     """
     rule = triangle_quadrature(degree)
     phi, _ = cell_basis_data(mesh, rule)
     pts = quad_points_physical(mesh, rule)
-    flat = pts.reshape(-1, 2)
-    vals = np.asarray(field(flat), dtype=float).reshape(pts.shape)
+    vals = np.asarray(field(pts.reshape(-1, 2)), dtype=float)
+    lead = vals.shape[:-2]
     local = 2.0 * mesh.areas[:, None] * np.einsum(
-        "q,tqd,tqkd->tk", rule.weights, vals, phi)
-    out = np.zeros(mesh.n_edges)
-    np.add.at(out, mesh.tri_edges.ravel(), local.ravel())
+        "q,...tqd,tqkd->...tk", rule.weights, vals.reshape(lead + pts.shape), phi,
+        optimize=True)
+    out = np.zeros(lead + (mesh.n_edges,))
+    # Accumulate through the transposed view so the edge axis comes first.
+    np.add.at(out.T, mesh.tri_edges.ravel(), local.reshape(lead + (-1,)).T)
     return out
 
 

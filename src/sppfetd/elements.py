@@ -68,31 +68,29 @@ def cell_basis_data(mesh: Mesh, rule: QuadratureRule):
     globally oriented Whitney values at the rule's points and curls has
     shape (nt, 3).
     """
-    tris = mesh.vertices[mesh.triangles]           # (nt, 3, 2)
-    g = np.empty((len(tris), 3, 2))
+    # Built with the cell axis last so every product runs over all cells.
+    tris = mesh.vertices[mesh.triangles].T          # (2, 3, nt)
+    g = np.empty((3, 2, mesh.n_triangles))
     for i in range(3):
         j, k = (i + 1) % 3, (i + 2) % 3
-        g[:, i, 0] = tris[:, j, 1] - tris[:, k, 1]
-        g[:, i, 1] = tris[:, k, 0] - tris[:, j, 0]
-    g /= (2.0 * mesh.areas)[:, None, None]
+        g[i, 0] = tris[1, j] - tris[1, k]
+        g[i, 1] = tris[0, k] - tris[0, j]
+    g /= 2.0 * mesh.areas
 
     lam = rule.points                               # (nq, 3)
-    signs = mesh.tri_edge_signs.astype(float)       # (nt, 3)
-    phi = np.empty((len(tris), len(lam), 3, 2))
-    curls = np.empty((len(tris), 3))
-    for k, (i, j) in enumerate(TRI_EDGE_LOCAL):
-        phi[:, :, k, :] = (lam[None, :, i, None] * g[:, None, j, :]
-                           - lam[None, :, j, None] * g[:, None, i, :])
-        phi[:, :, k, :] *= signs[:, k, None, None]
-        curls[:, k] = 2.0 * signs[:, k] * (g[:, i, 0] * g[:, j, 1]
-                                           - g[:, i, 1] * g[:, j, 0])
-    return phi, curls
+    signs = mesh.tri_edge_signs.T.astype(float)     # (3, nt)
+    ii, jj = np.array(TRI_EDGE_LOCAL).T
+    phi = lam[:, ii, None, None] * g[jj] - lam[:, jj, None, None] * g[ii]
+    phi *= signs[:, None, :]
+    curls = 2.0 * signs * (g[ii, 0] * g[jj, 1] - g[ii, 1] * g[jj, 0])
+    return np.ascontiguousarray(phi.transpose(3, 0, 1, 2)), curls.T
 
 
 def quad_points_physical(mesh: Mesh, rule: QuadratureRule) -> np.ndarray:
     """Physical coordinates of the rule's points on every cell, (nt, nq, 2)."""
-    tris = mesh.vertices[mesh.triangles]
-    return np.einsum("qi,tid->tqd", rule.points, tris)
+    tris = mesh.vertices[mesh.triangles].T          # (2, 3, nt)
+    pts = sum(rule.points[:, i, None, None] * tris[None, :, i] for i in range(3))
+    return pts.transpose(2, 0, 1)
 
 
 def eval_edge_field(mesh: Mesh, dofs: np.ndarray, rule: QuadratureRule) -> np.ndarray:
@@ -105,28 +103,27 @@ def eval_edge_field(mesh: Mesh, dofs: np.ndarray, rule: QuadratureRule) -> np.nd
 def interpolate_hcurl(field, mesh: Mesh, degree: int = 3) -> np.ndarray:
     """Edge interpolation: DoF_e = integral over e of field . t ds.
 
-    `field` maps an (n, 2) point array to (n, 2) vector values.  The tangent
-    runs from the lower-index to the higher-index endpoint.
+    `field` maps an (n, 2) point array to (n, 2) vector values, or to
+    (m, n, 2) for m fields at once, which gives (m, n_edges) DoFs.  The
+    tangent runs from the lower-index to the higher-index endpoint.
     """
     rule = segment_quadrature(degree)
     p0 = mesh.vertices[mesh.edges[:, 0]]
     p1 = mesh.vertices[mesh.edges[:, 1]]
-    dofs = np.zeros(mesh.n_edges)
-    for s, w in zip(rule.points, rule.weights):
-        x = p0 + s * (p1 - p0)
-        vals = np.asarray(field(x), dtype=float)
-        dofs += w * np.einsum("ed,ed->e", vals, mesh.edge_tangents)
+    dofs = sum(w * np.einsum("...ed,ed->...e",
+                             np.asarray(field(p0 + s * (p1 - p0)), dtype=float),
+                             mesh.edge_tangents)
+               for s, w in zip(rule.points, rule.weights))
     return dofs * mesh.edge_lengths
 
 
 def project_l2_p0(field, mesh: Mesh, degree: int = 3) -> np.ndarray:
     """Cell-mean projection: DoF_K = (1/|K|) integral over K of field.
 
-    `field` maps an (n, 2) point array to (n,) scalar values.
+    `field` maps an (n, 2) point array to (n,) scalar values, or to (m, n)
+    for m fields at once, which gives (m, n_cells) means.
     """
     rule = triangle_quadrature(degree)
     pts = quad_points_physical(mesh, rule)
-    means = np.zeros(mesh.n_triangles)
-    for q, w in enumerate(rule.weights):
-        means += w * np.asarray(field(pts[:, q, :]), dtype=float)
-    return 2.0 * means
+    vals = np.asarray(field(pts.reshape(-1, 2)), dtype=float)
+    return 2.0 * vals.reshape(vals.shape[:-1] + pts.shape[:2]) @ rule.weights

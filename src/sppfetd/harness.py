@@ -9,11 +9,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .assembly import build_operator_set
+from .assembly import assemble_edge_load, build_operator_set
 from .dynamics import (BlowUpError, CflConstants, FieldState,
                        SimulationResult, Snapshot, run_simulation)
-from .elements import (cell_basis_data, eval_edge_field, quad_points_physical,
-                       segment_quadrature, triangle_quadrature)
+from .elements import (eval_edge_field, interpolate_hcurl, project_l2_p0,
+                       quad_points_physical, triangle_quadrature)
 from .mesh import (Arc, InterfaceSpec, Mesh, Segment,
                    generate_rect_mesh, load_mesh, snap_interface)
 from .physics import (KuboParams, ManufacturedCase, MaterialParams, PmlSpec,
@@ -79,9 +79,10 @@ class ErrorTable:
     h_errors: list
 
     def rates(self, errors) -> list:
+        """log2 of successive error ratios; None for the first row or a zero error."""
         out = [None]
         for prev, cur in zip(errors[:-1], errors[1:]):
-            out.append(float(np.log2(prev / cur)))
+            out.append(float(np.log2(prev / cur)) if prev > 0.0 and cur > 0.0 else None)
         return out
 
     @property
@@ -128,53 +129,26 @@ def l2_errors(state: FieldState, case: ManufacturedCase, mesh: Mesh,
 class ManufacturedDrivers:
     """Per-step source closures of the manufactured problem on one mesh.
 
-    Precomputes quadrature geometry so the time loop only evaluates the
-    closed-form fields.  Provides the cell drive (ks), the electric load
-    of the reformulated equation, and the Dirichlet data carried by the
-    exact solution on the outer boundary.
+    The case's drives are fixed spatial modes weighted by scalar functions
+    of t, so the modes are integrated once here (cell means of ks, edge
+    loads of the electric drive, boundary edge moments of the Dirichlet
+    data) and a step only weighs the integrals.
     """
 
-    def __init__(self, mesh: Mesh, case: ManufacturedCase, pec_mask: np.ndarray,
-                 degree: int = 3):
-        self.mesh = mesh
+    def __init__(self, mesh: Mesh, case: ManufacturedCase, pec_mask: np.ndarray):
         self.case = case
-        rule = triangle_quadrature(degree)
-        self.weights = rule.weights
-        self.pts = quad_points_physical(mesh, rule)
-        self.flat = self.pts.reshape(-1, 2)
-        self.phi, _ = cell_basis_data(mesh, rule)
-        self.tau0 = case.params.tau0
-
-        seg = segment_quadrature(degree)
-        bd = np.flatnonzero(pec_mask)
-        self.bd_edges = bd
-        p0 = mesh.vertices[mesh.edges[bd, 0]]
-        p1 = mesh.vertices[mesh.edges[bd, 1]]
-        self.bd_pts = p0[:, None, :] + seg.points[None, :, None] * (p1 - p0)[:, None, :]
-        self.bd_tangents = mesh.edge_tangents[bd]
-        self.bd_lengths = mesh.edge_lengths[bd]
-        self.bd_weights = seg.weights
-        self.n_edges = mesh.n_edges
+        self.ks_means = project_l2_p0(case.ks_modes, mesh)
+        self.e_loads = assemble_edge_load(mesh, case.e_load_modes) / case.params.tau0
+        self.bc_moments = np.where(pec_mask, interpolate_hcurl(case.e_modes, mesh), 0.0)
 
     def source(self, step: int, t: float) -> np.ndarray:
-        vals = self.case.ks(self.flat, t).reshape(self.pts.shape[:2])
-        return 2.0 * vals @ self.weights
+        return self.case.ks_coeffs(t) @ self.ks_means
 
     def extra_load(self, t: float) -> np.ndarray:
-        vals = self.case.e_load_field(self.flat, t).reshape(self.pts.shape)
-        local = 2.0 * self.mesh.areas[:, None] * np.einsum(
-            "q,tqd,tqkd->tk", self.weights, vals, self.phi)
-        out = np.zeros(self.n_edges)
-        np.add.at(out, self.mesh.tri_edges.ravel(), local.ravel())
-        return out / self.tau0
+        return self.case.e_load_coeffs(t) @ self.e_loads
 
     def bc_values(self, t: float) -> np.ndarray:
-        shape = self.bd_pts.shape[:2]
-        vals = self.case.e_field(self.bd_pts.reshape(-1, 2), t).reshape(shape + (2,))
-        moments = np.einsum("q,eqd,ed->e", self.bd_weights, vals, self.bd_tangents)
-        out = np.zeros(self.n_edges)
-        out[self.bd_edges] = moments * self.bd_lengths
-        return out
+        return self.case.e_coeffs(t) @ self.bc_moments
 
 
 def build_manufactured_problem(h: float, params: MaterialParams | None = None):

@@ -150,8 +150,10 @@ class Mesh:
         raw = np.concatenate([tris[:, [i, j]] for i, j in TRI_EDGE_LOCAL])
         lo = np.minimum(raw[:, 0], raw[:, 1])
         hi = np.maximum(raw[:, 0], raw[:, 1])
-        pairs = np.column_stack([lo, hi])
-        self.edges, inverse = np.unique(pairs, axis=0, return_inverse=True)
+        # One integer key per vertex pair sorts like the pair itself.
+        nv = len(self.vertices)
+        keys, inverse = np.unique(lo * nv + hi, return_inverse=True)
+        self.edges = np.column_stack([keys // nv, keys % nv])
         nt = len(tris)
         self.tri_edges = inverse.reshape(3, nt).T.copy()
         # +1 when the counterclockwise traversal runs from the lower to the
@@ -210,13 +212,16 @@ class Mesh:
             k += 1
         return -1
 
-    def vertex_adjacency(self) -> dict:
-        """Vertex -> list of (neighbor vertex, edge index)."""
-        adj: dict[int, list] = {}
-        for e, (a, b) in enumerate(self.edges):
-            adj.setdefault(int(a), []).append((int(b), e))
-            adj.setdefault(int(b), []).append((int(a), e))
-        return adj
+    def vertex_adjacency(self):
+        """CSR arrays (indptr, neighbors, edge indices): vertex v meets
+        neighbors[indptr[v]:indptr[v + 1]] through the edges at the same
+        positions, in increasing edge order."""
+        src = self.edges.ravel()
+        edge_ids = np.repeat(np.arange(self.n_edges), 2)
+        order = np.lexsort((edge_ids, src))
+        indptr = np.zeros(self.n_vertices + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=self.n_vertices), out=indptr[1:])
+        return indptr, self.edges[:, ::-1].ravel()[order], edge_ids[order]
 
     # -- invariants ------------------------------------------------------------
 
@@ -354,6 +359,7 @@ def snap_interface(mesh: Mesh, spec: InterfaceSpec) -> np.ndarray:
 
 def _shortest_edge_path(mesh: Mesh, adjacency, start: int, goal: int) -> list:
     """Dijkstra over mesh edges with Euclidean weights; deterministic."""
+    indptr, neighbors, edge_ids = adjacency
     dist = {start: 0.0}
     prev: dict[int, tuple] = {}
     heap = [(0.0, start)]
@@ -363,7 +369,8 @@ def _shortest_edge_path(mesh: Mesh, adjacency, start: int, goal: int) -> list:
             break
         if d > dist.get(u, np.inf):
             continue
-        for v, e in adjacency[u]:
+        lo, hi = indptr[u], indptr[u + 1]
+        for v, e in zip(neighbors[lo:hi].tolist(), edge_ids[lo:hi].tolist()):
             nd = d + mesh.edge_lengths[e]
             if nd < dist.get(v, np.inf):
                 dist[v] = nd

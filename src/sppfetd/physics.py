@@ -229,19 +229,13 @@ class ManufacturedCase:
     # -- exact fields -------------------------------------------------------
 
     def e_field(self, pts, t):
-        sx, cx, sy, cy = self._sc(pts)
-        st = np.sin(2.0 * np.pi * t)
-        return np.column_stack([sx * sy * st, cx * cy * st])
+        return np.tensordot(self.e_coeffs(t), self.e_modes(pts), axes=1)
 
     def dt_e_field(self, pts, t):
-        sx, cx, sy, cy = self._sc(pts)
-        ct = 2.0 * np.pi * np.cos(2.0 * np.pi * t)
-        return np.column_stack([sx * sy * ct, cx * cy * ct])
+        return 2.0 * np.pi * np.cos(2.0 * np.pi * t) * self.e_modes(pts)[0]
 
     def dtt_e_field(self, pts, t):
-        sx, cx, sy, cy = self._sc(pts)
-        stt = -(2.0 * np.pi) ** 2 * np.sin(2.0 * np.pi * t)
-        return np.column_stack([sx * sy * stt, cx * cy * stt])
+        return -(2.0 * np.pi) ** 2 * np.sin(2.0 * np.pi * t) * self.e_modes(pts)[0]
 
     def curl_e(self, pts, t):
         sx, cx, sy, cy = self._sc(pts)
@@ -268,20 +262,13 @@ class ManufacturedCase:
 
     def _curl_h(self, pts, t):
         """(dH/dy, -dH/dx) with the subdomain dispatch."""
-        sx, cx, sy, cy = self._sc(pts)
-        upper = self._upper(pts)
-        amp = np.where(upper, np.sin(2.0 * np.pi * t), self._g(t))
-        w = 2.0 * np.pi
-        return np.column_stack([self._a * w * sx * cy * amp,
-                                -self._a * w * cx * sy * amp])
+        amp = np.where(self._upper(pts), np.sin(2.0 * np.pi * t), self._g(t))
+        return self._a * 2.0 * np.pi * amp[:, None] * self._vector_modes(pts)[1]
 
     def _dt_curl_h(self, pts, t):
-        sx, cx, sy, cy = self._sc(pts)
-        upper = self._upper(pts)
-        damp = np.where(upper, 2.0 * np.pi * np.cos(2.0 * np.pi * t), self._dg(t))
-        w = 2.0 * np.pi
-        return np.column_stack([self._a * w * sx * cy * damp,
-                                -self._a * w * cx * sy * damp])
+        damp = np.where(self._upper(pts), 2.0 * np.pi * np.cos(2.0 * np.pi * t),
+                        self._dg(t))
+        return self._a * 2.0 * np.pi * damp[:, None] * self._vector_modes(pts)[1]
 
     # -- source terms --------------------------------------------------------
 
@@ -298,11 +285,52 @@ class ManufacturedCase:
 
     def ks(self, pts, t):
         """Magnetic drive consumed by the scheme: K_s = -f_scalar."""
-        return -self.f_scalar(pts, t)
+        return np.tensordot(self.ks_coeffs(t), self.ks_modes(pts), axes=1)
 
     def e_load_field(self, pts, t):
         """Electric drive of the reformulated equation: f + tau0 df/dt."""
-        return self.f_vector(pts, t) + self.params.tau0 * self.dt_f_vector(pts, t)
+        return np.tensordot(self.e_load_coeffs(t), self.e_load_modes(pts), axes=1)
+
+    # -- separable drives: fixed spatial modes (leading axis) weighted by
+    # scalar coefficients of t, so a mesh integrates the modes only once.
+
+    def _vector_modes(self, pts):
+        """V1 = (sx sy, cx cy), the shape of E, and V2 = (sx cy, -cx sy), of curl H."""
+        sx, cx, sy, cy = self._sc(pts)
+        return (np.column_stack([sx * sy, cx * cy]),
+                np.column_stack([sx * cy, -cx * sy]))
+
+    def e_modes(self, pts):
+        """V1, shape (1, n, 2); E and its boundary data are sin(2 pi t) V1."""
+        return self._vector_modes(pts)[0][None]
+
+    def e_coeffs(self, t):
+        return np.array([np.sin(2.0 * np.pi * t)])
+
+    def e_load_modes(self, pts):
+        """V1, V2 above and V2 below the interface, shape (3, n, 2)."""
+        v1, v2 = self._vector_modes(pts)
+        upper = self._upper(pts)[:, None]
+        return np.stack([v1, np.where(upper, v2, 0.0), np.where(upper, 0.0, v2)])
+
+    def e_load_coeffs(self, t):
+        w, eps0, tau0 = 2.0 * np.pi, self.params.eps0, self.params.tau0
+        st, ct = np.sin(w * t), np.cos(w * t)
+        return np.array([eps0 * w * (ct - tau0 * w * st),
+                         -self._a * w * (st + tau0 * w * ct),
+                         -self._a * w * (self._g(t) + tau0 * self._dg(t))])
+
+    def ks_modes(self, pts):
+        """sx sy above and below the interface, then sx cy; shape (3, n)."""
+        sx, _, sy, cy = self._sc(pts)
+        upper = self._upper(pts)
+        return np.stack([np.where(upper, sx * sy, 0.0),
+                         np.where(upper, 0.0, sx * sy), sx * cy])
+
+    def ks_coeffs(self, t):
+        w, mu_a = 2.0 * np.pi, self.params.mu0 * self._a
+        return np.array([-mu_a * w * np.cos(w * t), -mu_a * self._dg(t),
+                         2.0 * w * np.sin(w * t)])
 
     def dt_e0(self, pts):
         """Consistent initial electric velocity (the model-side value of IC2)."""

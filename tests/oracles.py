@@ -294,3 +294,10 @@ def dense_merged_step(mesh, params, tau, e_prev, e_curr, hx_old, hy_old, ks,
         rhs = rhs - a_mat[:, mask] @ bc[mask]
     e_new[free] = np.linalg.solve(a_mat[np.ix_(free, free)], rhs[free])
     return e_new, hx_new, hy_new
+
+
+def brute_force_adjacency(mesh):
+    """Per vertex, the (neighbor, edge index) pairs found by scanning every edge."""
+    return [[(int(b if a == v else a), e) for e, (a, b) in enumerate(mesh.edges)
+             if v in (a, b)]
+            for v in range(mesh.n_vertices)]

@@ -12,7 +12,7 @@ from sppfetd.harness import (ConfigError, ErrorTable, ManufacturedDrivers,
                              run, run_convergence_study, scenario,
                              write_energy_log, write_snapshot)
 from sppfetd.mesh import Arc, Segment, generate_rect_mesh
-from sppfetd.physics import MaterialParams, SourceSpec
+from sppfetd.physics import ManufacturedCase, MaterialParams, SourceSpec
 from sppfetd.elements import interpolate_hcurl, project_l2_p0
 
 import oracles
@@ -83,19 +83,40 @@ def test_convergence_single_row_smoke():
 
 
 def test_manufactured_drivers_match_generic_assembly():
+    from sppfetd.assembly import assemble_edge_load
+    for h in (1 / 4, 1 / 10):
+        mesh, ops, case = build_manufactured_problem(h)
+        drivers = ManufacturedDrivers(mesh, case, ops.pec_mask)
+        tau0 = case.params.tau0
+        for t in (0.0, 0.17, 0.6, 2.3):
+            # References built pointwise from the source definitions.
+            np.testing.assert_allclose(
+                drivers.source(0, t),
+                project_l2_p0(lambda p: -case.f_scalar(p, t), mesh), atol=1e-13)
+            ref = assemble_edge_load(
+                mesh, lambda p: case.f_vector(p, t) + tau0 * case.dt_f_vector(p, t))
+            np.testing.assert_allclose(drivers.extra_load(t), ref / tau0, atol=1e-13)
+            bc = drivers.bc_values(t)
+            ref_full = interpolate_hcurl(lambda p: case.e_field(p, t), mesh)
+            np.testing.assert_allclose(bc[ops.pec_mask], ref_full[ops.pec_mask],
+                                       atol=1e-13)
+            assert np.all(bc[~ops.pec_mask] == 0.0)
+
+
+def test_manufactured_drivers_evaluate_no_closed_form_per_step(monkeypatch):
     mesh, ops, case = build_manufactured_problem(1 / 4)
     drivers = ManufacturedDrivers(mesh, case, ops.pec_mask)
-    t = 0.17
-    np.testing.assert_allclose(
-        drivers.source(0, t), project_l2_p0(lambda p: case.ks(p, t), mesh),
-        atol=1e-13)
-    from sppfetd.assembly import assemble_edge_load
-    ref = assemble_edge_load(mesh, lambda p: case.e_load_field(p, t)) / case.params.tau0
-    np.testing.assert_allclose(drivers.extra_load(t), ref, atol=1e-13)
-    bc = drivers.bc_values(t)
-    ref_full = interpolate_hcurl(lambda p: case.e_field(p, t), mesh)
-    np.testing.assert_allclose(bc[ops.pec_mask], ref_full[ops.pec_mask], atol=1e-13)
-    assert np.all(bc[~ops.pec_mask] == 0.0)
+    calls = []
+    trig = ManufacturedCase._sc
+    monkeypatch.setattr(ManufacturedCase, "_sc",
+                        staticmethod(lambda pts: calls.append(len(pts)) or trig(pts)))
+    for t in (0.0, 0.3):
+        drivers.source(0, t)
+        drivers.extra_load(t)
+        drivers.bc_values(t)
+    assert calls == []
+    case.e_field(mesh.centroids, 0.3)   # the counter does see a pointwise call
+    assert calls == [mesh.n_triangles]
 
 
 def test_scenario_bifurcated_straight_coordinates():
@@ -269,6 +290,17 @@ def test_cli_scenario_smoke(tmp_path, capsys):
                      "--out", str(tmp_path / "sc")])
     assert code == 0
     assert (tmp_path / "sc" / "energy.csv").exists()
+
+
+@pytest.mark.parametrize("args", [["--mode", "coupled", "--T", "0"],
+                                  ["--mode", "fixed", "--steps", "0"]])
+def test_cli_convergence_zero_steps_leaves_rate_blank(args, capsys):
+    # No step leaves E at its exact start value, so the E errors are 0 and
+    # their rate is undefined.
+    assert cli_main(["convergence", "--h", "1/10,1/20", *args]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [float(row.split()[1]) for row in rows] == [0.0, 0.0]
+    assert len(rows[1].split()) == 4    # h, E error, H error, H rate
 
 
 @pytest.mark.parametrize("h", ["1/0", "0", "-1/10", "x"])

@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import dijkstra
 
+import sppfetd.mesh as mesh_module
 from sppfetd.mesh import (Arc, CellTag, EdgeTag, InterfaceSpec, Mesh, MeshError,
                           Segment, classify_cells, generate_rect_mesh,
                           load_mesh, save_mesh, snap_interface)
+
+import oracles
 
 UM = 1e-6
 
@@ -103,6 +108,39 @@ def test_snap_semicircle_hausdorff():
     assert len(edges) > 10
     dist = _hausdorff_to_circle(m, edges, np.array([7 * UM, 0.0]), 7 * UM)
     assert dist <= m.h_x + m.h_y
+
+
+def test_vertex_adjacency_matches_brute_force_oracle():
+    m = generate_rect_mesh((0, 1, 0, 1), 6, 6, 2)
+    indptr, neighbors, edge_ids = m.vertex_adjacency()
+    got = [list(zip(neighbors[indptr[v]:indptr[v + 1]].tolist(),
+                    edge_ids[indptr[v]:indptr[v + 1]].tolist()))
+           for v in range(m.n_vertices)]
+    assert got == oracles.brute_force_adjacency(m)
+
+
+def test_arc_snap_paths_are_shortest(monkeypatch):
+    m = generate_rect_mesh((0, 1, 0, 1), 20, 20, 2)
+    paths = []
+    search = mesh_module._shortest_edge_path
+
+    def recording(mesh, adjacency, start, goal):
+        paths.append((start, goal, search(mesh, adjacency, start, goal)))
+        return paths[-1][2]
+
+    monkeypatch.setattr(mesh_module, "_shortest_edge_path", recording)
+    snap_interface(m, InterfaceSpec([Arc((0.5, 0.5), 0.3, 0.0, 2 * np.pi)]))
+    assert paths
+    a, b = m.edges.T
+    graph = coo_matrix((m.edge_lengths, (a, b)), shape=(m.n_vertices,) * 2)
+    dist = dijkstra(graph.tocsr(), directed=False, indices=[p[0] for p in paths])
+    for row, (start, goal, path) in zip(dist, paths):
+        v = start
+        for e in path:
+            assert v in m.edges[e]
+            v = int(m.edges[e].sum() - v)
+        assert v == goal
+        assert m.edge_lengths[path].sum() == pytest.approx(row[goal], rel=1e-12)
 
 
 def test_snap_idempotent():

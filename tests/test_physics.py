@@ -209,6 +209,27 @@ def test_manufactured_source_fd_oracle(case):
     assert res_h <= 1e-6
 
 
+@pytest.mark.parametrize("params", [MaterialParams.unit(),
+                                    MaterialParams(eps0=2.0, mu0=0.5, tau0=0.3)])
+def test_manufactured_modes_sum_to_the_sources(params):
+    case = ManufacturedCase(params)
+    rng = np.random.default_rng(4)
+    pts = np.vstack([rng.uniform((0.0, 0.5), (1.0, 1.0), (20, 2)),    # upper
+                     rng.uniform((0.0, 0.0), (1.0, 0.5), (20, 2))])   # lower
+    x, y = 2.0 * np.pi * pts.T
+    v1 = np.column_stack([np.sin(x) * np.sin(y), np.cos(x) * np.cos(y)])
+    # e_load_field, ks and e_field are the modal sums.
+    for t in (0.0, 0.17, 0.6, 2.3):
+        np.testing.assert_allclose(
+            case.e_load_field(pts, t),
+            case.f_vector(pts, t) + params.tau0 * case.dt_f_vector(pts, t),
+            rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose(case.ks(pts, t), -case.f_scalar(pts, t),
+                                   rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose(case.e_field(pts, t), np.sin(2.0 * np.pi * t) * v1,
+                                   rtol=0.0, atol=1e-15)
+
+
 def test_manufactured_dt_consistency(case):
     rng = np.random.default_rng(3)
     pts = rng.uniform(0.1, 0.9, size=(30, 2))
