@@ -14,7 +14,7 @@ from .harness import (ErrorTable, SimulationConfig, l2_errors, load_config,
                       write_snapshot)
 from .mesh import (Arc, CellTag, EdgeTag, InterfaceSpec, Mesh, MeshError,
                    Segment, classify_cells, generate_rect_mesh, load_mesh,
-                   save_mesh, snap_interface)
+                   snap_interface)
 from .physics import (KuboParams, ManufacturedCase, MaterialParams, PmlSpec,
                       SourceSpec, damping_profile, dipole_source_cells,
                       eval_source, kubo_sigma0)

@@ -16,14 +16,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assembly import OperatorSet, apply_pec, assemble_edge_mass
-from .elements import interpolate_hcurl, project_l2_p0
+from .elements import interpolate_hcurl
 from .mesh import Mesh
 from .physics import MaterialParams
-from .sparse_solve import factorize
+from .sparse_solve import SolverError, factorize
 
 
 # A field magnitude this many times the early-step scale counts as a blow-up.
 BLOWUP_FACTOR = 1e12
+# Conjugate gradients of the first step: relative tolerance in the norm
+# preconditioned by A's factor, and the iteration cap.
+FIRST_STEP_RTOL = 1e-14
+FIRST_STEP_MAX_ITER = 100
 
 
 class BlowUpError(RuntimeError):
@@ -126,53 +130,32 @@ def cfl_max_timestep(params: MaterialParams, mesh: Mesh,
 
 
 def init_state(mesh: Mesh, ops: OperatorSet, params: MaterialParams,
-               e0=None, h0=None, ks0_cells=None, tau: float = 0.0,
+               e0=None, ks0_cells=None, tau: float = 0.0,
                dt_e0=None, zero_boundary: bool = True):
     """Discretise the initial conditions.
 
     Returns (state, velocity) where velocity carries the edge interpolant
-    of the initial electric velocity used to eliminate the fictitious
-    pre-initial level at the first step.  By default that velocity is the
-    model value eps0^-1 curl(H0); pass `dt_e0` when volume sources make
-    the consistent initial velocity differ (the manufactured runs do).
+    of the initial electric velocity `dt_e0` (zero when None) used to
+    eliminate the fictitious pre-initial level at the first step.
 
-    The magnetic start value is the cell projection of
-    H0 + (tau / 2 mu0)(curl(E0) + Ks(., 0)); the cell means of curl(E0)
-    are recovered exactly from the interpolated edge DoFs via Stokes.
+    The initial magnetic field is zero, so the magnetic start value is the
+    cell projection of (tau / 2 mu0)(curl(E0) + Ks(., 0)); the cell means
+    of curl(E0) are recovered exactly from the interpolated edge DoFs via
+    Stokes.
     """
     e_curr = interpolate_hcurl(e0, mesh) if e0 is not None else np.zeros(mesh.n_edges)
     if zero_boundary:
         e_curr[ops.pec_mask] = 0.0
 
-    h0_cells = project_l2_p0(h0, mesh) if h0 is not None else np.zeros(mesh.n_triangles)
     ks0 = np.zeros(mesh.n_triangles) if ks0_cells is None else np.asarray(ks0_cells)
     curl_e0 = (ops.c @ e_curr) / ops.areas
-    h_half = h0_cells + tau / (2.0 * params.mu0) * (curl_e0 + ks0)
-
-    if dt_e0 is None and h0 is not None:
-        dt_e0 = _default_velocity_field(h0, params, min(mesh.h_x, mesh.h_y))
+    h_half = tau / (2.0 * params.mu0) * (curl_e0 + ks0)
     velocity = (interpolate_hcurl(dt_e0, mesh) if dt_e0 is not None
                 else np.zeros(mesh.n_edges))
 
     state = FieldState(e_prev=np.zeros(mesh.n_edges), e_curr=e_curr,
                        hzx=0.5 * h_half, hzy=0.5 * h_half, step=0, tau=tau)
     return state, velocity
-
-
-def _default_velocity_field(h0, params: MaterialParams, h: float):
-    """eps0^-1 curl(H0) = eps0^-1 (dH0/dy, -dH0/dx), by central differences."""
-    step = 1e-5 * h
-
-    def field(pts):
-        up = pts.copy(); up[:, 1] += step
-        dn = pts.copy(); dn[:, 1] -= step
-        rt = pts.copy(); rt[:, 0] += step
-        lt = pts.copy(); lt[:, 0] -= step
-        dh_dy = (np.asarray(h0(up)) - np.asarray(h0(dn))) / (2.0 * step)
-        dh_dx = (np.asarray(h0(rt)) - np.asarray(h0(lt))) / (2.0 * step)
-        return np.column_stack([dh_dy, -dh_dx]) / params.eps0
-
-    return field
 
 
 class LeapfrogStepper:
@@ -189,8 +172,9 @@ class LeapfrogStepper:
     c1 eps0/(2 tau tau0) + diag(sigma_y, sigma_x)/(2 tau).  On the first
     step the initial velocity v eliminates the pre-initial level: A turns
     into 2 M_lead, e_{n-1} into zero and 2 tau (2 M_lead v - A v) joins the
-    right-hand side.  Each matrix is factored when a step first needs it;
-    the first factor is dropped before A's is built, and `a` once factored.
+    right-hand side.  A is kept for the stepper's lifetime and factored
+    once, at the first step; that step solves its 2 M_lead system by
+    conjugate gradients preconditioned with A's factor.
     """
 
     def __init__(self, ops: OperatorSet, params: MaterialParams, tau: float):
@@ -205,10 +189,8 @@ class LeapfrogStepper:
         self._g_coeff = params.sigma0 / tau0
         # E_x is damped by sigma_y and E_y by sigma_x.
         base = self._lead + ops.c1 * eps0 / (2.0 * tau * tau0)
-        self._a_weights = np.column_stack([base + ops.sigma_y / (2.0 * tau),
-                                           base + ops.sigma_x / (2.0 * tau)])
-        self.a = assemble_edge_mass(ops.mesh, self._a_weights)
-        self._factored_first = None           # which matrix _solve factors
+        self.a = assemble_edge_mass(ops.mesh, np.column_stack(
+            [base + ops.sigma_y / (2.0 * tau), base + ops.sigma_x / (2.0 * tau)]))
         self._solve = self._lift = None
 
         # Split-field magnetic update coefficients per cell.
@@ -222,24 +204,36 @@ class LeapfrogStepper:
         self._w_ks = ops.c1 / mu0
         self._w_curl = ops.c1 / (mu0 * ops.areas)
 
-    def _step_matrix(self):
-        """A; assembled again only when a step needs it after it was dropped."""
-        if self.a is None:
-            self.a = assemble_edge_mass(self.ops.mesh, self._a_weights)
-        return self.a
+    def _first_step_change(self, rhs, boundary_change):
+        """Solve 2 M_lead x = rhs on the free rows, x = boundary_change on the
+        boundary, by conjugate gradients preconditioned with A's factor.
 
-    def _factor(self, first: bool):
-        """Factored step matrix and its boundary columns, built on demand."""
-        if self._factored_first is not first:
-            self._solve = self._lift = None
-            ops = self.ops
-            a = (2.0 * self._lead) * ops.m_e if first else self._step_matrix()
-            self._lift = a[:, ops.pec_mask]
-            self._solve = factorize(apply_pec(a, ops.pec_mask))
-            self._factored_first = first
-            if not first:
-                self.a = None
-        return self._solve, self._lift
+        A - M_lead = M_damp is positive semidefinite, so the spectrum of
+        A^-1 2 M_lead lies in (0, 2].  The residual is zero on the boundary
+        rows, where the factor is the identity, so x stays fixed there.
+        """
+        mask, scale = self.ops.pec_mask, 2.0 * self._lead
+        x = np.zeros_like(rhs)
+        x[mask] = boundary_change
+        r = rhs - scale * (self.ops.m_e @ x)
+        r[mask] = 0.0
+        p = self._solve(r)
+        rz = rz0 = r @ p
+        iterations = 0
+        while rz > FIRST_STEP_RTOL ** 2 * rz0:
+            if iterations == FIRST_STEP_MAX_ITER:
+                raise SolverError(f"first-step conjugate gradients did not "
+                                  f"converge in {iterations} iterations")
+            q = scale * (self.ops.m_e @ p)
+            q[mask] = 0.0
+            alpha = rz / (p @ q)
+            x += alpha * p
+            r -= alpha * q
+            z = self._solve(r)
+            rz, rz_old = r @ z, rz
+            p = z + (rz / rz_old) * p
+            iterations += 1
+        return x
 
     def step_h(self, state: FieldState, ks_cells: np.ndarray):
         """Advance the split magnetic components by one half-shifted step.
@@ -273,17 +267,22 @@ class LeapfrogStepper:
         if first and first_step_velocity is not None:
             v = first_step_velocity
             rhs += (2.0 * self.tau) * ((2.0 * self._lead) * (ops.m_e @ v)
-                                       - self._step_matrix() @ v)
+                                       - self.a @ v)
 
-        # Lift the boundary values: the change is known there, and only
-        # A's boundary columns carry it into the free rows.  The factored
-        # matrix has identity rows and zero columns on the boundary, so the
-        # solve leaves the free values independent of rhs[mask].
-        solve, lift = self._factor(first)
+        # The change is known on the boundary.  Later steps lift it: only A's
+        # boundary columns carry it into the free rows, and the factor has
+        # identity rows and zero columns there, so the solve ignores rhs[mask].
         mask = ops.pec_mask
+        if self._solve is None:
+            self._lift = self.a[:, mask]
+            self._solve = factorize(apply_pec(self.a, mask))
         target = 0.0 if bc_values is None else bc_values[mask]
-        rhs -= lift @ (target - e_old[mask])
-        e_next = e_old + solve(rhs)
+        boundary_change = target - e_old[mask]
+        if first:
+            change = self._first_step_change(rhs, boundary_change)
+        else:
+            change = self._solve(rhs - self._lift @ boundary_change)
+        e_next = e_old + change
         e_next[mask] = target
         return e_next
 
@@ -333,7 +332,7 @@ def discrete_energy(state: FieldState, ops: OperatorSet,
 
 
 def run_simulation(mesh: Mesh, ops: OperatorSet, params: MaterialParams,
-                   tau: float, n_steps: int, source=None, e0=None, h0=None,
+                   tau: float, n_steps: int, source=None, e0=None,
                    dt_e0=None, extra_load=None, bc_values=None,
                    snapshot_every: int = 0,
                    energy_every: int = 1) -> SimulationResult:
@@ -349,7 +348,7 @@ def run_simulation(mesh: Mesh, ops: OperatorSet, params: MaterialParams,
     """
     n_cells = mesh.n_triangles
     ks0 = source(0, 0.0) if source is not None else None
-    state, velocity = init_state(mesh, ops, params, e0=e0, h0=h0,
+    state, velocity = init_state(mesh, ops, params, e0=e0,
                                  ks0_cells=ks0, tau=tau, dt_e0=dt_e0,
                                  zero_boundary=bc_values is None)
     stepper = LeapfrogStepper(ops, params, tau)

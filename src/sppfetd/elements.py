@@ -30,23 +30,16 @@ def _orbit3(a, b):
 
 _TRI_RULES = {
     1: ([(1 / 3, 1 / 3, 1 / 3)], [0.5]),
-    2: (_orbit3(2 / 3, 1 / 6), [1 / 6] * 3),
-    # Dunavant 6-point, exact to degree 4; used for requests 3 and 4.
+    # Dunavant 6-point, exact to degree 4.
     3: (_orbit3(0.816847572980459, 0.091576213509771)
         + _orbit3(0.108103018168070, 0.445948490915965),
         [0.109951743655322 / 2] * 3 + [0.223381589678011 / 2] * 3),
-    # Dunavant 7-point, exact to degree 5.
-    5: ([(1 / 3, 1 / 3, 1 / 3)]
-        + _orbit3(0.797426985353087, 0.101286507323456)
-        + _orbit3(0.059715871789770, 0.470142064105115),
-        [0.225 / 2] + [0.125939180544827 / 2] * 3 + [0.132394152788506 / 2] * 3),
 }
-_TRI_RULES[4] = _TRI_RULES[3]
 
 
 def triangle_quadrature(degree: int) -> QuadratureRule:
-    """Symmetric positive rule on the reference triangle, exact to `degree`."""
-    if degree not in range(1, 6):
+    """Symmetric positive rule on the reference triangle, exact to `degree` (1 or 3)."""
+    if degree not in _TRI_RULES:
         raise ValueError(f"unsupported triangle quadrature degree {degree}")
     pts, w = _TRI_RULES[degree]
     return QuadratureRule(np.array(pts, dtype=float), np.array(w, dtype=float), degree)

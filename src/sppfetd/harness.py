@@ -176,7 +176,7 @@ def _convergence_single(h: float, mode: str, tau: float, n_steps: int,
     drivers = ManufacturedDrivers(mesh, case, ops.pec_mask)
     result = run_simulation(
         mesh, ops, case.params, step_tau, steps,
-        source=drivers.source, e0=None, h0=None, dt_e0=case.dt_e0,
+        source=drivers.source, dt_e0=case.dt_e0,
         extra_load=drivers.extra_load, bc_values=drivers.bc_values,
         snapshot_every=0, energy_every=0)
     return l2_errors(result.state, case, mesh, steps * step_tau)

@@ -389,23 +389,6 @@ def _shortest_edge_path(mesh: Mesh, adjacency, start: int, goal: int) -> list:
     return path
 
 
-def save_mesh(mesh: Mesh, path) -> None:
-    """Write the ASCII mesh format (non-INTERIOR edge tags only)."""
-    with open(path, "w") as f:
-        f.write(MESH_FORMAT_HEADER + "\n")
-        f.write(f"VERTICES {mesh.n_vertices}\n")
-        for x, y in mesh.vertices:
-            f.write(f"{x:.17g} {y:.17g}\n")
-        f.write(f"TRIANGLES {mesh.n_triangles}\n")
-        for (i, j, k), tag in zip(mesh.triangles, mesh.cell_tags):
-            f.write(f"{i} {j} {k} {int(tag)}\n")
-        tagged = np.flatnonzero(mesh.edge_tags != EdgeTag.INTERIOR)
-        f.write(f"EDGETAGS {len(tagged)}\n")
-        for e in tagged:
-            a, b = mesh.edges[e]
-            f.write(f"{a} {b} {int(mesh.edge_tags[e])}\n")
-
-
 def load_mesh(path) -> Mesh:
     """Read the ASCII mesh format; invariants are validated on load."""
     with open(path) as f:

@@ -1,10 +1,10 @@
-"""Sparse LU factorisation of the time-independent edge systems.
+"""Sparse LU factorisation of the time-independent edge system.
 
-The edge matrix of the leapfrog step does not change between steps, so
-it is factored once and every step costs two triangular solves.  A
+The edge matrix of the leapfrog step does not change over a run, so it
+is factored once and every step costs two triangular solves.  A
 symmetric minimum-degree ordering keeps the fill low on 2-D meshes; the
-matrices are symmetric positive definite, so the diagonal pivots are
-kept without a threshold search.  The factorisation and the solves are
+matrix is symmetric positive definite, so the diagonal pivots are kept
+without a threshold search.  The factorisation and the solves are
 deterministic for a given SuperLU build.
 """
 

@@ -301,3 +301,21 @@ def brute_force_adjacency(mesh):
     return [[(int(b if a == v else a), e) for e, (a, b) in enumerate(mesh.edges)
              if v in (a, b)]
             for v in range(mesh.n_vertices)]
+
+
+def save_mesh(mesh, path):
+    """Write `mesh` in the documented ASCII format that `load_mesh` reads.
+
+    Interior edges (tag 0) are implicit in the format, so only the
+    interface and outer-boundary edges are listed.
+    """
+    with open(path, "w") as f:
+        f.write(f"SPPMESH 1\nVERTICES {mesh.n_vertices}\n")
+        f.writelines(f"{x:.17g} {y:.17g}\n" for x, y in mesh.vertices)
+        f.write(f"TRIANGLES {mesh.n_triangles}\n")
+        f.writelines(f"{i} {j} {k} {int(tag)}\n"
+                     for (i, j, k), tag in zip(mesh.triangles, mesh.cell_tags))
+        tagged = np.flatnonzero(mesh.edge_tags != 0)
+        f.write(f"EDGETAGS {len(tagged)}\n")
+        f.writelines(f"{a} {b} {int(mesh.edge_tags[e])}\n"
+                     for e, (a, b) in zip(tagged, mesh.edges[tagged]))

@@ -58,8 +58,7 @@ def test_init_state_manufactured_has_zero_field_nonzero_velocity(small_setup):
     mesh, ops = small_setup
     case = ManufacturedCase()
     state, vel = init_state(mesh, ops, UNIT, e0=lambda p: case.e_field(p, 0.0),
-                            h0=lambda p: case.h_field(p, 0.0), tau=0.01,
-                            dt_e0=case.dt_e0, zero_boundary=False)
+                            tau=0.01, dt_e0=case.dt_e0, zero_boundary=False)
     assert np.abs(state.e_curr).max() <= 1e-14
     assert np.abs(vel).max() > 0.1
 
@@ -71,42 +70,17 @@ def test_init_state_magnetic_start_against_quadrature(small_setup):
     def e0(p):
         return np.column_stack([p[:, 1] ** 2, p[:, 0] * p[:, 1]])
 
-    def h0(p):
-        return p[:, 0] ** 3 - 2.0 * p[:, 0] * p[:, 1] + 0.5
-
     ks0 = np.linspace(-1, 1, mesh.n_triangles)
-    state, _ = init_state(mesh, ops, UNIT, e0=e0, h0=h0, ks0_cells=ks0,
+    state, _ = init_state(mesh, ops, UNIT, e0=e0, ks0_cells=ks0,
                           tau=tau, zero_boundary=False)
-    curl_means = (ops.c @ state.e_curr) / mesh.areas
     ref_pts, wts = oracles.duffy_rule(10)
     for cell in range(mesh.n_triangles):
         p0, jac, _, det = oracles.cell_maps(mesh, cell)
         phys = (jac @ ref_pts.T).T + p0
-        h_mean = np.sum(wts * det * h0(phys)) / mesh.areas[cell]
-        # curl of the interpolant equals the exact cell-mean curl (Stokes)
-        expected = h_mean + tau / 2.0 * (curl_means[cell] + ks0[cell])
+        # curl E0 = -y; the interpolant has the exact cell-mean curl (Stokes)
+        curl_mean = np.sum(wts * det * -phys[:, 1]) / mesh.areas[cell]
+        expected = tau / 2.0 * (curl_mean + ks0[cell])
         assert state.hz[cell] == pytest.approx(expected, abs=1e-12)
-
-
-def test_init_state_default_velocity_is_curl_of_h0(small_setup):
-    mesh, ops = small_setup
-
-    def h0(p):
-        return np.sin(2 * p[:, 0]) * np.cos(p[:, 1])
-
-    def curl_h0(p):
-        return np.column_stack([-np.sin(2 * p[:, 0]) * np.sin(p[:, 1]),
-                                -2 * np.cos(2 * p[:, 0]) * np.cos(p[:, 1])])
-
-    _, vel = init_state(mesh, ops, UNIT, h0=h0, tau=0.01)
-    ref = interpolate_hcurl(curl_h0, mesh)
-    np.testing.assert_allclose(vel, ref, atol=1e-8)
-    # manufactured case at t = 0: H0 vanishes identically, so the model
-    # default velocity is zero (the harness overrides it for sourced runs)
-    case = ManufacturedCase()
-    _, vel0 = init_state(mesh, ops, UNIT, e0=lambda p: case.e_field(p, 0.0),
-                         h0=lambda p: case.h_field(p, 0.0), tau=0.01)
-    assert np.abs(vel0).max() <= 1e-12
 
 
 def test_step_h_zero(small_setup):
@@ -419,12 +393,12 @@ def test_run_zero_steps_initial_snapshot_only(small_setup):
     assert result.energy == []
 
 
-@pytest.mark.parametrize("n_steps,factorisations", [(0, 0), (1, 1), (4, 2)])
+@pytest.mark.parametrize("n_steps,factorisations", [(0, 0), (1, 1), (4, 1)])
 def test_run_factors_each_step_matrix_once(small_setup, monkeypatch,
                                            n_steps, factorisations):
-    # a zero-step run factors nothing; the first-step matrix and the main
-    # one are each factored once, and the stepper keeps no other
-    # edge-by-edge matrix than the factor and the boundary columns
+    # a zero-step run factors nothing; any other run factors A once, and
+    # the stepper keeps no other edge-by-edge matrix than A, the factor
+    # and the boundary columns
     mesh, ops = small_setup
     calls = []
     real_splu = sparse_solve.splu
@@ -443,7 +417,7 @@ def test_run_factors_each_step_matrix_once(small_setup, monkeypatch,
         stepper.advance(state, np.zeros(mesh.n_triangles))
     square = [name for name, value in vars(stepper).items()
               if sp.issparse(value) and value.shape == (mesh.n_edges, mesh.n_edges)]
-    assert square == []
+    assert square == ["a"]
     assert stepper._lift.shape == (mesh.n_edges, int(ops.pec_mask.sum()))
 
 
@@ -464,19 +438,27 @@ def test_edge_mass_kernel_runs_once_per_matrix(monkeypatch, n_steps):
     ops = build_operator_set(mesh, sx, sx[::-1])
     assert len(calls) == 1
     monkeypatch.setattr(dynamics, "assemble_edge_mass", counting)
-    h0 = lambda p: np.sin(np.pi * p[:, 0]) * np.sin(np.pi * p[:, 1])
-    run_simulation(mesh, ops, UNIT, 0.01, n_steps, h0=h0, energy_every=0)
+    run_simulation(mesh, ops, UNIT, 0.01, n_steps, e0=_bump, dt_e0=_swirl,
+                   energy_every=0)
     assert len(calls) == 2
 
 
+def _bump(p):
+    return np.column_stack([np.sin(np.pi * p[:, 1]), np.sin(np.pi * p[:, 0])])
+
+
+def _swirl(p):
+    return np.column_stack([-p[:, 1], p[:, 0]])
+
+
 def test_reused_stepper_matches_fresh_one(small_setup):
-    # A is dropped once factored; a stepper restarted from step 0 with an
-    # initial velocity must rebuild it and reproduce a fresh stepper
+    # a stepper restarted from step 0 with an initial velocity reuses its
+    # A and factor and reproduces a fresh stepper
     mesh, ops = small_setup
-    h0 = lambda p: np.cos(np.pi * p[:, 0]) * np.sin(np.pi * p[:, 1])
 
     def three_steps(stepper):
-        state, vel = init_state(mesh, ops, UNIT, h0=h0, tau=0.01)
+        state, vel = init_state(mesh, ops, UNIT, e0=_bump, dt_e0=_swirl,
+                                tau=0.01)
         for n in range(3):
             stepper.advance(state, np.zeros(mesh.n_triangles),
                             first_step_velocity=vel if n == 0 else None)
@@ -484,7 +466,6 @@ def test_reused_stepper_matches_fresh_one(small_setup):
 
     reused = LeapfrogStepper(ops, UNIT, 0.01)
     first = three_steps(reused)
-    assert reused.a is None
     np.testing.assert_array_equal(three_steps(reused), first)
     np.testing.assert_array_equal(
         three_steps(LeapfrogStepper(ops, UNIT, 0.01)), first)

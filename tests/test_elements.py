@@ -98,7 +98,7 @@ def test_piola_map_preserves_tangential_moments():
             direct, mapped * mesh.tri_edge_signs[0][None, :, None], atol=1e-12)
 
 
-@pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("degree", [1, 3])
 def test_triangle_rule_monomial_exactness(degree):
     rule = triangle_quadrature(degree)
     assert np.all(rule.weights > 0)
@@ -119,8 +119,8 @@ def test_triangle_rule_degree1_is_centroid():
 
 
 def test_triangle_rule_x_squared():
-    xy = triangle_quadrature(2).points @ RIGHT
-    val = np.sum(triangle_quadrature(2).weights * xy[:, 0] ** 2)
+    xy = triangle_quadrature(3).points @ RIGHT
+    val = np.sum(triangle_quadrature(3).weights * xy[:, 0] ** 2)
     assert val == pytest.approx(1 / 12, rel=1e-14)
 
 
@@ -130,8 +130,9 @@ def test_segment_rule_cubic():
 
 
 def test_unsupported_degree_rejected():
-    with pytest.raises(ValueError):
-        triangle_quadrature(6)
+    for degree in (2, 6):
+        with pytest.raises(ValueError):
+            triangle_quadrature(degree)
     with pytest.raises(ValueError):
         segment_quadrature(0)
 
@@ -148,7 +149,7 @@ def test_interpolation_reproduces_rotational_mode():
     # (-y, x) spans the homogeneous part of the local space
     m = generate_rect_mesh((0, 1, 0, 1), 2, 2, 0)
     dofs = interpolate_hcurl(lambda p: np.column_stack([-p[:, 1], p[:, 0]]), m)
-    rule = triangle_quadrature(2)
+    rule = triangle_quadrature(3)
     vals = eval_edge_field(m, dofs, rule)
     pts = quad_points_physical(m, rule)
     exact = np.stack([-pts[:, :, 1], pts[:, :, 0]], axis=2)

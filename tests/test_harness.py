@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from sppfetd import dynamics
 from sppfetd.cli import main as cli_main
 from sppfetd.dynamics import FieldState, Snapshot
 from sppfetd.harness import (ConfigError, ErrorTable, ManufacturedDrivers,
@@ -360,6 +361,22 @@ def test_cli_solver_failure_exit_code(tmp_path, capsys):
     cfg_path.write_text(json.dumps(config_to_json(cfg)))
     assert cli_main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 4
     assert "solver failure" in capsys.readouterr().err
+
+
+def test_cli_first_step_past_iteration_cap_is_solver_failure(
+        tmp_path, capsys, monkeypatch):
+    # the manufactured start has a nonzero velocity and the collar makes A
+    # differ from a multiple of M_E, so one preconditioned iteration of the
+    # first step's 2 M_lead solve is not enough
+    monkeypatch.setattr(dynamics, "FIRST_STEP_MAX_ITER", 1)
+    cfg = SimulationConfig(name="capped", bounds=(0.0, 1.0, 0.0, 1.0), nx=4,
+                           ny=4, pml_layers=2, material=MaterialParams.unit(),
+                           tau=0.01, n_steps=2, manufactured=True)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config_to_json(cfg)))
+    assert cli_main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 4
+    err = capsys.readouterr().err
+    assert "solver failure" in err and "did not converge in 1 iterations" in err
 
 
 def test_cli_blowup_exit_code(tmp_path, capsys):
