@@ -1,9 +1,9 @@
 """Sparse operator assembly for the leapfrog schemes.
 
-All bilinear forms are integrated cell by cell with a fixed degree-3
-quadrature (exact for every lowest-order integrand) and scattered into
-CSR matrices.  Per-cell coefficients are sampled at cell centroids, so
-the matrices stay time independent.
+The edge mass is integrated exactly in closed form, the curl matrix from
+the constant Whitney curls and edge loads with a fixed degree-3 quadrature;
+local matrices are scattered into CSR.  Per-cell coefficients are sampled
+at cell centroids, so the matrices stay time independent.
 """
 
 from __future__ import annotations
@@ -13,10 +13,21 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .elements import cell_basis_data, quad_points_physical, triangle_quadrature
-from .mesh import CellTag, EdgeTag, Mesh
+from .elements import (_barycentric_gradients, cell_basis_data,
+                       quad_points_physical, triangle_quadrature)
+from .mesh import TRI_EDGE_LOCAL, CellTag, EdgeTag, Mesh
 
-ASSEMBLY_DEGREE = 3
+
+def _edge_mass_map() -> np.ndarray:
+    """9x9 map from B_pq = grad(l_p) . W grad(l_q) to the local mass over |K|."""
+    d = np.zeros((3, 3, 3))     # phi_k = sum over m, p of d[k, m, p] l_m grad(l_p)
+    for k, (i, j) in enumerate(TRI_EDGE_LOCAL):
+        d[k, i, j], d[k, j, i] = 1.0, -1.0
+    moments = (1.0 + np.eye(3)) / 12.0      # integral of l_m l_n over K, per |K|
+    return np.einsum("kmp,mn,lnq->klpq", d, moments, d).reshape(9, 9)
+
+
+_EDGE_MASS_MAP = _edge_mass_map()
 
 
 @dataclass
@@ -62,39 +73,34 @@ def _scatter_edges(mesh: Mesh, local: np.ndarray) -> sp.csr_matrix:
     ne = mesh.n_edges
     rows = np.repeat(mesh.tri_edges, 3, axis=1).ravel()
     cols = np.tile(mesh.tri_edges, (1, 3)).ravel()
-    mat = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(ne, ne))
-    out = mat.tocsr()
-    out.sum_duplicates()
-    return out
+    return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(ne, ne)).tocsr()
 
 
 def assemble_edge_mass(mesh: Mesh, coeff=None) -> sp.csr_matrix:
     """Edge mass with scalar or 2x2-diagonal per-cell coefficient.
 
-    Entry (e, e') = sum_K integral of w1 phi_e,x phi_e',x + w2 phi_e,y phi_e',y.
+    Entry (e, e') = sum_K integral of w1 phi_e,x phi_e',x + w2 phi_e,y phi_e',y,
+    exact in closed form: _EDGE_MASS_MAP applied to the cell's weighted
+    gradient products, scaled by |K| and the two edge orientation signs.
     """
     w = _cell_coeff(mesh, coeff)
     if np.any(w < 0.0) or not np.all(np.isfinite(w)):
         raise ValueError("edge-mass coefficient must be finite and nonnegative")
-    rule = triangle_quadrature(ASSEMBLY_DEGREE)
-    phi, _ = cell_basis_data(mesh, rule)  # (nt, nq, 3, 2)
-    weighted = phi * w[:, None, None, :]
-    local = 2.0 * mesh.areas[:, None, None] * np.einsum(
-        "q,tqkd,tqld->tkl", rule.weights, weighted, phi)
-    return _scatter_edges(mesh, local)
+    g = _barycentric_gradients(mesh)                # (3, 2, nt)
+    prods = w[:, 0] * (g[:, None, 0] * g[:, 0]) + w[:, 1] * (g[:, None, 1] * g[:, 1])
+    local = _EDGE_MASS_MAP @ prods.reshape(9, -1)   # (9, nt)
+    signs = mesh.tri_edge_signs.T.astype(float)     # (3, nt)
+    local *= mesh.areas * (signs[:, None] * signs).reshape(9, -1)
+    return _scatter_edges(mesh, local.T)
 
 
 def assemble_mixed_curl(mesh: Mesh) -> sp.csr_matrix:
     """Cells x edges matrix with entry (K, e) = integral over K of curl(phi_e)."""
-    rule = triangle_quadrature(1)
-    _, curls = cell_basis_data(mesh, rule)
+    _, curls = cell_basis_data(mesh, triangle_quadrature(1))
     rows = np.repeat(np.arange(mesh.n_triangles), 3)
-    mat = sp.coo_matrix(((mesh.areas[:, None] * curls).ravel(),
-                         (rows, mesh.tri_edges.ravel())),
-                        shape=(mesh.n_triangles, mesh.n_edges))
-    out = mat.tocsr()
-    out.sum_duplicates()
-    return out
+    return sp.coo_matrix(((mesh.areas[:, None] * curls).ravel(),
+                          (rows, mesh.tri_edges.ravel())),
+                         shape=(mesh.n_triangles, mesh.n_edges)).tocsr()
 
 
 def assemble_interface_mass(mesh: Mesh) -> sp.csr_matrix:
@@ -110,14 +116,14 @@ def assemble_interface_mass(mesh: Mesh) -> sp.csr_matrix:
                          shape=(ne, ne)).tocsr()
 
 
-def assemble_edge_load(mesh: Mesh, field, degree: int = ASSEMBLY_DEGREE) -> np.ndarray:
+def assemble_edge_load(mesh: Mesh, field) -> np.ndarray:
     """Load vector b_e = integral of field . phi_e over the mesh.
 
     `field` maps an (n, 2) point array to (n, 2) vector values, or to
     (m, n, 2) for m fields at once, which gives (m, n_edges) loads from one
     evaluation of the basis.
     """
-    rule = triangle_quadrature(degree)
+    rule = triangle_quadrature(3)
     phi, _ = cell_basis_data(mesh, rule)
     pts = quad_points_physical(mesh, rule)
     vals = np.asarray(field(pts.reshape(-1, 2)), dtype=float)

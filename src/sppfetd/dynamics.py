@@ -191,6 +191,8 @@ class LeapfrogStepper:
         base = self._lead + ops.c1 * eps0 / (2.0 * tau * tau0)
         self.a = assemble_edge_mass(ops.mesh, np.column_stack(
             [base + ops.sigma_y / (2.0 * tau), base + ops.sigma_x / (2.0 * tau)]))
+        self._peak_ratio = 1.0 + tau * float(np.max(
+            ops.c1 / (2.0 * tau0) + np.maximum(ops.sigma_x, ops.sigma_y) / (2.0 * eps0)))
         self._solve = self._lift = None
 
         # Split-field magnetic update coefficients per cell.
@@ -222,8 +224,11 @@ class LeapfrogStepper:
         iterations = 0
         while rz > FIRST_STEP_RTOL ** 2 * rz0:
             if iterations == FIRST_STEP_MAX_ITER:
-                raise SolverError(f"first-step conjugate gradients did not "
-                                  f"converge in {iterations} iterations")
+                raise SolverError(
+                    f"first-step conjugate gradients did not converge in {iterations} "
+                    f"iterations at tau = {self.tau:.3e}; largest per-cell ratio of A's "
+                    f"weight to M_lead's {self._peak_ratio:.3e} (far above 1: tau is "
+                    "far beyond a stable step)")
             q = scale * (self.ops.m_e @ p)
             q[mask] = 0.0
             alpha = rz / (p @ q)

@@ -54,13 +54,8 @@ def segment_quadrature(degree: int) -> QuadratureRule:
     return QuadratureRule(0.5 * (xi + 1.0), 0.5 * w, degree)
 
 
-def cell_basis_data(mesh: Mesh, rule: QuadratureRule):
-    """Vectorised basis data for every cell of the mesh.
-
-    Returns (phi, curls) where phi has shape (nt, nq, 3, 2) holding the
-    globally oriented Whitney values at the rule's points and curls has
-    shape (nt, 3).
-    """
+def _barycentric_gradients(mesh: Mesh) -> np.ndarray:
+    """Constant gradients of the three barycentric coordinates, (3, 2, nt)."""
     # Built with the cell axis last so every product runs over all cells.
     tris = mesh.vertices[mesh.triangles].T          # (2, 3, nt)
     g = np.empty((3, 2, mesh.n_triangles))
@@ -69,7 +64,17 @@ def cell_basis_data(mesh: Mesh, rule: QuadratureRule):
         g[i, 0] = tris[1, j] - tris[1, k]
         g[i, 1] = tris[0, k] - tris[0, j]
     g /= 2.0 * mesh.areas
+    return g
 
+
+def cell_basis_data(mesh: Mesh, rule: QuadratureRule):
+    """Vectorised basis data for every cell of the mesh.
+
+    Returns (phi, curls) where phi has shape (nt, nq, 3, 2) holding the
+    globally oriented Whitney values at the rule's points and curls has
+    shape (nt, 3).
+    """
+    g = _barycentric_gradients(mesh)
     lam = rule.points                               # (nq, 3)
     signs = mesh.tri_edge_signs.T.astype(float)     # (3, nt)
     ii, jj = np.array(TRI_EDGE_LOCAL).T
@@ -93,14 +98,14 @@ def eval_edge_field(mesh: Mesh, dofs: np.ndarray, rule: QuadratureRule) -> np.nd
     return np.einsum("tk,tqkd->tqd", local, phi)
 
 
-def interpolate_hcurl(field, mesh: Mesh, degree: int = 3) -> np.ndarray:
+def interpolate_hcurl(field, mesh: Mesh) -> np.ndarray:
     """Edge interpolation: DoF_e = integral over e of field . t ds.
 
     `field` maps an (n, 2) point array to (n, 2) vector values, or to
     (m, n, 2) for m fields at once, which gives (m, n_edges) DoFs.  The
     tangent runs from the lower-index to the higher-index endpoint.
     """
-    rule = segment_quadrature(degree)
+    rule = segment_quadrature(3)
     p0 = mesh.vertices[mesh.edges[:, 0]]
     p1 = mesh.vertices[mesh.edges[:, 1]]
     dofs = sum(w * np.einsum("...ed,ed->...e",
@@ -110,13 +115,13 @@ def interpolate_hcurl(field, mesh: Mesh, degree: int = 3) -> np.ndarray:
     return dofs * mesh.edge_lengths
 
 
-def project_l2_p0(field, mesh: Mesh, degree: int = 3) -> np.ndarray:
+def project_l2_p0(field, mesh: Mesh) -> np.ndarray:
     """Cell-mean projection: DoF_K = (1/|K|) integral over K of field.
 
     `field` maps an (n, 2) point array to (n,) scalar values, or to (m, n)
     for m fields at once, which gives (m, n_cells) means.
     """
-    rule = triangle_quadrature(degree)
+    rule = triangle_quadrature(3)
     pts = quad_points_physical(mesh, rule)
     vals = np.asarray(field(pts.reshape(-1, 2)), dtype=float)
     return 2.0 * vals.reshape(vals.shape[:-1] + pts.shape[:2]) @ rule.weights

@@ -103,14 +103,13 @@ class ErrorTable:
         return "\n".join(lines)
 
 
-def l2_errors(state: FieldState, case: ManufacturedCase, mesh: Mesh,
-              t: float, degree: int = 3):
+def l2_errors(state: FieldState, case: ManufacturedCase, mesh: Mesh, t: float):
     """L2 errors of the electric and magnetic fields against the exact case.
 
     The electric field is compared at time t; the magnetic cell values live
     half a step earlier and are compared at t - tau/2.
     """
-    rule = triangle_quadrature(degree)
+    rule = triangle_quadrature(3)
     pts = quad_points_physical(mesh, rule)
     e_h = eval_edge_field(mesh, state.e_curr, rule)
 
@@ -414,28 +413,23 @@ def _write_outputs(result: SimulationResult, mesh: Mesh, out) -> None:
 
 def write_snapshot(snap: Snapshot, mesh: Mesh, path) -> None:
     """Legacy ASCII VTK unstructured grid with cell data Hz and E."""
-    rule = triangle_quadrature(1)
-    e_cells = eval_edge_field(mesh, snap.e, rule)[:, 0, :]
+    e_cells = eval_edge_field(mesh, snap.e, triangle_quadrature(1))[:, 0, :]
     try:
         with open(path, "w") as f:
             f.write("# vtk DataFile Version 2.0\n")
             f.write(f"sppfetd step {snap.step} time {snap.time:.9e}\n")
             f.write("ASCII\nDATASET UNSTRUCTURED_GRID\n")
             f.write(f"POINTS {mesh.n_vertices} double\n")
-            for x, y in mesh.vertices:
-                f.write(f"{x:.9e} {y:.9e} 0.0\n")
+            f.write("".join(f"{x:.9e} {y:.9e} 0.0\n" for x, y in mesh.vertices.tolist()))
             f.write(f"CELLS {mesh.n_triangles} {4 * mesh.n_triangles}\n")
-            for i, j, k in mesh.triangles:
-                f.write(f"3 {i} {j} {k}\n")
+            f.write("".join(f"3 {i} {j} {k}\n" for i, j, k in mesh.triangles.tolist()))
             f.write(f"CELL_TYPES {mesh.n_triangles}\n")
-            f.writelines("5\n" for _ in range(mesh.n_triangles))
+            f.write("5\n" * mesh.n_triangles)
             f.write(f"CELL_DATA {mesh.n_triangles}\n")
             f.write("SCALARS Hz double\nLOOKUP_TABLE default\n")
-            for v in snap.hz:
-                f.write(f"{v:.9e}\n")
+            f.write("".join(f"{v:.9e}\n" for v in snap.hz.tolist()))
             f.write("VECTORS E double\n")
-            for ex, ey in e_cells:
-                f.write(f"{ex:.9e} {ey:.9e} 0.0\n")
+            f.write("".join(f"{ex:.9e} {ey:.9e} 0.0\n" for ex, ey in e_cells.tolist()))
     except OSError as exc:
         raise OSError(f"failed to write snapshot {path}: {exc}") from exc
 

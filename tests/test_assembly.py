@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -7,7 +9,7 @@ from sppfetd.assembly import (apply_pec, assemble_edge_load, assemble_edge_mass,
                               boundary_dof_mask, build_operator_set)
 from sppfetd.dynamics import LeapfrogStepper
 from sppfetd.elements import interpolate_hcurl
-from sppfetd.mesh import (InterfaceSpec, Segment, generate_rect_mesh,
+from sppfetd.mesh import (InterfaceSpec, Mesh, Segment, generate_rect_mesh,
                           snap_interface)
 from sppfetd.physics import MaterialParams
 from sppfetd.sparse_solve import factorize
@@ -36,6 +38,24 @@ def test_edge_mass_matches_quadrature_oracle(pair_mesh):
     got = assemble_edge_mass(pair_mesh).toarray()
     ref = oracles.dense_edge_mass(pair_mesh)
     np.testing.assert_allclose(got, ref, atol=1e-13)
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+def test_edge_mass_closed_form_on_one_cell_matches_oracle(order):
+    # A sheared cell whose local vertex k has global index order[k]: the six
+    # numberings give the three edges different orientation-sign patterns,
+    # and each rotation puts another corner at local vertex 0.  Unequal
+    # weights tell w1 from w2.
+    sheared = np.array([[0.0, 0.0], [2.0, 0.3], [1.7, 1.1]])
+    for shift in range(3):
+        verts = np.empty((3, 2))
+        verts[list(order)] = np.roll(sheared, shift, axis=0)
+        mesh = Mesh(verts, [list(order)])
+        for coeff in (None, np.array([[0.7, 2.9]])):
+            got = assemble_edge_mass(mesh, coeff).toarray()
+            ref = oracles.dense_edge_mass(mesh, coeff)
+            np.testing.assert_allclose(got, ref, rtol=0.0,
+                                       atol=1e-13 * np.abs(ref).max())
 
 
 def test_edge_mass_zero_coefficient(small_mesh):

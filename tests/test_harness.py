@@ -377,6 +377,7 @@ def test_cli_first_step_past_iteration_cap_is_solver_failure(
     assert cli_main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 4
     err = capsys.readouterr().err
     assert "solver failure" in err and "did not converge in 1 iterations" in err
+    assert "tau = 1.000e-02" in err and "ratio of A's weight to M_lead's" in err
 
 
 def test_cli_blowup_exit_code(tmp_path, capsys):
