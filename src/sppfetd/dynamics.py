@@ -186,7 +186,6 @@ class LeapfrogStepper:
 
         eps0, mu0, tau0 = params.eps0, params.mu0, params.tau0
         self._lead = eps0 / tau ** 2
-        self._g_coeff = params.sigma0 / tau0
         # E_x is damped by sigma_y and E_y by sigma_x.
         base = self._lead + ops.c1 * eps0 / (2.0 * tau * tau0)
         self.a = assemble_edge_mass(ops.mesh, np.column_stack(
@@ -200,11 +199,14 @@ class LeapfrogStepper:
         self._hx_den = mu0 / tau + mu0 * ops.sigma_x / (2.0 * eps0)
         self._hy_num = mu0 / tau - mu0 * ops.sigma_y / (2.0 * eps0)
         self._hy_den = mu0 / tau + mu0 * ops.sigma_y / (2.0 * eps0)
-        # Per-cell weights of the magnetic coupling in the edge right-hand side.
-        self._w_sum = ops.c1 / (2.0 * tau0)
-        self._w_diff = (1.0 - ops.c1) / tau
+        # Per-cell weights of the new and old H levels, ks and C e_n in the RHS.
+        self._w_new = ops.c1 / (2.0 * tau0) + (1.0 - ops.c1) / tau
+        self._w_old = ops.c1 / (2.0 * tau0) - (1.0 - ops.c1) / tau
         self._w_ks = ops.c1 / mu0
         self._w_curl = ops.c1 / (mu0 * ops.areas)
+        # G (diagonal on the interface edges) is applied on its nonzero rows.
+        self._g_rows = np.flatnonzero(np.diff(ops.g.indptr))
+        self._g_part = (params.sigma0 / tau0) * ops.g[self._g_rows]
 
     def _first_step_change(self, rhs, boundary_change):
         """Solve 2 M_lead x = rhs on the free rows, x = boundary_change on the
@@ -261,12 +263,11 @@ class LeapfrogStepper:
         ops = self.ops
         first = state.step == 0
         e_old = np.zeros_like(state.e_curr) if first else state.e_prev
-        h_sum = hzx_new + state.hzx + hzy_new + state.hzy
-        h_diff = hzx_new - state.hzx + hzy_new - state.hzy
-        h_term = (self._w_sum * h_sum + self._w_diff * h_diff
+        h_term = (self._w_new * (hzx_new + hzy_new) + self._w_old * state.hz
                   - self._w_ks * ks_cells - self._w_curl * (ops.c @ state.e_curr))
-        rhs = ((2.0 * self._lead) * (ops.m_e @ (state.e_curr - e_old))
-               - self._g_coeff * (ops.g @ state.e_curr) + ops.c.T @ h_term)
+        rhs = (2.0 * self._lead) * (ops.m_e @ (state.e_curr - e_old))
+        rhs += ops.c.T @ h_term
+        rhs[self._g_rows] -= self._g_part @ state.e_curr
         if extra_load is not None:
             rhs += extra_load
         if first and first_step_velocity is not None:
@@ -286,7 +287,9 @@ class LeapfrogStepper:
         if first:
             change = self._first_step_change(rhs, boundary_change)
         else:
-            change = self._solve(rhs - self._lift @ boundary_change)
+            if boundary_change.any():
+                rhs -= self._lift @ boundary_change
+            change = self._solve(rhs)
         e_next = e_old + change
         e_next[mask] = target
         return e_next

@@ -414,22 +414,24 @@ def _write_outputs(result: SimulationResult, mesh: Mesh, out) -> None:
 def write_snapshot(snap: Snapshot, mesh: Mesh, path) -> None:
     """Legacy ASCII VTK unstructured grid with cell data Hz and E."""
     e_cells = eval_edge_field(mesh, snap.e, triangle_quadrature(1))[:, 0, :]
+    nv = mesh.n_vertices
+    nt = mesh.n_triangles
     try:
         with open(path, "w") as f:
             f.write("# vtk DataFile Version 2.0\n")
             f.write(f"sppfetd step {snap.step} time {snap.time:.9e}\n")
             f.write("ASCII\nDATASET UNSTRUCTURED_GRID\n")
-            f.write(f"POINTS {mesh.n_vertices} double\n")
-            f.write("".join(f"{x:.9e} {y:.9e} 0.0\n" for x, y in mesh.vertices.tolist()))
-            f.write(f"CELLS {mesh.n_triangles} {4 * mesh.n_triangles}\n")
-            f.write("".join(f"3 {i} {j} {k}\n" for i, j, k in mesh.triangles.tolist()))
-            f.write(f"CELL_TYPES {mesh.n_triangles}\n")
-            f.write("5\n" * mesh.n_triangles)
-            f.write(f"CELL_DATA {mesh.n_triangles}\n")
+            f.write(f"POINTS {nv} double\n")
+            f.write(("%.9e %.9e 0.0\n" * nv) % tuple(mesh.vertices.ravel().tolist()))
+            f.write(f"CELLS {nt} {4 * nt}\n")
+            f.write(("3 %d %d %d\n" * nt) % tuple(mesh.triangles.ravel().tolist()))
+            f.write(f"CELL_TYPES {nt}\n")
+            f.write("5\n" * nt)
+            f.write(f"CELL_DATA {nt}\n")
             f.write("SCALARS Hz double\nLOOKUP_TABLE default\n")
-            f.write("".join(f"{v:.9e}\n" for v in snap.hz.tolist()))
+            f.write(("%.9e\n" * nt) % tuple(snap.hz.tolist()))
             f.write("VECTORS E double\n")
-            f.write("".join(f"{ex:.9e} {ey:.9e} 0.0\n" for ex, ey in e_cells.tolist()))
+            f.write(("%.9e %.9e 0.0\n" * nt) % tuple(e_cells.ravel().tolist()))
     except OSError as exc:
         raise OSError(f"failed to write snapshot {path}: {exc}") from exc
 

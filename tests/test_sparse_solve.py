@@ -65,3 +65,33 @@ def test_solve_spd_on_cell_mass_is_division():
     b = np.random.default_rng(5).standard_normal(len(areas))
     x = factorize(sp.diags(areas).tocsr())(b)
     np.testing.assert_allclose(x, b / areas, rtol=1e-15)
+
+
+@pytest.mark.parametrize("fmt", ["csr", "csc", "coo"])
+def test_solve_nonsymmetric_matrix_in_each_format(fmt):
+    # every other matrix here is symmetric, so a solve with a^T in place of a
+    # would pass them; this one is not, and diagonal dominance keeps the
+    # unpivoted factor stable
+    rng = np.random.default_rng(7)
+    dense = rng.standard_normal((12, 12)) * (rng.random((12, 12)) < 0.4)
+    dense += np.diag(np.abs(dense).sum(axis=0) + np.abs(dense).sum(axis=1) + 1.0)
+    assert not np.allclose(dense, dense.T)
+    b = rng.standard_normal(12)
+    x = factorize(sp.csr_matrix(dense).asformat(fmt))(b)
+    np.testing.assert_allclose(x, np.linalg.solve(dense, b), rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("sorted_indices", [True, False])
+def test_factor_leaves_callers_matrix_unchanged(sorted_indices):
+    # the factor reads the caller's CSR arrays as a^T, and SuperLU sorts the
+    # indices of what it is given in place
+    a = sp.csr_matrix((np.array([1.0, 4.0, 3.0, 2.0]), np.array([1, 0, 1, 0]),
+                       np.array([0, 2, 4])), shape=(2, 2))
+    if sorted_indices:
+        a.sort_indices()
+    before = [arr.copy() for arr in (a.data, a.indices, a.indptr)]
+    x = factorize(a)(np.array([5.0, 5.0]))
+    for arr, old in zip((a.data, a.indices, a.indptr), before):
+        assert np.array_equal(arr, old)
+    np.testing.assert_allclose(x, np.linalg.solve([[4.0, 1.0], [2.0, 3.0]], [5.0, 5.0]),
+                               rtol=1e-12)
