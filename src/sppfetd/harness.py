@@ -404,29 +404,39 @@ def run(config: SimulationConfig, out_dir: str | None = None) -> SimulationResul
 def _write_outputs(result: SimulationResult, mesh: Mesh, out) -> None:
     if out:
         os.makedirs(out, exist_ok=True)
+        geometry = _vtk_geometry(mesh) if result.snapshots else None
         for snap in result.snapshots:
-            write_snapshot(snap, mesh, os.path.join(out, f"snap_{snap.step:06d}.vtk"))
+            write_snapshot(snap, mesh, os.path.join(out, f"snap_{snap.step:06d}.vtk"),
+                           geometry)
         write_energy_log(result.energy, os.path.join(out, "energy.csv"))
 
 
 # -- output -------------------------------------------------------------------
 
-def write_snapshot(snap: Snapshot, mesh: Mesh, path) -> None:
-    """Legacy ASCII VTK unstructured grid with cell data Hz and E."""
-    e_cells = eval_edge_field(mesh, snap.e, triangle_quadrature(1))[:, 0, :]
+def _vtk_geometry(mesh: Mesh) -> str:
+    """The POINTS, CELLS and CELL_TYPES blocks of a snapshot of `mesh`."""
     nv = mesh.n_vertices
     nt = mesh.n_triangles
+    return (f"POINTS {nv} double\n"
+            + ("%.9e %.9e 0.0\n" * nv) % tuple(mesh.vertices.ravel().tolist())
+            + f"CELLS {nt} {4 * nt}\n"
+            + ("3 %d %d %d\n" * nt) % tuple(mesh.triangles.ravel().tolist())
+            + f"CELL_TYPES {nt}\n" + "5\n" * nt)
+
+
+def write_snapshot(snap: Snapshot, mesh: Mesh, path, geometry: str | None = None) -> None:
+    """Legacy ASCII VTK unstructured grid with cell data Hz and E; a run
+    passes `geometry = _vtk_geometry(mesh)`, formatted once for all snapshots."""
+    e_cells = eval_edge_field(mesh, snap.e, triangle_quadrature(1))[:, 0, :]
+    nt = mesh.n_triangles
+    if geometry is None:
+        geometry = _vtk_geometry(mesh)
     try:
         with open(path, "w") as f:
             f.write("# vtk DataFile Version 2.0\n")
             f.write(f"sppfetd step {snap.step} time {snap.time:.9e}\n")
             f.write("ASCII\nDATASET UNSTRUCTURED_GRID\n")
-            f.write(f"POINTS {nv} double\n")
-            f.write(("%.9e %.9e 0.0\n" * nv) % tuple(mesh.vertices.ravel().tolist()))
-            f.write(f"CELLS {nt} {4 * nt}\n")
-            f.write(("3 %d %d %d\n" * nt) % tuple(mesh.triangles.ravel().tolist()))
-            f.write(f"CELL_TYPES {nt}\n")
-            f.write("5\n" * nt)
+            f.write(geometry)
             f.write(f"CELL_DATA {nt}\n")
             f.write("SCALARS Hz double\nLOOKUP_TABLE default\n")
             f.write(("%.9e\n" * nt) % tuple(snap.hz.tolist()))

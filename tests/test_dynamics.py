@@ -401,13 +401,13 @@ def test_run_factors_each_step_matrix_once(small_setup, monkeypatch,
     # and the boundary columns
     mesh, ops = small_setup
     calls = []
-    real_splu = sparse_solve.splu
+    real_spilu = sparse_solve.spilu
 
-    def counting_splu(*args, **kwargs):
+    def counting_spilu(*args, **kwargs):
         calls.append(args[0].shape)
-        return real_splu(*args, **kwargs)
+        return real_spilu(*args, **kwargs)
 
-    monkeypatch.setattr(sparse_solve, "splu", counting_splu)
+    monkeypatch.setattr(sparse_solve, "spilu", counting_spilu)
     run_simulation(mesh, ops, UNIT, 0.01, n_steps, energy_every=0)
     assert len(calls) == factorisations
 

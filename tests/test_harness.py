@@ -9,7 +9,7 @@ from sppfetd.cli import main as cli_main
 from sppfetd.dynamics import FieldState, Snapshot
 from sppfetd.harness import (ConfigError, ErrorTable, ManufacturedDrivers,
                              SimulationConfig, build_manufactured_problem,
-                             config_from_json, config_to_json, l2_errors,
+                             build_mesh_for, config_from_json, config_to_json, l2_errors,
                              run, run_convergence_study, scenario,
                              write_energy_log, write_snapshot)
 from sppfetd.mesh import Arc, Segment, generate_rect_mesh
@@ -239,6 +239,13 @@ def test_run_tiny_simulation_writes_outputs(tmp_path):
     assert (out / "snap_000010.vtk").exists()
     assert (out / "energy.csv").exists()
     assert result.state.step == 10
+    # the run formats the mesh blocks once for all its snapshots; each file
+    # is still what one write_snapshot call writes
+    mesh = build_mesh_for(cfg)
+    for snap in result.snapshots:
+        write_snapshot(snap, mesh, tmp_path / "one.vtk")
+        assert ((tmp_path / "one.vtk").read_bytes()
+                == (out / f"snap_{snap.step:06d}.vtk").read_bytes())
 
 
 def test_run_determinism(tmp_path):

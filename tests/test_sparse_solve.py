@@ -1,10 +1,24 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
-from sppfetd.assembly import assemble_edge_mass
+from sppfetd import sparse_solve
+from sppfetd.assembly import apply_pec, assemble_edge_mass
+from sppfetd.dynamics import LeapfrogStepper
+from sppfetd.harness import build_manufactured_problem
 from sppfetd.mesh import generate_rect_mesh
 from sppfetd.sparse_solve import SolverError, factorize
+
+
+@pytest.fixture(scope="module")
+def step_matrix():
+    """The conducting-boundary step matrix of the 1/40 manufactured mesh at
+    tau = h/200, with its edge midpoints."""
+    h = 1 / 40
+    mesh, ops, case = build_manufactured_problem(h)
+    a = LeapfrogStepper(ops, case.params, h / 200).a
+    return apply_pec(a, ops.pec_mask), mesh.edge_midpoints
 
 
 def test_solve_diagonal():
@@ -95,3 +109,27 @@ def test_factor_leaves_callers_matrix_unchanged(sorted_indices):
         assert np.array_equal(arr, old)
     np.testing.assert_allclose(x, np.linalg.solve([[4.0, 1.0], [2.0, 3.0]], [5.0, 5.0]),
                                rtol=1e-12)
+
+
+def test_dropped_factor_solves_step_matrix_to_roundoff(step_matrix):
+    # the factor drops entries below DROP_TOL of their column; on the step
+    # matrix it must still match the full factor and leave a roundoff residual
+    a, mid = step_matrix
+    rng = np.random.default_rng(11)
+    x, y = mid[:, 0], mid[:, 1]
+    rhs = {"random": rng.standard_normal(a.shape[0]),
+           "a @ random": a @ rng.standard_normal(a.shape[0]),
+           "smooth": np.sin(2 * np.pi * x) * np.cos(np.pi * y) + x * y}
+    solve, full = factorize(a), splu(a.tocsc())
+    for name, b in rhs.items():
+        got, ref = solve(b), full.solve(b)
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max(), name
+        assert np.linalg.norm(a @ got - b) <= 1e-14 * np.linalg.norm(b), name
+
+
+def test_factor_rejects_inaccurate_drop(step_matrix, monkeypatch):
+    # dropping at a coarse tolerance leaves an incomplete factor, which the
+    # residual check must refuse rather than hand to the stepper
+    monkeypatch.setattr(sparse_solve, "DROP_TOL", 1e-2)
+    with pytest.raises(SolverError, match="relative residual"):
+        factorize(step_matrix[0])
