@@ -1,7 +1,7 @@
 """Sparse operator assembly for the leapfrog schemes.
 
-The edge mass is integrated exactly in closed form, the curl matrix from
-the constant Whitney curls and edge loads with a fixed degree-3 quadrature;
+The edge mass is integrated exactly in closed form, the curl matrix is the
+signed cell-edge incidence and edge loads use a fixed degree-3 quadrature;
 local matrices are scattered into CSR.  Per-cell coefficients are sampled
 at cell centroids, so the matrices stay time independent.
 """
@@ -36,9 +36,10 @@ class OperatorSet:
 
     m_e        : edge mass (the step matrix is one more edge mass with
                  per-cell weights, assembled by the stepper)
-    c          : cells x edges mixed matrix, entry = integral of curl(phi_e);
-                 Whitney curls are constant per cell, so the curl-curl
-                 matrix is exactly C^T diag(1/areas) C
+    c          : cells x edges signed incidence: the integral over K of
+                 curl(phi_e) is the orientation sign of e in K; Whitney
+                 curls are constant per cell, so the curl-curl matrix is
+                 exactly C^T diag(1/areas) C
     g          : interface mass on the graphene curve (tangential traces)
     areas      : cell areas (diagonal of the P0 mass)
     sigma_x/y  : damping samples at cell centroids
@@ -95,10 +96,14 @@ def assemble_edge_mass(mesh: Mesh, coeff=None) -> sp.csr_matrix:
 
 
 def assemble_mixed_curl(mesh: Mesh) -> sp.csr_matrix:
-    """Cells x edges matrix with entry (K, e) = integral over K of curl(phi_e)."""
-    _, curls = cell_basis_data(mesh, triangle_quadrature(1))
+    """Cells x edges matrix with entry (K, e) = integral over K of curl(phi_e).
+
+    By Stokes the integral is the tangential moment of phi_e around the
+    boundary of K, which is the orientation sign of e in K: C is the signed
+    cell-edge incidence matrix, with entries exactly +1 or -1.
+    """
     rows = np.repeat(np.arange(mesh.n_triangles), 3)
-    return sp.coo_matrix(((mesh.areas[:, None] * curls).ravel(),
+    return sp.coo_matrix((mesh.tri_edge_signs.ravel().astype(float),
                           (rows, mesh.tri_edges.ravel())),
                          shape=(mesh.n_triangles, mesh.n_edges)).tocsr()
 
@@ -124,7 +129,7 @@ def assemble_edge_load(mesh: Mesh, field) -> np.ndarray:
     evaluation of the basis.
     """
     rule = triangle_quadrature(3)
-    phi, _ = cell_basis_data(mesh, rule)
+    phi = cell_basis_data(mesh, rule)
     pts = quad_points_physical(mesh, rule)
     vals = np.asarray(field(pts.reshape(-1, 2)), dtype=float)
     lead = vals.shape[:-2]

@@ -12,9 +12,9 @@ import sys
 from dataclasses import replace
 
 from .dynamics import BlowUpError, cfl_max_timestep
-from .harness import (ConfigError, SCENARIO_NAMES, load_config,
-                      run, run_convergence_study, scenario)
-from .mesh import MeshError, generate_rect_mesh, load_mesh
+from .harness import (ConfigError, SCENARIO_NAMES, build_mesh_for,
+                      load_config, run, run_convergence_study, scenario)
+from .mesh import MeshError
 from .sparse_solve import SolverError
 
 EXIT_OK = 0
@@ -69,11 +69,7 @@ def _cmd_scenario(args) -> int:
 
 def _cmd_check_cfl(args) -> int:
     config = load_config(args.config)
-    if config.mesh_file is not None:
-        mesh = load_mesh(config.mesh_file)
-    else:
-        mesh = generate_rect_mesh(config.bounds, config.nx, config.ny,
-                                  config.pml_layers)
+    mesh = build_mesh_for(config)
     params = config.resolved_material()
     bound = cfl_max_timestep(params, mesh, config.cfl)
     h = min(mesh.h_x, mesh.h_y)

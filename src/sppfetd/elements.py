@@ -67,21 +67,15 @@ def _barycentric_gradients(mesh: Mesh) -> np.ndarray:
     return g
 
 
-def cell_basis_data(mesh: Mesh, rule: QuadratureRule):
-    """Vectorised basis data for every cell of the mesh.
-
-    Returns (phi, curls) where phi has shape (nt, nq, 3, 2) holding the
-    globally oriented Whitney values at the rule's points and curls has
-    shape (nt, 3).
-    """
+def cell_basis_data(mesh: Mesh, rule: QuadratureRule) -> np.ndarray:
+    """Globally oriented Whitney values at the rule's points, (nt, nq, 3, 2)."""
     g = _barycentric_gradients(mesh)
     lam = rule.points                               # (nq, 3)
     signs = mesh.tri_edge_signs.T.astype(float)     # (3, nt)
     ii, jj = np.array(TRI_EDGE_LOCAL).T
     phi = lam[:, ii, None, None] * g[jj] - lam[:, jj, None, None] * g[ii]
     phi *= signs[:, None, :]
-    curls = 2.0 * signs * (g[ii, 0] * g[jj, 1] - g[ii, 1] * g[jj, 0])
-    return np.ascontiguousarray(phi.transpose(3, 0, 1, 2)), curls.T
+    return np.ascontiguousarray(phi.transpose(3, 0, 1, 2))
 
 
 def quad_points_physical(mesh: Mesh, rule: QuadratureRule) -> np.ndarray:
@@ -93,7 +87,7 @@ def quad_points_physical(mesh: Mesh, rule: QuadratureRule) -> np.ndarray:
 
 def eval_edge_field(mesh: Mesh, dofs: np.ndarray, rule: QuadratureRule) -> np.ndarray:
     """Edge-DoF field evaluated at the rule's points per cell, (nt, nq, 2)."""
-    phi, _ = cell_basis_data(mesh, rule)
+    phi = cell_basis_data(mesh, rule)
     local = dofs[mesh.tri_edges]                    # (nt, 3)
     return np.einsum("tk,tqkd->tqd", local, phi)
 

@@ -424,13 +424,11 @@ def _vtk_geometry(mesh: Mesh) -> str:
             + f"CELL_TYPES {nt}\n" + "5\n" * nt)
 
 
-def write_snapshot(snap: Snapshot, mesh: Mesh, path, geometry: str | None = None) -> None:
-    """Legacy ASCII VTK unstructured grid with cell data Hz and E; a run
-    passes `geometry = _vtk_geometry(mesh)`, formatted once for all snapshots."""
+def write_snapshot(snap: Snapshot, mesh: Mesh, path, geometry: str) -> None:
+    """Legacy ASCII VTK unstructured grid with cell data Hz and E; `geometry`
+    is `_vtk_geometry(mesh)`, which a run formats once for all snapshots."""
     e_cells = eval_edge_field(mesh, snap.e, triangle_quadrature(1))[:, 0, :]
     nt = mesh.n_triangles
-    if geometry is None:
-        geometry = _vtk_geometry(mesh)
     try:
         with open(path, "w") as f:
             f.write("# vtk DataFile Version 2.0\n")

@@ -96,7 +96,6 @@ class Mesh:
         Vertex indices, counterclockwise.
     cell_tags : (nt,) array of CellTag values.
     h_x, h_y : maximum cell extents per axis, meters.
-    edge_tags : optional (ne,) array; derived boundary tags when omitted.
 
     Edge connectivity, orientation signs, areas and centroids are derived
     on construction.  Instances are treated as immutable once built (the
@@ -104,7 +103,7 @@ class Mesh:
     """
 
     def __init__(self, vertices, triangles, cell_tags=None, h_x=None, h_y=None,
-                 edge_tags=None, physical_bounds=None, validate=True):
+                 physical_bounds=None, validate=True):
         self.vertices = np.asarray(vertices, dtype=float)
         self.triangles = np.asarray(triangles, dtype=np.int64)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
@@ -120,11 +119,9 @@ class Mesh:
         self._build_edges()
         self._build_geometry()
 
-        if edge_tags is None:
-            edge_tags = np.where(self.edge_triangle_count == 1,
-                                 np.uint8(EdgeTag.OUTER_BOUNDARY),
-                                 np.uint8(EdgeTag.INTERIOR))
-        self.edge_tags = np.asarray(edge_tags, dtype=np.uint8)
+        self.edge_tags = np.where(self.edge_triangle_count == 1,
+                                  np.uint8(EdgeTag.OUTER_BOUNDARY),
+                                  np.uint8(EdgeTag.INTERIOR))
 
         if h_x is None or h_y is None:
             span = self.vertices[self.triangles]
@@ -473,9 +470,7 @@ def load_mesh(path) -> Mesh:
     except MeshError as exc:
         raise MeshError(f"{path}: {exc}") from exc
 
-    edge_tags = np.where(mesh.edge_triangle_count == 1,
-                         np.uint8(EdgeTag.OUTER_BOUNDARY),
-                         np.uint8(EdgeTag.INTERIOR))
+    edge_tags = mesh.edge_tags.copy()
     for a, b, tag, lineno in listed:
         e = mesh.edge_index(a, b)
         if e < 0:

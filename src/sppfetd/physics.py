@@ -8,7 +8,7 @@ source terms that make it satisfy the interface model exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -207,6 +207,9 @@ class ManufacturedCase:
     model with sources: f_vec = eps0 dE/dt - curl H and
     f_sca = mu0 dH/dt + curl E per subdomain; the scheme consumes them as
     ks = -f_sca (cell means) and the edge load f_vec + tau0 d(f_vec)/dt.
+    The case carries these drives only in modal form (fixed spatial modes
+    times coefficients of t); their pointwise closed forms, the oracle the
+    modal sums are tested against, live in tests/oracles.py.
     """
 
     interface_y = 0.5
@@ -231,17 +234,6 @@ class ManufacturedCase:
     def e_field(self, pts, t):
         return np.tensordot(self.e_coeffs(t), self.e_modes(pts), axes=1)
 
-    def dt_e_field(self, pts, t):
-        return 2.0 * np.pi * np.cos(2.0 * np.pi * t) * self.e_modes(pts)[0]
-
-    def dtt_e_field(self, pts, t):
-        return -(2.0 * np.pi) ** 2 * np.sin(2.0 * np.pi * t) * self.e_modes(pts)[0]
-
-    def curl_e(self, pts, t):
-        sx, cx, sy, cy = self._sc(pts)
-        st = np.sin(2.0 * np.pi * t)
-        return -4.0 * np.pi * sx * cy * st
-
     def _g(self, t):
         return 2.0 * np.pi * (np.cos(2.0 * np.pi * t) - np.exp(-t))
 
@@ -253,43 +245,6 @@ class ManufacturedCase:
         st = np.sin(2.0 * np.pi * t)
         upper = self._upper(pts)
         return self._a * sx * sy * np.where(upper, st, self._g(t))
-
-    def dt_h_field(self, pts, t):
-        sx, _, sy, _ = self._sc(pts)
-        ct = 2.0 * np.pi * np.cos(2.0 * np.pi * t)
-        upper = self._upper(pts)
-        return self._a * sx * sy * np.where(upper, ct, self._dg(t))
-
-    def _curl_h(self, pts, t):
-        """(dH/dy, -dH/dx) with the subdomain dispatch."""
-        amp = np.where(self._upper(pts), np.sin(2.0 * np.pi * t), self._g(t))
-        return self._a * 2.0 * np.pi * amp[:, None] * self._vector_modes(pts)[1]
-
-    def _dt_curl_h(self, pts, t):
-        damp = np.where(self._upper(pts), 2.0 * np.pi * np.cos(2.0 * np.pi * t),
-                        self._dg(t))
-        return self._a * 2.0 * np.pi * damp[:, None] * self._vector_modes(pts)[1]
-
-    # -- source terms --------------------------------------------------------
-
-    def f_vector(self, pts, t):
-        """eps0 dE/dt - curl H, dispatched per subdomain."""
-        return self.params.eps0 * self.dt_e_field(pts, t) - self._curl_h(pts, t)
-
-    def dt_f_vector(self, pts, t):
-        return self.params.eps0 * self.dtt_e_field(pts, t) - self._dt_curl_h(pts, t)
-
-    def f_scalar(self, pts, t):
-        """mu0 dH/dt + curl E, dispatched per subdomain."""
-        return self.params.mu0 * self.dt_h_field(pts, t) + self.curl_e(pts, t)
-
-    def ks(self, pts, t):
-        """Magnetic drive consumed by the scheme: K_s = -f_scalar."""
-        return np.tensordot(self.ks_coeffs(t), self.ks_modes(pts), axes=1)
-
-    def e_load_field(self, pts, t):
-        """Electric drive of the reformulated equation: f + tau0 df/dt."""
-        return np.tensordot(self.e_load_coeffs(t), self.e_load_modes(pts), axes=1)
 
     # -- separable drives: fixed spatial modes (leading axis) weighted by
     # scalar coefficients of t, so a mesh integrates the modes only once.
@@ -334,4 +289,4 @@ class ManufacturedCase:
 
     def dt_e0(self, pts):
         """Consistent initial electric velocity (the model-side value of IC2)."""
-        return self.dt_e_field(pts, 0.0)
+        return 2.0 * np.pi * self.e_modes(pts)[0]

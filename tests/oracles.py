@@ -1,4 +1,5 @@
-"""Independent dense oracles used to cross-check the production assembly.
+"""Independent dense oracles used to cross-check the production assembly,
+and the pointwise sources of the manufactured case.
 
 Everything here deliberately avoids the package's basis/quadrature code:
 Whitney functions are evaluated on the reference triangle and mapped with
@@ -319,3 +320,56 @@ def save_mesh(mesh, path):
         f.write(f"EDGETAGS {len(tagged)}\n")
         f.writelines(f"{a} {b} {int(mesh.edge_tags[e])}\n"
                      for e, (a, b) in zip(tagged, mesh.edges[tagged]))
+
+
+# -- pointwise sources of the manufactured case --------------------------------
+# physics.ManufacturedCase keeps its drives only as modes times coefficients
+# of t.  These are its sources written out from its closed-form fields,
+# E = sin(wt) V1 and H = a sx sy s(t) with s = sin(wt) above the interface and
+# g(t) = w (cos(wt) - exp(-t)) below; w = 2 pi, a = 1/(1 + w^2), V1 =
+# (sx sy, cx cy), and curl H = (dH/dy, -dH/dx) = a w s(t) (sx cy, -cx sy).
+
+_W = 2.0 * np.pi
+_A = 1.0 / (1.0 + _W ** 2)
+
+
+def _fields(case, pts, t, deriv):
+    """sx sy, sx cy, V1, V2 = (sx cy, -cx sy) and s(t) or its time derivative."""
+    sx, cx = np.sin(_W * pts[:, 0]), np.cos(_W * pts[:, 0])
+    sy, cy = np.sin(_W * pts[:, 1]), np.cos(_W * pts[:, 1])
+    above = (np.sin(_W * t), _W * np.cos(_W * t))[deriv]
+    below = (_W * (np.cos(_W * t) - np.exp(-t)),
+             -_W ** 2 * np.sin(_W * t) + _W * np.exp(-t))[deriv]
+    amp = np.where(pts[:, 1] > case.interface_y, above, below)
+    return (sx * sy, sx * cy, np.column_stack([sx * sy, cx * cy]),
+            np.column_stack([sx * cy, -cx * sy]), amp)
+
+
+def f_vector(case, pts, t):
+    """eps0 dE/dt - curl H, dispatched per subdomain."""
+    _, _, v1, v2, amp = _fields(case, pts, t, 0)
+    return (case.params.eps0 * (_W * np.cos(_W * t) * v1)
+            - _A * _W * amp[:, None] * v2)
+
+
+def dt_f_vector(case, pts, t):
+    _, _, v1, v2, damp = _fields(case, pts, t, 1)
+    return (case.params.eps0 * (-_W ** 2 * np.sin(_W * t) * v1)
+            - _A * _W * damp[:, None] * v2)
+
+
+def f_scalar(case, pts, t):
+    """mu0 dH/dt + curl E, dispatched per subdomain."""
+    sxsy, sxcy, _, _, damp = _fields(case, pts, t, 1)
+    return (case.params.mu0 * (_A * sxsy * damp)
+            - 2.0 * _W * sxcy * np.sin(_W * t))
+
+
+def ks(case, pts, t):
+    """The case's magnetic drive summed from its modes; K_s = -f_scalar."""
+    return np.tensordot(case.ks_coeffs(t), case.ks_modes(pts), axes=1)
+
+
+def e_load_field(case, pts, t):
+    """The case's electric drive summed from its modes: f + tau0 df/dt."""
+    return np.tensordot(case.e_load_coeffs(t), case.e_load_modes(pts), axes=1)

@@ -112,6 +112,19 @@ def test_curl_curl_rank_euler(small_mesh):
             == n_boundary + n_int_edges - n_int_verts)
 
 
+def test_mixed_curl_is_the_signed_incidence():
+    # the integral of curl(phi_e) over K is the orientation sign of e in K;
+    # on this coarse copy of the published region a quadrature-built C is
+    # off by roundoff in about a third of its entries
+    mesh = generate_rect_mesh((-30e-6, 30e-6, -10e-6, 10e-6), 10, 10, 2)
+    c_mat = assemble_mixed_curl(mesh)
+    assert c_mat.nnz == 3 * mesh.n_triangles
+    assert np.all(np.abs(c_mat.data) == 1.0)
+    rows = np.arange(mesh.n_triangles)[:, None]
+    np.testing.assert_array_equal(c_mat.toarray()[rows, mesh.tri_edges],
+                                  mesh.tri_edge_signs)
+
+
 def test_mixed_curl_on_rotational_field(small_mesh):
     c_mat = assemble_mixed_curl(small_mesh)
     dofs = interpolate_hcurl(lambda p: np.column_stack([-p[:, 1], p[:, 0]]),

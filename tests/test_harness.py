@@ -8,11 +8,12 @@ from sppfetd import dynamics
 from sppfetd.cli import main as cli_main
 from sppfetd.dynamics import FieldState, Snapshot
 from sppfetd.harness import (ConfigError, ErrorTable, ManufacturedDrivers,
-                             SimulationConfig, build_manufactured_problem,
+                             SimulationConfig, _vtk_geometry,
+                             build_manufactured_problem,
                              build_mesh_for, config_from_json, config_to_json, l2_errors,
                              run, run_convergence_study, scenario,
                              write_energy_log, write_snapshot)
-from sppfetd.mesh import Arc, Segment, generate_rect_mesh
+from sppfetd.mesh import Arc, InterfaceSpec, Segment, generate_rect_mesh
 from sppfetd.physics import ManufacturedCase, MaterialParams, SourceSpec
 from sppfetd.elements import interpolate_hcurl, project_l2_p0
 
@@ -93,9 +94,11 @@ def test_manufactured_drivers_match_generic_assembly():
             # References built pointwise from the source definitions.
             np.testing.assert_allclose(
                 drivers.source(0, t),
-                project_l2_p0(lambda p: -case.f_scalar(p, t), mesh), atol=1e-13)
+                project_l2_p0(lambda p: -oracles.f_scalar(case, p, t), mesh),
+                atol=1e-13)
             ref = assemble_edge_load(
-                mesh, lambda p: case.f_vector(p, t) + tau0 * case.dt_f_vector(p, t))
+                mesh, lambda p: (oracles.f_vector(case, p, t)
+                                 + tau0 * oracles.dt_f_vector(case, p, t)))
             np.testing.assert_allclose(drivers.extra_load(t), ref / tau0, atol=1e-13)
             bc = drivers.bc_values(t)
             ref_full = interpolate_hcurl(lambda p: case.e_field(p, t), mesh)
@@ -158,7 +161,7 @@ def test_write_snapshot_zero_state(tmp_path):
     mesh = generate_rect_mesh((0, 1, 0, 1), 2, 2, 0)
     snap = Snapshot(0, 0.0, np.zeros(mesh.n_edges), np.zeros(mesh.n_triangles))
     path = tmp_path / "snap.vtk"
-    write_snapshot(snap, mesh, path)
+    write_snapshot(snap, mesh, path, _vtk_geometry(mesh))
     text = path.read_text().splitlines()
     assert text[0] == "# vtk DataFile Version 2.0"
     assert "DATASET UNSTRUCTURED_GRID" in text
@@ -243,7 +246,7 @@ def test_run_tiny_simulation_writes_outputs(tmp_path):
     # is still what one write_snapshot call writes
     mesh = build_mesh_for(cfg)
     for snap in result.snapshots:
-        write_snapshot(snap, mesh, tmp_path / "one.vtk")
+        write_snapshot(snap, mesh, tmp_path / "one.vtk", _vtk_geometry(mesh))
         assert ((tmp_path / "one.vtk").read_bytes()
                 == (out / f"snap_{snap.step:06d}.vtk").read_bytes())
 
@@ -285,6 +288,21 @@ def test_cli_check_cfl_flags_violation(tmp_path, capsys):
     cfg_path.write_text(json.dumps(config_to_json(cfg)))
     assert cli_main(["check-cfl", str(cfg_path)]) == 2
     assert "VIOLATED" in capsys.readouterr().out
+
+
+def test_cli_check_cfl_rejects_interface_outside_physical_region(tmp_path, capsys):
+    # check-cfl builds the mesh as a run does, interface snap included, so
+    # a config that `run` refuses is refused here too, whatever its tau
+    cfg = SimulationConfig(
+        name="offside", bounds=(0.0, 1.0, 0.0, 1.0), nx=4, ny=4, pml_layers=2,
+        material=MaterialParams.unit(), tau=1e-6, n_steps=0,
+        interface=InterfaceSpec([Segment((-0.25, 0.5), (1.0, 0.5))]))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config_to_json(cfg)))
+    assert cli_main(["check-cfl", str(cfg_path)]) == 2
+    captured = capsys.readouterr()
+    assert "leaves the physical region" in captured.err
+    assert "configured tau" not in captured.out
 
 
 def test_cli_convergence_smoke(capsys):
