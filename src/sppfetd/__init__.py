@@ -15,9 +15,9 @@ from .harness import (ErrorTable, SimulationConfig, l2_errors, load_config,
 from .mesh import (Arc, CellTag, EdgeTag, InterfaceSpec, Mesh, MeshError,
                    Segment, classify_cells, generate_rect_mesh, load_mesh,
                    snap_interface)
-from .physics import (KuboParams, ManufacturedCase, MaterialParams, PmlSpec,
-                      SourceSpec, damping_profile, dipole_source_cells,
-                      eval_source, kubo_sigma0)
+from .physics import (KuboParams, ManufacturedCase, MaterialParams, SourceSpec,
+                      damping_at_centroids, dipole_source_cells, eval_source,
+                      kubo_sigma0)
 from .sparse_solve import SolverError, factorize
 
 __version__ = "0.1.0"

@@ -129,9 +129,9 @@ def cfl_max_timestep(params: MaterialParams, mesh: Mesh,
     return float(min(terms))
 
 
-def init_state(mesh: Mesh, ops: OperatorSet, params: MaterialParams,
-               e0=None, ks0_cells=None, tau: float = 0.0,
-               dt_e0=None, zero_boundary: bool = True):
+def init_state(mesh: Mesh, ops: OperatorSet, params: MaterialParams, *,
+               tau: float, e0=None, ks0_cells=None, dt_e0=None,
+               zero_boundary: bool = True):
     """Discretise the initial conditions.
 
     Returns (state, velocity) where velocity carries the edge interpolant
@@ -346,7 +346,7 @@ def run_simulation(mesh: Mesh, ops: OperatorSet, params: MaterialParams,
                    energy_every: int = 1) -> SimulationResult:
     """Run the leapfrog scheme for `n_steps` steps.
 
-    source     : callable (step, t) -> per-cell K_s values, or None.
+    source     : callable t -> per-cell K_s values, or None.
     extra_load : callable t -> edge load vector added to the electric step.
     bc_values  : callable t -> full edge vector carrying Dirichlet data on
                  the outer boundary; None imposes the conducting boundary.
@@ -355,7 +355,7 @@ def run_simulation(mesh: Mesh, ops: OperatorSet, params: MaterialParams,
     field norm passes the guard.
     """
     n_cells = mesh.n_triangles
-    ks0 = source(0, 0.0) if source is not None else None
+    ks0 = source(0.0) if source is not None else None
     state, velocity = init_state(mesh, ops, params, e0=e0,
                                  ks0_cells=ks0, tau=tau, dt_e0=dt_e0,
                                  zero_boundary=bc_values is None)
@@ -370,7 +370,7 @@ def run_simulation(mesh: Mesh, ops: OperatorSet, params: MaterialParams,
 
     for n in range(n_steps):
         t_n = n * tau
-        ks = source(n, t_n) if source is not None else np.zeros(n_cells)
+        ks = source(t_n) if source is not None else np.zeros(n_cells)
         load = extra_load(t_n) if extra_load is not None else None
         bc = bc_values((n + 1) * tau) if bc_values is not None else None
         stepper.advance(state, ks, extra_load=load, bc_values=bc,

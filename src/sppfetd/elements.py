@@ -21,7 +21,6 @@ from .mesh import TRI_EDGE_LOCAL, Mesh
 class QuadratureRule:
     points: np.ndarray   # (n, 3) barycentric for triangles, (n,) in [0,1] for segments
     weights: np.ndarray  # sum equals the reference measure
-    degree: int
 
 
 def _orbit3(a, b):
@@ -42,7 +41,7 @@ def triangle_quadrature(degree: int) -> QuadratureRule:
     if degree not in _TRI_RULES:
         raise ValueError(f"unsupported triangle quadrature degree {degree}")
     pts, w = _TRI_RULES[degree]
-    return QuadratureRule(np.array(pts, dtype=float), np.array(w, dtype=float), degree)
+    return QuadratureRule(np.array(pts, dtype=float), np.array(w, dtype=float))
 
 
 def segment_quadrature(degree: int) -> QuadratureRule:
@@ -51,7 +50,7 @@ def segment_quadrature(degree: int) -> QuadratureRule:
         raise ValueError(f"unsupported segment quadrature degree {degree}")
     n = (degree + 2) // 2
     xi, w = np.polynomial.legendre.leggauss(n)
-    return QuadratureRule(0.5 * (xi + 1.0), 0.5 * w, degree)
+    return QuadratureRule(0.5 * (xi + 1.0), 0.5 * w)
 
 
 def _barycentric_gradients(mesh: Mesh) -> np.ndarray:

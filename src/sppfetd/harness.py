@@ -16,9 +16,9 @@ from .elements import (eval_edge_field, interpolate_hcurl, project_l2_p0,
                        quad_points_physical, triangle_quadrature)
 from .mesh import (Arc, InterfaceSpec, Mesh, Segment,
                    generate_rect_mesh, load_mesh, snap_interface)
-from .physics import (KuboParams, ManufacturedCase, MaterialParams, PmlSpec,
-                      SourceSpec, damping_at_centroids, dipole_source_cells,
-                      eval_source, kubo_sigma0)
+from .physics import (KuboParams, ManufacturedCase, MaterialParams, SourceSpec,
+                      damping_at_centroids, dipole_source_cells, eval_source,
+                      kubo_sigma0)
 
 MICRON = 1e-6
 CONFIG_VERSION = 2
@@ -140,7 +140,7 @@ class ManufacturedDrivers:
         self.e_loads = assemble_edge_load(mesh, case.e_load_modes) / case.params.tau0
         self.bc_moments = np.where(pec_mask, interpolate_hcurl(case.e_modes, mesh), 0.0)
 
-    def source(self, step: int, t: float) -> np.ndarray:
+    def source(self, t: float) -> np.ndarray:
         return self.case.ks_coeffs(t) @ self.ks_means
 
     def extra_load(self, t: float) -> np.ndarray:
@@ -363,12 +363,8 @@ def run(config: SimulationConfig, out_dir: str | None = None) -> SimulationResul
     mesh = build_mesh_for(config)
     params = config.resolved_material()
 
-    sigma_x = sigma_y = None
-    if config.pml_layers > 0:
-        pml = PmlSpec.for_mesh(mesh, config.pml_layers,
-                               err=config.pml_err, eta=config.pml_eta)
-        sigma_x, sigma_y = damping_at_centroids(mesh, pml)
-    ops = build_operator_set(mesh, sigma_x, sigma_y)
+    ops = build_operator_set(
+        mesh, *damping_at_centroids(mesh, config.pml_err, config.pml_eta))
 
     source = extra_load = bc_values = dt_e0 = None
     if config.manufactured:
@@ -381,10 +377,9 @@ def run(config: SimulationConfig, out_dir: str | None = None) -> SimulationResul
             cells = dipole_source_cells(mesh, config.source)
         except ValueError as exc:   # a dipole outside the mesh or in the collar
             raise ConfigError(str(exc)) from exc
-        spec = config.source
 
-        def source(step, t, _cells=cells, _spec=spec):
-            return eval_source(_spec, t, _cells, mesh.n_triangles)
+        def source(t):
+            return eval_source(config.source, t, cells, mesh.n_triangles)
 
     out = out_dir or config.out_dir
     try:

@@ -167,14 +167,11 @@ class Mesh:
         p = self.vertices[self.triangles]
         d1 = p[:, 1] - p[:, 0]
         d2 = p[:, 2] - p[:, 0]
-        self.signed_areas = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-        self.areas = self.signed_areas.copy()
+        self.areas = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
         self.centroids = p.mean(axis=1)
         ev = self.vertices[self.edges[:, 1]] - self.vertices[self.edges[:, 0]]
         self.edge_lengths = np.hypot(ev[:, 0], ev[:, 1])
         self.edge_tangents = ev / self.edge_lengths[:, None]
-        self.edge_midpoints = 0.5 * (self.vertices[self.edges[:, 0]]
-                                     + self.vertices[self.edges[:, 1]])
 
     def _physical_bbox(self):
         phys = self.cell_tags == CellTag.PHYSICAL
@@ -223,10 +220,10 @@ class Mesh:
     # -- invariants ------------------------------------------------------------
 
     def validate(self):
-        if np.any(self.signed_areas <= 0.0):
-            bad = int(np.argmax(self.signed_areas <= 0.0))
+        if np.any(self.areas <= 0.0):
+            bad = int(np.argmax(self.areas <= 0.0))
             raise MeshError(f"triangle {bad} is not counterclockwise "
-                            f"(signed area {self.signed_areas[bad]:.3e})")
+                            f"(signed area {self.areas[bad]:.3e})")
         counts = self.edge_triangle_count
         if np.any((counts < 1) | (counts > 2)):
             raise MeshError("edge shared by an invalid number of triangles")

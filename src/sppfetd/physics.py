@@ -1,4 +1,4 @@
-"""Physical parameters, graphene conductivity, damping profiles and sources.
+"""Physical parameters, graphene conductivity, collar damping and sources.
 
 Includes the separable exact solution used by the convergence harness: a
 time-periodic field on the unit square whose magnetic part differs above
@@ -16,6 +16,9 @@ from .mesh import CellTag, Mesh
 
 EPSILON_0 = 8.8541878128e-12   # F/m
 MU_0 = 1.25663706212e-6        # H/m
+Q_E = 1.6022e-19               # elementary charge, C
+K_B = 1.3806e-23               # Boltzmann constant, J/K
+HBAR = 1.0546e-34              # reduced Planck constant, J s
 
 
 @dataclass(frozen=True)
@@ -50,12 +53,9 @@ class KuboParams:
     mu_c_ev: float                 # chemical potential, eV
     tau0: float = 1.2e-12          # relaxation time, s
     temperature: float = 300.0     # K
-    q: float = 1.6022e-19          # C
-    k_b: float = 1.3806e-23        # J/K
-    hbar: float = 1.0546e-34       # J s
 
     def __post_init__(self):
-        for name in ("mu_c_ev", "tau0", "temperature", "q", "k_b", "hbar"):
+        for name in ("mu_c_ev", "tau0", "temperature"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
@@ -67,72 +67,35 @@ def kubo_sigma0(params: KuboParams) -> float:
     for positive chemical potential; the model requires a positive surface
     conductivity, so the magnitude is returned.
     """
-    kbt = params.k_b * params.temperature
-    x = params.mu_c_ev * params.q / kbt
+    kbt = K_B * params.temperature
+    x = params.mu_c_ev * Q_E / kbt
     bracket = x + 2.0 * np.log(np.exp(-x) + 1.0)
-    prefactor = params.q ** 2 * kbt * params.tau0 / (np.pi * params.hbar ** 2)
+    prefactor = Q_E ** 2 * kbt * params.tau0 / (np.pi * HBAR ** 2)
     return float(prefactor * bracket)
 
 
-@dataclass(frozen=True)
-class PmlSpec:
-    """Quartic damping profile of the absorbing collar.
+def damping_at_centroids(mesh: Mesh, err: float = 1e-7, eta: float = 377.0):
+    """(sigma_x, sigma_y) of the absorbing collar at the cell centroids.
 
-    `bounds` is the physical rectangle (xmin, xmax, ymin, ymax); dd_x and
-    dd_y are the collar thicknesses.  sigma_max follows the polynomial
-    grading rule with natural logarithm of the reflection target.
+    On each axis the collar depth d is how far the mesh extends beyond
+    `mesh.physical_bounds`, the larger of the two sides.  A centroid at
+    distance s outside the physical rectangle gets the quartic ramp
+    sigma_max (s / d)^4, with sigma_max = -(m + 1) ln(err) / (2 d eta) and
+    m = 4.  Centroids inside the rectangle get exact zeros, and so does
+    every cell on an axis where the mesh has no collar.
     """
-
-    bounds: tuple
-    dd_x: float
-    dd_y: float
-    err: float = 1e-7
-    eta: float = 377.0
-
-    def __post_init__(self):
-        if self.dd_x <= 0 or self.dd_y <= 0:
-            raise ValueError("collar thickness must be positive")
-        if not 0 < self.err < 1:
-            raise ValueError("reflection target must lie in (0, 1)")
-
-    @property
-    def sigma_max_x(self) -> float:
-        return -np.log(self.err) * 5.0 / (2.0 * self.dd_x * self.eta)
-
-    @property
-    def sigma_max_y(self) -> float:
-        return -np.log(self.err) * 5.0 / (2.0 * self.dd_y * self.eta)
-
-    @classmethod
-    def for_mesh(cls, mesh: Mesh, pml_layers: int, err: float = 1e-7,
-                 eta: float = 377.0) -> "PmlSpec":
-        return cls(bounds=mesh.physical_bounds,
-                   dd_x=pml_layers * mesh.h_x,
-                   dd_y=pml_layers * mesh.h_y,
-                   err=err, eta=eta)
-
-
-def damping_profile(coord, spec: PmlSpec, axis: str) -> np.ndarray:
-    """Quartic damping ramp: zero on the physical region, sigma_max at depth dd."""
-    coord = np.asarray(coord, dtype=float)
-    if axis == "x":
-        lo, hi, dd, smax = spec.bounds[0], spec.bounds[1], spec.dd_x, spec.sigma_max_x
-    elif axis == "y":
-        lo, hi, dd, smax = spec.bounds[2], spec.bounds[3], spec.dd_y, spec.sigma_max_y
-    else:
-        raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
-    out = np.zeros_like(coord)
-    above = coord >= hi
-    below = coord <= lo
-    out[above] = smax * ((coord[above] - hi) / dd) ** 4
-    out[below] = smax * ((coord[below] - lo) / dd) ** 4
-    return out
-
-
-def damping_at_centroids(mesh: Mesh, spec: PmlSpec):
-    """(sigma_x, sigma_y) sampled at cell centroids."""
-    return (damping_profile(mesh.centroids[:, 0], spec, "x"),
-            damping_profile(mesh.centroids[:, 1], spec, "y"))
+    sigmas = []
+    for axis, (lo, hi) in enumerate(np.reshape(mesh.physical_bounds, (2, 2))):
+        coord = mesh.centroids[:, axis]
+        extent = mesh.vertices[:, axis]
+        depth = max(lo - extent.min(), extent.max() - hi)
+        if depth > 0.0:
+            beyond = np.maximum(np.maximum(lo - coord, coord - hi), 0.0)
+            sigma_max = -np.log(err) * 5.0 / (2.0 * depth * eta)
+            sigmas.append(sigma_max * (beyond / depth) ** 4)
+        else:
+            sigmas.append(np.zeros_like(coord))
+    return tuple(sigmas)
 
 
 @dataclass(frozen=True)

@@ -304,6 +304,11 @@ def brute_force_adjacency(mesh):
             for v in range(mesh.n_vertices)]
 
 
+def edge_midpoints(mesh):
+    """Midpoint of every mesh edge, (n_edges, 2)."""
+    return mesh.vertices[mesh.edges].mean(axis=1)
+
+
 def save_mesh(mesh, path):
     """Write `mesh` in the documented ASCII format that `load_mesh` reads.
 

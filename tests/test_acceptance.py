@@ -19,7 +19,7 @@ from sppfetd.harness import (build_manufactured_problem, l2_errors,
 from sppfetd.mesh import (InterfaceSpec, Segment, generate_rect_mesh,
                           snap_interface)
 from sppfetd.physics import (KuboParams, ManufacturedCase, MaterialParams,
-                             PmlSpec, SourceSpec, damping_at_centroids,
+                             SourceSpec, damping_at_centroids,
                              dipole_source_cells, eval_source, kubo_sigma0)
 
 import oracles
@@ -208,8 +208,7 @@ def test_criterion_6_interpolation_projection_rates():
 def test_criterion_7_pml_effectiveness():
     params = MaterialParams(tau0=1.2e-12, sigma0=0.0)
     mesh = generate_rect_mesh((-20 * UM, 20 * UM, -20 * UM, 20 * UM), 100, 100, 12)
-    pml = PmlSpec.for_mesh(mesh, 12)
-    sx, sy = damping_at_centroids(mesh, pml)
+    sx, sy = damping_at_centroids(mesh)
     ops = build_operator_set(mesh, sx, sy)
 
     spec = SourceSpec(((0.0, 0.4 * UM, 1.0), (0.0, -0.4 * UM, -1.0)),
@@ -242,8 +241,7 @@ def _example1_reduced(sigma0, n_steps, tau):
         Segment((0, -5 * UM), (15 * UM, -5 * UM)),
     ])
     edges = snap_interface(mesh, iface)
-    pml = PmlSpec.for_mesh(mesh, 12)
-    sx, sy = damping_at_centroids(mesh, pml)
+    sx, sy = damping_at_centroids(mesh)
     ops = build_operator_set(mesh, sx, sy)
     params = MaterialParams(tau0=1.2e-12, sigma0=sigma0)
 
@@ -251,7 +249,7 @@ def _example1_reduced(sigma0, n_steps, tau):
                       1e13, mesh.h_y, n_cycles=3.0)
     cells = dipole_source_cells(mesh, spec)
 
-    def source(step, t):
+    def source(t):
         return eval_source(spec, t, cells, mesh.n_triangles)
 
     result = run_simulation(mesh, ops, params, tau, n_steps, source=source,

@@ -54,6 +54,14 @@ def test_init_state_zero(small_setup):
     assert np.all(vel == 0)
 
 
+def test_init_state_requires_tau(small_setup):
+    # a zero default step gave a zero magnetic start and a state whose
+    # energy divides by zero
+    mesh, ops = small_setup
+    with pytest.raises(TypeError, match="tau"):
+        init_state(mesh, ops, UNIT)
+
+
 def test_init_state_manufactured_has_zero_field_nonzero_velocity(small_setup):
     mesh, ops = small_setup
     case = ManufacturedCase()
@@ -477,7 +485,7 @@ def test_run_linear_in_source(small_setup):
     base = rng.standard_normal(mesh.n_triangles)
 
     def src(scale):
-        return lambda n, t: scale * base * np.sin(3.0 * t + 0.3)
+        return lambda t: scale * base * np.sin(3.0 * t + 0.3)
 
     r1 = run_simulation(mesh, ops, UNIT, 0.01, 30, source=src(1.0), energy_every=0)
     r3 = run_simulation(mesh, ops, UNIT, 0.01, 30, source=src(3.0), energy_every=0)
@@ -504,18 +512,17 @@ def test_run_example1_paper_parameters_stays_bounded():
     # published bifurcated-sheet setup at full resolution, 2000 steps
     # (about 45 s); the driven fields stay bounded and the energy finite
     from sppfetd.harness import build_mesh_for, scenario
-    from sppfetd.physics import (PmlSpec, damping_at_centroids,
-                                 dipole_source_cells, eval_source)
+    from sppfetd.physics import (damping_at_centroids, dipole_source_cells,
+                                 eval_source)
 
     cfg = scenario("bifurcated-straight")
     mesh = build_mesh_for(cfg)
     params = cfg.resolved_material()
-    pml = PmlSpec.for_mesh(mesh, cfg.pml_layers)
-    sx, sy = damping_at_centroids(mesh, pml)
+    sx, sy = damping_at_centroids(mesh)
     ops = build_operator_set(mesh, sx, sy)
     cells = dipole_source_cells(mesh, cfg.source)
 
-    def src(n, t):
+    def src(t):
         return eval_source(cfg.source, t, cells, mesh.n_triangles)
 
     result = run_simulation(mesh, ops, params, cfg.tau, 2000, source=src,

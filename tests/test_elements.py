@@ -10,7 +10,7 @@ from sppfetd.elements import (QuadratureRule, cell_basis_data, eval_edge_field,
                               triangle_quadrature)
 from sppfetd.mesh import TRI_EDGE_LOCAL, Mesh, generate_rect_mesh
 
-from oracles import duffy_rule, ref_whitney
+from oracles import duffy_rule, edge_midpoints, ref_whitney
 
 RIGHT = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
@@ -25,7 +25,7 @@ def _one_cell(tri, order=(0, 1, 2)):
 def _basis_at(mesh, bary):
     """Production Whitney values at barycentric points, (nt, n, 3, 2)."""
     bary = np.atleast_2d(bary)
-    rule = QuadratureRule(bary, np.full(len(bary), 0.5 / len(bary)), 0)
+    rule = QuadratureRule(bary, np.full(len(bary), 0.5 / len(bary)))
     return cell_basis_data(mesh, rule)
 
 
@@ -180,9 +180,9 @@ def test_tangential_continuity_across_interior_edges():
     rng = np.random.default_rng(3)
     dofs = rng.standard_normal(m.n_edges)
     mids = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
-    rule = QuadratureRule(mids, np.full(3, 1 / 6), 0)
+    rule = QuadratureRule(mids, np.full(3, 1 / 6))
     np.testing.assert_allclose(quad_points_physical(m, rule),
-                               m.edge_midpoints[m.tri_edges], atol=1e-15)
+                               edge_midpoints(m)[m.tri_edges], atol=1e-15)
     phi = cell_basis_data(m, rule)                             # (nt, 3, 3, 2)
     field = np.einsum("tk,tqkd->tqd", dofs[m.tri_edges], phi)  # (nt, 3, 2)
     trace = np.einsum("tqd,tqd->tq", field, m.edge_tangents[m.tri_edges])

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from sppfetd import dynamics
+from sppfetd import dynamics, harness
 from sppfetd.cli import main as cli_main
 from sppfetd.dynamics import FieldState, Snapshot
 from sppfetd.harness import (ConfigError, ErrorTable, ManufacturedDrivers,
@@ -93,7 +93,7 @@ def test_manufactured_drivers_match_generic_assembly():
         for t in (0.0, 0.17, 0.6, 2.3):
             # References built pointwise from the source definitions.
             np.testing.assert_allclose(
-                drivers.source(0, t),
+                drivers.source(t),
                 project_l2_p0(lambda p: -oracles.f_scalar(case, p, t), mesh),
                 atol=1e-13)
             ref = assemble_edge_load(
@@ -115,7 +115,7 @@ def test_manufactured_drivers_evaluate_no_closed_form_per_step(monkeypatch):
     monkeypatch.setattr(ManufacturedCase, "_sc",
                         staticmethod(lambda pts: calls.append(len(pts)) or trig(pts)))
     for t in (0.0, 0.3):
-        drivers.source(0, t)
+        drivers.source(t)
         drivers.extra_load(t)
         drivers.bc_values(t)
     assert calls == []
@@ -223,6 +223,49 @@ def test_config_rejects_bad_pml_settings(pml):
     # these reached the absorber set-up as bare ValueErrors before
     with pytest.raises(ConfigError, match="pml"):
         SimulationConfig(**pml)
+
+
+@pytest.mark.parametrize("constant", ["q", "k_b", "hbar"])
+def test_cli_kubo_block_naming_a_physical_constant_is_configuration_error(
+        constant, tmp_path, capsys):
+    # the charge and the Boltzmann and Planck constants are not settings
+    data = config_to_json(scenario("bulb"))
+    data["kubo"][constant] = 1.0
+    data["steps"] = 1
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(data))
+    assert cli_main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and repr(constant) in err
+
+
+def test_run_damps_the_collar_of_a_mesh_file(tmp_path, monkeypatch):
+    # a mesh file carries no layer count: run reads the collar depth from
+    # the mesh, so its absorber cells get the generated mesh's damping
+    generated = SimulationConfig(
+        name="collar", bounds=(-3 * UM, 3 * UM, -1 * UM, 1 * UM), nx=30, ny=10,
+        pml_layers=4, tau=1e-17, n_steps=0, out_dir="")
+    mesh_path = tmp_path / "collar.mesh"
+    oracles.save_mesh(build_mesh_for(generated), mesh_path)
+    data = config_to_json(generated)
+    data["mesh"] = {"file": str(mesh_path)}
+    from_file = config_from_json(json.loads(json.dumps(data)))
+
+    damping = []
+    assemble = harness.build_operator_set
+    monkeypatch.setattr(harness, "build_operator_set",
+                        lambda mesh, sx, sy: damping.append((mesh, sx, sy))
+                        or assemble(mesh, sx, sy))
+    run(generated)
+    run(from_file)
+    (_, gen_x, gen_y), (mesh, file_x, file_y) = damping
+    absorber = mesh.cell_tags == 1
+    assert absorber.sum() == 768 and mesh.n_triangles == 1368
+    assert np.all(np.maximum(file_x, file_y)[absorber] > 0.0)
+    assert np.all(file_x[~absorber] == 0.0) and np.all(file_y[~absorber] == 0.0)
+    assert file_x.max() == pytest.approx(9.43e4, rel=1e-3)
+    for got, want in ((file_x, gen_x), (file_y, gen_y)):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_config_rejects_bad_version():

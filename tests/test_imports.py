@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module, and
+every parameter of its functions is read."""
 
 import ast
 from pathlib import Path
@@ -37,3 +38,35 @@ def test_unused_import_detector():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unread_parameters(source: str) -> list:
+    """Parameters, other than self and cls, that their function never reads."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = node.args
+        params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs
+                  + [a.vararg, a.kwarg] if p is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        name = getattr(node, "name", "<lambda>")
+        out += [f"{name}.{p} (line {node.lineno})" for p in params
+                if p not in ("self", "cls") and p not in read]
+    return sorted(out)
+
+
+def test_unread_parameter_detector():
+    source = ("def f(self, a, b, *args, c, **kw):\n"
+              "    def g(d, e=a):\n        return lambda x, y: e + x\n"
+              "    return b + kw['k']\n")
+    # a default of a nested function and a closure both read their name
+    assert unread_parameters(source) == ["<lambda>.y (line 3)", "f.args (line 1)",
+                                         "f.c (line 1)", "g.d (line 2)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_reads_every_parameter(path):
+    assert unread_parameters(path.read_text()) == []

@@ -71,7 +71,7 @@ def test_snap_grid_aligned_segment():
     m = generate_rect_mesh((0, 1, 0, 1), 6, 6, 0)
     edges = snap_interface(m, InterfaceSpec([Segment((0, 0.5), (1, 0.5))]))
     assert len(edges) == 6
-    mids = m.edge_midpoints[edges]
+    mids = oracles.edge_midpoints(m)[edges]
     assert np.allclose(mids[:, 1], 0.5)
     assert np.all(m.edge_tags[edges] == EdgeTag.INTERFACE)
 

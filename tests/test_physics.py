@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from sppfetd.mesh import generate_rect_mesh
-from sppfetd.physics import (KuboParams, ManufacturedCase, MaterialParams,
-                             PmlSpec, SourceSpec, damping_profile,
+from sppfetd.mesh import CellTag, generate_rect_mesh
+from sppfetd.physics import (HBAR, K_B, Q_E, KuboParams, ManufacturedCase,
+                             MaterialParams, SourceSpec, damping_at_centroids,
                              dipole_source_cells, eval_source, kubo_sigma0,
                              locate_cell)
 
@@ -38,7 +38,7 @@ def test_kubo_decimal_oracle():
 
 def test_kubo_small_chemical_potential_limit():
     kp = KuboParams(mu_c_ev=1e-12)
-    pref = kp.q ** 2 * kp.k_b * kp.temperature * kp.tau0 / (np.pi * kp.hbar ** 2)
+    pref = Q_E ** 2 * K_B * kp.temperature * kp.tau0 / (np.pi * HBAR ** 2)
     assert kubo_sigma0(kp) == pytest.approx(pref * 2.0 * np.log(2.0), rel=1e-6)
 
 
@@ -55,27 +55,38 @@ def test_kubo_monotone():
 
 
 def test_damping_profile_values():
-    spec = PmlSpec(bounds=(0.0, 1e-5, 0.0, 1e-5), dd_x=1.2e-6, dd_y=1.2e-6)
-    assert spec.sigma_max_x == pytest.approx(-np.log(1e-7) * 5 / (2 * 1.2e-6 * 377))
-    assert spec.sigma_max_x == pytest.approx(8.907e4, rel=1e-3)
-    xs = np.array([0.0, 5e-6, 1e-5, 1e-5 + 1.2e-6])
-    vals = damping_profile(xs, spec, "x")
-    assert vals[0] == 0.0 and vals[1] == 0.0
-    assert vals[2] == 0.0  # ramp starts at zero
-    assert vals[3] == pytest.approx(spec.sigma_max_x)
-    # continuity across the ramp start
-    eps = 1e-12
-    near = damping_profile(np.array([1e-5 + eps]), spec, "x")[0]
-    assert near < 1e-18
-    assert np.all(damping_profile(np.linspace(-5e-6, 2e-5, 200), spec, "x") >= 0)
+    # 3 collar layers of 0.4 um: depth d = 1.2 um on both axes
+    mesh = generate_rect_mesh((0.0, 1e-5, 0.0, 1e-5), 25, 25, 3)
+    sigma_max = -np.log(1e-7) * 5 / (2 * 1.2e-6 * 377)
+    assert sigma_max == pytest.approx(8.907e4, rel=1e-3)
+    phys = mesh.cell_tags == CellTag.PHYSICAL
+    for axis, sigma in enumerate(damping_at_centroids(mesh)):
+        c = mesh.centroids[:, axis]
+        depth = np.maximum(np.maximum(-c, c - 1e-5), 0.0)
+        np.testing.assert_allclose(sigma, sigma_max * (depth / 1.2e-6) ** 4,
+                                   rtol=1e-12, atol=0.0)
+        assert np.all(sigma[phys] == 0.0) and np.all(sigma[~phys] >= 0.0)
+        # the outermost centroids sit h/3 inside the outer edge: s = 8/9 d
+        assert sigma.max() == pytest.approx(sigma_max * (8 / 9) ** 4, rel=1e-12)
+    # without collar cells every value is an exact zero
+    for sigma in damping_at_centroids(generate_rect_mesh((0.0, 1e-5, 0.0, 1e-5),
+                                                         25, 25, 0)):
+        assert np.all(sigma == 0.0)
 
 
 def test_damping_profile_symmetric_sides():
-    spec = PmlSpec(bounds=(-1e-5, 1e-5, -1e-5, 1e-5), dd_x=2e-6, dd_y=2e-6)
-    left = damping_profile(np.array([-1e-5 - 1e-6]), spec, "x")[0]
-    right = damping_profile(np.array([1e-5 + 1e-6]), spec, "x")[0]
-    assert left == pytest.approx(right)
-    assert left == pytest.approx(spec.sigma_max_x * 0.5 ** 4)
+    # the criss-cross mesh of a centred square is symmetric under (x, y) ->
+    # (-x, -y), which takes each collar side to the opposite one
+    mesh = generate_rect_mesh((-1e-5, 1e-5, -1e-5, 1e-5), 20, 20, 2)
+    index = {tuple(np.round(c / mesh.h_x, 6)): k for k, c in enumerate(mesh.centroids)}
+    mirror = [index[tuple(np.round(-c / mesh.h_x, 6))] for c in mesh.centroids]
+    sigma_max = -np.log(1e-7) * 5 / (2 * 2e-6 * 377)
+    for axis, sigma in enumerate(damping_at_centroids(mesh)):
+        np.testing.assert_allclose(sigma[mirror], sigma, rtol=1e-12, atol=0.0)
+        left = mesh.centroids[:, axis] < -1e-5
+        assert left.any() and np.all(sigma[left] > 0.0)
+        # the outermost centroids sit h/3 inside the outer edge: s = 5/6 d
+        assert sigma.max() == pytest.approx(sigma_max * (5 / 6) ** 4, rel=1e-12)
 
 
 def test_material_params_validation():

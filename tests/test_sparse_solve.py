@@ -10,6 +10,8 @@ from sppfetd.harness import build_manufactured_problem
 from sppfetd.mesh import generate_rect_mesh
 from sppfetd.sparse_solve import SolverError, factorize
 
+from oracles import edge_midpoints
+
 
 @pytest.fixture(scope="module")
 def step_matrix():
@@ -18,7 +20,7 @@ def step_matrix():
     h = 1 / 40
     mesh, ops, case = build_manufactured_problem(h)
     a = LeapfrogStepper(ops, case.params, h / 200).a
-    return apply_pec(a, ops.pec_mask), mesh.edge_midpoints
+    return apply_pec(a, ops.pec_mask), edge_midpoints(mesh)
 
 
 def test_solve_diagonal():
