@@ -42,9 +42,10 @@ def _cmd_run(args) -> int:
     config = load_config(args.config)
     if args.snapshot_every is not None:
         config = replace(config, snapshot_every=args.snapshot_every)
-    result = run(config, out_dir=args.out)
+    out = config.out_dir if args.out is None else args.out
+    result = run(config, out_dir=out)
     print(f"completed {config.n_steps} steps; wrote {len(result.snapshots)} "
-          f"snapshots to {args.out or config.out_dir}")
+          f"snapshots to {out}")
     return EXIT_OK
 
 

@@ -58,11 +58,12 @@ class CflConstants:
 class FieldState:
     """Electric edge DoFs at two levels plus split magnetic cell DoFs.
 
-    e_curr lives at t_n, e_prev at t_{n-1}, hzx/hzy at t_{n-1/2}.
+    e_curr lives at t_n, e_prev at t_{n-1}, hzx/hzy at t_{n-1/2}; curl_e is C e_curr.
     """
 
     e_prev: np.ndarray
     e_curr: np.ndarray
+    curl_e: np.ndarray
     hzx: np.ndarray
     hzy: np.ndarray
     step: int
@@ -148,12 +149,12 @@ def init_state(mesh: Mesh, ops: OperatorSet, params: MaterialParams, *,
         e_curr[ops.pec_mask] = 0.0
 
     ks0 = np.zeros(mesh.n_triangles) if ks0_cells is None else np.asarray(ks0_cells)
-    curl_e0 = (ops.c @ e_curr) / ops.areas
-    h_half = tau / (2.0 * params.mu0) * (curl_e0 + ks0)
+    curl_e = ops.c @ e_curr
+    h_half = tau / (2.0 * params.mu0) * (curl_e / ops.areas + ks0)
     velocity = (interpolate_hcurl(dt_e0, mesh) if dt_e0 is not None
                 else np.zeros(mesh.n_edges))
 
-    state = FieldState(e_prev=np.zeros(mesh.n_edges), e_curr=e_curr,
+    state = FieldState(e_prev=np.zeros(mesh.n_edges), e_curr=e_curr, curl_e=curl_e,
                        hzx=0.5 * h_half, hzy=0.5 * h_half, step=0, tau=tau)
     return state, velocity
 
@@ -174,7 +175,9 @@ class LeapfrogStepper:
     into 2 M_lead, e_{n-1} into zero and 2 tau (2 M_lead v - A v) joins the
     right-hand side.  A is kept for the stepper's lifetime and factored
     once, at the first step; that step solves its 2 M_lead system by
-    conjugate gradients preconditioned with A's factor.
+    conjugate gradients preconditioned with A's factor.  Besides the solve,
+    a step multiplies once by C (for the state's curl_e) and once by C^T,
+    held as CSR so that each edge gathers its two cells.
     """
 
     def __init__(self, ops: OperatorSet, params: MaterialParams, tau: float):
@@ -193,20 +196,21 @@ class LeapfrogStepper:
         self._peak_ratio = 1.0 + tau * float(np.max(
             ops.c1 / (2.0 * tau0) + np.maximum(ops.sigma_x, ops.sigma_y) / (2.0 * eps0)))
         self._solve = self._lift = None
+        self._ct = ops.c.T.tocsr()
 
-        # Split-field magnetic update coefficients per cell.
-        self._hx_num = mu0 / tau - mu0 * ops.sigma_x / (2.0 * eps0)
-        self._hx_den = mu0 / tau + mu0 * ops.sigma_x / (2.0 * eps0)
-        self._hy_num = mu0 / tau - mu0 * ops.sigma_y / (2.0 * eps0)
-        self._hy_den = mu0 / tau + mu0 * ops.sigma_y / (2.0 * eps0)
+        # Split-field H update per cell (rows x, y): keep * h - drive * (C e/|K| + ks).
+        damp = mu0 * np.stack([ops.sigma_x, ops.sigma_y]) / (2.0 * eps0)
+        self._h_keep = (mu0 / tau - damp) / (mu0 / tau + damp)
+        self._h_drive = 0.5 / (mu0 / tau + damp)
         # Per-cell weights of the new and old H levels, ks and C e_n in the RHS.
         self._w_new = ops.c1 / (2.0 * tau0) + (1.0 - ops.c1) / tau
         self._w_old = ops.c1 / (2.0 * tau0) - (1.0 - ops.c1) / tau
         self._w_ks = ops.c1 / mu0
         self._w_curl = ops.c1 / (mu0 * ops.areas)
-        # G (diagonal on the interface edges) is applied on its nonzero rows.
-        self._g_rows = np.flatnonzero(np.diff(ops.g.indptr))
-        self._g_part = (params.sigma0 / tau0) * ops.g[self._g_rows]
+        # G is diagonal, nonzero on the interface edges only: a gather there.
+        g_diag = ops.g.diagonal()
+        self._g_rows = np.flatnonzero(g_diag)
+        self._g_part = (params.sigma0 / tau0) * g_diag[self._g_rows]
 
     def _first_step_change(self, rhs, boundary_change):
         """Solve 2 M_lead x = rhs on the free rows, x = boundary_change on the
@@ -248,26 +252,26 @@ class LeapfrogStepper:
         The two split derivatives of a Whitney field are +curl(E)/2 and
         -curl(E)/2 on each cell, so both components share one drive.
         """
-        drive = 0.5 * ((self.ops.c @ state.e_curr) / self.ops.areas + ks_cells)
-        hzx = (self._hx_num * state.hzx - drive) / self._hx_den
-        hzy = (self._hy_num * state.hzy - drive) / self._hy_den
+        drive = state.curl_e / self.ops.areas + ks_cells
+        hzx = self._h_keep[0] * state.hzx - self._h_drive[0] * drive
+        hzy = self._h_keep[1] * state.hzy - self._h_drive[1] * drive
         return hzx, hzy
 
     def step_e(self, state: FieldState, hzx_new, hzy_new, ks_cells,
                extra_load=None, bc_values=None, first_step_velocity=None):
         """Solve the edge system for the next electric field.
 
-        `bc_values` carries Dirichlet data on the outer boundary; None
+        `bc_values` carries Dirichlet data on the `pec_mask` edges only; None
         imposes the conducting boundary.
         """
         ops = self.ops
         first = state.step == 0
         e_old = np.zeros_like(state.e_curr) if first else state.e_prev
         h_term = (self._w_new * (hzx_new + hzy_new) + self._w_old * state.hz
-                  - self._w_ks * ks_cells - self._w_curl * (ops.c @ state.e_curr))
+                  - self._w_ks * ks_cells - self._w_curl * state.curl_e)
         rhs = (2.0 * self._lead) * (ops.m_e @ (state.e_curr - e_old))
-        rhs += ops.c.T @ h_term
-        rhs[self._g_rows] -= self._g_part @ state.e_curr
+        rhs += self._ct @ h_term
+        rhs[self._g_rows] -= self._g_part * state.e_curr[self._g_rows]
         if extra_load is not None:
             rhs += extra_load
         if first and first_step_velocity is not None:
@@ -282,7 +286,7 @@ class LeapfrogStepper:
         if self._solve is None:
             self._lift = self.a[:, mask]
             self._solve = factorize(apply_pec(self.a, mask))
-        target = 0.0 if bc_values is None else bc_values[mask]
+        target = 0.0 if bc_values is None else bc_values
         boundary_change = target - e_old[mask]
         if first:
             change = self._first_step_change(rhs, boundary_change)
@@ -303,6 +307,7 @@ class LeapfrogStepper:
                              first_step_velocity=first_step_velocity)
         state.e_prev = state.e_curr
         state.e_curr = e_next
+        state.curl_e = self.ops.c @ e_next
         state.hzx = hzx_new
         state.hzy = hzy_new
         state.step += 1
@@ -321,7 +326,7 @@ def discrete_energy(state: FieldState, ops: OperatorSet,
     e_new, e_old = state.e_curr, state.e_prev
     tau = state.tau
     diff = (e_new - e_old) / tau
-    curl_new = ops.c @ e_new
+    curl_new = state.curl_e
     curl_old = ops.c @ e_old
     s_new = float(curl_new @ (curl_new / ops.areas))
     s_old = float(curl_old @ (curl_old / ops.areas))
@@ -348,8 +353,8 @@ def run_simulation(mesh: Mesh, ops: OperatorSet, params: MaterialParams,
 
     source     : callable t -> per-cell K_s values, or None.
     extra_load : callable t -> edge load vector added to the electric step.
-    bc_values  : callable t -> full edge vector carrying Dirichlet data on
-                 the outer boundary; None imposes the conducting boundary.
+    bc_values  : callable t -> Dirichlet data on the `ops.pec_mask` edges
+                 only; None imposes the conducting boundary.
     Snapshots include the initial state; the energy log starts after the
     first step.  Raises BlowUpError, carrying the result so far, when a
     field norm passes the guard.
@@ -376,7 +381,8 @@ def run_simulation(mesh: Mesh, ops: OperatorSet, params: MaterialParams,
         stepper.advance(state, ks, extra_load=load, bc_values=bc,
                         first_step_velocity=velocity if n == 0 else None)
 
-        peak = max(np.max(np.abs(state.e_curr)), np.max(np.abs(state.hz)))
+        e, hz = state.e_curr, state.hz   # np.max, unlike max, keeps a NaN anywhere
+        peak = np.max((e.max(), -e.min(), hz.max(), -hz.min()))
         if not np.isfinite(peak):
             raise BlowUpError(f"non-finite field at step {state.step}",
                               state.step, result)

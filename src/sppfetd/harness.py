@@ -130,15 +130,15 @@ class ManufacturedDrivers:
 
     The case's drives are fixed spatial modes weighted by scalar functions
     of t, so the modes are integrated once here (cell means of ks, edge
-    loads of the electric drive, boundary edge moments of the Dirichlet
-    data) and a step only weighs the integrals.
+    loads of the electric drive, Dirichlet moments on the `pec_mask` edges
+    only) and a step only weighs the integrals.
     """
 
     def __init__(self, mesh: Mesh, case: ManufacturedCase, pec_mask: np.ndarray):
         self.case = case
         self.ks_means = project_l2_p0(case.ks_modes, mesh)
         self.e_loads = assemble_edge_load(mesh, case.e_load_modes) / case.params.tau0
-        self.bc_moments = np.where(pec_mask, interpolate_hcurl(case.e_modes, mesh), 0.0)
+        self.bc_moments = interpolate_hcurl(case.e_modes, mesh)[:, pec_mask]
 
     def source(self, t: float) -> np.ndarray:
         return self.case.ks_coeffs(t) @ self.ks_means
@@ -381,7 +381,7 @@ def run(config: SimulationConfig, out_dir: str | None = None) -> SimulationResul
         def source(t):
             return eval_source(config.source, t, cells, mesh.n_triangles)
 
-    out = out_dir or config.out_dir
+    out = config.out_dir if out_dir is None else out_dir
     try:
         result = run_simulation(
             mesh, ops, params, config.tau, config.n_steps, source=source,

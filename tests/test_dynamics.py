@@ -104,7 +104,7 @@ def test_step_h_rotational_field(small_setup):
     tau = 0.01
     stepper = LeapfrogStepper(ops, UNIT, tau)
     dofs = interpolate_hcurl(lambda p: np.column_stack([-p[:, 1], p[:, 0]]), mesh)
-    state = FieldState(e_prev=np.zeros(mesh.n_edges), e_curr=dofs,
+    state = FieldState(e_prev=np.zeros(mesh.n_edges), e_curr=dofs, curl_e=ops.c @ dofs,
                        hzx=np.zeros(mesh.n_triangles),
                        hzy=np.zeros(mesh.n_triangles), step=1, tau=tau)
     hzx, hzy = stepper.step_h(state, np.zeros(mesh.n_triangles))
@@ -133,7 +133,7 @@ def test_step_h_collar_recurrence_scalar_oracle():
     rng = np.random.default_rng(0)
     e = rng.standard_normal(mesh.n_edges)
     ks = rng.standard_normal(2)
-    state = FieldState(e_prev=np.zeros_like(e), e_curr=e,
+    state = FieldState(e_prev=np.zeros_like(e), e_curr=e, curl_e=ops.c @ e,
                        hzx=np.zeros(2), hzy=np.zeros(2), step=1, tau=tau)
     hzx, _ = stepper.step_h(state, ks)
     expected = (-(0.5 * ops.c @ e) / mesh.areas - 0.5 * ks) * tau / (1.5 * params.mu0)
@@ -163,6 +163,7 @@ def test_merged_step_reduces_to_interface_scheme(small_setup):
         h_old = rng.standard_normal(mesh.n_triangles)
         ks = rng.standard_normal(mesh.n_triangles)
         state = FieldState(e_prev=e_prev.copy(), e_curr=e_curr.copy(),
+                           curl_e=ops.c @ e_curr,
                            hzx=0.5 * h_old, hzy=0.5 * h_old, step=1, tau=tau)
         hzx, hzy = stepper.step_h(state, ks)
         e_new = stepper.step_e(state, hzx, hzy, ks)
@@ -186,6 +187,7 @@ def test_merged_step_with_interface_matches_dense(small_setup):
     h_old = rng.standard_normal(mesh.n_triangles)
     ks = rng.standard_normal(mesh.n_triangles)
     state = FieldState(e_prev=e_prev.copy(), e_curr=e_curr.copy(),
+                       curl_e=ops.c @ e_curr,
                        hzx=0.5 * h_old, hzy=0.5 * h_old, step=1, tau=tau)
     hzx, hzy = stepper.step_h(state, ks)
     e_new = stepper.step_e(state, hzx, hzy, ks)
@@ -218,7 +220,7 @@ def test_merged_step_collar_and_sheet_matches_dense(first_step):
     ks = rng.standard_normal(mesh.n_triangles)
     velocity = rng.standard_normal(mesh.n_edges) if first_step else None
     state = FieldState(e_prev=e_prev.copy(), e_curr=e_curr.copy(),
-                       hzx=hzx.copy(), hzy=hzy.copy(),
+                       curl_e=ops.c @ e_curr, hzx=hzx.copy(), hzy=hzy.copy(),
                        step=0 if first_step else 1, tau=tau)
     hzx_new, hzy_new = stepper.step_h(state, ks)
     e_new = stepper.step_e(state, hzx_new, hzy_new, ks,
@@ -256,11 +258,11 @@ def test_merged_step_with_dirichlet_data_matches_dense(first_step):
     bc = rng.standard_normal(mesh.n_edges)
     velocity = rng.standard_normal(mesh.n_edges) if first_step else None
     state = FieldState(e_prev=e_prev.copy(), e_curr=e_curr.copy(),
-                       hzx=hzx.copy(), hzy=hzy.copy(),
+                       curl_e=ops.c @ e_curr, hzx=hzx.copy(), hzy=hzy.copy(),
                        step=0 if first_step else 1, tau=tau)
     hzx_new, hzy_new = stepper.step_h(state, ks)
     e_new = stepper.step_e(state, hzx_new, hzy_new, ks, extra_load=load,
-                           bc_values=bc, first_step_velocity=velocity)
+                           bc_values=bc[mask], first_step_velocity=velocity)
     e_ref, _, _ = oracles.dense_merged_step(
         mesh, params, tau, e_prev, e_curr, hzx, hzy, ks,
         g_dense=oracles.dense_interface_mass(mesh, edges), mask=mask,
@@ -284,7 +286,8 @@ def test_collar_step_matches_scalar_recurrence():
     hzx = rng.standard_normal(2)
     hzy = rng.standard_normal(2)
     state = FieldState(e_prev=e_prev.copy(), e_curr=e_curr.copy(),
-                       hzx=hzx.copy(), hzy=hzy.copy(), step=1, tau=tau)
+                       curl_e=ops.c @ e_curr, hzx=hzx.copy(), hzy=hzy.copy(),
+                       step=1, tau=tau)
     hzx_new, hzy_new = stepper.step_h(state, np.zeros(2))
     e_new = stepper.step_e(state, hzx_new, hzy_new, np.zeros(2))
 
@@ -352,7 +355,7 @@ def test_energy_terms_against_dense_forms():
     e_new = rng.standard_normal(mesh.n_edges)
     e_old = rng.standard_normal(mesh.n_edges)
     h = rng.standard_normal(mesh.n_triangles)
-    state = FieldState(e_prev=e_old, e_curr=e_new, hzx=h, hzy=0 * h,
+    state = FieldState(e_prev=e_old, e_curr=e_new, curl_e=ops.c @ e_new, hzx=h, hzy=0 * h,
                        step=3, tau=tau)
     rep = discrete_energy(state, ops, params)
     md = oracles.dense_edge_mass(mesh)
@@ -385,7 +388,7 @@ def test_split_choice_does_not_change_physical_sum(small_setup):
     ks = rng.standard_normal(mesh.n_triangles)
     outs = []
     for split in (0.5, 0.8):
-        state = FieldState(e_prev=np.zeros_like(e), e_curr=e.copy(),
+        state = FieldState(e_prev=np.zeros_like(e), e_curr=e.copy(), curl_e=ops.c @ e,
                            hzx=split * h, hzy=(1 - split) * h, step=1, tau=tau)
         hzx, hzy = stepper.step_h(state, ks)
         e_new = stepper.step_e(state, hzx, hzy, ks)
@@ -491,6 +494,101 @@ def test_run_linear_in_source(small_setup):
     r3 = run_simulation(mesh, ops, UNIT, 0.01, 30, source=src(3.0), energy_every=0)
     np.testing.assert_allclose(r3.state.e_curr, 3.0 * r1.state.e_curr, atol=1e-8)
     np.testing.assert_allclose(r3.state.hz, 3.0 * r1.state.hz, atol=1e-8)
+
+
+def _collar_sheet_run():
+    """Operators, material, start state and 24 steps' inputs on a mesh with a
+    damped collar and a sheet."""
+    mesh = generate_rect_mesh((0, 1, 0, 1), 4, 4, 1)
+    snap_interface(mesh, InterfaceSpec([Segment((0, 0.5), (1, 0.5))]))
+    collar = mesh.cell_tags != 0
+    rng = np.random.default_rng(12)
+    sx = np.where(collar, rng.uniform(10.0, 100.0, mesh.n_triangles), 0.0)
+    sy = np.where(collar, rng.uniform(10.0, 100.0, mesh.n_triangles), 0.0)
+    ops = build_operator_set(mesh, sx, sy)
+    params = MaterialParams(eps0=1.3, mu0=0.7, tau0=0.8, sigma0=2.5)
+    state, vel = init_state(mesh, ops, params, e0=_bump, dt_e0=_swirl, tau=0.005)
+    steps = [dict(ks_cells=rng.standard_normal(mesh.n_triangles),
+                  first_step_velocity=vel if n == 0 else None) for n in range(24)]
+    return ops, params, state, steps
+
+
+def _manufactured_run():
+    """The same on a manufactured mesh with Dirichlet data and a load."""
+    from sppfetd.harness import ManufacturedDrivers, build_manufactured_problem
+    mesh, ops, case = build_manufactured_problem(1 / 10)
+    drivers = ManufacturedDrivers(mesh, case, ops.pec_mask)
+    tau = 1 / 2000
+    state, vel = init_state(mesh, ops, case.params, ks0_cells=drivers.source(0.0),
+                            dt_e0=case.dt_e0, tau=tau, zero_boundary=False)
+    steps = [dict(ks_cells=drivers.source(n * tau),
+                  extra_load=drivers.extra_load(n * tau), bc_values=drivers.bc_values((n + 1) * tau),
+                  first_step_velocity=vel if n == 0 else None) for n in range(24)]
+    return ops, case.params, state, steps
+
+
+@pytest.mark.parametrize("setup", [_collar_sheet_run, _manufactured_run])
+def test_carried_curl_is_c_times_current_field(setup):
+    ops, params, state, steps = setup()
+    stepper = LeapfrogStepper(ops, params, state.tau)
+    assert np.array_equal(state.curl_e, ops.c @ state.e_curr)
+    for inputs in steps:
+        stepper.advance(state, **inputs)
+        assert np.array_equal(state.curl_e, ops.c @ state.e_curr)
+    assert np.abs(state.e_curr).max() > 0.0
+
+
+class _CountingMatrix:
+    """Counts products with and transposes of the wrapped matrix."""
+
+    def __init__(self, matrix):
+        self.matrix, self.products, self.transposes = matrix, 0, 0
+
+    def __matmul__(self, x):
+        self.products += 1
+        return self.matrix @ x
+
+    @property
+    def T(self):
+        self.transposes += 1
+        return self.matrix.T
+
+
+@pytest.mark.parametrize("setup", [_collar_sheet_run, _manufactured_run])
+def test_step_multiplies_by_c_once(setup):
+    # one C product per step for the carried curl and one per energy
+    # report; C^T is formed once, when the stepper is built
+    ops, params, state, steps = setup()
+    counting = _CountingMatrix(ops.c)
+    ops.c = counting
+    stepper = LeapfrogStepper(ops, params, state.tau)
+    assert counting.transposes == 1
+    for n, inputs in enumerate(steps):
+        stepper.advance(state, **inputs)
+        assert counting.products == n + 1
+    assert counting.transposes == 1
+    discrete_energy(state, ops, params)    # the old level's product only
+    assert counting.products == len(steps) + 1
+
+
+@pytest.mark.parametrize("field", ["e_curr", "hzx"])
+def test_blowup_guard_catches_nan_in_either_field(small_setup, monkeypatch, field):
+    # a NaN in one field must trip the guard whichever field holds the
+    # other, finite peak
+    mesh, ops = small_setup
+    advance = LeapfrogStepper.advance
+
+    def poisoned(self, state, *args, **kwargs):
+        advance(self, state, *args, **kwargs)
+        if state.step == 3:
+            getattr(state, field)[0] = np.nan
+        return state
+
+    monkeypatch.setattr(LeapfrogStepper, "advance", poisoned)
+    with pytest.raises(BlowUpError) as err:
+        run_simulation(mesh, ops, UNIT, 0.01, 10, e0=_bump, energy_every=0)
+    assert err.value.step == 3
+    assert str(err.value) == "non-finite field at step 3"
 
 
 def test_blowup_guard_reports_step():

@@ -42,6 +42,7 @@ def test_l2_errors_zero_state_equals_exact_norm():
     tau = 1e-3
     state = FieldState(e_prev=np.zeros(mesh.n_edges),
                        e_curr=np.zeros(mesh.n_edges),
+                       curl_e=np.zeros(mesh.n_triangles),
                        hzx=np.zeros(mesh.n_triangles),
                        hzy=np.zeros(mesh.n_triangles), step=0, tau=tau)
     err_e, err_h = l2_errors(state, case, mesh, t)
@@ -64,7 +65,8 @@ def test_l2_errors_interpolant_scales_linearly_with_h():
         mesh, ops, case = build_manufactured_problem(h)
         e = interpolate_hcurl(lambda p: case.e_field(p, t), mesh)
         hz = project_l2_p0(lambda p: case.h_field(p, t), mesh)
-        state = FieldState(e_prev=e, e_curr=e, hzx=hz, hzy=0 * hz, step=0, tau=0.0)
+        state = FieldState(e_prev=e, e_curr=e, curl_e=ops.c @ e, hzx=hz, hzy=0 * hz,
+                           step=0, tau=0.0)
         errs.append(l2_errors(state, case, mesh, t)[0])
     assert np.log2(errs[0] / errs[1]) == pytest.approx(1.0, abs=0.15)
 
@@ -102,9 +104,19 @@ def test_manufactured_drivers_match_generic_assembly():
             np.testing.assert_allclose(drivers.extra_load(t), ref / tau0, atol=1e-13)
             bc = drivers.bc_values(t)
             ref_full = interpolate_hcurl(lambda p: case.e_field(p, t), mesh)
-            np.testing.assert_allclose(bc[ops.pec_mask], ref_full[ops.pec_mask],
-                                       atol=1e-13)
-            assert np.all(bc[~ops.pec_mask] == 0.0)
+            # boundary edges only: nothing is stored or returned off them
+            assert bc.shape == (int(ops.pec_mask.sum()),)
+            np.testing.assert_allclose(bc, ref_full[ops.pec_mask], atol=1e-13)
+
+
+def test_manufactured_bc_values_live_on_boundary_edges_only():
+    mesh, ops, case = build_manufactured_problem(1 / 10)
+    drivers = ManufacturedDrivers(mesh, case, ops.pec_mask)
+    modes = interpolate_hcurl(case.e_modes, mesh)[:, ops.pec_mask]
+    for t in (0.0, 0.17, 0.6):
+        bc = drivers.bc_values(t)
+        assert bc.shape == (int(ops.pec_mask.sum()),)
+        np.testing.assert_array_equal(bc, case.e_coeffs(t) @ modes)
 
 
 def test_manufactured_drivers_evaluate_no_closed_form_per_step(monkeypatch):
@@ -266,6 +278,23 @@ def test_run_damps_the_collar_of_a_mesh_file(tmp_path, monkeypatch):
     assert file_x.max() == pytest.approx(9.43e4, rel=1e-3)
     for got, want in ((file_x, gen_x), (file_y, gen_y)):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_run_with_empty_out_dir_writes_nothing(tmp_path, monkeypatch, capsys):
+    # an empty out_dir turns output off; it does not fall back to the
+    # config's out_dir ("out" by default) in the working directory
+    monkeypatch.chdir(tmp_path)
+    cfg = SimulationConfig(
+        name="quiet", bounds=(0.0, 1.0, 0.0, 1.0), nx=4, ny=4, pml_layers=2,
+        material=MaterialParams.unit(), tau=0.01, n_steps=4, snapshot_every=2)
+    result = run(cfg, out_dir="")
+    assert len(result.snapshots) == 3 and len(result.energy) == 2
+    assert list(tmp_path.iterdir()) == []
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config_to_json(cfg)))
+    assert cli_main(["run", str(cfg_path), "--out", ""]) == 0
+    assert "snapshots to out" not in capsys.readouterr().out
+    assert list(tmp_path.iterdir()) == [cfg_path]
 
 
 def test_config_rejects_bad_version():
