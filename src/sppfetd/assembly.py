@@ -34,8 +34,8 @@ _EDGE_MASS_MAP = _edge_mass_map()
 class OperatorSet:
     """Assembled operators for the merged graphene/absorber step.
 
-    m_e        : edge mass (the step matrix is one more edge mass with
-                 per-cell weights, assembled by the stepper)
+    m_e        : edge mass (the stepper scales it and adds an edge mass
+                 over the cells whose step weights differ: the collar)
     c          : cells x edges signed incidence: the integral over K of
                  curl(phi_e) is the orientation sign of e in K; Whitney
                  curls are constant per cell, so the curl-curl matrix is
@@ -69,30 +69,31 @@ def _cell_coeff(mesh: Mesh, coeff) -> np.ndarray:
     return np.broadcast_to(arr, (nt, 2))
 
 
-def _scatter_edges(mesh: Mesh, local: np.ndarray) -> sp.csr_matrix:
-    """Accumulate (nt, 3, 3) local matrices into an edge-by-edge CSR."""
-    ne = mesh.n_edges
-    rows = np.repeat(mesh.tri_edges, 3, axis=1).ravel()
-    cols = np.tile(mesh.tri_edges, (1, 3)).ravel()
-    return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(ne, ne)).tocsr()
+def _edge_mass_kernel(mesh: Mesh, w: np.ndarray, cells=slice(None)) -> sp.csr_matrix:
+    """Edge mass over `cells` with (n, 2) diagonal weights of any sign, exact:
+    _EDGE_MASS_MAP applied to each cell's weighted gradient products, scaled
+    by |K| and the two edge signs, summed into an edge-by-edge CSR."""
+    g = _barycentric_gradients(mesh, cells)         # (3, 2, n)
+    prods = w[:, 0] * (g[:, None, 0] * g[:, 0]) + w[:, 1] * (g[:, None, 1] * g[:, 1])
+    local = _EDGE_MASS_MAP @ prods.reshape(9, -1)   # (9, n)
+    signs = mesh.tri_edge_signs[cells].T.astype(float)  # (3, n)
+    local *= mesh.areas[cells] * (signs[:, None] * signs).reshape(9, -1)
+    tri_edges = mesh.tri_edges[cells]
+    rows = np.repeat(tri_edges, 3, axis=1).ravel()
+    cols = np.tile(tri_edges, (1, 3)).ravel()
+    return sp.coo_matrix((local.T.ravel(), (rows, cols)),
+                         shape=(mesh.n_edges,) * 2).tocsr()
 
 
 def assemble_edge_mass(mesh: Mesh, coeff=None) -> sp.csr_matrix:
     """Edge mass with scalar or 2x2-diagonal per-cell coefficient.
 
-    Entry (e, e') = sum_K integral of w1 phi_e,x phi_e',x + w2 phi_e,y phi_e',y,
-    exact in closed form: _EDGE_MASS_MAP applied to the cell's weighted
-    gradient products, scaled by |K| and the two edge orientation signs.
+    Entry (e, e') = sum_K integral of w1 phi_e,x phi_e',x + w2 phi_e,y phi_e',y.
     """
     w = _cell_coeff(mesh, coeff)
     if np.any(w < 0.0) or not np.all(np.isfinite(w)):
         raise ValueError("edge-mass coefficient must be finite and nonnegative")
-    g = _barycentric_gradients(mesh)                # (3, 2, nt)
-    prods = w[:, 0] * (g[:, None, 0] * g[:, 0]) + w[:, 1] * (g[:, None, 1] * g[:, 1])
-    local = _EDGE_MASS_MAP @ prods.reshape(9, -1)   # (9, nt)
-    signs = mesh.tri_edge_signs.T.astype(float)     # (3, nt)
-    local *= mesh.areas * (signs[:, None] * signs).reshape(9, -1)
-    return _scatter_edges(mesh, local.T)
+    return _edge_mass_kernel(mesh, w)
 
 
 def assemble_mixed_curl(mesh: Mesh) -> sp.csr_matrix:

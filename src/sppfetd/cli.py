@@ -22,6 +22,8 @@ EXIT_CONFIG = 2
 EXIT_BLOWUP = 3
 EXIT_SOLVER = 4
 
+_NO_FILES = "no files written (empty --out)"
+
 
 def _parse_h(text: str) -> list:
     out = []
@@ -44,8 +46,8 @@ def _cmd_run(args) -> int:
         config = replace(config, snapshot_every=args.snapshot_every)
     out = config.out_dir if args.out is None else args.out
     result = run(config, out_dir=out)
-    print(f"completed {config.n_steps} steps; wrote {len(result.snapshots)} "
-          f"snapshots to {out}")
+    wrote = f"wrote {len(result.snapshots)} snapshots to {out}" if out else _NO_FILES
+    print(f"completed {config.n_steps} steps; {wrote}")
     return EXIT_OK
 
 
@@ -64,7 +66,7 @@ def _cmd_scenario(args) -> int:
     config = replace(config, out_dir=args.out)
     result = run(config)
     print(f"scenario '{args.name}' finished at step {result.state.step}; "
-          f"output in {args.out}")
+          + (f"output in {args.out}" if args.out else _NO_FILES))
     return EXIT_OK
 
 

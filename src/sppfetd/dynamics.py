@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import OperatorSet, apply_pec, assemble_edge_mass
+from .assembly import OperatorSet, _edge_mass_kernel, apply_pec
 from .elements import interpolate_hcurl
 from .mesh import Mesh
 from .physics import MaterialParams
@@ -170,7 +170,9 @@ class LeapfrogStepper:
     with M_lead = (eps0/tau^2) M_E, which only needs M_E, C and G per step
     (the physical curl-curl matrix is C^T diag(c1/|K|) C).  A = M_lead +
     M_damp is one edge mass with the per-cell weight eps0/tau^2 +
-    c1 eps0/(2 tau tau0) + diag(sigma_y, sigma_x)/(2 tau).  On the first
+    c1 eps0/(2 tau tau0) + diag(sigma_y, sigma_x)/(2 tau); it is formed as
+    M_E times a physical cell's weight plus an edge mass, weighted by the
+    difference, over the cells weighted otherwise (the collar).  On the first
     step the initial velocity v eliminates the pre-initial level: A turns
     into 2 M_lead, e_{n-1} into zero and 2 tau (2 M_lead v - A v) joins the
     right-hand side.  A is kept for the stepper's lifetime and factored
@@ -191,8 +193,13 @@ class LeapfrogStepper:
         self._lead = eps0 / tau ** 2
         # E_x is damped by sigma_y and E_y by sigma_x.
         base = self._lead + ops.c1 * eps0 / (2.0 * tau * tau0)
-        self.a = assemble_edge_mass(ops.mesh, np.column_stack(
-            [base + ops.sigma_y / (2.0 * tau), base + ops.sigma_x / (2.0 * tau)]))
+        w = np.column_stack([base + ops.sigma_y / (2.0 * tau),
+                             base + ops.sigma_x / (2.0 * tau)])
+        w_phys = self._lead + eps0 / (2.0 * tau * tau0)
+        cells = np.flatnonzero(np.any(w != w_phys, axis=1))
+        self.a = w_phys * ops.m_e
+        if len(cells):
+            self.a += _edge_mass_kernel(ops.mesh, w[cells] - w_phys, cells)
         self._peak_ratio = 1.0 + tau * float(np.max(
             ops.c1 / (2.0 * tau0) + np.maximum(ops.sigma_x, ops.sigma_y) / (2.0 * eps0)))
         self._solve = self._lift = None
@@ -284,7 +291,7 @@ class LeapfrogStepper:
         # identity rows and zero columns there, so the solve ignores rhs[mask].
         mask = ops.pec_mask
         if self._solve is None:
-            self._lift = self.a[:, mask]
+            self._lift = self.a[:, mask].tocsc()
             self._solve = factorize(apply_pec(self.a, mask))
         target = 0.0 if bc_values is None else bc_values
         boundary_change = target - e_old[mask]

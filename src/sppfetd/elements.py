@@ -53,16 +53,16 @@ def segment_quadrature(degree: int) -> QuadratureRule:
     return QuadratureRule(0.5 * (xi + 1.0), 0.5 * w)
 
 
-def _barycentric_gradients(mesh: Mesh) -> np.ndarray:
-    """Constant gradients of the three barycentric coordinates, (3, 2, nt)."""
-    # Built with the cell axis last so every product runs over all cells.
-    tris = mesh.vertices[mesh.triangles].T          # (2, 3, nt)
-    g = np.empty((3, 2, mesh.n_triangles))
+def _barycentric_gradients(mesh: Mesh, cells=slice(None)) -> np.ndarray:
+    """Constant barycentric gradients of `cells` (default all), (3, 2, n)."""
+    # Built with the cell axis last so every product runs over all the cells.
+    tris = mesh.vertices[mesh.triangles[cells]].T   # (2, 3, n)
+    g = np.empty((3, 2, tris.shape[2]))
     for i in range(3):
         j, k = (i + 1) % 3, (i + 2) % 3
         g[i, 0] = tris[1, j] - tris[1, k]
         g[i, 1] = tris[0, k] - tris[0, j]
-    g /= 2.0 * mesh.areas
+    g /= 2.0 * mesh.areas[cells]
     return g
 
 

@@ -159,16 +159,15 @@ class Mesh:
         for k, (i, j) in enumerate(TRI_EDGE_LOCAL):
             signs[:, k] = np.where(tris[:, i] < tris[:, j], 1, -1)
         self.tri_edge_signs = signs
-        counts = np.zeros(len(self.edges), dtype=np.int64)
-        np.add.at(counts, self.tri_edges.ravel(), 1)
-        self.edge_triangle_count = counts
+        self.edge_triangle_count = np.bincount(self.tri_edges.ravel(),
+                                               minlength=len(self.edges))
 
     def _build_geometry(self):
         p = self.vertices[self.triangles]
         d1 = p[:, 1] - p[:, 0]
         d2 = p[:, 2] - p[:, 0]
         self.areas = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-        self.centroids = p.mean(axis=1)
+        self.centroids = (p[:, 0] + p[:, 1] + p[:, 2]) / 3.0
         ev = self.vertices[self.edges[:, 1]] - self.vertices[self.edges[:, 0]]
         self.edge_lengths = np.hypot(ev[:, 0], ev[:, 1])
         self.edge_tangents = ev / self.edge_lengths[:, None]

@@ -121,18 +121,21 @@ class SourceSpec:
 
 
 def locate_cell(mesh: Mesh, point) -> int:
-    """Lowest-index cell containing `point` (deterministic on shared edges)."""
+    """Lowest-index cell containing `point` (deterministic on shared edges);
+    only cells with their centroid within a cell extent per axis are tested."""
     p = np.asarray(point, dtype=float)
-    tris = mesh.vertices[mesh.triangles]
+    tol = 1e-12
+    reach = (1.0 + tol) * np.array([mesh.h_x, mesh.h_y])
+    near = np.flatnonzero(np.all(np.abs(mesh.centroids - p) <= reach, axis=1))
+    tris = mesh.vertices[mesh.triangles[near]]
     d1 = tris[:, 1] - tris[:, 0]
     d2 = tris[:, 2] - tris[:, 0]
     rel = p[None, :] - tris[:, 0]
     det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
     l1 = (rel[:, 0] * d2[:, 1] - rel[:, 1] * d2[:, 0]) / det
     l2 = (d1[:, 0] * rel[:, 1] - d1[:, 1] * rel[:, 0]) / det
-    tol = 1e-12
     inside = (l1 >= -tol) & (l2 >= -tol) & (l1 + l2 <= 1.0 + tol)
-    hits = np.flatnonzero(inside)
+    hits = near[inside]
     if len(hits) == 0:
         raise ValueError(f"point {tuple(p)} lies outside the mesh")
     return int(hits[0])

@@ -304,6 +304,16 @@ def brute_force_adjacency(mesh):
             for v in range(mesh.n_vertices)]
 
 
+def cells_containing(mesh, point, tol=1e-12):
+    """Every cell whose barycentric coordinates at `point` are all >= -tol,
+    in increasing order, found by solving on every cell."""
+    tris = mesh.vertices[mesh.triangles]
+    jac = np.stack([tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0]], axis=2)
+    rel = np.asarray(point, dtype=float) - tris[:, 0]
+    lam = np.linalg.solve(jac, rel[:, :, None])[:, :, 0]
+    return np.flatnonzero((lam >= -tol).all(axis=1) & (lam.sum(axis=1) <= 1.0 + tol))
+
+
 def edge_midpoints(mesh):
     """Midpoint of every mesh edge, (n_edges, 2)."""
     return mesh.vertices[mesh.edges].mean(axis=1)

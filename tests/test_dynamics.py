@@ -10,11 +10,12 @@ from sppfetd.dynamics import (BlowUpError, CflConstants, FieldState,
 from sppfetd.elements import interpolate_hcurl
 from sppfetd.mesh import (InterfaceSpec, Segment, classify_cells,
                           generate_rect_mesh, snap_interface)
-from sppfetd.physics import ManufacturedCase, MaterialParams
+from sppfetd.physics import ManufacturedCase, MaterialParams, damping_at_centroids
 
 import oracles
 
 UNIT = MaterialParams.unit()
+UM = 1e-6
 
 
 @pytest.fixture
@@ -432,26 +433,69 @@ def test_run_factors_each_step_matrix_once(small_setup, monkeypatch,
     assert stepper._lift.shape == (mesh.n_edges, int(ops.pec_mask.sum()))
 
 
+def _count_kernel_cells(monkeypatch):
+    """Record how many cells each edge-mass kernel pass visits."""
+    visits = []
+    real = assembly._edge_mass_kernel
+
+    def counting(mesh, w, *args):
+        visits.append(len(w))
+        return real(mesh, w, *args)
+
+    monkeypatch.setattr(assembly, "_edge_mass_kernel", counting)
+    monkeypatch.setattr(dynamics, "_edge_mass_kernel", counting)
+    return visits
+
+
 @pytest.mark.parametrize("n_steps", [0, 1, 4])
 def test_edge_mass_kernel_runs_once_per_matrix(monkeypatch, n_steps):
-    # the operator set assembles M_E and the stepper A = M_lead + M_damp,
-    # one quadrature pass each however many steps run
-    mesh = generate_rect_mesh((0, 1, 0, 1), 4, 4, 1)
-    sx = np.linspace(0.0, 2.0, mesh.n_triangles)
-    calls = []
-    real = assembly.assemble_edge_mass
+    # M_E visits every cell once; A = M_lead + M_damp adds one pass over the
+    # cells weighted unlike a physical cell (the collar), and none on a
+    # collarless mesh, however many steps run
+    visits = _count_kernel_cells(monkeypatch)
+    for layers in (1, 0):
+        mesh = generate_rect_mesh((0, 1, 0, 1), 4, 4, layers)
+        ops = build_operator_set(mesh, *damping_at_centroids(mesh))
+        n_collar = int(np.sum(ops.c1 == 0.0))
+        assert len(visits) == 1 and visits.pop() == mesh.n_triangles
+        run_simulation(mesh, ops, UNIT, 0.01, n_steps, e0=_bump, dt_e0=_swirl,
+                       energy_every=0)
+        assert visits == ([n_collar] if layers else [])
+        visits.clear()
 
-    def counting(*args, **kwargs):
-        calls.append(args[0].n_triangles)
-        return real(*args, **kwargs)
 
-    monkeypatch.setattr(assembly, "assemble_edge_mass", counting)
-    ops = build_operator_set(mesh, sx, sx[::-1])
-    assert len(calls) == 1
-    monkeypatch.setattr(dynamics, "assemble_edge_mass", counting)
-    run_simulation(mesh, ops, UNIT, 0.01, n_steps, e0=_bump, dt_e0=_swirl,
-                   energy_every=0)
-    assert len(calls) == 2
+def _collar_mesh():
+    mesh = generate_rect_mesh((-3 * UM, 3 * UM, -2 * UM, 2 * UM), 6, 4, 3)
+    return mesh, damping_at_centroids(mesh)
+
+
+def _collarless_mesh():
+    mesh = generate_rect_mesh((-3 * UM, 3 * UM, -2 * UM, 2 * UM), 6, 4, 0)
+    return mesh, (None, None)
+
+
+def _damped_physical_mesh():
+    mesh = generate_rect_mesh((-3 * UM, 3 * UM, -2 * UM, 2 * UM), 6, 4, 1)
+    sx = np.linspace(0.0, 2e5, mesh.n_triangles)
+    return mesh, (sx, sx[::-1])
+
+
+@pytest.mark.parametrize("setup,passes", [(_collar_mesh, 1), (_collarless_mesh, 0),
+                                          (_damped_physical_mesh, 1)])
+def test_step_matrix_matches_weighted_edge_mass(monkeypatch, setup, passes):
+    # A as scaled M_E plus a correction over the differing cells equals one
+    # edge mass with A's per-cell weights, in SI units
+    mesh, (sx, sy) = setup()
+    ops = build_operator_set(mesh, sx, sy)
+    params = MaterialParams(sigma0=0.2)
+    tau = 0.5 * cfl_max_timestep(params, mesh)
+    visits = _count_kernel_cells(monkeypatch)
+    a = LeapfrogStepper(ops, params, tau).a
+    assert len(visits) == passes
+    base = params.eps0 / tau ** 2 + ops.c1 * params.eps0 / (2 * tau * params.tau0)
+    ref = assembly.assemble_edge_mass(mesh, np.column_stack(
+        [base + ops.sigma_y / (2 * tau), base + ops.sigma_x / (2 * tau)]))
+    assert abs(a - ref).max() <= 1e-13 * abs(ref).max()
 
 
 def _bump(p):

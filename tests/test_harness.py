@@ -293,7 +293,11 @@ def test_run_with_empty_out_dir_writes_nothing(tmp_path, monkeypatch, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(config_to_json(cfg)))
     assert cli_main(["run", str(cfg_path), "--out", ""]) == 0
-    assert "snapshots to out" not in capsys.readouterr().out
+    assert capsys.readouterr().out == (
+        "completed 4 steps; no files written (empty --out)\n")
+    assert cli_main(["scenario", "convergence", "--steps", "2", "--out", ""]) == 0
+    assert capsys.readouterr().out == (
+        "scenario 'convergence' finished at step 2; no files written (empty --out)\n")
     assert list(tmp_path.iterdir()) == [cfg_path]
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sppfetd.mesh import CellTag, generate_rect_mesh
+from sppfetd.mesh import CellTag, Mesh, generate_rect_mesh, load_mesh
 from sppfetd.physics import (HBAR, K_B, Q_E, KuboParams, ManufacturedCase,
                              MaterialParams, SourceSpec, damping_at_centroids,
                              dipole_source_cells, eval_source, kubo_sigma0,
@@ -119,6 +119,42 @@ def test_point_on_shared_diagonal_takes_lower_cell():
     mesh = generate_rect_mesh((0, 1, 0, 1), 1, 1, 0)
     # the diagonal runs (0,0)-(1,1); its midpoint belongs to both triangles
     assert locate_cell(mesh, (0.5, 0.5)) == 0
+
+
+def _perturbed_mesh_file(tmp_path):
+    # interior vertices moved by up to 0.15 cell per axis, so cells differ in
+    # shape and extent; the loader takes h_x, h_y as the largest cell extents
+    mesh = generate_rect_mesh((0, 1, 0, 1), 6, 5, 2)
+    interior = np.bincount(mesh.edges.ravel()) == 6
+    verts = mesh.vertices.copy()
+    shift = np.random.default_rng(3).uniform(-0.15, 0.15, (interior.sum(), 2))
+    verts[interior] += shift * [mesh.h_x, mesh.h_y]
+    path = tmp_path / "perturbed.mesh"
+    oracles.save_mesh(Mesh(verts, mesh.triangles, mesh.cell_tags), path)
+    return load_mesh(path)
+
+
+@pytest.mark.parametrize("source", ["generated", "loaded"])
+def test_locate_cell_matches_full_scan(tmp_path, source):
+    # the lowest-index cell containing the point, as a scan of every cell finds
+    mesh = (generate_rect_mesh((-3 * UM, 2 * UM, 1 * UM, 5 * UM), 7, 4, 2)
+            if source == "generated" else _perturbed_mesh_file(tmp_path))
+    lo, hi = mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)
+    random = lo + np.random.default_rng(11).random((200, 2)) * (hi - lo)
+    # vertices and edge midpoints lie in several cells
+    shared = np.concatenate([mesh.vertices, oracles.edge_midpoints(mesh)])
+    n_shared = 0
+    for point in np.concatenate([random, shared]):
+        cells = oracles.cells_containing(mesh, point)
+        assert locate_cell(mesh, point) == cells[0]
+        n_shared += len(cells) > 1
+    assert n_shared >= mesh.n_edges - np.sum(mesh.edge_triangle_count == 1)
+    span = hi - lo
+    for point in (lo - 0.01 * span, hi + 0.01 * span, (lo[0] - span[0], hi[1]),
+                  (0.5 * (lo[0] + hi[0]), hi[1] + 1e-3 * span[1])):
+        assert len(oracles.cells_containing(mesh, point)) == 0
+        with pytest.raises(ValueError, match="outside the mesh"):
+            locate_cell(mesh, point)
 
 
 def test_source_in_collar_rejected():
