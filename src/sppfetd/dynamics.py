@@ -164,22 +164,22 @@ class LeapfrogStepper:
 
     The electric step is solved for the change over two levels,
 
-        A (e_{n+1} - e_{n-1}) = 2 M_lead (e_n - e_{n-1}) - (sigma0/tau0) G e_n
+        A (e_{n+1} - e_{n-1}) = 2 M_lead d - (sigma0/tau0) G e_n
                                 + C^T (h_term - c1/(mu0 |K|) C e_n) + load,
 
-    with M_lead = (eps0/tau^2) M_E, which only needs M_E, C and G per step
-    (the physical curl-curl matrix is C^T diag(c1/|K|) C).  A = M_lead +
-    M_damp is one edge mass with the per-cell weight eps0/tau^2 +
-    c1 eps0/(2 tau tau0) + diag(sigma_y, sigma_x)/(2 tau); it is formed as
-    M_E times a physical cell's weight plus an edge mass, weighted by the
-    difference, over the cells weighted otherwise (the collar).  On the first
-    step the initial velocity v eliminates the pre-initial level: A turns
-    into 2 M_lead, e_{n-1} into zero and 2 tau (2 M_lead v - A v) joins the
-    right-hand side.  A is kept for the stepper's lifetime and factored
-    once, at the first step; that step solves its 2 M_lead system by
-    conjugate gradients preconditioned with A's factor.  Besides the solve,
-    a step multiplies once by C (for the state's curl_e) and once by C^T,
-    held as CSR so that each edge gathers its two cells.
+    with d = e_n - e_{n-1}, M_lead = (eps0/tau^2) M_E and the physical
+    curl-curl matrix C^T diag(c1/|K|) C.  A = M_lead + M_damp is one edge
+    mass with the per-cell weight eps0/tau^2 + c1 eps0/(2 tau tau0) +
+    diag(sigma_y, sigma_x)/(2 tau): w_phys M_E (w_phys: a physical cell's
+    weight) plus K_collar, weighted by the difference on the other cells
+    (the collar).  As 2 M_lead = r (A - K_collar), r = 2 eps0/(tau^2 w_phys),
+    a later step's change is r d plus the solve of the rest less r K_collar d:
+    no M_E product.  On the first step the initial velocity v eliminates the
+    pre-initial level: A turns into 2 M_lead, e_{n-1} into zero and
+    2 tau (2 M_lead v - A v) joins the right-hand side.  A is factored once,
+    at the first step, which solves its 2 M_lead system by conjugate
+    gradients preconditioned with A's factor.  Besides the solve, a step
+    multiplies once by C (for curl_e) and once by C^T, held as CSR.
     """
 
     def __init__(self, ops: OperatorSet, params: MaterialParams, tau: float):
@@ -198,12 +198,18 @@ class LeapfrogStepper:
         w_phys = self._lead + eps0 / (2.0 * tau * tau0)
         cells = np.flatnonzero(np.any(w != w_phys, axis=1))
         self.a = w_phys * ops.m_e
+        # r in a form that stays finite when eps0/tau^2 underflows
+        self._r, self._collar = 2.0 / (1.0 + tau / (2.0 * tau0)), None
         if len(cells):
-            self.a += _edge_mass_kernel(ops.mesh, w[cells] - w_phys, cells)
+            k_collar = _edge_mass_kernel(ops.mesh, w[cells] - w_phys, cells)
+            self.a += k_collar
+            self._collar_rows = np.flatnonzero(np.diff(k_collar.indptr))
+            self._collar = k_collar[self._collar_rows]
         self._peak_ratio = 1.0 + tau * float(np.max(
             ops.c1 / (2.0 * tau0) + np.maximum(ops.sigma_x, ops.sigma_y) / (2.0 * eps0)))
-        self._solve = self._lift = None
+        self._solve, self._bnd = None, np.flatnonzero(ops.pec_mask)   # factored lazily
         self._ct = ops.c.T.tocsr()
+        self._cells = np.empty((2, len(ops.areas)))     # per-cell work buffers
 
         # Split-field H update per cell (rows x, y): keep * h - drive * (C e/|K| + ks).
         damp = mu0 * np.stack([ops.sigma_x, ops.sigma_y]) / (2.0 * eps0)
@@ -212,8 +218,8 @@ class LeapfrogStepper:
         # Per-cell weights of the new and old H levels, ks and C e_n in the RHS.
         self._w_new = ops.c1 / (2.0 * tau0) + (1.0 - ops.c1) / tau
         self._w_old = ops.c1 / (2.0 * tau0) - (1.0 - ops.c1) / tau
-        self._w_ks = ops.c1 / mu0
-        self._w_curl = ops.c1 / (mu0 * ops.areas)
+        self._w_ks = -ops.c1 / mu0
+        self._w_curl = self._w_ks / ops.areas
         # G is diagonal, nonzero on the interface edges only: a gather there.
         g_diag = ops.g.diagonal()
         self._g_rows = np.flatnonzero(g_diag)
@@ -227,11 +233,11 @@ class LeapfrogStepper:
         A^-1 2 M_lead lies in (0, 2].  The residual is zero on the boundary
         rows, where the factor is the identity, so x stays fixed there.
         """
-        mask, scale = self.ops.pec_mask, 2.0 * self._lead
+        bnd, scale = self._bnd, 2.0 * self._lead
         x = np.zeros_like(rhs)
-        x[mask] = boundary_change
+        x[bnd] = boundary_change
         r = rhs - scale * (self.ops.m_e @ x)
-        r[mask] = 0.0
+        r[bnd] = 0.0
         p = self._solve(r)
         rz = rz0 = r @ p
         iterations = 0
@@ -243,7 +249,7 @@ class LeapfrogStepper:
                     f"weight to M_lead's {self._peak_ratio:.3e} (far above 1: tau is "
                     "far beyond a stable step)")
             q = scale * (self.ops.m_e @ p)
-            q[mask] = 0.0
+            q[bnd] = 0.0
             alpha = rz / (p @ q)
             x += alpha * p
             r -= alpha * q
@@ -259,9 +265,11 @@ class LeapfrogStepper:
         The two split derivatives of a Whitney field are +curl(E)/2 and
         -curl(E)/2 on each cell, so both components share one drive.
         """
-        drive = state.curl_e / self.ops.areas + ks_cells
-        hzx = self._h_keep[0] * state.hzx - self._h_drive[0] * drive
-        hzy = self._h_keep[1] * state.hzy - self._h_drive[1] * drive
+        drive = np.divide(state.curl_e, self.ops.areas, out=self._cells[0])
+        drive += ks_cells
+        hzx, hzy = self._h_keep[0] * state.hzx, self._h_keep[1] * state.hzy
+        hzx -= np.multiply(self._h_drive[0], drive, out=self._cells[1])
+        hzy -= np.multiply(self._h_drive[1], drive, out=self._cells[1])
         return hzx, hzy
 
     def step_e(self, state: FieldState, hzx_new, hzy_new, ks_cells,
@@ -271,38 +279,37 @@ class LeapfrogStepper:
         `bc_values` carries Dirichlet data on the `pec_mask` edges only; None
         imposes the conducting boundary.
         """
-        ops = self.ops
-        first = state.step == 0
-        e_old = np.zeros_like(state.e_curr) if first else state.e_prev
-        h_term = (self._w_new * (hzx_new + hzy_new) + self._w_old * state.hz
-                  - self._w_ks * ks_cells - self._w_curl * state.curl_e)
-        rhs = (2.0 * self._lead) * (ops.m_e @ (state.e_curr - e_old))
-        rhs += self._ct @ h_term
+        h_term = np.add(hzx_new, hzy_new, out=self._cells[0])
+        h_term *= self._w_new
+        for weight, cell_values in ((self._w_old, state.hzx), (self._w_old, state.hzy),
+                                    (self._w_ks, ks_cells), (self._w_curl, state.curl_e)):
+            h_term += np.multiply(weight, cell_values, out=self._cells[1])
+        rhs = self._ct @ h_term
         rhs[self._g_rows] -= self._g_part * state.e_curr[self._g_rows]
         if extra_load is not None:
             rhs += extra_load
-        if first and first_step_velocity is not None:
-            v = first_step_velocity
-            rhs += (2.0 * self.tau) * ((2.0 * self._lead) * (ops.m_e @ v)
-                                       - self.a @ v)
 
-        # The change is known on the boundary.  Later steps lift it: only A's
-        # boundary columns carry it into the free rows, and the factor has
-        # identity rows and zero columns there, so the solve ignores rhs[mask].
-        mask = ops.pec_mask
+        # A's boundary columns lift the known boundary change into the rows they
+        # touch (A is symmetric); the factor's identity rows ignore rhs[bnd].
         if self._solve is None:
-            self._lift = self.a[:, mask].tocsc()
-            self._solve = factorize(apply_pec(self.a, mask))
+            self._lift_rows = np.unique(self.a[self._bnd].indices)
+            self._lift = self.a[self._lift_rows][:, self._bnd]
+            self._solve = factorize(apply_pec(self.a, self.ops.pec_mask))
         target = 0.0 if bc_values is None else bc_values
-        boundary_change = target - e_old[mask]
-        if first:
-            change = self._first_step_change(rhs, boundary_change)
+        if state.step == 0:
+            v = np.zeros_like(rhs) if first_step_velocity is None else first_step_velocity
+            v = (2.0 * self.tau) * v
+            rhs += (2.0 * self._lead) * (self.ops.m_e @ (state.e_curr + v)) - self.a @ v
+            e_next = self._first_step_change(rhs, target)
         else:
-            if boundary_change.any():
-                rhs -= self._lift @ boundary_change
-            change = self._solve(rhs)
-        e_next = e_old + change
-        e_next[mask] = target
+            delta = self._r * (state.e_curr - state.e_prev)
+            if self._collar is not None:
+                rhs[self._collar_rows] -= self._collar @ delta
+            lifted = delta[self._bnd] - (target - state.e_prev[self._bnd])
+            if lifted.any():
+                rhs[self._lift_rows] += self._lift @ lifted
+            e_next = self._solve(rhs) + delta + state.e_prev
+        e_next[self._bnd] = target
         return e_next
 
     def advance(self, state: FieldState, ks_cells, extra_load=None,
@@ -388,17 +395,19 @@ def run_simulation(mesh: Mesh, ops: OperatorSet, params: MaterialParams,
         stepper.advance(state, ks, extra_load=load, bc_values=bc,
                         first_step_velocity=velocity if n == 0 else None)
 
-        e, hz = state.e_curr, state.hz   # np.max, unlike max, keeps a NaN anywhere
-        peak = np.max((e.max(), -e.min(), hz.max(), -hz.min()))
+        # np.max, unlike max, keeps a NaN; a NaN or the larger peak names the field
+        pe, ph = (np.max((f.max(), -f.min())) for f in (state.e_curr, state.hz))
+        name, peak = ("E", pe) if pe >= ph or np.isnan(pe) else ("Hz", ph)
         if not np.isfinite(peak):
-            raise BlowUpError(f"non-finite field at step {state.step}",
-                              state.step, result)
+            raise BlowUpError(f"non-finite {name} at step {state.step} "
+                              f"(t = {state.step * tau:.3e} s)", state.step, result)
         if state.step <= 10:
             scale = max(scale, peak)
         elif peak > BLOWUP_FACTOR * max(scale, np.finfo(float).tiny):
             raise BlowUpError(
-                f"field magnitude {peak:.3e} exceeded {BLOWUP_FACTOR:.0e} x "
-                f"initial scale at step {state.step}", state.step, result)
+                f"{name} magnitude {peak:.3e} at t = {state.step * tau:.3e} s exceeded "
+                f"{BLOWUP_FACTOR:.0e} x initial scale at step {state.step}",
+                state.step, result)
 
         if energy_every > 0 and state.step % energy_every == 0:
             result.energy.append(discrete_energy(state, ops, params))

@@ -225,6 +225,29 @@ def test_apply_pec_preserves_constrained_energy(small_mesh):
     assert x @ (m_pec @ x) == pytest.approx(x @ (m_raw @ x), rel=1e-13)
 
 
+@pytest.mark.parametrize("stored_zero_diagonal", [False, True])
+def test_apply_pec_row_without_stored_diagonal(stored_zero_diagonal):
+    # a masked row gets its unit diagonal whether or not the input stores
+    # one there; the result equals the dense zero-and-identity form
+    dense = np.array([[4.0, 1.0, 0.0, 2.0],
+                      [1.0, 0.0, 1.0, 0.0],
+                      [0.0, 1.0, 5.0, 1.0],
+                      [2.0, 0.0, 1.0, 0.0]])
+    rows, cols = np.nonzero(dense)
+    if stored_zero_diagonal:
+        rows, cols = np.append(rows, [1, 3]), np.append(cols, [1, 3])
+    matrix = sp.coo_matrix((dense[rows, cols], (rows, cols)), shape=dense.shape).tocsr()
+    assert matrix.nnz == len(rows)
+    mask = np.array([False, True, False, True])
+    got = apply_pec(matrix, mask)
+    ref = dense.copy()
+    ref[mask, :] = 0.0
+    ref[:, mask] = 0.0
+    ref[mask, mask] = 1.0
+    np.testing.assert_array_equal(got.toarray(), ref)
+    assert got.has_canonical_format and np.all(got.data != 0.0)
+
+
 def test_operator_set_symmetry_and_oracle(small_mesh):
     rng = np.random.default_rng(2)
     sx = np.abs(rng.standard_normal(small_mesh.n_triangles))

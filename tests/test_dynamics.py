@@ -409,8 +409,9 @@ def test_run_zero_steps_initial_snapshot_only(small_setup):
 def test_run_factors_each_step_matrix_once(small_setup, monkeypatch,
                                            n_steps, factorisations):
     # a zero-step run factors nothing; any other run factors A once, and
-    # the stepper keeps no other edge-by-edge matrix than A, the factor
-    # and the boundary columns
+    # the stepper keeps no second all-cell edge mass: besides A, its edge
+    # matrices hold only the collar's rows and the rows A's boundary
+    # columns touch
     mesh, ops = small_setup
     calls = []
     real_spilu = sparse_solve.spilu
@@ -423,14 +424,20 @@ def test_run_factors_each_step_matrix_once(small_setup, monkeypatch,
     run_simulation(mesh, ops, UNIT, 0.01, n_steps, energy_every=0)
     assert len(calls) == factorisations
 
+    mesh = generate_rect_mesh((0, 1, 0, 1), 4, 4, 1)
+    ops = build_operator_set(mesh, *damping_at_centroids(mesh))
     stepper = LeapfrogStepper(ops, UNIT, 0.01)
     state, _ = init_state(mesh, ops, UNIT, tau=0.01)
     for _ in range(2):
         stepper.advance(state, np.zeros(mesh.n_triangles))
-    square = [name for name, value in vars(stepper).items()
-              if sp.issparse(value) and value.shape == (mesh.n_edges, mesh.n_edges)]
-    assert square == ["a"]
-    assert stepper._lift.shape == (mesh.n_edges, int(ops.pec_mask.sum()))
+    held = {name: value.shape for name, value in vars(stepper).items()
+            if sp.issparse(value)}
+    assert held.pop("a") == (mesh.n_edges, mesh.n_edges)
+    assert held.pop("_ct") == (mesh.n_edges, mesh.n_triangles)
+    n_collar_edges = len(np.unique(mesh.tri_edges[ops.c1 == 0.0]))
+    assert held == {"_collar": (n_collar_edges, mesh.n_edges),
+                    "_lift": (len(stepper._lift_rows), int(ops.pec_mask.sum()))}
+    assert n_collar_edges < mesh.n_edges and len(stepper._lift_rows) < mesh.n_edges
 
 
 def _count_kernel_cells(monkeypatch):
@@ -615,6 +622,45 @@ def test_step_multiplies_by_c_once(setup):
     assert counting.products == len(steps) + 1
 
 
+@pytest.mark.parametrize("setup", [_collar_sheet_run, _manufactured_run])
+def test_later_steps_never_multiply_by_edge_mass(setup):
+    # M_E enters the first step (its right-hand side and conjugate
+    # gradients) and the energy's kinetic term, never a later step
+    ops, params, state, steps = setup()
+    stepper = LeapfrogStepper(ops, params, state.tau)
+    counting = _CountingMatrix(ops.m_e)
+    ops.m_e = counting
+    stepper.advance(state, **steps[0])
+    first = counting.products
+    assert first >= 2
+    for inputs in steps[1:]:
+        stepper.advance(state, **inputs)
+    assert counting.products == first
+    discrete_energy(state, ops, params)
+    assert counting.products == first + 1
+
+
+@pytest.mark.parametrize("setup", [_collar_sheet_run, _manufactured_run])
+def test_collar_term_lives_on_collar_edges(setup):
+    # the later-step correction K_collar is A - w_phys M_E, kept on its
+    # nonzero rows, which are edges of collar cells only
+    ops, params, state, _ = setup()
+    stepper = LeapfrogStepper(ops, params, state.tau)
+    collar_cells = (ops.c1 == 0.0) | (ops.sigma_x != 0.0) | (ops.sigma_y != 0.0)
+    if not collar_cells.any():
+        assert stepper._collar is None
+        return
+    rows = stepper._collar_rows
+    assert np.all(np.isin(rows, ops.mesh.tri_edges[collar_cells]))
+    full = np.zeros(stepper.a.shape)
+    full[rows] = stepper._collar.toarray()
+    tau, p = state.tau, params
+    w_phys = p.eps0 / tau ** 2 + p.eps0 / (2 * tau * p.tau0)
+    ref = (stepper.a - w_phys * ops.m_e).toarray()
+    assert np.abs(full - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert stepper._r * w_phys == pytest.approx(2 * p.eps0 / tau ** 2, rel=1e-15)
+
+
 @pytest.mark.parametrize("field", ["e_curr", "hzx"])
 def test_blowup_guard_catches_nan_in_either_field(small_setup, monkeypatch, field):
     # a NaN in one field must trip the guard whichever field holds the
@@ -632,7 +678,8 @@ def test_blowup_guard_catches_nan_in_either_field(small_setup, monkeypatch, fiel
     with pytest.raises(BlowUpError) as err:
         run_simulation(mesh, ops, UNIT, 0.01, 10, e0=_bump, energy_every=0)
     assert err.value.step == 3
-    assert str(err.value) == "non-finite field at step 3"
+    name = "E" if field == "e_curr" else "Hz"
+    assert str(err.value) == f"non-finite {name} at step 3 (t = 3.000e-02 s)"
 
 
 def test_blowup_guard_reports_step():
@@ -647,7 +694,12 @@ def test_blowup_guard_reports_step():
     with pytest.raises(BlowUpError) as err:
         # far beyond the stability bound
         run_simulation(mesh, ops, UNIT, 2.0, 400, e0=e0, energy_every=0)
-    assert err.value.step > 0
+    step = err.value.step
+    assert step > 0
+    name, _, tail = str(err.value).partition(" magnitude ")
+    assert name in ("E", "Hz")
+    assert tail.endswith(f" at t = {2.0 * step:.3e} s exceeded 1e+12 x initial "
+                         f"scale at step {step}")
 
 
 def test_run_example1_paper_parameters_stays_bounded():
