@@ -1,9 +1,10 @@
 """Sparse operator assembly for the leapfrog schemes.
 
 The edge mass is integrated exactly in closed form, the curl matrix is the
-signed cell-edge incidence and edge loads use a fixed degree-3 quadrature;
-local matrices are scattered into CSR.  Per-cell coefficients are sampled
-at cell centroids, so the matrices stay time independent.
+signed cell-edge incidence and edge loads integrate the field's vertex
+moments with a fixed degree-3 quadrature; local matrices are scattered into
+CSR.  Per-cell coefficients are sampled at cell centroids, so the matrices
+stay time independent.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .elements import (_barycentric_gradients, cell_basis_data,
-                       quad_points_physical, triangle_quadrature)
+from .elements import (_NEXT, _barycentric_gradients, quad_points_physical,
+                       triangle_quadrature)
 from .mesh import TRI_EDGE_LOCAL, CellTag, EdgeTag, Mesh
 
 
@@ -127,20 +128,24 @@ def assemble_edge_load(mesh: Mesh, field) -> np.ndarray:
 
     `field` maps an (n, 2) point array to (n, 2) vector values, or to
     (m, n, 2) for m fields at once, which gives (m, n_edges) loads from one
-    evaluation of the basis.
+    pass.  Local edge k = (k, k+1) with sign s_k takes
+    s_k (F_k . grad(l_{k+1}) - F_{k+1} . grad(l_k)), F_m being the
+    integral over K of field times l_m, so no basis table is formed.
     """
     rule = triangle_quadrature(3)
-    phi = cell_basis_data(mesh, rule)
     pts = quad_points_physical(mesh, rule)
     vals = np.asarray(field(pts.reshape(-1, 2)), dtype=float)
     lead = vals.shape[:-2]
-    local = 2.0 * mesh.areas[:, None] * np.einsum(
-        "q,...tqd,tqkd->...tk", rule.weights, vals.reshape(lead + pts.shape), phi,
-        optimize=True)
-    out = np.zeros(lead + (mesh.n_edges,))
-    # Accumulate through the transposed view so the edge axis comes first.
-    np.add.at(out.T, mesh.tri_edges.ravel(), local.reshape(lead + (-1,)).T)
-    return out
+    moments = (rule.weights[:, None] * rule.points).T @ vals.reshape(lead + pts.shape)
+    fx, fy = moments[..., 0], moments[..., 1]       # (..., nt, 3): F_m / (2|K|)
+    gx, gy = _barycentric_gradients(mesh).transpose(1, 2, 0)   # (nt, 3) each
+    local = (fx * gx[:, _NEXT] + fy * gy[:, _NEXT]
+             - fx[..., _NEXT] * gx - fy[..., _NEXT] * gy)
+    local *= 2.0 * mesh.areas[:, None] * mesh.tri_edge_signs
+    idx = mesh.tri_edges.ravel()
+    out = [np.bincount(idx, w, minlength=mesh.n_edges)
+           for w in local.reshape(-1, idx.size)]
+    return np.reshape(out, lead + (mesh.n_edges,))
 
 
 def boundary_dof_mask(mesh: Mesh) -> np.ndarray:

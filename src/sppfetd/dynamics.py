@@ -186,7 +186,6 @@ class LeapfrogStepper:
         if tau <= 0:
             raise ValueError("time step must be positive")
         self.ops = ops
-        self.params = params
         self.tau = tau
 
         eps0, mu0, tau0 = params.eps0, params.mu0, params.tau0

@@ -14,7 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import TRI_EDGE_LOCAL, Mesh
+from .mesh import Mesh
+
+# Local edge k of a cell runs from vertex k to vertex _NEXT[k] (TRI_EDGE_LOCAL).
+_NEXT, _PREV = [1, 2, 0], [2, 0, 1]
 
 
 @dataclass(frozen=True)
@@ -66,46 +69,40 @@ def _barycentric_gradients(mesh: Mesh, cells=slice(None)) -> np.ndarray:
     return g
 
 
-def cell_basis_data(mesh: Mesh, rule: QuadratureRule) -> np.ndarray:
-    """Globally oriented Whitney values at the rule's points, (nt, nq, 3, 2)."""
-    g = _barycentric_gradients(mesh)
-    lam = rule.points                               # (nq, 3)
-    signs = mesh.tri_edge_signs.T.astype(float)     # (3, nt)
-    ii, jj = np.array(TRI_EDGE_LOCAL).T
-    phi = lam[:, ii, None, None] * g[jj] - lam[:, jj, None, None] * g[ii]
-    phi *= signs[:, None, :]
-    return np.ascontiguousarray(phi.transpose(3, 0, 1, 2))
-
-
 def quad_points_physical(mesh: Mesh, rule: QuadratureRule) -> np.ndarray:
     """Physical coordinates of the rule's points on every cell, (nt, nq, 2)."""
-    tris = mesh.vertices[mesh.triangles].T          # (2, 3, nt)
-    pts = sum(rule.points[:, i, None, None] * tris[None, :, i] for i in range(3))
-    return pts.transpose(2, 0, 1)
+    return rule.points @ mesh.vertices[mesh.triangles]
 
 
 def eval_edge_field(mesh: Mesh, dofs: np.ndarray, rule: QuadratureRule) -> np.ndarray:
-    """Edge-DoF field evaluated at the rule's points per cell, (nt, nq, 2)."""
-    phi = cell_basis_data(mesh, rule)
-    local = dofs[mesh.tri_edges]                    # (nt, 3)
-    return np.einsum("tk,tqkd->tqd", local, phi)
+    """Edge-DoF field evaluated at the rule's points per cell, (nt, nq, 2).
+
+    A Whitney field is affine on each cell, the sum over m of lambda_m V_m,
+    so its three vertex values carry it: with c_k the oriented DoF of local
+    edge k = (k, k+1), V_m = c_m grad(lambda_{m+1}) - c_{m-1} grad(lambda_{m-1}).
+    """
+    g = _barycentric_gradients(mesh)                        # (3, 2, nt)
+    c = (dofs[mesh.tri_edges] * mesh.tri_edge_signs).T      # (3, nt)
+    v = c[:, None] * g[_NEXT] - c[_PREV, None] * g[_PREV]  # (3, 2, nt)
+    return np.tensordot(rule.points, v, axes=1).transpose(2, 0, 1)
 
 
-def interpolate_hcurl(field, mesh: Mesh) -> np.ndarray:
+def interpolate_hcurl(field, mesh: Mesh, edges=slice(None)) -> np.ndarray:
     """Edge interpolation: DoF_e = integral over e of field . t ds.
 
     `field` maps an (n, 2) point array to (n, 2) vector values, or to
     (m, n, 2) for m fields at once, which gives (m, n_edges) DoFs.  The
     tangent runs from the lower-index to the higher-index endpoint.
+    `edges` (indices or a boolean mask) keeps only those edges' DoFs.
     """
     rule = segment_quadrature(3)
-    p0 = mesh.vertices[mesh.edges[:, 0]]
-    p1 = mesh.vertices[mesh.edges[:, 1]]
+    p0 = mesh.vertices[mesh.edges[edges, 0]]
+    p1 = mesh.vertices[mesh.edges[edges, 1]]
     dofs = sum(w * np.einsum("...ed,ed->...e",
                              np.asarray(field(p0 + s * (p1 - p0)), dtype=float),
-                             mesh.edge_tangents)
+                             mesh.edge_tangents[edges])
                for s, w in zip(rule.points, rule.weights))
-    return dofs * mesh.edge_lengths
+    return dofs * mesh.edge_lengths[edges]
 
 
 def project_l2_p0(field, mesh: Mesh) -> np.ndarray:

@@ -174,8 +174,9 @@ class ManufacturedCase:
     f_sca = mu0 dH/dt + curl E per subdomain; the scheme consumes them as
     ks = -f_sca (cell means) and the edge load f_vec + tau0 d(f_vec)/dt.
     The case carries these drives only in modal form (fixed spatial modes
-    times coefficients of t); their pointwise closed forms, the oracle the
-    modal sums are tested against, live in tests/oracles.py.
+    times coefficients of t) and the exact fields only as the pair the
+    error norm compares against; the pointwise closed forms, the oracle
+    both are tested against, live in tests/oracles.py.
     """
 
     interface_y = 0.5
@@ -197,20 +198,18 @@ class ManufacturedCase:
 
     # -- exact fields -------------------------------------------------------
 
-    def e_field(self, pts, t):
-        return np.tensordot(self.e_coeffs(t), self.e_modes(pts), axes=1)
-
     def _g(self, t):
         return 2.0 * np.pi * (np.cos(2.0 * np.pi * t) - np.exp(-t))
 
     def _dg(self, t):
         return -(2.0 * np.pi) ** 2 * np.sin(2.0 * np.pi * t) + 2.0 * np.pi * np.exp(-t)
 
-    def h_field(self, pts, t):
-        sx, _, sy, _ = self._sc(pts)
-        st = np.sin(2.0 * np.pi * t)
-        upper = self._upper(pts)
-        return self._a * sx * sy * np.where(upper, st, self._g(t))
+    def exact_fields(self, pts, t_e, t_h):
+        """E = sin(2 pi t_e) V1 and H at t_h, (n, 2) and (n,), from one trig pass."""
+        sx, cx, sy, cy = self._sc(pts)
+        s_h = np.where(self._upper(pts), np.sin(2.0 * np.pi * t_h), self._g(t_h))
+        return (np.sin(2.0 * np.pi * t_e) * np.column_stack([sx * sy, cx * cy]),
+                self._a * sx * sy * s_h)
 
     # -- separable drives: fixed spatial modes (leading axis) weighted by
     # scalar coefficients of t, so a mesh integrates the modes only once.

@@ -1,14 +1,18 @@
 """Independent dense oracles used to cross-check the production assembly,
-and the pointwise sources of the manufactured case.
+and the pointwise fields and sources of the manufactured case.
 
 Everything here deliberately avoids the package's basis/quadrature code:
 Whitney functions are evaluated on the reference triangle and mapped with
 the covariant (Piola) transform, and integrals use a tensor-product Gauss
 rule squashed onto the triangle (Duffy transform).  Only mesh connectivity
-(vertex coordinates, triangle->edge maps, orientation signs) is shared.
+(vertex coordinates, triangle->edge maps, orientation signs) is shared, and
+the basis-table oracles take the production rule's points and weights, so
+that they check the kernels that use a rule rather than the rule itself.
 """
 
 import numpy as np
+
+from sppfetd.mesh import Mesh, generate_rect_mesh
 
 REF_EDGES = ((0, 1), (1, 2), (2, 0))
 _REF_GRADS = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
@@ -129,6 +133,34 @@ def physical_whitney_from_ref(mesh, cell, ref_pts):
     _, _, jinv_t, _ = cell_maps(mesh, cell)
     vals = ref_whitney(ref_pts) @ jinv_t.T
     return vals * mesh.tri_edge_signs[cell][None, :, None]
+
+
+def cell_basis_data(mesh, rule):
+    """Globally oriented Whitney values at a triangle rule's barycentric points
+    on every cell, (nt, nq, 3, 2): the basis table that the production
+    kernels do without.  Barycentric (l0, l1, l2) is reference point (l1, l2)."""
+    return np.stack([physical_whitney(mesh, cell, rule.points[:, 1:])
+                     for cell in range(mesh.n_triangles)])
+
+
+def table_edge_field(mesh, dofs, rule):
+    """Edge-DoF field at the rule's points per cell from the basis table."""
+    return np.einsum("tk,tqkd->tqd", dofs[mesh.tri_edges], cell_basis_data(mesh, rule))
+
+
+def table_edge_load(mesh, field, rule):
+    """Edge loads of `field` (leading mode axis allowed) from the basis table,
+    scattered cell by cell, with the points mapped by each cell's Jacobian."""
+    phi = cell_basis_data(mesh, rule)
+    out = None
+    for cell in range(mesh.n_triangles):
+        p0, jac, _, det = cell_maps(mesh, cell)
+        vals = np.asarray(field(rule.points[:, 1:] @ jac.T + p0), dtype=float)
+        local = np.einsum("q,...qd,qkd->...k", rule.weights * det, vals, phi[cell])
+        if out is None:
+            out = np.zeros(local.shape[:-1] + (mesh.n_edges,))
+        out[..., mesh.tri_edges[cell]] += local
+    return out
 
 
 def dense_partial_divergence(mesh, axis, n=6):
@@ -314,6 +346,21 @@ def cells_containing(mesh, point, tol=1e-12):
     return np.flatnonzero((lam >= -tol).all(axis=1) & (lam.sum(axis=1) <= 1.0 + tol))
 
 
+def jittered_mesh(seed=11):
+    """6x5 grid mesh of [0, 1.2] x [0, 1] with its interior vertices moved by
+    up to a quarter cell per axis and its vertices renumbered at random, so
+    cells differ in shape and each local edge takes both orientation signs."""
+    base = generate_rect_mesh((0.0, 1.2, 0.0, 1.0), 6, 5, 0)
+    rng = np.random.default_rng(seed)
+    verts = base.vertices.copy()
+    interior = np.bincount(base.edges.ravel()) == 6
+    verts[interior] += rng.uniform(-0.25, 0.25, (interior.sum(), 2)) * 0.2
+    perm = rng.permutation(len(verts))
+    mesh = Mesh(verts[perm], np.argsort(perm)[base.triangles])
+    assert all(set(mesh.tri_edge_signs[:, k]) == {-1, 1} for k in range(3))
+    return mesh
+
+
 def edge_midpoints(mesh):
     """Midpoint of every mesh edge, (n_edges, 2)."""
     return mesh.vertices[mesh.edges].mean(axis=1)
@@ -337,10 +384,11 @@ def save_mesh(mesh, path):
                      for e, (a, b) in zip(tagged, mesh.edges[tagged]))
 
 
-# -- pointwise sources of the manufactured case --------------------------------
+# -- pointwise fields and sources of the manufactured case ----------------------
 # physics.ManufacturedCase keeps its drives only as modes times coefficients
-# of t.  These are its sources written out from its closed-form fields,
-# E = sin(wt) V1 and H = a sx sy s(t) with s = sin(wt) above the interface and
+# of t and its fields only as the pair `exact_fields` returns.  These are its
+# closed-form fields and the sources written out from them: E = sin(wt) V1
+# and H = a sx sy s(t) with s = sin(wt) above the interface and
 # g(t) = w (cos(wt) - exp(-t)) below; w = 2 pi, a = 1/(1 + w^2), V1 =
 # (sx sy, cx cy), and curl H = (dH/dy, -dH/dx) = a w s(t) (sx cy, -cx sy).
 
@@ -358,6 +406,17 @@ def _fields(case, pts, t, deriv):
     amp = np.where(pts[:, 1] > case.interface_y, above, below)
     return (sx * sy, sx * cy, np.column_stack([sx * sy, cx * cy]),
             np.column_stack([sx * cy, -cx * sy]), amp)
+
+
+def e_field(case, pts, t):
+    """The exact electric field E = sin(wt) V1."""
+    return np.sin(_W * t) * _fields(case, pts, t, 0)[2]
+
+
+def h_field(case, pts, t):
+    """The exact magnetic field H = a sx sy s(t), s dispatched per subdomain."""
+    sxsy, _, _, _, amp = _fields(case, pts, t, 0)
+    return _A * sxsy * amp
 
 
 def f_vector(case, pts, t):

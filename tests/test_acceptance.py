@@ -189,8 +189,8 @@ def test_criterion_6_interpolation_projection_rates():
     errs_e, errs_h = [], []
     for h in (1 / 8, 1 / 16, 1 / 32):
         mesh, _, _ = build_manufactured_problem(h)
-        e = interpolate_hcurl(lambda p: case.e_field(p, t), mesh)
-        hz = project_l2_p0(lambda p: case.h_field(p, t), mesh)
+        e = interpolate_hcurl(lambda p: oracles.e_field(case, p, t), mesh)
+        hz = project_l2_p0(lambda p: oracles.h_field(case, p, t), mesh)
         state = FieldState(e_prev=e, e_curr=e, curl_e=None, hzx=hz, hzy=0 * hz,
                            step=0, tau=0.0)
         ee, eh = l2_errors(state, case, mesh, t)

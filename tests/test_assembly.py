@@ -8,7 +8,7 @@ from sppfetd.assembly import (apply_pec, assemble_edge_load, assemble_edge_mass,
                               assemble_interface_mass, assemble_mixed_curl,
                               boundary_dof_mask, build_operator_set)
 from sppfetd.dynamics import LeapfrogStepper
-from sppfetd.elements import interpolate_hcurl
+from sppfetd.elements import interpolate_hcurl, triangle_quadrature
 from sppfetd.mesh import (InterfaceSpec, Mesh, Segment, generate_rect_mesh,
                           snap_interface)
 from sppfetd.physics import MaterialParams
@@ -202,6 +202,25 @@ def test_edge_load_matches_oracle(pair_mesh):
         ref[pair_mesh.tri_edges[cell]] += np.einsum(
             "q,qd,qkd->k", wts * det, vals, phi)
     np.testing.assert_allclose(got, ref, atol=1e-13)
+
+
+def test_edge_load_with_mode_axis_matches_basis_table():
+    # three fields at once on a mesh with jittered cells and mixed edge
+    # orientations, against the basis-table load scattered cell by cell
+    mesh = oracles.jittered_mesh()
+
+    def modes(p):
+        x, y = p[:, 0], p[:, 1]
+        return np.stack([np.column_stack([np.sin(3 * x) * y, np.cos(2 * y)]),
+                         np.column_stack([x * x - y, 0.5 + x * y]),
+                         np.column_stack([np.exp(x - y), -np.sin(x + 2 * y)])])
+
+    ref = oracles.table_edge_load(mesh, modes, triangle_quadrature(3))
+    got = assemble_edge_load(mesh, modes)
+    assert got.shape == ref.shape == (3, mesh.n_edges)
+    np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-14 * np.abs(ref).max())
+    single = assemble_edge_load(mesh, lambda p: modes(p)[1])
+    np.testing.assert_allclose(single, ref[1], rtol=0.0, atol=1e-14 * np.abs(ref).max())
 
 
 def test_apply_pec_two_triangle_mesh(pair_mesh):

@@ -66,8 +66,9 @@ def test_init_state_requires_tau(small_setup):
 def test_init_state_manufactured_has_zero_field_nonzero_velocity(small_setup):
     mesh, ops = small_setup
     case = ManufacturedCase()
-    state, vel = init_state(mesh, ops, UNIT, e0=lambda p: case.e_field(p, 0.0),
-                            tau=0.01, dt_e0=case.dt_e0, zero_boundary=False)
+    state, vel = init_state(mesh, ops, UNIT,
+                            e0=lambda p: oracles.e_field(case, p, 0.0), tau=0.01,
+                            dt_e0=case.dt_e0, zero_boundary=False)
     assert np.abs(state.e_curr).max() <= 1e-14
     assert np.abs(vel).max() > 0.1
 

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from sppfetd.assembly import assemble_mixed_curl
-from sppfetd.elements import (QuadratureRule, cell_basis_data, eval_edge_field,
-                              interpolate_hcurl, project_l2_p0,
-                              quad_points_physical, segment_quadrature,
-                              triangle_quadrature)
+from sppfetd.elements import (QuadratureRule, eval_edge_field, interpolate_hcurl,
+                              project_l2_p0, quad_points_physical,
+                              segment_quadrature, triangle_quadrature)
 from sppfetd.mesh import TRI_EDGE_LOCAL, Mesh, generate_rect_mesh
 
-from oracles import duffy_rule, edge_midpoints, ref_whitney
+from oracles import (duffy_rule, edge_midpoints, jittered_mesh, ref_whitney,
+                     table_edge_field)
 
 RIGHT = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
@@ -23,10 +23,12 @@ def _one_cell(tri, order=(0, 1, 2)):
 
 
 def _basis_at(mesh, bary):
-    """Production Whitney values at barycentric points, (nt, n, 3, 2)."""
+    """Whitney values on the first cell at barycentric points in local edge
+    order, (n, 3, 2): the production field of each one-hot DoF vector."""
     bary = np.atleast_2d(bary)
     rule = QuadratureRule(bary, np.full(len(bary), 0.5 / len(bary)))
-    return cell_basis_data(mesh, rule)
+    one_hot = np.eye(mesh.n_edges)[mesh.tri_edges[0]]
+    return np.stack([eval_edge_field(mesh, d, rule)[0] for d in one_hot], axis=1)
 
 
 def _moment_matrix(mesh):
@@ -38,7 +40,7 @@ def _moment_matrix(mesh):
         bary[:, i] = 1.0 - rule.points
         bary[:, j] = rule.points
         e = mesh.tri_edges[0, k]
-        trace = _basis_at(mesh, bary)[0] @ mesh.edge_tangents[e]   # (nq, 3)
+        trace = _basis_at(mesh, bary) @ mesh.edge_tangents[e]   # (nq, 3)
         out[k] = mesh.edge_lengths[e] * (rule.weights @ trace)
     return out
 
@@ -60,7 +62,7 @@ def test_duality_identity_on_random_triangles():
 def test_midpoint_tangential_value():
     # duality means the own-edge tangential trace integrates to 1, and for
     # the constant Whitney trace: value * length = 1 at the midpoint
-    phi = _basis_at(_one_cell(RIGHT), [0.5, 0.5, 0.0])[0, 0]
+    phi = _basis_at(_one_cell(RIGHT), [0.5, 0.5, 0.0])[0]
     tangential = phi[0] @ np.array([1.0, 0.0])
     assert tangential * 1.0 == pytest.approx(1.0, abs=1e-13)
 
@@ -97,7 +99,7 @@ def test_piola_map_preserves_tangential_moments():
     for order in ((0, 1, 2), (2, 0, 1), (1, 2, 0)):
         mesh = _one_cell(tri, order)
         bary = np.column_stack([1.0 - ref_pts.sum(axis=1), ref_pts])
-        direct = _basis_at(mesh, bary)[0]
+        direct = _basis_at(mesh, bary)
         mapped = ref_whitney(ref_pts) @ np.linalg.inv(jac)
         np.testing.assert_allclose(
             direct, mapped * mesh.tri_edge_signs[0][None, :, None], atol=1e-12)
@@ -183,14 +185,25 @@ def test_tangential_continuity_across_interior_edges():
     rule = QuadratureRule(mids, np.full(3, 1 / 6))
     np.testing.assert_allclose(quad_points_physical(m, rule),
                                edge_midpoints(m)[m.tri_edges], atol=1e-15)
-    phi = cell_basis_data(m, rule)                             # (nt, 3, 3, 2)
-    field = np.einsum("tk,tqkd->tqd", dofs[m.tri_edges], phi)  # (nt, 3, 2)
+    field = eval_edge_field(m, dofs, rule)                     # (nt, 3, 2)
     trace = np.einsum("tqd,tqd->tq", field, m.edge_tangents[m.tri_edges])
     interior = np.flatnonzero(m.edge_triangle_count == 2)
     for e in interior:
         cells, local = np.nonzero(m.tri_edges == e)
         assert trace[cells[0], local[0]] == pytest.approx(
             trace[cells[1], local[1]], abs=1e-12)
+
+
+@pytest.mark.parametrize("degree", [1, 3])
+def test_eval_edge_field_matches_basis_table(degree):
+    # vertex values against the oriented, Piola-mapped basis table
+    mesh = jittered_mesh()
+    rule = triangle_quadrature(degree)
+    dofs = np.random.default_rng(12).standard_normal(mesh.n_edges)
+    ref = table_edge_field(mesh, dofs, rule)
+    got = eval_edge_field(mesh, dofs, rule)
+    assert got.shape == ref.shape == (mesh.n_triangles, len(rule.weights), 2)
+    np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-14 * np.abs(ref).max())
 
 
 def test_cell_areas_partition_domain():

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -187,14 +189,23 @@ def case():
     return ManufacturedCase()
 
 
+def _e(case, pts, t):
+    """The case's exact E at t, from the pair the error norm uses."""
+    return case.exact_fields(pts, t, t)[0]
+
+
+def _h(case, pts, t):
+    return case.exact_fields(pts, t, t)[1]
+
+
 def test_manufactured_zero_slices(case):
     rng = np.random.default_rng(0)
     pts = rng.uniform(0, 1, size=(50, 2))
-    assert np.abs(case.e_field(pts, 0.0)).max() <= 1e-15
-    assert np.abs(case.h_field(pts, 0.0)).max() <= 1e-15
+    assert np.abs(_e(case, pts, 0.0)).max() <= 1e-15
+    assert np.abs(_h(case, pts, 0.0)).max() <= 1e-15
     edge = np.column_stack([np.zeros(20), rng.uniform(0, 1, 20)])
-    assert np.abs(case.e_field(edge, 0.37)[:, 0]).max() <= 1e-15
-    assert np.abs(case.h_field(edge, 0.37)).max() <= 1e-15
+    assert np.abs(_e(case, edge, 0.37)[:, 0]).max() <= 1e-15
+    assert np.abs(_h(case, edge, 0.37)).max() <= 1e-15
 
 
 def test_manufactured_interface_compatibility(case):
@@ -203,9 +214,9 @@ def test_manufactured_interface_compatibility(case):
     above = np.column_stack([x, np.full(100, 0.5 + 1e-13)])
     below = np.column_stack([x, np.full(100, 0.5 - 1e-13)])
     t = 0.29
-    assert np.abs(case.h_field(above, t) - case.h_field(below, t)).max() <= 1e-12
+    assert np.abs(_h(case, above, t) - _h(case, below, t)).max() <= 1e-12
     on = np.column_stack([x, np.full(100, 0.5)])
-    assert np.abs(case.e_field(on, t)[:, 0]).max() <= 1e-12
+    assert np.abs(_e(case, on, t)[:, 0]).max() <= 1e-12
 
 
 def _fd_time(f, pts, t, dt=1e-6):
@@ -216,10 +227,10 @@ def _fd_curl_h(case, pts, t, dx=1e-6):
     ex = np.zeros((len(pts), 2))
     up = pts.copy(); up[:, 1] += dx
     dn = pts.copy(); dn[:, 1] -= dx
-    ex[:, 0] = (case.h_field(up, t) - case.h_field(dn, t)) / (2.0 * dx)
+    ex[:, 0] = (_h(case, up, t) - _h(case, dn, t)) / (2.0 * dx)
     rt = pts.copy(); rt[:, 0] += dx
     lt = pts.copy(); lt[:, 0] -= dx
-    ex[:, 1] = -(case.h_field(rt, t) - case.h_field(lt, t)) / (2.0 * dx)
+    ex[:, 1] = -(_h(case, rt, t) - _h(case, lt, t)) / (2.0 * dx)
     return ex
 
 
@@ -228,8 +239,8 @@ def _fd_curl_e(case, pts, t, dx=1e-6):
     lt = pts.copy(); lt[:, 0] -= dx
     dy_up = pts.copy(); dy_up[:, 1] += dx
     dy_dn = pts.copy(); dy_dn[:, 1] -= dx
-    d_ey_dx = (case.e_field(rt, t)[:, 1] - case.e_field(lt, t)[:, 1]) / (2.0 * dx)
-    d_ex_dy = (case.e_field(dy_up, t)[:, 0] - case.e_field(dy_dn, t)[:, 0]) / (2.0 * dx)
+    d_ey_dx = (_e(case, rt, t)[:, 1] - _e(case, lt, t)[:, 1]) / (2.0 * dx)
+    d_ex_dy = (_e(case, dy_up, t)[:, 0] - _e(case, dy_dn, t)[:, 0]) / (2.0 * dx)
     return d_ey_dx - d_ex_dy
 
 
@@ -243,9 +254,9 @@ def manufactured_residuals(case, n_points=100, seed=2):
     p = case.params
     for i, t in enumerate(ts):
         pt = pts[i:i + 1]
-        r1 = (p.eps0 * _fd_time(case.e_field, pt, t)
+        r1 = (p.eps0 * _fd_time(partial(_e, case), pt, t)
               - _fd_curl_h(case, pt, t) - oracles.f_vector(case, pt, t))
-        r2 = (p.mu0 * _fd_time(case.h_field, pt, t)
+        r2 = (p.mu0 * _fd_time(partial(_h, case), pt, t)
               + _fd_curl_e(case, pt, t) - oracles.f_scalar(case, pt, t))
         res_e = max(res_e, np.abs(r1).max())
         res_h = max(res_h, np.abs(r2).max())
@@ -267,7 +278,7 @@ def test_manufactured_modes_sum_to_the_sources(params):
                      rng.uniform((0.0, 0.0), (1.0, 0.5), (20, 2))])   # lower
     x, y = 2.0 * np.pi * pts.T
     v1 = np.column_stack([np.sin(x) * np.sin(y), np.cos(x) * np.cos(y)])
-    # e_load_field, ks and e_field are the modal sums.
+    # e_load_field and ks are the modal sums; the exact E is sin(2 pi t) V1.
     for t in (0.0, 0.17, 0.6, 2.3):
         np.testing.assert_allclose(
             oracles.e_load_field(case, pts, t),
@@ -277,8 +288,19 @@ def test_manufactured_modes_sum_to_the_sources(params):
         np.testing.assert_allclose(oracles.ks(case, pts, t),
                                    -oracles.f_scalar(case, pts, t),
                                    rtol=0.0, atol=1e-13)
-        np.testing.assert_allclose(case.e_field(pts, t), np.sin(2.0 * np.pi * t) * v1,
+        np.testing.assert_allclose(_e(case, pts, t), np.sin(2.0 * np.pi * t) * v1,
                                    rtol=0.0, atol=1e-15)
+
+
+def test_exact_fields_match_the_closed_forms(case):
+    # both subdomains, and E and H at different times as the error norm asks
+    rng = np.random.default_rng(5)
+    pts = np.vstack([rng.uniform((0.0, 0.5), (1.0, 1.0), (25, 2)),
+                     rng.uniform((0.0, 0.0), (1.0, 0.5), (25, 2))])
+    for t_e, t_h in ((0.0, 0.0), (0.3, 0.2995), (2.3, 1.1)):
+        e, h = case.exact_fields(pts, t_e, t_h)
+        np.testing.assert_allclose(e, oracles.e_field(case, pts, t_e), rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(h, oracles.h_field(case, pts, t_h), rtol=0.0, atol=1e-15)
 
 
 def test_manufactured_dt_consistency(case):
@@ -286,4 +308,4 @@ def test_manufactured_dt_consistency(case):
     pts = rng.uniform(0.1, 0.9, size=(30, 2))
     fd = _fd_time(lambda p, t: oracles.f_vector(case, p, t), pts, 0.4)
     assert np.abs(fd - oracles.dt_f_vector(case, pts, 0.4)).max() <= 1e-6
-    assert np.abs(case.dt_e0(pts) - _fd_time(case.e_field, pts, 0.0)).max() <= 1e-6
+    assert np.abs(case.dt_e0(pts) - _fd_time(partial(_e, case), pts, 0.0)).max() <= 1e-6
