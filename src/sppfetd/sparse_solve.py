@@ -8,12 +8,12 @@ without a threshold search.  The factorisation and the solves are
 deterministic for a given SuperLU build.
 
 The matrix is mass-dominated, so its factor's entries decay exponentially
-with graph distance (Demko, Moss & Smith, Math. Comp. 43, 1984): 77% of
-the full 1/80 manufactured factor is below 1e-16 of its column's largest
-entry, 7,492 entries subnormal.  SuperLU's threshold-dropping ILU
-(rule "basic": by column scale, never by fill) drops entries below
-DROP_TOL of their column as it factors, a perturbation below roundoff;
-factorize checks the residual of one solve (SolverError, exit 4).
+with graph distance (Demko, Moss & Smith, Math. Comp. 43, 1984): 28% of
+the full reduced bifurcated factor is below 1e-16 of its column's largest.
+SuperLU's threshold-dropping ILU (rule "basic": by column scale, never by
+fill) drops entries below DROP_TOL of their column as it factors, a
+perturbation below roundoff; factorize checks one solve's residual
+(SolverError, exit 4).  Isotropic right isosceles meshes factor without fill.
 
 Most supernodes here are single columns, so the transposed solve of a^T's
 factor (row gathers) beats a's plain solve (column scatters) in cache.

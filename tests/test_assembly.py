@@ -3,15 +3,18 @@ import itertools
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
+from sppfetd import sparse_solve
 from sppfetd.assembly import (apply_pec, assemble_edge_load, assemble_edge_mass,
                               assemble_interface_mass, assemble_mixed_curl,
                               boundary_dof_mask, build_operator_set)
 from sppfetd.dynamics import LeapfrogStepper
 from sppfetd.elements import interpolate_hcurl, triangle_quadrature
+from sppfetd.harness import SCENARIO_NAMES, build_manufactured_problem, scenario
 from sppfetd.mesh import (InterfaceSpec, Mesh, Segment, generate_rect_mesh,
                           snap_interface)
-from sppfetd.physics import MaterialParams
+from sppfetd.physics import MaterialParams, damping_at_centroids
 from sppfetd.sparse_solve import factorize
 
 import oracles
@@ -77,6 +80,89 @@ def test_edge_mass_shared_edge_accumulates(pair_mesh):
 def test_edge_mass_rejects_negative_coefficient(small_mesh):
     with pytest.raises(ValueError):
         assemble_edge_mass(small_mesh, -1.0)
+
+
+def _stored(mat, rows, cols):
+    """Whether `mat` holds a nonzero entry at each (rows, cols) pair."""
+    return np.asarray(mat[rows.ravel(), cols.ravel()]).reshape(rows.shape) != 0
+
+
+def _ring_grid(pml_layers):
+    """A 0.1 um criss-cross grid at the ring-resonator's coordinates, whose
+    rounded vertices leave residue in the vanishing couplings, with the ring's
+    SI material, step and damped collar; returns (mesh, ops, stepper)."""
+    cfg = scenario("ring-resonator")
+    mesh = generate_rect_mesh((16e-6, 20e-6, -20e-6, -16e-6), 40, 40, pml_layers)
+    ops = build_operator_set(mesh, *damping_at_centroids(mesh, cfg.pml_err, cfg.pml_eta))
+    return mesh, ops, LeapfrogStepper(ops, cfg.resolved_material(), cfg.tau)
+
+
+def _factor_sizes(monkeypatch, a):
+    """L+U entries of `factorize(a)` and of a full splu factor of the same
+    matrix with the same ordering options."""
+    seen, spilu = {}, sparse_solve.spilu
+
+    def spy(a_t, **kwargs):
+        seen["lu"], seen["kwargs"] = spilu(a_t, **kwargs), kwargs
+        return seen["lu"]
+
+    monkeypatch.setattr(sparse_solve, "spilu", spy)
+    factorize(a)
+    kwargs = {k: v for k, v in seen["kwargs"].items() if not k.startswith("drop_")}
+    full = splu(a.T.tocsc(), **kwargs)
+    return seen["lu"].L.nnz + seen["lu"].U.nnz, full.L.nnz + full.U.nnz
+
+
+def test_right_isosceles_couplings_are_exact_zeros(monkeypatch):
+    # on a right isosceles cell the hypotenuse-leg couplings vanish exactly;
+    # stored as rounding residue they fill the factor in
+    mesh, ops, stepper = _ring_grid(pml_layers=2)
+    ends = mesh.vertices[mesh.edges]
+    hyp = np.flatnonzero(np.all(ends[:, 1] != ends[:, 0], axis=1))
+    assert len(hyp) == mesh.n_triangles // 2
+    m_e = ops.m_e
+    assert np.all(np.diff(m_e.indptr)[hyp] == 1)
+    assert np.all(m_e.indices[m_e.indptr[hyp]] == hyp)
+
+    # with unequal weights (the damped collar's sides) the couplings are real
+    unequal = np.flatnonzero(ops.sigma_x != ops.sigma_y)
+    assert len(unequal) > 0
+    local_hyp = np.isin(mesh.tri_edges[unequal], hyp)
+    assert np.all(local_hyp.sum(axis=1) == 1)
+    hyp_edge = mesh.tri_edges[unequal][local_hyp]
+    legs = mesh.tri_edges[unequal][~local_hyp].reshape(-1, 2)
+    assert np.all(_stored(stepper.a, np.repeat(hyp_edge[:, None], 2, axis=1), legs))
+
+    # without a collar every cell is isotropic and the factor has A's pattern
+    _, ops, stepper = _ring_grid(pml_layers=0)
+    a = apply_pec(stepper.a, ops.pec_mask)
+    dropped, full = _factor_sizes(monkeypatch, a)
+    assert dropped == full == a.nnz + a.shape[0]    # L's unit diagonal is stored
+
+
+def _published_and_manufactured_meshes():
+    specs = {(cfg.bounds, cfg.nx, cfg.ny, cfg.pml_layers)
+             for cfg in map(scenario, SCENARIO_NAMES) if not cfg.manufactured}
+    yield from (generate_rect_mesh(*spec) for spec in sorted(specs))
+    for n in (10, 20, 40, 80):
+        yield build_manufactured_problem(1 / n)[0]
+
+
+def test_zeroed_couplings_are_far_below_kept_ones():
+    # every coupling the edge mass leaves out is roundoff of an exact zero and
+    # every one it keeps is far from one: the 1e-12 threshold has decades of
+    # margin on both sides on the published and manufactured meshes
+    zeroed_total = 0
+    for mesh in _published_and_manufactured_meshes():
+        local = oracles.local_edge_masses(mesh)
+        p, q = [0, 0, 1], [1, 2, 2]            # the local off-diagonal pairs
+        ratio = np.abs(local[:, p, q]) / np.sqrt(local[:, p, p] * local[:, q, q])
+        kept = _stored(assemble_edge_mass(mesh), mesh.tri_edges[:, p],
+                       mesh.tri_edges[:, q])
+        assert np.all(ratio[~kept] <= 1e-13)
+        assert np.all(ratio[kept] >= 1e-6)
+        zeroed_total += np.count_nonzero(~kept)
+    assert zeroed_total > 0
 
 
 def test_curl_curl_single_triangle_entries(pair_mesh):
