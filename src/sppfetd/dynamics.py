@@ -59,6 +59,8 @@ class FieldState:
     """Electric edge DoFs at two levels plus split magnetic cell DoFs.
 
     e_curr lives at t_n, e_prev at t_{n-1}, hzx/hzy at t_{n-1/2}; curl_e is C e_curr.
+    At step 0, e_prev = e_0 - 2 tau v carries the initial velocity v, not a
+    field level, so the energy of a step-0 state is not meaningful.
     """
 
     e_prev: np.ndarray
@@ -130,42 +132,41 @@ def cfl_max_timestep(params: MaterialParams, mesh: Mesh,
     return float(min(terms))
 
 
-def init_state(mesh: Mesh, ops: OperatorSet, params: MaterialParams, *,
-               tau: float, e0=None, ks0_cells=None, dt_e0=None,
-               zero_boundary: bool = True):
-    """Discretise the initial conditions.
+def init_state(ops: OperatorSet, params: MaterialParams, *, tau: float,
+               e0=None, ks0_cells=None, dt_e0=None,
+               zero_boundary: bool = True) -> FieldState:
+    """Discretise the initial conditions on `ops.mesh`.
 
-    Returns (state, velocity) where velocity carries the edge interpolant
-    of the initial electric velocity `dt_e0` (zero when None) used to
-    eliminate the fictitious pre-initial level at the first step.
+    e_curr interpolates `e0`; e_prev = e_curr - 2 tau v, v the interpolant
+    of the initial velocity `dt_e0` (each zero when None), lets the first
+    step eliminate the fictitious pre-initial level.
 
     The initial magnetic field is zero, so the magnetic start value is the
     cell projection of (tau / 2 mu0)(curl(E0) + Ks(., 0)); the cell means
     of curl(E0) are recovered exactly from the interpolated edge DoFs via
     Stokes.
     """
+    mesh = ops.mesh
     e_curr = interpolate_hcurl(e0, mesh) if e0 is not None else np.zeros(mesh.n_edges)
     if zero_boundary:
         e_curr[ops.pec_mask] = 0.0
+    e_prev = (e_curr - (2.0 * tau) * interpolate_hcurl(dt_e0, mesh) if dt_e0 is not None
+              else e_curr.copy())
 
     ks0 = np.zeros(mesh.n_triangles) if ks0_cells is None else np.asarray(ks0_cells)
     curl_e = ops.c @ e_curr
     h_half = tau / (2.0 * params.mu0) * (curl_e / ops.areas + ks0)
-    velocity = (interpolate_hcurl(dt_e0, mesh) if dt_e0 is not None
-                else np.zeros(mesh.n_edges))
-
-    state = FieldState(e_prev=np.zeros(mesh.n_edges), e_curr=e_curr, curl_e=curl_e,
-                       hzx=0.5 * h_half, hzy=0.5 * h_half, step=0, tau=tau)
-    return state, velocity
+    return FieldState(e_prev=e_prev, e_curr=e_curr, curl_e=curl_e,
+                      hzx=0.5 * h_half, hzy=0.5 * h_half, step=0, tau=tau)
 
 
 class LeapfrogStepper:
     """Per-cell coefficients and the factored edge system of the merged update.
 
-    The electric step is solved for the change over two levels,
+    The electric step is solved for the change Delta = e_{n+1} - e_n,
 
-        A (e_{n+1} - e_{n-1}) = 2 M_lead d - (sigma0/tau0) G e_n
-                                + C^T (h_term - c1/(mu0 |K|) C e_n) + load,
+        A Delta = R + (2 M_lead - A) d,
+        R = C^T (h_term - c1/(mu0 |K|) C e_n) - (sigma0/tau0) G e_n + load,
 
     with d = e_n - e_{n-1}, M_lead = (eps0/tau^2) M_E and the physical
     curl-curl matrix C^T diag(c1/|K|) C.  A = M_lead + M_damp is one edge
@@ -173,13 +174,14 @@ class LeapfrogStepper:
     diag(sigma_y, sigma_x)/(2 tau): w_phys M_E (w_phys: a physical cell's
     weight) plus K_collar, weighted by the difference on the other cells
     (the collar).  As 2 M_lead = r (A - K_collar), r = 2 eps0/(tau^2 w_phys),
-    a later step's change is r d plus the solve of the rest less r K_collar d:
-    no M_E product.  On the first step the initial velocity v eliminates the
-    pre-initial level: A turns into 2 M_lead, e_{n-1} into zero and
-    2 tau (2 M_lead v - A v) joins the right-hand side.  A is factored once,
-    at the first step, which solves its 2 M_lead system by conjugate
-    gradients preconditioned with A's factor.  Besides the solve, a step
-    multiplies once by C (for curl_e) and once by C^T, held as CSR.
+    every step builds b = R - r K_collar d, and a later step's
+    e_{n+1} - e_{n-1} is r d plus the solve of b: no M_E product.  With
+    e_prev = e_0 - 2 tau v (see `init_state`) the first step is the same
+    equation with 2 M_lead in place of A, the initial velocity v having
+    eliminated the pre-initial level: it adds (r - 1) A d to b and solves
+    by conjugate gradients preconditioned with A's factor, formed once,
+    there.  Besides the solve, a step multiplies once by C (for curl_e)
+    and once by C^T, held as CSR.
     """
 
     def __init__(self, ops: OperatorSet, params: MaterialParams, tau: float):
@@ -272,7 +274,7 @@ class LeapfrogStepper:
         return hzx, hzy
 
     def step_e(self, state: FieldState, hzx_new, hzy_new, ks_cells,
-               extra_load=None, bc_values=None, first_step_velocity=None):
+               extra_load=None, bc_values=None):
         """Solve the edge system for the next electric field.
 
         `bc_values` carries Dirichlet data on the `pec_mask` edges only; None
@@ -287,6 +289,10 @@ class LeapfrogStepper:
         rhs[self._g_rows] -= self._g_part * state.e_curr[self._g_rows]
         if extra_load is not None:
             rhs += extra_load
+        d = state.e_curr - state.e_prev
+        delta = self._r * d
+        if self._collar is not None:
+            rhs[self._collar_rows] -= self._collar @ delta
 
         # A's boundary columns lift the known boundary change into the rows they
         # touch (A is symmetric); the factor's identity rows ignore rhs[bnd].
@@ -296,14 +302,10 @@ class LeapfrogStepper:
             self._solve = factorize(apply_pec(self.a, self.ops.pec_mask))
         target = 0.0 if bc_values is None else bc_values
         if state.step == 0:
-            v = np.zeros_like(rhs) if first_step_velocity is None else first_step_velocity
-            v = (2.0 * self.tau) * v
-            rhs += (2.0 * self._lead) * (self.ops.m_e @ (state.e_curr + v)) - self.a @ v
-            e_next = self._first_step_change(rhs, target)
+            rhs += (self._r - 1.0) * (self.a @ d)
+            e_next = state.e_curr + self._first_step_change(
+                rhs, target - state.e_curr[self._bnd])
         else:
-            delta = self._r * (state.e_curr - state.e_prev)
-            if self._collar is not None:
-                rhs[self._collar_rows] -= self._collar @ delta
             lifted = delta[self._bnd] - (target - state.e_prev[self._bnd])
             if lifted.any():
                 rhs[self._lift_rows] += self._lift @ lifted
@@ -312,17 +314,14 @@ class LeapfrogStepper:
         return e_next
 
     def advance(self, state: FieldState, ks_cells, extra_load=None,
-                bc_values=None, first_step_velocity=None) -> FieldState:
+                bc_values=None) -> FieldState:
         """One full leapfrog step; mutates and returns `state`."""
         hzx_new, hzy_new = self.step_h(state, ks_cells)
         e_next = self.step_e(state, hzx_new, hzy_new, ks_cells,
-                             extra_load=extra_load, bc_values=bc_values,
-                             first_step_velocity=first_step_velocity)
-        state.e_prev = state.e_curr
-        state.e_curr = e_next
+                             extra_load=extra_load, bc_values=bc_values)
+        state.e_prev, state.e_curr = state.e_curr, e_next
         state.curl_e = self.ops.c @ e_next
-        state.hzx = hzx_new
-        state.hzy = hzy_new
+        state.hzx, state.hzy = hzx_new, hzy_new
         state.step += 1
         return state
 
@@ -334,7 +333,8 @@ def discrete_energy(state: FieldState, ops: OperatorSet,
     Uses e_prev/e_curr as the two electric levels and hz as the magnetic
     half level sitting between them; every term is a nonnegative
     quadratic form of the assembled matrices, the curl-curl form as
-    sum over cells of (C e)_K^2 / |K|.
+    sum over cells of (C e)_K^2 / |K|.  Not meaningful at step 0, where
+    e_prev carries the initial velocity.
     """
     e_new, e_old = state.e_curr, state.e_prev
     tau = state.tau
@@ -357,12 +357,12 @@ def discrete_energy(state: FieldState, ops: OperatorSet,
     )
 
 
-def run_simulation(mesh: Mesh, ops: OperatorSet, params: MaterialParams,
+def run_simulation(ops: OperatorSet, params: MaterialParams,
                    tau: float, n_steps: int, source=None, e0=None,
                    dt_e0=None, extra_load=None, bc_values=None,
                    snapshot_every: int = 0,
                    energy_every: int = 1) -> SimulationResult:
-    """Run the leapfrog scheme for `n_steps` steps.
+    """Run the leapfrog scheme for `n_steps` steps on `ops.mesh`.
 
     source     : callable t -> per-cell K_s values, or None.
     extra_load : callable t -> edge load vector added to the electric step.
@@ -372,11 +372,9 @@ def run_simulation(mesh: Mesh, ops: OperatorSet, params: MaterialParams,
     first step.  Raises BlowUpError, carrying the result so far, when a
     field norm passes the guard.
     """
-    n_cells = mesh.n_triangles
     ks0 = source(0.0) if source is not None else None
-    state, velocity = init_state(mesh, ops, params, e0=e0,
-                                 ks0_cells=ks0, tau=tau, dt_e0=dt_e0,
-                                 zero_boundary=bc_values is None)
+    state = init_state(ops, params, e0=e0, ks0_cells=ks0, tau=tau, dt_e0=dt_e0,
+                       zero_boundary=bc_values is None)
     stepper = LeapfrogStepper(ops, params, tau)
     result = SimulationResult(state=state)
 
@@ -388,11 +386,10 @@ def run_simulation(mesh: Mesh, ops: OperatorSet, params: MaterialParams,
 
     for n in range(n_steps):
         t_n = n * tau
-        ks = source(t_n) if source is not None else np.zeros(n_cells)
+        ks = source(t_n) if source is not None else np.zeros(ops.mesh.n_triangles)
         load = extra_load(t_n) if extra_load is not None else None
         bc = bc_values((n + 1) * tau) if bc_values is not None else None
-        stepper.advance(state, ks, extra_load=load, bc_values=bc,
-                        first_step_velocity=velocity if n == 0 else None)
+        stepper.advance(state, ks, extra_load=load, bc_values=bc)
 
         # np.max, unlike max, keeps a NaN; a NaN or the larger peak names the field
         pe, ph = (np.max((f.max(), -f.min())) for f in (state.e_curr, state.hz))

@@ -16,7 +16,8 @@ from .elements import (eval_edge_field, interpolate_hcurl, project_l2_p0,
                        quad_points_physical, triangle_quadrature)
 from .mesh import (Arc, InterfaceSpec, Mesh, Segment,
                    generate_rect_mesh, load_mesh, snap_interface)
-from .physics import (KuboParams, ManufacturedCase, MaterialParams, SourceSpec,
+from .physics import (COLLAR_IMPEDANCE, COLLAR_REFLECTION, KuboParams,
+                      ManufacturedCase, MaterialParams, SourceSpec,
                       damping_at_centroids, dipole_source_cells, eval_source,
                       kubo_sigma0)
 
@@ -41,8 +42,8 @@ class SimulationConfig:
     interface: InterfaceSpec | None = None
     material: MaterialParams = field(default_factory=MaterialParams)
     kubo: KuboParams | None = None
-    pml_err: float = 1e-7
-    pml_eta: float = 377.0
+    pml_err: float = COLLAR_REFLECTION
+    pml_eta: float = COLLAR_IMPEDANCE
     source: SourceSpec | None = None
     tau: float = 1e-16
     n_steps: int = 0
@@ -52,12 +53,13 @@ class SimulationConfig:
     manufactured: bool = False
 
     def __post_init__(self):
+        for name in ("n_steps", "snapshot_every", "pml_layers", "nx", "ny"):
+            value = getattr(self, name)
+            count = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            if not (count and value >= 0 or value is None and name in ("nx", "ny")):
+                raise ConfigError(f"{name} must be a nonnegative integer, got {value!r}")
         if self.tau <= 0:
             raise ConfigError("tau must be positive")
-        if self.n_steps < 0:
-            raise ConfigError("n_steps must be nonnegative")
-        if self.snapshot_every < 0:
-            raise ConfigError("snapshot cadence must be nonnegative")
         if not 0.0 < self.pml_err < 1.0:
             raise ConfigError("pml reflection target must lie in (0, 1)")
         if self.pml_eta <= 0:
@@ -168,7 +170,7 @@ def _convergence_single(h: float, mode: str, tau: float, n_steps: int,
         steps = round(final_time / step_tau)
     drivers = ManufacturedDrivers(mesh, case, ops.pec_mask)
     result = run_simulation(
-        mesh, ops, case.params, step_tau, steps,
+        ops, case.params, step_tau, steps,
         source=drivers.source, dt_e0=case.dt_e0,
         extra_load=drivers.extra_load, bc_values=drivers.bc_values,
         snapshot_every=0, energy_every=0)
@@ -378,7 +380,7 @@ def run(config: SimulationConfig, out_dir: str | None = None) -> SimulationResul
     out = config.out_dir if out_dir is None else out_dir
     try:
         result = run_simulation(
-            mesh, ops, params, config.tau, config.n_steps, source=source,
+            ops, params, config.tau, config.n_steps, source=source,
             dt_e0=dt_e0, extra_load=extra_load, bc_values=bc_values,
             snapshot_every=config.snapshot_every,
             energy_every=max(config.snapshot_every, 1) if config.n_steps else 0)
@@ -523,28 +525,24 @@ def config_from_json(data: dict) -> SimulationConfig:
                       stacklevel=2)
     try:
         mesh_spec = data["mesh"]
-        kwargs = dict(
-            name=data.get("name", "custom"),
-            interface=_interface_from_json(data.get("interface")),
-            tau=data["tau"],
-            n_steps=data["steps"],
-            snapshot_every=data.get("snapshot_every", 0),
-            out_dir=data.get("out_dir", "out"),
-            manufactured=data.get("manufactured", False),
-        )
+        kwargs = dict(interface=_interface_from_json(data.get("interface")),
+                      tau=data["tau"], n_steps=data["steps"])
+        # A key the JSON leaves out keeps SimulationConfig's default.
+        kwargs.update((key, value) for key, value in data.items()
+                      if key in ("name", "snapshot_every", "out_dir", "manufactured"))
+        kwargs.update((f"pml_{key}", value) for key, value in data.get("pml", {}).items()
+                      if key in ("err", "eta"))
         if "file" in mesh_spec:
             kwargs["mesh_file"] = mesh_spec["file"]
         else:
             kwargs.update(bounds=tuple(mesh_spec["bounds"]), nx=mesh_spec["nx"],
-                          ny=mesh_spec["ny"],
-                          pml_layers=mesh_spec.get("pml_layers", 0))
+                          ny=mesh_spec["ny"])
+            if "pml_layers" in mesh_spec:
+                kwargs["pml_layers"] = mesh_spec["pml_layers"]
         if "material" in data:
             kwargs["material"] = MaterialParams(**data["material"])
         if "kubo" in data:
             kwargs["kubo"] = KuboParams(**data["kubo"])
-        if "pml" in data:
-            kwargs["pml_err"] = data["pml"].get("err", 1e-7)
-            kwargs["pml_eta"] = data["pml"].get("eta", 377.0)
         if "source" in data and data["source"] is not None:
             src = data["source"]
             points = tuple((p["position"][0], p["position"][1], p["sign"])

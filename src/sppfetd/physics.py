@@ -19,6 +19,8 @@ MU_0 = 1.25663706212e-6        # H/m
 Q_E = 1.6022e-19               # elementary charge, C
 K_B = 1.3806e-23               # Boltzmann constant, J/K
 HBAR = 1.0546e-34              # reduced Planck constant, J s
+COLLAR_REFLECTION = 1e-7       # target reflection of the absorbing collar
+COLLAR_IMPEDANCE = 377.0       # wave impedance in the collar's ramp, ohm
 
 
 @dataclass(frozen=True)
@@ -74,7 +76,8 @@ def kubo_sigma0(params: KuboParams) -> float:
     return float(prefactor * bracket)
 
 
-def damping_at_centroids(mesh: Mesh, err: float = 1e-7, eta: float = 377.0):
+def damping_at_centroids(mesh: Mesh, err: float = COLLAR_REFLECTION,
+                         eta: float = COLLAR_IMPEDANCE):
     """(sigma_x, sigma_y) of the absorbing collar at the cell centroids.
 
     On each axis the collar depth d is how far the mesh extends beyond

@@ -75,7 +75,7 @@ def test_criterion_3_stability():
                 out[:, 1] += coef[i, j, 1] * mode
         return out
 
-    result = run_simulation(mesh, ops, params, tau, 1000, e0=e0)
+    result = run_simulation(ops, params, tau, 1000, e0=e0)
     eng0 = result.energy[0].total
     eng_max = max(r.total for r in result.energy)
     finite = (np.all(np.isfinite(result.state.e_curr))
@@ -216,13 +216,13 @@ def test_criterion_7_pml_effectiveness():
     cells = dipole_source_cells(mesh, spec)
     tau = min(mesh.h_x, mesh.h_y) / (4.0 * params.c_v)
 
-    state, vel = init_state(mesh, ops, params, tau=tau)
+    state = init_state(ops, params, tau=tau)
     stepper = LeapfrogStepper(ops, params, tau)
     phys = mesh.cell_tags == 0
     peak = 0.0
     for n in range(1000):
         ks = eval_source(spec, n * tau, cells, mesh.n_triangles)
-        stepper.advance(state, ks, first_step_velocity=vel if n == 0 else None)
+        stepper.advance(state, ks)
         peak = max(peak, np.abs(state.hz[phys]).max())
     ratio = np.abs(state.hz[phys]).max() / peak
     ok = ratio <= 0.02
@@ -252,7 +252,7 @@ def _example1_reduced(sigma0, n_steps, tau):
     def source(t):
         return eval_source(spec, t, cells, mesh.n_triangles)
 
-    result = run_simulation(mesh, ops, params, tau, n_steps, source=source,
+    result = run_simulation(ops, params, tau, n_steps, source=source,
                             energy_every=0)
     return mesh, ops, edges, result.state.e_curr
 

@@ -49,26 +49,27 @@ def test_cfl_rejects_bad_inputs():
 
 
 def test_init_state_zero(small_setup):
-    mesh, ops = small_setup
-    state, vel = init_state(mesh, ops, UNIT, tau=0.01)
+    _, ops = small_setup
+    state = init_state(ops, UNIT, tau=0.01)
     assert np.all(state.e_curr == 0) and np.all(state.hz == 0)
-    assert np.all(vel == 0)
+    assert np.all(state.e_prev == 0)
 
 
 def test_init_state_requires_tau(small_setup):
     # a zero default step gave a zero magnetic start and a state whose
     # energy divides by zero
-    mesh, ops = small_setup
+    _, ops = small_setup
     with pytest.raises(TypeError, match="tau"):
-        init_state(mesh, ops, UNIT)
+        init_state(ops, UNIT)
 
 
 def test_init_state_manufactured_has_zero_field_nonzero_velocity(small_setup):
-    mesh, ops = small_setup
+    _, ops = small_setup
     case = ManufacturedCase()
-    state, vel = init_state(mesh, ops, UNIT,
-                            e0=lambda p: oracles.e_field(case, p, 0.0), tau=0.01,
-                            dt_e0=case.dt_e0, zero_boundary=False)
+    state = init_state(ops, UNIT,
+                       e0=lambda p: oracles.e_field(case, p, 0.0), tau=0.01,
+                       dt_e0=case.dt_e0, zero_boundary=False)
+    vel = (state.e_curr - state.e_prev) / (2 * 0.01)
     assert np.abs(state.e_curr).max() <= 1e-14
     assert np.abs(vel).max() > 0.1
 
@@ -81,8 +82,8 @@ def test_init_state_magnetic_start_against_quadrature(small_setup):
         return np.column_stack([p[:, 1] ** 2, p[:, 0] * p[:, 1]])
 
     ks0 = np.linspace(-1, 1, mesh.n_triangles)
-    state, _ = init_state(mesh, ops, UNIT, e0=e0, ks0_cells=ks0,
-                          tau=tau, zero_boundary=False)
+    state = init_state(ops, UNIT, e0=e0, ks0_cells=ks0,
+                       tau=tau, zero_boundary=False)
     ref_pts, wts = oracles.duffy_rule(10)
     for cell in range(mesh.n_triangles):
         p0, jac, _, det = oracles.cell_maps(mesh, cell)
@@ -96,7 +97,7 @@ def test_init_state_magnetic_start_against_quadrature(small_setup):
 def test_step_h_zero(small_setup):
     mesh, ops = small_setup
     stepper = LeapfrogStepper(ops, UNIT, 0.01)
-    state, _ = init_state(mesh, ops, UNIT, tau=0.01)
+    state = init_state(ops, UNIT, tau=0.01)
     hzx, hzy = stepper.step_h(state, np.zeros(mesh.n_triangles))
     assert np.all(hzx == 0) and np.all(hzy == 0)
 
@@ -145,7 +146,7 @@ def test_step_h_collar_recurrence_scalar_oracle():
 def test_step_e_zero(small_setup):
     mesh, ops = small_setup
     stepper = LeapfrogStepper(ops, UNIT, 0.01)
-    state, _ = init_state(mesh, ops, UNIT, tau=0.01)
+    state = init_state(ops, UNIT, tau=0.01)
     e_next = stepper.step_e(state, np.zeros(mesh.n_triangles),
                             np.zeros(mesh.n_triangles), np.zeros(mesh.n_triangles))
     assert np.abs(e_next).max() == 0.0
@@ -221,12 +222,12 @@ def test_merged_step_collar_and_sheet_matches_dense(first_step):
     hzy = rng.standard_normal(mesh.n_triangles)
     ks = rng.standard_normal(mesh.n_triangles)
     velocity = rng.standard_normal(mesh.n_edges) if first_step else None
-    state = FieldState(e_prev=e_prev.copy(), e_curr=e_curr.copy(),
+    state = FieldState(e_prev=e_curr - 2 * tau * velocity if first_step else e_prev.copy(),
+                       e_curr=e_curr.copy(),
                        curl_e=ops.c @ e_curr, hzx=hzx.copy(), hzy=hzy.copy(),
                        step=0 if first_step else 1, tau=tau)
     hzx_new, hzy_new = stepper.step_h(state, ks)
-    e_new = stepper.step_e(state, hzx_new, hzy_new, ks,
-                           first_step_velocity=velocity)
+    e_new = stepper.step_e(state, hzx_new, hzy_new, ks)
     e_ref, hx_ref, hy_ref = oracles.dense_merged_step(
         mesh, params, tau, e_prev, e_curr, hzx, hzy, ks,
         g_dense=oracles.dense_interface_mass(mesh, edges), mask=mask,
@@ -259,12 +260,13 @@ def test_merged_step_with_dirichlet_data_matches_dense(first_step):
     load = rng.standard_normal(mesh.n_edges)
     bc = rng.standard_normal(mesh.n_edges)
     velocity = rng.standard_normal(mesh.n_edges) if first_step else None
-    state = FieldState(e_prev=e_prev.copy(), e_curr=e_curr.copy(),
+    state = FieldState(e_prev=e_curr - 2 * tau * velocity if first_step else e_prev.copy(),
+                       e_curr=e_curr.copy(),
                        curl_e=ops.c @ e_curr, hzx=hzx.copy(), hzy=hzy.copy(),
                        step=0 if first_step else 1, tau=tau)
     hzx_new, hzy_new = stepper.step_h(state, ks)
     e_new = stepper.step_e(state, hzx_new, hzy_new, ks, extra_load=load,
-                           bc_values=bc[mask], first_step_velocity=velocity)
+                           bc_values=bc[mask])
     e_ref, _, _ = oracles.dense_merged_step(
         mesh, params, tau, e_prev, e_curr, hzx, hzy, ks,
         g_dense=oracles.dense_interface_mass(mesh, edges), mask=mask,
@@ -272,6 +274,45 @@ def test_merged_step_with_dirichlet_data_matches_dense(first_step):
     assert np.array_equal(e_new[mask], bc[mask])
     np.testing.assert_allclose(e_new, e_ref, rtol=1e-11,
                                atol=1e-11 * np.abs(e_ref).max())
+
+
+def test_first_step_is_later_step_with_two_lead_mass():
+    # from one state with d = e_n - e_prev != 0, the first step solves
+    # 2 M_lead (e^0 - e_n) = b and a later one A (e^1 - e_n) = b for the
+    # same right-hand side b, checked on the free rows with dense matrices
+    mesh = generate_rect_mesh((0, 1, 0, 1), 2, 2, 1)
+    snap_interface(mesh, InterfaceSpec([Segment((0, 0.5), (1, 0.5))]))
+    collar = mesh.cell_tags != 0
+    rng = np.random.default_rng(13)
+    sx = np.where(collar, rng.uniform(10.0, 100.0, mesh.n_triangles), 0.0)
+    sy = np.where(collar, rng.uniform(10.0, 100.0, mesh.n_triangles), 0.0)
+    ops = build_operator_set(mesh, sx, sy)
+    params = MaterialParams(eps0=1.3, mu0=0.7, tau0=0.8, sigma0=2.5)
+    tau = 0.005
+    stepper = LeapfrogStepper(ops, params, tau)
+    mask = ops.pec_mask
+    e_prev = rng.standard_normal(mesh.n_edges); e_prev[mask] = 0
+    e_curr = rng.standard_normal(mesh.n_edges); e_curr[mask] = 0
+    state = FieldState(e_prev=e_prev, e_curr=e_curr, curl_e=ops.c @ e_curr,
+                       hzx=rng.standard_normal(mesh.n_triangles),
+                       hzy=rng.standard_normal(mesh.n_triangles), step=0, tau=tau)
+    ks = rng.standard_normal(mesh.n_triangles)
+    hzx_new, hzy_new = stepper.step_h(state, ks)
+    e_first = stepper.step_e(state, hzx_new, hzy_new, ks)
+    state.step = 1
+    e_later = stepper.step_e(state, hzx_new, hzy_new, ks)
+
+    md = oracles.dense_edge_mass(mesh)
+    c1 = (mesh.cell_tags == 0).astype(float)
+    damp = (oracles.dense_edge_mass(mesh, np.column_stack([sy, sx]))
+            + (params.eps0 / params.tau0) * oracles.dense_edge_mass(mesh, c1))
+    m_lead = (params.eps0 / tau ** 2) * md
+    a_dense = m_lead + damp / (2.0 * tau)
+    free = ~mask
+    lhs = (2.0 * m_lead @ (e_first - e_curr))[free]
+    rhs = (a_dense @ (e_later - e_curr))[free]
+    assert np.abs(e_first - e_later).max() > 1e-3 * np.abs(e_later - e_curr).max()
+    np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12 * np.abs(rhs).max())
 
 
 def test_collar_step_matches_scalar_recurrence():
@@ -311,11 +352,11 @@ def test_first_step_uses_initial_velocity(small_setup):
     params = UNIT
     tau = 0.003
     case = ManufacturedCase()
-    state, vel = init_state(mesh, ops, params, tau=tau, dt_e0=case.dt_e0)
+    state = init_state(ops, params, tau=tau, dt_e0=case.dt_e0)
+    vel = interpolate_hcurl(case.dt_e0, mesh)
     stepper = LeapfrogStepper(ops, params, tau)
     e1 = stepper.step_e(state, np.zeros(mesh.n_triangles),
-                        np.zeros(mesh.n_triangles), np.zeros(mesh.n_triangles),
-                        first_step_velocity=vel)
+                        np.zeros(mesh.n_triangles), np.zeros(mesh.n_triangles))
     m_d = oracles.dense_edge_mass(mesh)
     mask = ops.pec_mask
     free = ~mask
@@ -328,15 +369,15 @@ def test_first_step_uses_initial_velocity(small_setup):
 
 
 def test_energy_zero_state(small_setup):
-    mesh, ops = small_setup
-    state, _ = init_state(mesh, ops, UNIT, tau=0.01)
+    _, ops = small_setup
+    state = init_state(ops, UNIT, tau=0.01)
     state.step = 1
     assert discrete_energy(state, ops, UNIT).total == 0.0
 
 
 def test_energy_isolated_magnetic_term(small_setup):
     mesh, ops = small_setup
-    state, _ = init_state(mesh, ops, UNIT, tau=0.01)
+    state = init_state(ops, UNIT, tau=0.01)
     rng = np.random.default_rng(4)
     h = rng.standard_normal(mesh.n_triangles)
     state.hzx = 0.5 * h
@@ -400,8 +441,8 @@ def test_split_choice_does_not_change_physical_sum(small_setup):
 
 
 def test_run_zero_steps_initial_snapshot_only(small_setup):
-    mesh, ops = small_setup
-    result = run_simulation(mesh, ops, UNIT, 0.01, 0, snapshot_every=5)
+    _, ops = small_setup
+    result = run_simulation(ops, UNIT, 0.01, 0, snapshot_every=5)
     assert len(result.snapshots) == 1 and result.snapshots[0].step == 0
     assert result.energy == []
 
@@ -422,13 +463,13 @@ def test_run_factors_each_step_matrix_once(small_setup, monkeypatch,
         return real_spilu(*args, **kwargs)
 
     monkeypatch.setattr(sparse_solve, "spilu", counting_spilu)
-    run_simulation(mesh, ops, UNIT, 0.01, n_steps, energy_every=0)
+    run_simulation(ops, UNIT, 0.01, n_steps, energy_every=0)
     assert len(calls) == factorisations
 
     mesh = generate_rect_mesh((0, 1, 0, 1), 4, 4, 1)
     ops = build_operator_set(mesh, *damping_at_centroids(mesh))
     stepper = LeapfrogStepper(ops, UNIT, 0.01)
-    state, _ = init_state(mesh, ops, UNIT, tau=0.01)
+    state = init_state(ops, UNIT, tau=0.01)
     for _ in range(2):
         stepper.advance(state, np.zeros(mesh.n_triangles))
     held = {name: value.shape for name, value in vars(stepper).items()
@@ -466,7 +507,7 @@ def test_edge_mass_kernel_runs_once_per_matrix(monkeypatch, n_steps):
         ops = build_operator_set(mesh, *damping_at_centroids(mesh))
         n_collar = int(np.sum(ops.c1 == 0.0))
         assert len(visits) == 1 and visits.pop() == mesh.n_triangles
-        run_simulation(mesh, ops, UNIT, 0.01, n_steps, e0=_bump, dt_e0=_swirl,
+        run_simulation(ops, UNIT, 0.01, n_steps, e0=_bump, dt_e0=_swirl,
                        energy_every=0)
         assert visits == ([n_collar] if layers else [])
         visits.clear()
@@ -520,11 +561,9 @@ def test_reused_stepper_matches_fresh_one(small_setup):
     mesh, ops = small_setup
 
     def three_steps(stepper):
-        state, vel = init_state(mesh, ops, UNIT, e0=_bump, dt_e0=_swirl,
-                                tau=0.01)
-        for n in range(3):
-            stepper.advance(state, np.zeros(mesh.n_triangles),
-                            first_step_velocity=vel if n == 0 else None)
+        state = init_state(ops, UNIT, e0=_bump, dt_e0=_swirl, tau=0.01)
+        for _ in range(3):
+            stepper.advance(state, np.zeros(mesh.n_triangles))
         return state.e_curr
 
     reused = LeapfrogStepper(ops, UNIT, 0.01)
@@ -542,8 +581,8 @@ def test_run_linear_in_source(small_setup):
     def src(scale):
         return lambda t: scale * base * np.sin(3.0 * t + 0.3)
 
-    r1 = run_simulation(mesh, ops, UNIT, 0.01, 30, source=src(1.0), energy_every=0)
-    r3 = run_simulation(mesh, ops, UNIT, 0.01, 30, source=src(3.0), energy_every=0)
+    r1 = run_simulation(ops, UNIT, 0.01, 30, source=src(1.0), energy_every=0)
+    r3 = run_simulation(ops, UNIT, 0.01, 30, source=src(3.0), energy_every=0)
     np.testing.assert_allclose(r3.state.e_curr, 3.0 * r1.state.e_curr, atol=1e-8)
     np.testing.assert_allclose(r3.state.hz, 3.0 * r1.state.hz, atol=1e-8)
 
@@ -559,9 +598,8 @@ def _collar_sheet_run():
     sy = np.where(collar, rng.uniform(10.0, 100.0, mesh.n_triangles), 0.0)
     ops = build_operator_set(mesh, sx, sy)
     params = MaterialParams(eps0=1.3, mu0=0.7, tau0=0.8, sigma0=2.5)
-    state, vel = init_state(mesh, ops, params, e0=_bump, dt_e0=_swirl, tau=0.005)
-    steps = [dict(ks_cells=rng.standard_normal(mesh.n_triangles),
-                  first_step_velocity=vel if n == 0 else None) for n in range(24)]
+    state = init_state(ops, params, e0=_bump, dt_e0=_swirl, tau=0.005)
+    steps = [dict(ks_cells=rng.standard_normal(mesh.n_triangles)) for _ in range(24)]
     return ops, params, state, steps
 
 
@@ -571,11 +609,10 @@ def _manufactured_run():
     mesh, ops, case = build_manufactured_problem(1 / 10)
     drivers = ManufacturedDrivers(mesh, case, ops.pec_mask)
     tau = 1 / 2000
-    state, vel = init_state(mesh, ops, case.params, ks0_cells=drivers.source(0.0),
-                            dt_e0=case.dt_e0, tau=tau, zero_boundary=False)
-    steps = [dict(ks_cells=drivers.source(n * tau),
-                  extra_load=drivers.extra_load(n * tau), bc_values=drivers.bc_values((n + 1) * tau),
-                  first_step_velocity=vel if n == 0 else None) for n in range(24)]
+    state = init_state(ops, case.params, ks0_cells=drivers.source(0.0),
+                       dt_e0=case.dt_e0, tau=tau, zero_boundary=False)
+    steps = [dict(ks_cells=drivers.source(n * tau), extra_load=drivers.extra_load(n * tau),
+                  bc_values=drivers.bc_values((n + 1) * tau)) for n in range(24)]
     return ops, case.params, state, steps
 
 
@@ -625,8 +662,8 @@ def test_step_multiplies_by_c_once(setup):
 
 @pytest.mark.parametrize("setup", [_collar_sheet_run, _manufactured_run])
 def test_later_steps_never_multiply_by_edge_mass(setup):
-    # M_E enters the first step (its right-hand side and conjugate
-    # gradients) and the energy's kinetic term, never a later step
+    # M_E enters the first step's conjugate gradients and the energy's
+    # kinetic term, never a later step
     ops, params, state, steps = setup()
     stepper = LeapfrogStepper(ops, params, state.tau)
     counting = _CountingMatrix(ops.m_e)
@@ -666,7 +703,7 @@ def test_collar_term_lives_on_collar_edges(setup):
 def test_blowup_guard_catches_nan_in_either_field(small_setup, monkeypatch, field):
     # a NaN in one field must trip the guard whichever field holds the
     # other, finite peak
-    mesh, ops = small_setup
+    _, ops = small_setup
     advance = LeapfrogStepper.advance
 
     def poisoned(self, state, *args, **kwargs):
@@ -677,7 +714,7 @@ def test_blowup_guard_catches_nan_in_either_field(small_setup, monkeypatch, fiel
 
     monkeypatch.setattr(LeapfrogStepper, "advance", poisoned)
     with pytest.raises(BlowUpError) as err:
-        run_simulation(mesh, ops, UNIT, 0.01, 10, e0=_bump, energy_every=0)
+        run_simulation(ops, UNIT, 0.01, 10, e0=_bump, energy_every=0)
     assert err.value.step == 3
     name = "E" if field == "e_curr" else "Hz"
     assert str(err.value) == f"non-finite {name} at step 3 (t = 3.000e-02 s)"
@@ -694,7 +731,7 @@ def test_blowup_guard_reports_step():
 
     with pytest.raises(BlowUpError) as err:
         # far beyond the stability bound
-        run_simulation(mesh, ops, UNIT, 2.0, 400, e0=e0, energy_every=0)
+        run_simulation(ops, UNIT, 2.0, 400, e0=e0, energy_every=0)
     step = err.value.step
     assert step > 0
     name, _, tail = str(err.value).partition(" magnitude ")
@@ -720,7 +757,7 @@ def test_run_example1_paper_parameters_stays_bounded():
     def src(t):
         return eval_source(cfg.source, t, cells, mesh.n_triangles)
 
-    result = run_simulation(mesh, ops, params, cfg.tau, 2000, source=src,
+    result = run_simulation(ops, params, cfg.tau, 2000, source=src,
                             energy_every=500)
     assert result.state.step == 2000
     assert np.all(np.isfinite(result.state.e_curr))
@@ -736,6 +773,6 @@ def test_stability_energy_bound(small_setup):
         return np.column_stack([np.sin(np.pi * p[:, 0]) * np.sin(2 * np.pi * p[:, 1]),
                                 np.sin(2 * np.pi * p[:, 0]) * np.sin(np.pi * p[:, 1])])
 
-    result = run_simulation(mesh, ops, UNIT, tau, 200, e0=e0)
+    result = run_simulation(ops, UNIT, tau, 200, e0=e0)
     eng0 = result.energy[0].total
     assert max(r.total for r in result.energy) <= 10.0 * eng0

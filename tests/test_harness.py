@@ -1,5 +1,10 @@
+import importlib
 import json
 import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +25,7 @@ from sppfetd.elements import interpolate_hcurl, project_l2_p0
 import oracles
 
 UM = 1e-6
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_error_table_rates_match_published_arithmetic():
@@ -228,6 +234,33 @@ def test_config_v1_solver_block_is_ignored_with_warning():
     with pytest.warns(UserWarning, match="solver"):
         cfg = config_from_json(data)
     assert cfg == scenario("bulb")
+
+
+def test_config_json_omitted_keys_take_dataclass_defaults():
+    # the JSON reader restates no default: what the file leaves out is
+    # SimulationConfig's, the collar's included
+    data = {"version": 2, "mesh": {"bounds": [0.0, 1.0, 0.0, 1.0], "nx": 4, "ny": 4},
+            "tau": 0.01, "steps": 3, "pml": {"err": 1e-6}}
+    assert config_from_json(data) == SimulationConfig(
+        bounds=(0.0, 1.0, 0.0, 1.0), nx=4, ny=4, tau=0.01, n_steps=3, pml_err=1e-6)
+
+
+@pytest.mark.parametrize("section,key,value", [
+    (None, "steps", 2.5), ("mesh", "nx", 4.5), ("mesh", "nx", "4"),
+    ("mesh", "pml_layers", 1.5), (None, "snapshot_every", 1.5), (None, "steps", True)])
+def test_cli_non_integer_count_is_configuration_error(section, key, value,
+                                                      tmp_path, capsys):
+    # a float or string count crashed the mesh build or the time loop, a
+    # float layer count or cadence was truncated, and true ran as one step
+    data = config_to_json(SimulationConfig(
+        bounds=(0.0, 1.0, 0.0, 1.0), nx=4, ny=4, material=MaterialParams.unit(),
+        tau=0.01, n_steps=2))
+    (data if section is None else data[section])[key] = value
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(data))
+    assert cli_main(["run", str(cfg_path), "--out", ""]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "must be a nonnegative integer" in err
 
 
 @pytest.mark.parametrize("pml", [{"pml_err": 0.0}, {"pml_err": 1.5},
@@ -519,3 +552,42 @@ def test_cli_config_that_is_not_an_object_is_configuration_error(tmp_path, capsy
         cfg_path.write_text(json.dumps({**cfg, key: [1]}))
         assert cli_main(["run", str(cfg_path)]) == 2
         assert "configuration error" in capsys.readouterr().err
+
+
+def test_module_entry_point_runs_convergence():
+    # `python -m sppfetd.cli` is the entry point without an installed script
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "sppfetd.cli", "convergence", "--mode", "coupled",
+         "--h", "1/10"], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert "E error" in proc.stdout
+
+
+def test_console_script_names_cli_main():
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as f:
+        target = tomllib.load(f)["project"]["scripts"]["sppfetd"]
+    assert target == "sppfetd.cli:main"
+    module, _, name = target.partition(":")
+    assert getattr(importlib.import_module(module), name) is cli_main
+
+
+def test_scenario_and_coupled_study_match_pinned_values():
+    # equivalence anchor for refactors of the scheme: a coarse published
+    # scenario's fields and a two-row coupled study's errors, pinned to
+    # 1e-12 relative at values taken before the first step shared the
+    # later steps' right-hand side
+    cfg = replace(scenario("bifurcated-straight"), nx=40, ny=40, n_steps=60,
+                  snapshot_every=0)
+    state = run(cfg, out_dir="").state
+    assert state.step == 60
+    assert np.linalg.norm(state.e_curr) == pytest.approx(7.316601199014968e-07, rel=1e-12)
+    assert np.linalg.norm(state.hz) == pytest.approx(0.0011911180896477767, rel=1e-12)
+    table = run_convergence_study("coupled", [1 / 10, 1 / 20])
+    assert table.e_errors == pytest.approx(
+        [0.00808440975085654, 0.004030818132367123], rel=1e-12)
+    assert table.h_errors == pytest.approx(
+        [0.00014189815436925057, 7.243321473794462e-05], rel=1e-12)
