@@ -2,8 +2,7 @@
 
 Exit codes: 0 success, 2 configuration or mesh error (also a check-cfl
 violation), 3 field blow-up, 4 solver failure (a singular step matrix, a
-non-finite right-hand side, a factor that fails its residual check or an
-unconverged first step).
+non-finite right-hand side or a factor that fails its residual check).
 """
 
 from __future__ import annotations

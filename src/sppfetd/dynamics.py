@@ -19,15 +19,11 @@ from .assembly import OperatorSet, _edge_mass_kernel, apply_pec
 from .elements import interpolate_hcurl
 from .mesh import Mesh
 from .physics import MaterialParams
-from .sparse_solve import SolverError, factorize
+from .sparse_solve import factorize
 
 
 # A field magnitude this many times the early-step scale counts as a blow-up.
 BLOWUP_FACTOR = 1e12
-# Conjugate gradients of the first step: relative tolerance in the norm
-# preconditioned by A's factor, and the iteration cap.
-FIRST_STEP_RTOL = 1e-14
-FIRST_STEP_MAX_ITER = 100
 
 
 class BlowUpError(RuntimeError):
@@ -139,7 +135,8 @@ def init_state(ops: OperatorSet, params: MaterialParams, *, tau: float,
 
     e_curr interpolates `e0`; e_prev = e_curr - 2 tau v, v the interpolant
     of the initial velocity `dt_e0` (each zero when None), lets the first
-    step eliminate the fictitious pre-initial level.
+    step eliminate the fictitious pre-initial level.  `zero_boundary`
+    zeroes both on the `pec_mask` edges.
 
     The initial magnetic field is zero, so the magnetic start value is the
     cell projection of (tau / 2 mu0)(curl(E0) + Ks(., 0)); the cell means
@@ -148,10 +145,11 @@ def init_state(ops: OperatorSet, params: MaterialParams, *, tau: float,
     """
     mesh = ops.mesh
     e_curr = interpolate_hcurl(e0, mesh) if e0 is not None else np.zeros(mesh.n_edges)
-    if zero_boundary:
-        e_curr[ops.pec_mask] = 0.0
     e_prev = (e_curr - (2.0 * tau) * interpolate_hcurl(dt_e0, mesh) if dt_e0 is not None
               else e_curr.copy())
+    if zero_boundary:     # a conducting wall has no tangential field or velocity
+        e_curr[ops.pec_mask] = 0.0
+        e_prev[ops.pec_mask] = 0.0
 
     ks0 = np.zeros(mesh.n_triangles) if ks0_cells is None else np.asarray(ks0_cells)
     curl_e = ops.c @ e_curr
@@ -177,37 +175,36 @@ class LeapfrogStepper:
     every step builds b = R - r K_collar d, and a later step's
     e_{n+1} - e_{n-1} is r d plus the solve of b: no M_E product.  With
     e_prev = e_0 - 2 tau v (see `init_state`) the first step is the same
-    equation with 2 M_lead in place of A, the initial velocity v having
-    eliminated the pre-initial level: it adds (r - 1) A d to b and solves
-    by conjugate gradients preconditioned with A's factor, formed once,
-    there.  Besides the solve, a step multiplies once by C (for curl_e)
-    and once by C^T, held as CSR.
+    equation with 2 M_lead = r w_phys M_E in place of A, the initial
+    velocity v having eliminated the pre-initial level: it adds (r - 1) A d
+    to b, and its change is the solve of b by w_phys M_E, divided by r.
+    Without a collar w_phys M_E is A, whose factor, formed at the first
+    step, serves every step; a collar's start with a nonzero b or boundary
+    change factors w_phys M_E for that step alone.  Besides the solve, a step
+    multiplies once by C (for curl_e) and once by C^T, held as CSR.
     """
 
     def __init__(self, ops: OperatorSet, params: MaterialParams, tau: float):
         if tau <= 0:
             raise ValueError("time step must be positive")
         self.ops = ops
-        self.tau = tau
 
         eps0, mu0, tau0 = params.eps0, params.mu0, params.tau0
-        self._lead = eps0 / tau ** 2
+        lead = eps0 / tau ** 2
         # E_x is damped by sigma_y and E_y by sigma_x.
-        base = self._lead + ops.c1 * eps0 / (2.0 * tau * tau0)
+        base = lead + ops.c1 * eps0 / (2.0 * tau * tau0)
         w = np.column_stack([base + ops.sigma_y / (2.0 * tau),
                              base + ops.sigma_x / (2.0 * tau)])
-        w_phys = self._lead + eps0 / (2.0 * tau * tau0)
-        cells = np.flatnonzero(np.any(w != w_phys, axis=1))
-        self.a = w_phys * ops.m_e
+        self._w_phys = lead + eps0 / (2.0 * tau * tau0)
+        cells = np.flatnonzero(np.any(w != self._w_phys, axis=1))
+        self.a = self._w_phys * ops.m_e
         # r in a form that stays finite when eps0/tau^2 underflows
         self._r, self._collar = 2.0 / (1.0 + tau / (2.0 * tau0)), None
         if len(cells):
-            k_collar = _edge_mass_kernel(ops.mesh, w[cells] - w_phys, cells)
+            k_collar = _edge_mass_kernel(ops.mesh, w[cells] - self._w_phys, cells)
             self.a += k_collar
             self._collar_rows = np.flatnonzero(np.diff(k_collar.indptr))
             self._collar = k_collar[self._collar_rows]
-        self._peak_ratio = 1.0 + tau * float(np.max(
-            ops.c1 / (2.0 * tau0) + np.maximum(ops.sigma_x, ops.sigma_y) / (2.0 * eps0)))
         self._solve, self._bnd = None, np.flatnonzero(ops.pec_mask)   # factored lazily
         self._ct = ops.c.T.tocsr()
         self._cells = np.empty((2, len(ops.areas)))     # per-cell work buffers
@@ -226,39 +223,12 @@ class LeapfrogStepper:
         self._g_rows = np.flatnonzero(g_diag)
         self._g_part = (params.sigma0 / tau0) * g_diag[self._g_rows]
 
-    def _first_step_change(self, rhs, boundary_change):
-        """Solve 2 M_lead x = rhs on the free rows, x = boundary_change on the
-        boundary, by conjugate gradients preconditioned with A's factor.
-
-        A - M_lead = M_damp is positive semidefinite, so the spectrum of
-        A^-1 2 M_lead lies in (0, 2].  The residual is zero on the boundary
-        rows, where the factor is the identity, so x stays fixed there.
-        """
-        bnd, scale = self._bnd, 2.0 * self._lead
-        x = np.zeros_like(rhs)
-        x[bnd] = boundary_change
-        r = rhs - scale * (self.ops.m_e @ x)
-        r[bnd] = 0.0
-        p = self._solve(r)
-        rz = rz0 = r @ p
-        iterations = 0
-        while rz > FIRST_STEP_RTOL ** 2 * rz0:
-            if iterations == FIRST_STEP_MAX_ITER:
-                raise SolverError(
-                    f"first-step conjugate gradients did not converge in {iterations} "
-                    f"iterations at tau = {self.tau:.3e}; largest per-cell ratio of A's "
-                    f"weight to M_lead's {self._peak_ratio:.3e} (far above 1: tau is "
-                    "far beyond a stable step)")
-            q = scale * (self.ops.m_e @ p)
-            q[bnd] = 0.0
-            alpha = rz / (p @ q)
-            x += alpha * p
-            r -= alpha * q
-            z = self._solve(r)
-            rz, rz_old = r @ z, rz
-            p = z + (rz / rz_old) * p
-            iterations += 1
-        return x
+    def _factored(self, matrix):
+        """The factor of `matrix` with conducting rows and columns, and its
+        boundary columns on the rows they touch, which lift boundary data."""
+        rows = np.unique(matrix[self._bnd].indices)
+        return (factorize(apply_pec(matrix, self.ops.pec_mask)), rows,
+                matrix[rows][:, self._bnd])
 
     def step_h(self, state: FieldState, ks_cells: np.ndarray):
         """Advance the split magnetic components by one half-shifted step.
@@ -277,8 +247,10 @@ class LeapfrogStepper:
                extra_load=None, bc_values=None):
         """Solve the edge system for the next electric field.
 
-        `bc_values` carries Dirichlet data on the `pec_mask` edges only; None
-        imposes the conducting boundary.
+        Step 0 solves with 2 M_lead, every later step with A (see the class
+        docstring); the boundary change enters through the matrix's boundary
+        columns.  `bc_values` carries Dirichlet data on the `pec_mask` edges
+        only; None imposes the conducting boundary.
         """
         h_term = np.add(hzx_new, hzy_new, out=self._cells[0])
         h_term *= self._w_new
@@ -297,14 +269,17 @@ class LeapfrogStepper:
         # A's boundary columns lift the known boundary change into the rows they
         # touch (A is symmetric); the factor's identity rows ignore rhs[bnd].
         if self._solve is None:
-            self._lift_rows = np.unique(self.a[self._bnd].indices)
-            self._lift = self.a[self._lift_rows][:, self._bnd]
-            self._solve = factorize(apply_pec(self.a, self.ops.pec_mask))
+            self._solve, self._lift_rows, self._lift = self._factored(self.a)
         target = 0.0 if bc_values is None else bc_values
         if state.step == 0:
+            # 2 M_lead = r w_phys M_E, which is r A unless a collar makes them differ
             rhs += (self._r - 1.0) * (self.a @ d)
-            e_next = state.e_curr + self._first_step_change(
-                rhs, target - state.e_curr[self._bnd])
+            change = target - state.e_curr[self._bnd]
+            solve, rows, lift = self._solve, self._lift_rows, self._lift
+            if self._collar is not None and (rhs.any() or change.any()):
+                solve, rows, lift = self._factored(self._w_phys * self.ops.m_e)
+            rhs[rows] -= self._r * (lift @ change)
+            e_next = state.e_curr + solve(rhs) / self._r
         else:
             lifted = delta[self._bnd] - (target - state.e_prev[self._bnd])
             if lifted.any():

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import os
 import warnings
 from dataclasses import dataclass, field, replace
@@ -27,6 +29,16 @@ CONFIG_VERSION = 2
 
 class ConfigError(ValueError):
     """Invalid simulation configuration."""
+
+
+def _finite_numbers(values, n: int, key: str) -> tuple:
+    """`values` as a tuple, if it is `n` finite real numbers."""
+    values = tuple(values)
+    if len(values) != n or not all(
+            isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+            for v in values):
+        raise ConfigError(f"{key} must be {n} finite numbers, got {list(values)!r}")
+    return values
 
 
 @dataclass(frozen=True)
@@ -58,8 +70,10 @@ class SimulationConfig:
             count = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
             if not (count and value >= 0 or value is None and name in ("nx", "ny")):
                 raise ConfigError(f"{name} must be a nonnegative integer, got {value!r}")
-        if self.tau <= 0:
-            raise ConfigError("tau must be positive")
+        if self.bounds is not None:
+            _finite_numbers(self.bounds, 4, "bounds")
+        if not 0.0 < self.tau < np.inf:
+            raise ConfigError(f"tau must be finite and positive, got {self.tau!r}")
         if not 0.0 < self.pml_err < 1.0:
             raise ConfigError("pml reflection target must lie in (0, 1)")
         if self.pml_eta <= 0:
@@ -545,8 +559,8 @@ def config_from_json(data: dict) -> SimulationConfig:
             kwargs["kubo"] = KuboParams(**data["kubo"])
         if "source" in data and data["source"] is not None:
             src = data["source"]
-            points = tuple((p["position"][0], p["position"][1], p["sign"])
-                           for p in src["points"])
+            points = tuple((*_finite_numbers(p["position"], 2, "source position"),
+                            p["sign"]) for p in src["points"])
             kwargs["source"] = SourceSpec(points, src["f0"], src["h_norm"],
                                           src.get("n_cycles"))
         if "cfl" in data:

@@ -384,8 +384,11 @@ def _shortest_edge_path(mesh: Mesh, adjacency, start: int, goal: int) -> list:
 
 def load_mesh(path) -> Mesh:
     """Read the ASCII mesh format; invariants are validated on load."""
-    with open(path) as f:
-        lines = f.read().splitlines()
+    try:
+        with open(path) as f:
+            lines = f.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise MeshError(f"cannot read mesh {path}: {exc}") from exc
 
     def fail(lineno, msg):
         raise MeshError(f"{path}:{lineno + 1}: {msg}")

@@ -33,10 +33,11 @@ class MaterialParams:
     sigma0: float = 0.0        # S
 
     def __post_init__(self):
-        if self.eps0 <= 0 or self.mu0 <= 0 or self.tau0 <= 0:
-            raise ValueError("eps0, mu0 and tau0 must be positive")
-        if self.sigma0 < 0:
-            raise ValueError("sigma0 must be nonnegative")
+        for name in ("eps0", "mu0", "tau0"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and positive")
+        if not 0.0 <= self.sigma0 < np.inf:
+            raise ValueError("sigma0 must be finite and nonnegative")
 
     @property
     def c_v(self) -> float:
@@ -58,8 +59,8 @@ class KuboParams:
 
     def __post_init__(self):
         for name in ("mu_c_ev", "tau0", "temperature"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and positive")
 
 
 def kubo_sigma0(params: KuboParams) -> float:

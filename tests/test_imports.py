@@ -1,5 +1,6 @@
-"""Every name a module of the package imports is used in that module, and
-every parameter of its functions is read."""
+"""Every name a module of the package imports is used in that module, every
+parameter of its functions is read, and so is every private attribute its
+classes store."""
 
 import ast
 from pathlib import Path
@@ -70,3 +71,33 @@ def test_unread_parameter_detector():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_reads_every_parameter(path):
     assert unread_parameters(path.read_text()) == []
+
+
+def unread_private_attributes(source: str) -> list:
+    """Private attributes a class stores on self that its module never reads."""
+    tree = ast.parse(source)
+    read = {n.attr for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    out = set()
+    for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+        for n in ast.walk(cls):
+            if (isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+                    and isinstance(n.value, ast.Name) and n.value.id == "self"
+                    and n.attr.startswith("_") and not n.attr.startswith("__")
+                    and n.attr not in read):
+                out.add(f"{cls.name}.{n.attr} (line {n.lineno})")
+    return sorted(out)
+
+
+def test_unread_private_attribute_detector():
+    source = ("class A:\n    def __init__(self, other):\n"
+              "        self._a, self._b = 1, 2\n        self._c = self.d = 3\n"
+              "        self._e += 1\n    def f(self, other):\n"
+              "        return self._a + other._c\n")
+    # a read through any object counts; an augmented assignment does not
+    assert unread_private_attributes(source) == ["A._b (line 3)", "A._e (line 5)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_reads_every_private_attribute(path):
+    assert unread_private_attributes(path.read_text()) == []
