@@ -10,11 +10,11 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from fractions import Fraction
 
 from .dynamics import BlowUpError, cfl_max_timestep
 from .harness import (ConfigError, SCENARIO_NAMES, build_mesh_for,
                       load_config, run, run_convergence_study, scenario)
-from .mesh import MeshError
 from .sparse_solve import SolverError
 
 EXIT_OK = 0
@@ -26,18 +26,11 @@ _NO_FILES = "no files written (empty --out)"
 
 
 def _parse_h(text: str) -> list:
-    out = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        try:
-            if "/" in tok:
-                num, den = tok.split("/")
-                out.append(float(num) / float(den))
-            else:
-                out.append(float(tok))
-        except (ValueError, ZeroDivisionError):
-            raise ConfigError(f"invalid mesh size '{tok}'") from None
-    return out
+    """Mesh sizes from a comma list of decimals or fractions such as 1/10."""
+    try:
+        return [float(Fraction(tok)) for tok in text.split(",")]
+    except (ValueError, ZeroDivisionError):
+        raise ConfigError(f"invalid mesh sizes '{text}'") from None
 
 
 def _cmd_run(args) -> int:
@@ -63,8 +56,7 @@ def _cmd_scenario(args) -> int:
     config = scenario(args.name)
     if args.steps is not None:
         config = replace(config, n_steps=args.steps)
-    config = replace(config, out_dir=args.out)
-    result = run(config)
+    result = run(config, out_dir=args.out)
     print(f"scenario '{args.name}' finished at step {result.state.step}; "
           + (f"output in {args.out}" if args.out else _NO_FILES))
     return EXIT_OK
@@ -121,7 +113,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, MeshError) as exc:
+    except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except BlowUpError as exc:

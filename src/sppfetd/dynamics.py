@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assembly import OperatorSet, _edge_mass_kernel, apply_pec
+from .checks import positive, validate
 from .elements import interpolate_hcurl
 from .mesh import Mesh
 from .physics import MaterialParams
@@ -46,8 +47,7 @@ class CflConstants:
     c_tr: float = 1.0
 
     def __post_init__(self):
-        if self.c_in <= 0 or self.c_tr <= 0:
-            raise ValueError("CFL constants must be positive")
+        validate(self, c_in=positive, c_tr=positive)
 
 
 @dataclass
@@ -185,8 +185,7 @@ class LeapfrogStepper:
     """
 
     def __init__(self, ops: OperatorSet, params: MaterialParams, tau: float):
-        if tau <= 0:
-            raise ValueError("time step must be positive")
+        positive("tau", tau)
         self.ops = ops
 
         eps0, mu0, tau0 = params.eps0, params.mu0, params.tau0

@@ -3,15 +3,14 @@
 from __future__ import annotations
 
 import json
-import math
-import numbers
 import os
-import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
 from .assembly import assemble_edge_load, build_operator_set
+from .checks import (ConfigError, FieldError, count, fraction, nonnegative, numbers,
+                     one_of, optional, positive, string, validate)
 from .dynamics import (BlowUpError, CflConstants, FieldState,
                        SimulationResult, Snapshot, run_simulation)
 from .elements import (eval_edge_field, interpolate_hcurl, project_l2_p0,
@@ -27,25 +26,10 @@ MICRON = 1e-6
 CONFIG_VERSION = 2
 
 
-class ConfigError(ValueError):
-    """Invalid simulation configuration."""
-
-
-def _finite_numbers(values, n: int, key: str) -> tuple:
-    """`values` as a tuple, if it is `n` finite real numbers."""
-    values = tuple(values)
-    if len(values) != n or not all(
-            isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
-            for v in values):
-        raise ConfigError(f"{key} must be {n} finite numbers, got {list(values)!r}")
-    return values
-
-
 @dataclass(frozen=True)
 class SimulationConfig:
     """Complete description of one simulation run."""
 
-    name: str = "custom"
     bounds: tuple | None = None
     nx: int | None = None
     ny: int | None = None
@@ -62,22 +46,19 @@ class SimulationConfig:
     snapshot_every: int = 0
     out_dir: str = "out"
     cfl: CflConstants = field(default_factory=CflConstants)
-    manufactured: bool = False
 
     def __post_init__(self):
-        for name in ("n_steps", "snapshot_every", "pml_layers", "nx", "ny"):
-            value = getattr(self, name)
-            count = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-            if not (count and value >= 0 or value is None and name in ("nx", "ny")):
-                raise ConfigError(f"{name} must be a nonnegative integer, got {value!r}")
-        if self.bounds is not None:
-            _finite_numbers(self.bounds, 4, "bounds")
-        if not 0.0 < self.tau < np.inf:
-            raise ConfigError(f"tau must be finite and positive, got {self.tau!r}")
-        if not 0.0 < self.pml_err < 1.0:
-            raise ConfigError("pml reflection target must lie in (0, 1)")
-        if self.pml_eta <= 0:
-            raise ConfigError("pml impedance must be positive")
+        validate(self, bounds=optional(numbers(4)), nx=optional(count),
+                 ny=optional(count), pml_layers=count, mesh_file=optional(string),
+                 pml_err=fraction, pml_eta=positive, tau=positive, n_steps=count,
+                 snapshot_every=count, out_dir=string)
+        # The mesh is a file, or a grid generated from bounds, nx and ny.
+        for name in ("bounds", "nx", "ny"):
+            if (getattr(self, name) is None) == (self.mesh_file is None):
+                raise FieldError(name, "given exactly when no mesh file is",
+                                 getattr(self, name))
+        if self.mesh_file is not None and self.pml_layers:
+            raise FieldError("pml_layers", "0 with a mesh file", self.pml_layers)
 
     def resolved_material(self) -> MaterialParams:
         if self.kubo is not None:
@@ -160,7 +141,7 @@ class ManufacturedDrivers:
         return self.case.e_coeffs(t) @ self.bc_moments
 
 
-def build_manufactured_problem(h: float, params: MaterialParams | None = None):
+def build_manufactured_problem(h: float):
     """Unit-square mesh with the midline interface plus assembled operators."""
     n = round(1.0 / h)
     if abs(n * h - 1.0) > 1e-12:
@@ -170,8 +151,7 @@ def build_manufactured_problem(h: float, params: MaterialParams | None = None):
     mesh = generate_rect_mesh((0.0, 1.0, 0.0, 1.0), n, n, 0)
     snap_interface(mesh, InterfaceSpec([Segment((0.0, 0.5), (1.0, 0.5))]))
     ops = build_operator_set(mesh)
-    case = ManufacturedCase(params or MaterialParams.unit())
-    return mesh, ops, case
+    return mesh, ops, ManufacturedCase()
 
 
 def _convergence_single(h: float, mode: str, tau: float, n_steps: int,
@@ -200,19 +180,15 @@ def run_convergence_study(mode: str, h_list, tau: float = 1e-4,
     `n_steps` steps; mode "coupled" ties tau to h via `tau_ratio` and runs
     to `final_time`.
     """
-    if mode not in ("fixed", "coupled"):
-        raise ConfigError(f"unknown convergence mode '{mode}'")
-    h_list = list(h_list)
-    if not all(h > 0 for h in h_list):
-        raise ConfigError("mesh sizes must be positive")
+    one_of("fixed", "coupled")("mode", mode)
+    h_list = [positive("h", h) for h in h_list]
     for prev, cur in zip(h_list[:-1], h_list[1:]):
         if abs(prev / cur - 2.0) > 1e-9:
             raise ConfigError("mesh sizes must halve between rows")
-    if mode == "fixed" and (tau <= 0 or n_steps < 0):
-        raise ConfigError("fixed mode needs a positive tau and nonnegative steps")
-    if mode == "coupled" and (tau_ratio <= 0 or final_time < 0):
-        raise ConfigError("coupled mode needs a positive tau ratio and "
-                          "nonnegative final time")
+    positive("tau", tau)
+    count("n_steps", n_steps)
+    nonnegative("final_time", final_time)
+    positive("tau_ratio", tau_ratio)
 
     errors = [_convergence_single(h, mode, tau, n_steps, final_time, tau_ratio)
               for h in h_list]
@@ -269,11 +245,12 @@ def _spiral_primitives():
 _BULB_ARC = (np.arctan2(2.0, -4.8), -np.arctan2(2.0, -4.8))
 
 SCENARIO_NAMES = ("bifurcated-straight", "bifurcated-curved", "adjacent-arcs",
-                  "bulb", "ring-resonator", "spiral", "convergence")
+                  "bulb", "ring-resonator", "spiral")
 
 
 def scenario(name: str) -> SimulationConfig:
     """Fully populated configuration for one of the published setups."""
+    one_of(*SCENARIO_NAMES)("scenario", name)
     kubo = KuboParams(mu_c_ev=1.5)
     common = dict(pml_layers=12, tau=8.3e-17, kubo=kubo, snapshot_every=1000)
     src_f0 = 1e13
@@ -287,7 +264,7 @@ def scenario(name: str) -> SimulationConfig:
             _um_segment((0, -5), (15, -5)),
         ])
         return SimulationConfig(
-            name=name, bounds=_WIDE, nx=100, ny=100, interface=iface,
+            bounds=_WIDE, nx=100, ny=100, interface=iface,
             source=SourceSpec(_dipole_pair(-27, 1.0, -1.0), src_f0, 0.2 * MICRON),
             n_steps=20000, **common)
 
@@ -299,13 +276,13 @@ def scenario(name: str) -> SimulationConfig:
             _um_segment((7, -7), (15, -7)),
         ])
         return SimulationConfig(
-            name=name, bounds=_WIDE, nx=100, ny=100, interface=iface,
+            bounds=_WIDE, nx=100, ny=100, interface=iface,
             source=SourceSpec(_dipole_pair(-27, 1.0, -1.0), src_f0, 0.2 * MICRON),
             n_steps=20000, **common)
 
     if name == "adjacent-arcs":
         return SimulationConfig(
-            name=name, bounds=_WIDE, nx=100, ny=100,
+            bounds=_WIDE, nx=100, ny=100,
             interface=InterfaceSpec(_adjacent_arcs()),
             source=SourceSpec(_dipole_pair(-18, 3.5, 2.5), src_f0, 0.2 * MICRON),
             n_steps=20000, **common)
@@ -319,7 +296,7 @@ def scenario(name: str) -> SimulationConfig:
         pair_top = _dipole_pair(-15, 2.5, 1.5)
         pair_bot = _dipole_pair(-15, -1.5, -2.5)
         return SimulationConfig(
-            name=name, bounds=_WIDE, nx=100, ny=100, interface=iface,
+            bounds=_WIDE, nx=100, ny=100, interface=iface,
             source=SourceSpec(pair_top + pair_bot, src_f0, 0.2 * MICRON),
             n_steps=10000, **common)
 
@@ -330,39 +307,24 @@ def scenario(name: str) -> SimulationConfig:
             _um_segment((-15, -13), (15, -13)),
         ])
         return SimulationConfig(
-            name=name, bounds=_SQUARE, nx=400, ny=400, interface=iface,
+            bounds=_SQUARE, nx=400, ny=400, interface=iface,
             source=SourceSpec(_dipole_pair(-13, 13.5, 12.5), src_f0, 0.1 * MICRON),
             n_steps=20000, **common)
 
-    if name == "spiral":
-        return SimulationConfig(
-            name=name, bounds=_SQUARE, nx=400, ny=400,
-            interface=InterfaceSpec(_spiral_primitives()),
-            source=SourceSpec(_dipole_pair(-16, -17.5, -18.5), src_f0, 0.1 * MICRON),
-            n_steps=100000, pml_layers=12, tau=8.3e-17,
-            kubo=KuboParams(mu_c_ev=0.8), snapshot_every=2000)
-
-    if name == "convergence":
-        return SimulationConfig(
-            name=name, bounds=(0.0, 1.0, 0.0, 1.0), nx=20, ny=20, pml_layers=0,
-            interface=InterfaceSpec([Segment((0.0, 0.5), (1.0, 0.5))]),
-            material=MaterialParams.unit(), tau=1e-4, n_steps=1000,
-            manufactured=True)
-
-    raise ConfigError(f"unknown scenario '{name}'; valid names: "
-                      + ", ".join(SCENARIO_NAMES))
+    # name == "spiral", the last one
+    return SimulationConfig(
+        bounds=_SQUARE, nx=400, ny=400,
+        interface=InterfaceSpec(_spiral_primitives()),
+        source=SourceSpec(_dipole_pair(-16, -17.5, -18.5), src_f0, 0.1 * MICRON),
+        n_steps=100000, pml_layers=12, tau=8.3e-17,
+        kubo=KuboParams(mu_c_ev=0.8), snapshot_every=2000)
 
 
 # -- runner -------------------------------------------------------------------
 
 def build_mesh_for(config: SimulationConfig) -> Mesh:
-    if config.mesh_file is not None:
-        mesh = load_mesh(config.mesh_file)
-    else:
-        if config.bounds is None or config.nx is None or config.ny is None:
-            raise ConfigError("config needs either a mesh file or bounds/nx/ny")
-        mesh = generate_rect_mesh(config.bounds, config.nx, config.ny,
-                                  config.pml_layers)
+    mesh = (load_mesh(config.mesh_file) if config.mesh_file is not None else
+            generate_rect_mesh(config.bounds, config.nx, config.ny, config.pml_layers))
     if config.interface is not None:
         snap_interface(mesh, config.interface)
     return mesh
@@ -376,17 +338,9 @@ def run(config: SimulationConfig, out_dir: str | None = None) -> SimulationResul
     ops = build_operator_set(
         mesh, *damping_at_centroids(mesh, config.pml_err, config.pml_eta))
 
-    source = extra_load = bc_values = dt_e0 = None
-    if config.manufactured:
-        case = ManufacturedCase(params)
-        drivers = ManufacturedDrivers(mesh, case, ops.pec_mask)
-        source, extra_load = drivers.source, drivers.extra_load
-        bc_values, dt_e0 = drivers.bc_values, case.dt_e0
-    elif config.source is not None:
-        try:
-            cells = dipole_source_cells(mesh, config.source)
-        except ValueError as exc:   # a dipole outside the mesh or in the collar
-            raise ConfigError(str(exc)) from exc
+    source = None
+    if config.source is not None:
+        cells = dipole_source_cells(mesh, config.source)
 
         def source(t):
             return eval_source(config.source, t, cells, mesh.n_triangles)
@@ -395,7 +349,6 @@ def run(config: SimulationConfig, out_dir: str | None = None) -> SimulationResul
     try:
         result = run_simulation(
             ops, params, config.tau, config.n_steps, source=source,
-            dt_e0=dt_e0, extra_load=extra_load, bc_values=bc_values,
             snapshot_every=config.snapshot_every,
             energy_every=max(config.snapshot_every, 1) if config.n_steps else 0)
     except BlowUpError as exc:
@@ -464,118 +417,96 @@ def write_energy_log(series, path) -> None:
 
 # -- JSON configuration -------------------------------------------------------
 
-def _interface_to_json(spec: InterfaceSpec | None):
-    if spec is None:
-        return None
-    out = []
-    for prim in spec.primitives:
-        if isinstance(prim, Segment):
-            out.append({"type": "segment", "p0": list(prim.p0), "p1": list(prim.p1)})
-        elif isinstance(prim, Arc):
-            out.append({"type": "arc", "center": list(prim.center),
-                        "radius": prim.radius, "angle_start": prim.angle_start,
-                        "angle_end": prim.angle_end})
-        else:
-            raise ConfigError(f"unknown primitive {type(prim).__name__}")
-    return out
+# The SimulationConfig field that each key path of a file sets directly.
+_FIELDS = {"tau": "tau", "steps": "n_steps", "snapshot_every": "snapshot_every",
+           "out_dir": "out_dir", "mesh.file": "mesh_file", "mesh.bounds": "bounds",
+           "mesh.nx": "nx", "mesh.ny": "ny", "mesh.pml_layers": "pml_layers",
+           "pml.err": "pml_err", "pml.eta": "pml_eta"}
+_BLOCKS = {"material": MaterialParams, "kubo": KuboParams, "cfl": CflConstants}
+_PRIMITIVES = {"segment": Segment, "arc": Arc}
 
 
-def _interface_from_json(items):
-    if items is None:
-        return None
-    prims = []
-    for item in items:
-        kind = item.get("type")
-        if kind == "segment":
-            prims.append(Segment(tuple(item["p0"]), tuple(item["p1"])))
-        elif kind == "arc":
-            prims.append(Arc(tuple(item["center"]), item["radius"],
-                             item["angle_start"], item["angle_end"]))
-        else:
-            raise ConfigError(f"unknown interface primitive type {kind!r}")
-    return InterfaceSpec(prims)
-
-
-def config_to_json(config: SimulationConfig) -> dict:
-    data = {
-        "version": CONFIG_VERSION,
-        "name": config.name,
-        "mesh": ({"file": config.mesh_file} if config.mesh_file else
-                 {"bounds": list(config.bounds), "nx": config.nx, "ny": config.ny,
-                  "pml_layers": config.pml_layers}),
-        "interface": _interface_to_json(config.interface),
-        "material": {"eps0": config.material.eps0, "mu0": config.material.mu0,
-                     "tau0": config.material.tau0, "sigma0": config.material.sigma0},
-        "pml": {"err": config.pml_err, "eta": config.pml_eta},
-        "tau": config.tau,
-        "steps": config.n_steps,
-        "snapshot_every": config.snapshot_every,
-        "out_dir": config.out_dir,
-        "cfl": {"c_in": config.cfl.c_in, "c_tr": config.cfl.c_tr},
-        "manufactured": config.manufactured,
-    }
-    if config.kubo is not None:
-        data["kubo"] = {"mu_c_ev": config.kubo.mu_c_ev, "tau0": config.kubo.tau0,
-                        "temperature": config.kubo.temperature}
-    if config.source is not None:
-        data["source"] = {
-            "points": [{"position": [x, y], "sign": s}
-                       for x, y, s in config.source.points],
-            "f0": config.source.f0, "h_norm": config.source.h_norm,
-            "n_cycles": config.source.n_cycles}
-    return data
-
-
-def config_from_json(data: dict) -> SimulationConfig:
-    if not isinstance(data, dict):
-        raise ConfigError("configuration must be a JSON object, "
-                          f"not {type(data).__name__}")
-    if data.get("version") not in (1, CONFIG_VERSION):
-        raise ConfigError(f"unsupported config version {data.get('version')!r}")
-    if "solver" in data:
-        # Version 1 configured an iterative solver; the step matrix is now
-        # factored directly, so those settings have no effect.
-        warnings.warn("ignoring the obsolete 'solver' block of the configuration",
-                      stacklevel=2)
+def _build(path: str, make, keys: dict, /, **kwargs):
+    """`make(**kwargs)`, a FieldError re-raised under `path` and its `keys` entry."""
     try:
-        mesh_spec = data["mesh"]
-        kwargs = dict(interface=_interface_from_json(data.get("interface")),
-                      tau=data["tau"], n_steps=data["steps"])
-        # A key the JSON leaves out keeps SimulationConfig's default.
-        kwargs.update((key, value) for key, value in data.items()
-                      if key in ("name", "snapshot_every", "out_dir", "manufactured"))
-        kwargs.update((f"pml_{key}", value) for key, value in data.get("pml", {}).items()
-                      if key in ("err", "eta"))
-        if "file" in mesh_spec:
-            kwargs["mesh_file"] = mesh_spec["file"]
-        else:
-            kwargs.update(bounds=tuple(mesh_spec["bounds"]), nx=mesh_spec["nx"],
-                          ny=mesh_spec["ny"])
-            if "pml_layers" in mesh_spec:
-                kwargs["pml_layers"] = mesh_spec["pml_layers"]
-        if "material" in data:
-            kwargs["material"] = MaterialParams(**data["material"])
-        if "kubo" in data:
-            kwargs["kubo"] = KuboParams(**data["kubo"])
-        if "source" in data and data["source"] is not None:
-            src = data["source"]
-            points = tuple((*_finite_numbers(p["position"], 2, "source position"),
-                            p["sign"]) for p in src["points"])
-            kwargs["source"] = SourceSpec(points, src["f0"], src["h_norm"],
-                                          src.get("n_cycles"))
-        if "cfl" in data:
-            kwargs["cfl"] = CflConstants(**data["cfl"])
-        return SimulationConfig(**kwargs)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"invalid configuration: {exc}") from exc
+        return make(**kwargs)
+    except FieldError as exc:
+        raise ConfigError(f"{path}{keys.get(exc.name, exc.name)} {exc.detail}") from None
+
+
+def _object(value, path: str, required=(), optional=()) -> dict:
+    """`value`, if a JSON object with the `required` keys and no others but `optional`."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path.rstrip('.') or 'configuration'} must be a JSON "
+                          f"object, got {value!r}")
+    problems = ([f"missing key {path}{key}" for key in required if key not in value]
+                + [f"unknown key {path}{key}" for key in value
+                   if key not in required and key not in optional])
+    if problems:
+        raise ConfigError("; ".join(problems))
+    return value
+
+
+def _list(value, path: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{path} must be a list, got {value!r}")
+    return value
+
+
+def _holder(cls, value, path: str):
+    """`cls` built from a JSON object whose keys are its fields."""
+    required = [f.name for f in fields(cls)
+                if f.default is MISSING and f.default_factory is MISSING]
+    value = _object(value, path, required, [f.name for f in fields(cls)])
+    return _build(path, cls, {}, **value)
+
+
+def _primitive(item, path: str):
+    kind = _object(item, path, ("type",), item)["type"]
+    _build(path, one_of(*_PRIMITIVES), {}, name="type", value=kind)
+    return _holder(_PRIMITIVES[kind], {k: v for k, v in item.items() if k != "type"}, path)
+
+
+def _source(value) -> SourceSpec:
+    """A source block, each point {"position": [x, y], "sign": s} as (x, y, s)."""
+    src = _object(value, "source.", ("points", "f0", "h_norm"), ("n_cycles",))
+    points = []
+    for i, item in enumerate(_list(src["points"], "source.points")):
+        point = _object(item, f"source.points[{i}].", ("position", "sign"))
+        points.append((*_list(point["position"], f"source.points[{i}].position"),
+                       point["sign"]))
+    return _build("source.", SourceSpec, {}, **{**src, "points": points})
+
+
+def config_from_json(data) -> SimulationConfig:
+    """The configuration a parsed JSON file describes; a key it does not map is an error."""
+    if isinstance(data, dict) and data.get("version") == 1:
+        raise ConfigError('config version 1 is no longer read: drop its "solver" '
+                          f'block and set "version": {CONFIG_VERSION}')
+    _object(data, "", ("version", "mesh", "tau", "steps"),
+            ("snapshot_every", "out_dir", "pml", "interface", "source", *_BLOCKS))
+    if data["version"] != CONFIG_VERSION:
+        raise ConfigError(f"version must be {CONFIG_VERSION}, got {data['version']!r}")
+    mesh = _object(data["mesh"], "mesh.", (), ("file", "bounds", "nx", "ny", "pml_layers"))
+    pml = _object(data.get("pml", {}), "pml.", (), ("err", "eta"))
+    kwargs = {_FIELDS[key]: value for key, value in data.items() if key in _FIELDS}
+    kwargs.update((_FIELDS["mesh." + key], value) for key, value in mesh.items())
+    kwargs.update((_FIELDS["pml." + key], value) for key, value in pml.items())
+    kwargs.update((key, _holder(cls, data[key], key + "."))
+                  for key, cls in _BLOCKS.items() if key in data)
+    if "interface" in data:
+        kwargs["interface"] = InterfaceSpec(
+            _primitive(item, f"interface[{i}].")
+            for i, item in enumerate(_list(data["interface"], "interface")))
+    if "source" in data:
+        kwargs["source"] = _source(data["source"])
+    return _build("", SimulationConfig, {v: k for k, v in _FIELDS.items()}, **kwargs)
 
 
 def load_config(path) -> SimulationConfig:
     try:
         with open(path) as f:
             data = json.load(f)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return config_from_json(data)

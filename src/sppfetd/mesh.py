@@ -16,6 +16,8 @@ from enum import IntEnum
 
 import numpy as np
 
+from .checks import ConfigError, finite, numbers, positive, validate
+
 
 class CellTag(IntEnum):
     PHYSICAL = 0
@@ -34,7 +36,7 @@ TRI_EDGE_LOCAL = ((0, 1), (1, 2), (2, 0))
 MESH_FORMAT_HEADER = "SPPMESH 1"
 
 
-class MeshError(ValueError):
+class MeshError(ConfigError):
     """Invalid mesh input or violated mesh invariant."""
 
 
@@ -42,6 +44,9 @@ class MeshError(ValueError):
 class Segment:
     p0: tuple[float, float]
     p1: tuple[float, float]
+
+    def __post_init__(self):
+        validate(self, p0=numbers(2), p1=numbers(2))
 
     def length(self) -> float:
         return float(np.hypot(self.p1[0] - self.p0[0], self.p1[1] - self.p0[1]))
@@ -60,8 +65,8 @@ class Arc:
     angle_end: float
 
     def __post_init__(self):
-        if self.radius <= 0.0:
-            raise MeshError("arc radius must be positive")
+        validate(self, center=numbers(2), radius=positive, angle_start=finite,
+                 angle_end=finite)
 
     def length(self) -> float:
         return abs(self.angle_end - self.angle_start) * self.radius

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import (ConfigError, FieldError, finite, nonnegative, numbers, optional,
+                     positive, validate)
 from .mesh import CellTag, Mesh
 
 EPSILON_0 = 8.8541878128e-12   # F/m
@@ -33,11 +35,7 @@ class MaterialParams:
     sigma0: float = 0.0        # S
 
     def __post_init__(self):
-        for name in ("eps0", "mu0", "tau0"):
-            if not 0.0 < getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be finite and positive")
-        if not 0.0 <= self.sigma0 < np.inf:
-            raise ValueError("sigma0 must be finite and nonnegative")
+        validate(self, eps0=positive, mu0=positive, tau0=positive, sigma0=nonnegative)
 
     @property
     def c_v(self) -> float:
@@ -58,9 +56,7 @@ class KuboParams:
     temperature: float = 300.0     # K
 
     def __post_init__(self):
-        for name in ("mu_c_ev", "tau0", "temperature"):
-            if not 0.0 < getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be finite and positive")
+        validate(self, mu_c_ev=positive, tau0=positive, temperature=positive)
 
 
 def kubo_sigma0(params: KuboParams) -> float:
@@ -115,13 +111,22 @@ class SourceSpec:
     n_cycles: float | None = None
 
     def __post_init__(self):
-        if self.f0 <= 0 or self.h_norm <= 0:
-            raise ValueError("f0 and h_norm must be positive")
+        validate(self, points=_dipoles, f0=positive, h_norm=positive,
+                 n_cycles=optional(positive))
 
     def amplitude(self, t: float) -> float:
         if self.n_cycles is not None and t * self.f0 >= self.n_cycles:
             return 0.0
         return np.sin(2.0 * np.pi * self.f0 * t) / self.h_norm
+
+
+def _dipoles(name: str, points) -> tuple:
+    """Dipoles (x, y, sign), each part checked under its key in a JSON file."""
+    if not (isinstance(points, (list, tuple))
+            and all(isinstance(p, (list, tuple)) and p for p in points)):
+        raise FieldError(name, "a list of (x, y, sign) dipoles", points)
+    return tuple((*numbers(2)(f"{name}[{i}].position", p[:-1]),
+                  finite(f"{name}[{i}].sign", p[-1])) for i, p in enumerate(points))
 
 
 def locate_cell(mesh: Mesh, point) -> int:
@@ -141,7 +146,7 @@ def locate_cell(mesh: Mesh, point) -> int:
     inside = (l1 >= -tol) & (l2 >= -tol) & (l1 + l2 <= 1.0 + tol)
     hits = near[inside]
     if len(hits) == 0:
-        raise ValueError(f"point {tuple(p)} lies outside the mesh")
+        raise ConfigError(f"point {tuple(p)} lies outside the mesh")
     return int(hits[0])
 
 
@@ -151,7 +156,7 @@ def dipole_source_cells(mesh: Mesh, spec: SourceSpec) -> list:
     for x, y, sign in spec.points:
         cell = locate_cell(mesh, (x, y))
         if mesh.cell_tags[cell] != CellTag.PHYSICAL:
-            raise ValueError(f"dipole source at ({x}, {y}) lies in the absorbing collar")
+            raise ConfigError(f"dipole source at ({x}, {y}) lies in the absorbing collar")
         out.append((cell, float(sign)))
     return out
 

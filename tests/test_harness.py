@@ -1,6 +1,8 @@
+import copy
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -10,22 +12,43 @@ import numpy as np
 import pytest
 
 from sppfetd import harness
+from sppfetd.assembly import build_operator_set
 from sppfetd.cli import main as cli_main
-from sppfetd.dynamics import FieldState, Snapshot
+from sppfetd.dynamics import FieldState, Snapshot, run_simulation
 from sppfetd.harness import (ConfigError, ErrorTable, ManufacturedDrivers,
                              SimulationConfig, _vtk_geometry,
                              build_manufactured_problem,
-                             build_mesh_for, config_from_json, config_to_json, l2_errors,
+                             build_mesh_for, config_from_json, l2_errors,
                              run, run_convergence_study, scenario,
                              write_energy_log, write_snapshot)
 from sppfetd.mesh import Arc, InterfaceSpec, Segment, generate_rect_mesh
-from sppfetd.physics import ManufacturedCase, MaterialParams, SourceSpec
+from sppfetd.physics import (ManufacturedCase, MaterialParams, SourceSpec,
+                             damping_at_centroids)
 from sppfetd.elements import interpolate_hcurl, project_l2_p0
 
 import oracles
 
 UM = 1e-6
 ROOT = Path(__file__).resolve().parents[1]
+UNIT = {"eps0": 1.0, "mu0": 1.0, "tau0": 1.0, "sigma0": 1.0}
+
+
+def _square(nx=4, ny=4, pml_layers=0, **keys):
+    """A version-2 config of the unit square with the unit material; `keys`
+    add top-level keys or replace them."""
+    return {"version": 2, "mesh": {"bounds": [0.0, 1.0, 0.0, 1.0], "nx": nx, "ny": ny,
+                                   "pml_layers": pml_layers},
+            "material": dict(UNIT), "tau": 0.01, "steps": 2, **keys}
+
+
+def _dipole(x, y):
+    return {"points": [{"position": [x, y], "sign": 1.0}], "f0": 1.0, "h_norm": 1.0}
+
+
+def _write(tmp_path, data) -> str:
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(data))
+    return str(path)
 
 
 def test_error_table_rates_match_published_arithmetic():
@@ -165,12 +188,6 @@ def test_scenario_spiral_parameters():
     assert segs[0].p0 == (0.0, -18 * UM)
 
 
-def test_scenario_convergence_unit_parameters():
-    cfg = scenario("convergence")
-    assert cfg.material == MaterialParams.unit()
-    assert cfg.manufactured
-
-
 def test_scenario_unknown_name_lists_valid():
     with pytest.raises(ConfigError, match="bifurcated-straight"):
         scenario("donut")
@@ -208,32 +225,54 @@ def test_energy_log_round_trip(tmp_path):
                       1.25 + 0.5 + 2.0 + 0.125 + 0.0625]
 
 
+def _segment_um(p0, p1):
+    return {"type": "segment", "p0": [p0[0] * UM, p0[1] * UM],
+            "p1": [p1[0] * UM, p1[1] * UM]}
+
+
+def _bifurcated_json(interface):
+    """A bifurcated published scenario spelled as a version-2 file."""
+    return {"version": 2,
+            "mesh": {"bounds": [-30 * UM, 30 * UM, -10 * UM, 10 * UM], "nx": 100,
+                     "ny": 100, "pml_layers": 12},
+            "interface": interface, "kubo": {"mu_c_ev": 1.5},
+            "source": {"points": [{"position": [-27 * UM, 1 * UM], "sign": 1.0},
+                                  {"position": [-27 * UM, -1 * UM], "sign": -1.0}],
+                       "f0": 1e13, "h_norm": 0.2 * UM},
+            "tau": 8.3e-17, "steps": 20000, "snapshot_every": 1000}
+
+
 def test_config_json_round_trip():
-    cfg = scenario("bifurcated-curved")
-    data = config_to_json(cfg)
+    # a published scenario written out as JSON text reads back to itself,
+    # arcs and dipoles included
+    data = _bifurcated_json([
+        _segment_um((-28, 0), (0, 0)),
+        {"type": "arc", "center": [7 * UM, 0.0], "radius": 7 * UM,
+         "angle_start": np.pi / 2, "angle_end": 3 * np.pi / 2},
+        _segment_um((7, 7), (15, 7)), _segment_um((7, -7), (15, -7))])
     again = config_from_json(json.loads(json.dumps(data)))
-    assert again.bounds == cfg.bounds
-    assert again.tau == cfg.tau
-    assert again.kubo == cfg.kubo
-    assert again.source == cfg.source
-    assert len(again.interface.primitives) == len(cfg.interface.primitives)
+    assert again == scenario("bifurcated-curved")
     assert isinstance(again.interface.primitives[1], Arc)
 
 
 def test_config_v2_round_trip_has_no_solver_block():
-    cfg = scenario("bifurcated-straight")
-    data = json.loads(json.dumps(config_to_json(cfg)))
-    assert data["version"] == 2 and "solver" not in data
-    assert config_from_json(data) == cfg
+    data = _bifurcated_json([
+        _segment_um((-30, 0), (-15, 0)), _segment_um((-15, 0), (0, 5)),
+        _segment_um((0, 5), (15, 5)), _segment_um((-15, 0), (0, -5)),
+        _segment_um((0, -5), (15, -5))])
+    assert config_from_json(json.loads(json.dumps(data))) == scenario("bifurcated-straight")
+    # version 2 has no solver settings: the block is an unknown key
+    with pytest.raises(ConfigError, match="unknown key solver"):
+        config_from_json({**data, "solver": {"tol": 1e-10}})
 
 
-def test_config_v1_solver_block_is_ignored_with_warning():
-    data = config_to_json(scenario("bulb"))
-    data["version"] = 1
-    data["solver"] = {"tol": 1e-10, "max_iter": None, "preconditioner": "jacobi"}
-    with pytest.warns(UserWarning, match="solver"):
-        cfg = config_from_json(data)
-    assert cfg == scenario("bulb")
+def test_config_version_1_is_refused_with_its_upgrade(tmp_path, capsys):
+    # version 1 configured an iterative solver that no longer exists; it
+    # loaded with a warning before
+    data = _square(version=1, solver={"tol": 1e-10, "max_iter": None,
+                                      "preconditioner": "jacobi"})
+    assert cli_main(["run", _write(tmp_path, data), "--out", ""]) == 2
+    assert 'drop its "solver" block and set "version": 2' in capsys.readouterr().err
 
 
 def test_config_json_omitted_keys_take_dataclass_defaults():
@@ -252,13 +291,9 @@ def test_cli_non_integer_count_is_configuration_error(section, key, value,
                                                       tmp_path, capsys):
     # a float or string count crashed the mesh build or the time loop, a
     # float layer count or cadence was truncated, and true ran as one step
-    data = config_to_json(SimulationConfig(
-        bounds=(0.0, 1.0, 0.0, 1.0), nx=4, ny=4, material=MaterialParams.unit(),
-        tau=0.01, n_steps=2))
+    data = _square()
     (data if section is None else data[section])[key] = value
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(data))
-    assert cli_main(["run", str(cfg_path), "--out", ""]) == 2
+    assert cli_main(["run", _write(tmp_path, data), "--out", ""]) == 2
     err = capsys.readouterr().err
     assert "configuration error" in err and "must be a nonnegative integer" in err
 
@@ -275,27 +310,22 @@ def test_config_rejects_bad_pml_settings(pml):
 def test_cli_kubo_block_naming_a_physical_constant_is_configuration_error(
         constant, tmp_path, capsys):
     # the charge and the Boltzmann and Planck constants are not settings
-    data = config_to_json(scenario("bulb"))
-    data["kubo"][constant] = 1.0
-    data["steps"] = 1
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(data))
-    assert cli_main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    data = _square(kubo={"mu_c_ev": 1.5, constant: 1.0})
+    assert cli_main(["run", _write(tmp_path, data), "--out", ""]) == 2
     err = capsys.readouterr().err
-    assert "configuration error" in err and repr(constant) in err
+    assert "configuration error" in err and f"unknown key kubo.{constant}" in err
 
 
 def test_run_damps_the_collar_of_a_mesh_file(tmp_path, monkeypatch):
     # a mesh file carries no layer count: run reads the collar depth from
     # the mesh, so its absorber cells get the generated mesh's damping
     generated = SimulationConfig(
-        name="collar", bounds=(-3 * UM, 3 * UM, -1 * UM, 1 * UM), nx=30, ny=10,
+        bounds=(-3 * UM, 3 * UM, -1 * UM, 1 * UM), nx=30, ny=10,
         pml_layers=4, tau=1e-17, n_steps=0, out_dir="")
     mesh_path = tmp_path / "collar.mesh"
     oracles.save_mesh(build_mesh_for(generated), mesh_path)
-    data = config_to_json(generated)
-    data["mesh"] = {"file": str(mesh_path)}
-    from_file = config_from_json(json.loads(json.dumps(data)))
+    from_file = config_from_json({"version": 2, "mesh": {"file": str(mesh_path)},
+                                  "tau": 1e-17, "steps": 0, "out_dir": ""})
 
     damping = []
     assemble = harness.build_operator_set
@@ -319,20 +349,20 @@ def test_run_with_empty_out_dir_writes_nothing(tmp_path, monkeypatch, capsys):
     # config's out_dir ("out" by default) in the working directory
     monkeypatch.chdir(tmp_path)
     cfg = SimulationConfig(
-        name="quiet", bounds=(0.0, 1.0, 0.0, 1.0), nx=4, ny=4, pml_layers=2,
+        bounds=(0.0, 1.0, 0.0, 1.0), nx=4, ny=4, pml_layers=2,
         material=MaterialParams.unit(), tau=0.01, n_steps=4, snapshot_every=2)
     result = run(cfg, out_dir="")
     assert len(result.snapshots) == 3 and len(result.energy) == 2
     assert list(tmp_path.iterdir()) == []
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(config_to_json(cfg)))
-    assert cli_main(["run", str(cfg_path), "--out", ""]) == 0
+    cfg_path = _write(tmp_path, _square(pml_layers=2, steps=4, snapshot_every=2))
+    assert config_from_json(json.loads(Path(cfg_path).read_text())) == cfg
+    assert cli_main(["run", cfg_path, "--out", ""]) == 0
     assert capsys.readouterr().out == (
         "completed 4 steps; no files written (empty --out)\n")
-    assert cli_main(["scenario", "convergence", "--steps", "2", "--out", ""]) == 0
-    assert capsys.readouterr().out == (
-        "scenario 'convergence' finished at step 2; no files written (empty --out)\n")
-    assert list(tmp_path.iterdir()) == [cfg_path]
+    assert cli_main(["scenario", "bifurcated-straight", "--steps", "2", "--out", ""]) == 0
+    assert capsys.readouterr().out == ("scenario 'bifurcated-straight' finished at "
+                                       "step 2; no files written (empty --out)\n")
+    assert [str(p) for p in tmp_path.iterdir()] == [cfg_path]
 
 
 def test_config_rejects_bad_version():
@@ -342,10 +372,9 @@ def test_config_rejects_bad_version():
 
 def test_run_tiny_simulation_writes_outputs(tmp_path):
     cfg = SimulationConfig(
-        name="tiny", bounds=(0.0, 1.0, 0.0, 1.0), nx=4, ny=4, pml_layers=2,
+        bounds=(0.0, 1.0, 0.0, 1.0), nx=4, ny=4, pml_layers=2,
         material=MaterialParams.unit(), tau=0.01, n_steps=10,
-        snapshot_every=5, out_dir=str(tmp_path / "out"),
-        source=None, manufactured=False)
+        snapshot_every=5, out_dir=str(tmp_path / "out"))
     result = run(cfg)
     out = tmp_path / "out"
     assert (out / "snap_000000.vtk").exists()
@@ -362,10 +391,12 @@ def test_run_tiny_simulation_writes_outputs(tmp_path):
 
 
 def test_run_determinism(tmp_path):
-    cfg = scenario("convergence")
-    from dataclasses import replace
-    cfg = replace(cfg, n_steps=5, nx=8, ny=8, snapshot_every=5,
-                  out_dir=str(tmp_path / "a"))
+    cfg = SimulationConfig(
+        bounds=(0.0, 1.0, 0.0, 1.0), nx=8, ny=8,
+        interface=InterfaceSpec([Segment((0.0, 0.5), (1.0, 0.5))]),
+        material=MaterialParams.unit(), tau=0.01, n_steps=5, snapshot_every=5,
+        source=SourceSpec(((0.3, 0.3, 1.0),), f0=1.0, h_norm=1.0),
+        out_dir=str(tmp_path / "a"))
     run(cfg)
     cfg2 = replace(cfg, out_dir=str(tmp_path / "b"))
     run(cfg2)
@@ -376,40 +407,29 @@ def test_run_determinism(tmp_path):
 
 
 def test_cli_round_trip(tmp_path, capsys):
-    cfg = SimulationConfig(
-        name="clirun", bounds=(0.0, 1.0, 0.0, 1.0), nx=4, ny=4,
-        material=MaterialParams.unit(), tau=0.01, n_steps=3,
-        snapshot_every=0, out_dir=str(tmp_path / "cli_out"))
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(config_to_json(cfg)))
-    assert cli_main(["run", str(cfg_path)]) == 0
-    assert cli_main(["check-cfl", str(cfg_path)]) == 0
+    cfg_path = _write(tmp_path, _square(steps=3, out_dir=str(tmp_path / "cli_out")))
+    assert cli_main(["run", cfg_path]) == 0
+    assert cli_main(["check-cfl", cfg_path]) == 0
     capsys.readouterr()
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert cli_main(["run", str(bad)]) == 2
+    bad.write_bytes(b"\xff\xfe\x00")      # not UTF-8: a traceback (exit 1) before
+    assert cli_main(["run", str(bad)]) == 2
+    assert "can't decode byte 0xff" in capsys.readouterr().err
 
 
 def test_cli_check_cfl_flags_violation(tmp_path, capsys):
-    cfg = SimulationConfig(
-        name="fast", bounds=(0.0, 1.0, 0.0, 1.0), nx=4, ny=4,
-        material=MaterialParams.unit(), tau=5.0, n_steps=0)
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(config_to_json(cfg)))
-    assert cli_main(["check-cfl", str(cfg_path)]) == 2
+    assert cli_main(["check-cfl", _write(tmp_path, _square(tau=5.0, steps=0))]) == 2
     assert "VIOLATED" in capsys.readouterr().out
 
 
 def test_cli_check_cfl_rejects_interface_outside_physical_region(tmp_path, capsys):
     # check-cfl builds the mesh as a run does, interface snap included, so
     # a config that `run` refuses is refused here too, whatever its tau
-    cfg = SimulationConfig(
-        name="offside", bounds=(0.0, 1.0, 0.0, 1.0), nx=4, ny=4, pml_layers=2,
-        material=MaterialParams.unit(), tau=1e-6, n_steps=0,
-        interface=InterfaceSpec([Segment((-0.25, 0.5), (1.0, 0.5))]))
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(config_to_json(cfg)))
-    assert cli_main(["check-cfl", str(cfg_path)]) == 2
+    data = _square(pml_layers=2, tau=1e-6, steps=0, interface=[
+        {"type": "segment", "p0": [-0.25, 0.5], "p1": [1.0, 0.5]}])
+    assert cli_main(["check-cfl", _write(tmp_path, data)]) == 2
     captured = capsys.readouterr()
     assert "leaves the physical region" in captured.err
     assert "configured tau" not in captured.out
@@ -422,7 +442,7 @@ def test_cli_convergence_smoke(capsys):
 
 
 def test_cli_scenario_smoke(tmp_path, capsys):
-    code = cli_main(["scenario", "convergence", "--steps", "3",
+    code = cli_main(["scenario", "bifurcated-straight", "--steps", "3",
                      "--out", str(tmp_path / "sc")])
     assert code == 0
     assert (tmp_path / "sc" / "energy.csv").exists()
@@ -447,7 +467,13 @@ def test_cli_convergence_rejects_bad_mesh_size(h, capsys):
 
 @pytest.mark.parametrize("args", [["--mode", "fixed", "--tau=-1e-4"],
                                   ["--mode", "fixed", "--steps=-3"],
-                                  ["--mode", "coupled", "--T=-0.01"]])
+                                  ["--mode", "coupled", "--T=-0.01"],
+                                  # a singular factor (exit 4) or an
+                                  # OverflowError or ValueError (exit 1) before
+                                  ["--mode", "fixed", "--tau", "nan"],
+                                  ["--mode", "fixed", "--tau", "inf"],
+                                  ["--mode", "coupled", "--T", "inf"],
+                                  ["--mode", "coupled", "--T", "nan"]])
 def test_cli_convergence_rejects_bad_step_settings(args, capsys):
     assert cli_main(["convergence", "--h", "1/10", *args]) == 2
     assert "configuration error" in capsys.readouterr().err
@@ -476,13 +502,8 @@ def test_scenario_geometries_snap_cleanly(name):
 
 
 def test_cli_source_outside_mesh_is_configuration_error(tmp_path, capsys):
-    cfg = SimulationConfig(
-        name="offmesh", bounds=(0.0, 1.0, 0.0, 1.0), nx=4, ny=4,
-        material=MaterialParams.unit(), tau=0.01, n_steps=2,
-        source=SourceSpec(((2.0, 0.5, 1.0),), f0=1.0, h_norm=1.0))
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(config_to_json(cfg)))
-    assert cli_main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    data = _square(source=_dipole(2.0, 0.5))
+    assert cli_main(["run", _write(tmp_path, data), "--out", str(tmp_path / "o")]) == 2
     assert "outside the mesh" in capsys.readouterr().err
 
 
@@ -507,9 +528,7 @@ def test_cli_malformed_config_value_is_configuration_error(key, value, named, tm
     monkeypatch.chdir(tmp_path)
     (tmp_path / "meshdir").mkdir()
     (tmp_path / "binary.mesh").write_bytes(b"\xff\xfe\x00")
-    data = config_to_json(SimulationConfig(
-        bounds=(0.0, 1.0, 0.0, 1.0), nx=4, ny=4, material=MaterialParams.unit(),
-        tau=0.01, n_steps=2, source=SourceSpec(((0.4, 0.4, 1.0),), f0=1.0, h_norm=1.0)))
+    data = _square(source=_dipole(0.4, 0.4))
     *path, last = key.split(".")
     section = data
     for name in path:
@@ -521,43 +540,134 @@ def test_cli_malformed_config_value_is_configuration_error(key, value, named, tm
     assert "configuration error" in err and named in err
 
 
+# A config with every block present, in SI units on a 4x4 um square.
+_FULL = {
+    "version": 2,
+    "mesh": {"bounds": [-2e-6, 2e-6, -2e-6, 2e-6], "nx": 10, "ny": 10, "pml_layers": 2},
+    "interface": [{"type": "segment", "p0": [-2e-6, -1e-6], "p1": [2e-6, -1e-6]},
+                  {"type": "arc", "center": [0.0, 0.6e-6], "radius": 0.8e-6,
+                   "angle_start": 0.0, "angle_end": 3.0}],
+    "material": {"eps0": 8.8541878128e-12, "mu0": 1.25663706212e-6, "tau0": 1.2e-12,
+                 "sigma0": 0.0},
+    "kubo": {"mu_c_ev": 1.5, "tau0": 1.2e-12, "temperature": 300.0},
+    "pml": {"err": 1e-7, "eta": 377.0},
+    "cfl": {"c_in": 1.0, "c_tr": 1.0},
+    "source": {"points": [{"position": [-1e-6, 0.2e-6], "sign": 1.0},
+                          {"position": [-1e-6, -0.2e-6], "sign": -1.0}],
+               "f0": 1e13, "h_norm": 4e-7, "n_cycles": 3.0},
+    "tau": 1e-17, "steps": 2, "snapshot_every": 1, "out_dir": "out"}
+_DELETE = object()
+_REPLACEMENTS = {"nan": float("nan"), "inf": float("inf"), "neg": -1, "str": "x",
+                 "list": [], "del": _DELETE}
+# The replacements that leave a valid config: a left-out key with a default,
+# a negative angle or sign, a string directory.
+_VALID = {**dict.fromkeys(["mesh.pml_layers", "material.eps0", "material.mu0",
+                           "material.tau0", "material.sigma0", "kubo.tau0",
+                           "kubo.temperature", "pml.err", "pml.eta", "cfl.c_in",
+                           "cfl.c_tr", "source.n_cycles", "snapshot_every"], {"del"}),
+          **dict.fromkeys(["interface[1].angle_start", "interface[1].angle_end",
+                           "source.points[0].sign", "source.points[1].sign"], {"neg"}),
+          "out_dir": {"str", "del"}}
+# Malformed values outside the table: (key path set, value, key path named).
+_PROBES = {
+    "p0-short": ("interface[0].p0", [0.0], "interface[0].p0"),          # IndexError
+    "p0-nan": ("interface[0].p0", [0.0, float("nan")], "interface[0].p0"),  # ValueError
+    "interface-object": ("interface", {}, "interface"),       # ran without a sheet
+    "points-object": ("source.points", {}, "source.points"),
+    "mesh-file-descriptor": ("mesh", {"file": 0}, "mesh.file"),   # read stdin
+    "mesh-file-and-grid": ("mesh", {"file": "m.mesh", "nx": 4}, "mesh.nx"),
+    "out-dir-number": ("out_dir", 5, "out_dir"),     # TypeError after the last step
+    "misspelt-key": ("snapshot_evry", 1, "snapshot_evry"),      # ran, key ignored
+    **{f"unknown-{path}": (path, 1.0, path) for path in (
+        "mesh.nz", "pml.depth", "interface[1].width", "material.epsilon", "cfl.c_x",
+        "source.phase", "source.points[1].charge")}}
+
+
+def _leaves(node, path=""):
+    """Key paths of the values in `node` that are neither objects nor lists of them."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _leaves(value, f"{path}.{key}" if path else key)
+    elif isinstance(node, list) and node and isinstance(node[0], dict):
+        for i, value in enumerate(node):
+            yield from _leaves(value, f"{path}[{i}]")
+    else:
+        yield path
+
+
+def _locate(data, path):
+    """The object or list that holds `path`, such as source.points[0].sign, and its key."""
+    keys = [int(k) if k.isdigit() else k for k in re.findall(r"[^.\[\]]+", path)]
+    for key in keys[:-1]:
+        data = data[key]
+    return data, keys[-1]
+
+
+_TABLE = ([pytest.param(path, value, path, case in _VALID.get(path, ()),
+                        id=f"{path}-{case}")
+           for path in _leaves(_FULL) for case, value in _REPLACEMENTS.items()]
+          + [pytest.param(*probe, False, id=name) for name, probe in _PROBES.items()])
+
+
+@pytest.mark.parametrize("path,value,named,valid", _TABLE)
+def test_cli_config_leaf_runs_or_is_refused_by_key_path(path, value, named, valid,
+                                                       tmp_path, capsys):
+    # before, many of these ended in a traceback (exit 1), a solver failure
+    # (exit 4) or a run with the value ignored; now each value is checked
+    # by the dataclass that holds it and a refusal names the key path
+    data = copy.deepcopy(_FULL)
+    box, key = _locate(data, path)
+    if value is _DELETE:
+        del box[key]
+    else:
+        box[key] = value
+    code = cli_main(["run", _write(tmp_path, data), "--out", ""])
+    err = capsys.readouterr().err
+    if valid:
+        assert code == 0, err
+    else:
+        assert code == 2, err
+        assert re.search(rf"^configuration error: (missing key |unknown key )?"
+                         rf"{re.escape(named)}( |$)", err, re.M), err
+
+
+def test_readme_configuration_example_loads():
+    # the documented schema is the one the reader maps
+    section = (ROOT / "README.md").read_text().split("## Configuration", 1)[1]
+    example = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+    cfg = config_from_json(json.loads(example))
+    assert cfg.kubo.mu_c_ev == 1.5 and cfg.n_steps == 20000
+    assert cfg.source.points[1] == (-2.7e-5, -1e-6, -1)
+
+
 def test_cli_solver_failure_exit_code(tmp_path, capsys):
     # eps0 / tau^2 underflows to zero, so the step matrix is singular
-    cfg = SimulationConfig(
-        name="singular", bounds=(0.0, 1.0, 0.0, 1.0), nx=4, ny=4,
-        material=MaterialParams(eps0=1e-300, mu0=1.0, tau0=1.0, sigma0=0.0),
-        tau=1e100, n_steps=2)
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(config_to_json(cfg)))
-    assert cli_main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 4
+    data = _square(material={"eps0": 1e-300, "mu0": 1.0, "tau0": 1.0, "sigma0": 0.0},
+                   tau=1e100)
+    assert cli_main(["run", _write(tmp_path, data), "--out", str(tmp_path / "o")]) == 4
     assert "solver failure" in capsys.readouterr().err
 
 
-def test_cli_manufactured_start_in_collar_completes(tmp_path, capsys):
+def test_manufactured_start_in_collar_completes():
     # the manufactured start has a nonzero velocity and the collar makes
     # 2 M_lead differ from a multiple of A, so the first step factors its
     # own matrix; this run once stopped when an iterative first step hit
     # its iteration cap
-    cfg = SimulationConfig(name="collar", bounds=(0.0, 1.0, 0.0, 1.0), nx=4,
-                           ny=4, pml_layers=2, material=MaterialParams.unit(),
-                           tau=0.01, n_steps=2, manufactured=True)
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(config_to_json(cfg)))
-    assert cli_main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
-    assert "completed 2 steps" in capsys.readouterr().out
-    state = run(cfg, out_dir="").state
+    mesh = generate_rect_mesh((0.0, 1.0, 0.0, 1.0), 4, 4, 2)
+    ops = build_operator_set(mesh, *damping_at_centroids(mesh))
+    case = ManufacturedCase()
+    drivers = ManufacturedDrivers(mesh, case, ops.pec_mask)
+    state = run_simulation(
+        ops, case.params, 0.01, 2, source=drivers.source, dt_e0=case.dt_e0,
+        extra_load=drivers.extra_load, bc_values=drivers.bc_values,
+        snapshot_every=0, energy_every=0).state
     assert state.step == 2 and np.abs(state.e_curr).max() > 0.0
     assert np.all(np.isfinite(state.e_curr)) and np.all(np.isfinite(state.hz))
 
 
 def test_cli_blowup_exit_code(tmp_path, capsys):
-    cfg = SimulationConfig(
-        name="unstable", bounds=(0.0, 1.0, 0.0, 1.0), nx=6, ny=6,
-        material=MaterialParams.unit(), tau=2.0, n_steps=400,
-        source=SourceSpec(((0.4, 0.4, 1.0),), f0=1.0, h_norm=1.0))
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(config_to_json(cfg)))
-    assert cli_main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 3
+    data = _square(nx=6, ny=6, tau=2.0, steps=400, source=_dipole(0.4, 0.4))
+    assert cli_main(["run", _write(tmp_path, data), "--out", str(tmp_path / "o")]) == 3
     # the energy log written before the guard tripped is kept
     step = int(capsys.readouterr().err.split("at step ")[-1])
     rows = (tmp_path / "o" / "energy.csv").read_text().splitlines()
@@ -568,11 +678,8 @@ def test_cli_blowup_exit_code(tmp_path, capsys):
 def test_cli_truncated_mesh_file_is_configuration_error(tmp_path, capsys):
     mesh_path = tmp_path / "short.mesh"
     mesh_path.write_text("SPPMESH 1\nVERTICES 4\n0 0\n1 0\n")
-    cfg = SimulationConfig(name="short", mesh_file=str(mesh_path),
-                           material=MaterialParams.unit(), tau=0.01, n_steps=1)
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(config_to_json(cfg)))
-    assert cli_main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    data = _square(mesh={"file": str(mesh_path)}, steps=1)
+    assert cli_main(["run", _write(tmp_path, data), "--out", str(tmp_path / "o")]) == 2
     assert f"{mesh_path}:4: unexpected end of file" in capsys.readouterr().err
 
 
@@ -582,7 +689,7 @@ def test_cli_config_that_is_not_an_object_is_configuration_error(tmp_path, capsy
     assert cli_main(["run", str(cfg_path)]) == 2
     assert "JSON object" in capsys.readouterr().err
     # nested blocks that are not objects either
-    cfg = config_to_json(SimulationConfig(bounds=(0.0, 1.0, 0.0, 1.0), nx=2, ny=2))
+    cfg = _square(nx=2, ny=2)
     for key in ("pml", "interface"):
         cfg_path.write_text(json.dumps({**cfg, key: [1]}))
         assert cli_main(["run", str(cfg_path)]) == 2

@@ -1,6 +1,7 @@
 """Every name a module of the package imports is used in that module, every
-parameter of its functions is read, and so is every private attribute its
-classes store."""
+parameter of its functions is read, so is every private attribute its
+classes store, and package code refers to every module-level function and
+class."""
 
 import ast
 from pathlib import Path
@@ -101,3 +102,30 @@ def test_unread_private_attribute_detector():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_reads_every_private_attribute(path):
     assert unread_private_attributes(path.read_text()) == []
+
+
+def unreferenced_definitions(sources: dict) -> list:
+    """Module-level functions and classes of `sources` (module name to source)
+    that no module refers to by name or attribute; an import is no reference."""
+    defined, used = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        defined += [f"{module}.{node.name}" for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                         ast.ClassDef))]
+        used |= {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        used |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    return sorted(name for name in defined if name.rpartition(".")[2] not in used)
+
+
+def test_unreferenced_definition_detector():
+    sources = {"a": "def f():\n    return g()\ndef g(): pass\ndef h(): pass\n"
+                    "class K: pass\nclass L: pass\n",
+               "b": "from a import h, L\nimport a\nx: a.K = a.f()\n"}
+    # a call from another module, an annotation and an attribute count
+    assert unreferenced_definitions(sources) == ["a.L", "a.h"]
+
+
+def test_package_refers_to_every_module_level_definition():
+    # __init__ only re-exports, so a name that only tests call shows here
+    assert unreferenced_definitions({p.stem: p.read_text() for p in MODULES}) == []
