@@ -1,8 +1,8 @@
 """Command-line entry points.
 
-Exit codes: 0 success, 2 configuration or mesh error (also a check-cfl
-violation), 3 field blow-up, 4 solver failure (a singular step matrix, a
-non-finite right-hand side or a factor that fails its residual check).
+Exit codes: 0 success, 2 configuration, mesh or output-file error (also a
+check-cfl violation), 3 field blow-up, 4 solver failure (a singular step
+matrix, a non-finite right-hand side or a factor that fails its residual check).
 """
 
 from __future__ import annotations

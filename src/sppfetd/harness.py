@@ -59,6 +59,11 @@ class SimulationConfig:
                                  getattr(self, name))
         if self.mesh_file is not None and self.pml_layers:
             raise FieldError("pml_layers", "0 with a mesh file", self.pml_layers)
+        for name in ("tau0", "sigma0") if self.kubo is not None else ():
+            default = getattr(MaterialParams, name)
+            if getattr(self.material, name) != default:
+                raise FieldError(f"material.{name}", f"left at {default!r} with a kubo "
+                                 "block, which sets it", getattr(self.material, name))
 
     def resolved_material(self) -> MaterialParams:
         if self.kubo is not None:
@@ -346,6 +351,11 @@ def run(config: SimulationConfig, out_dir: str | None = None) -> SimulationResul
             return eval_source(config.source, t, cells, mesh.n_triangles)
 
     out = config.out_dir if out_dir is None else out_dir
+    if out:
+        try:
+            os.makedirs(out, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create directory {out}: {exc.strerror}") from exc
     try:
         result = run_simulation(
             ops, params, config.tau, config.n_steps, source=source,
@@ -361,7 +371,6 @@ def run(config: SimulationConfig, out_dir: str | None = None) -> SimulationResul
 
 def _write_outputs(result: SimulationResult, mesh: Mesh, out) -> None:
     if out:
-        os.makedirs(out, exist_ok=True)
         geometry = _vtk_geometry(mesh) if result.snapshots else None
         for snap in result.snapshots:
             write_snapshot(snap, mesh, os.path.join(out, f"snap_{snap.step:06d}.vtk"),
@@ -399,7 +408,7 @@ def write_snapshot(snap: Snapshot, mesh: Mesh, path, geometry: str) -> None:
             f.write("VECTORS E double\n")
             f.write(("%.9e %.9e 0.0\n" * nt) % tuple(e_cells.ravel().tolist()))
     except OSError as exc:
-        raise OSError(f"failed to write snapshot {path}: {exc}") from exc
+        raise ConfigError(f"cannot write snapshot {path}: {exc.strerror}") from exc
 
 
 def write_energy_log(series, path) -> None:
@@ -412,7 +421,7 @@ def write_energy_log(series, path) -> None:
                         f"{rep.curl:.12e},{rep.magnetic:.12e},{rep.interface:.12e},"
                         f"{rep.curl_extra:.12e},{rep.total:.12e}\n")
     except OSError as exc:
-        raise OSError(f"failed to write energy log {path}: {exc}") from exc
+        raise ConfigError(f"cannot write energy log {path}: {exc.strerror}") from exc
 
 
 # -- JSON configuration -------------------------------------------------------

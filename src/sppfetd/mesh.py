@@ -37,7 +37,16 @@ MESH_FORMAT_HEADER = "SPPMESH 1"
 
 
 class MeshError(ConfigError):
-    """Invalid mesh input or violated mesh invariant."""
+    """Invalid mesh input or violated mesh invariant.
+
+    `kind` ("vertex", "triangle" or "edge tag") and `index` name the input
+    row at fault, as `FieldError` names a field; both are None for an
+    error of the mesh as a whole.
+    """
+
+    def __init__(self, detail: str, kind: str | None = None, index=None):
+        self.kind, self.index, self.detail = kind, index, detail
+        super().__init__(detail if kind is None else f"{kind} {index}: {detail}")
 
 
 @dataclass(frozen=True)
@@ -95,67 +104,90 @@ class Mesh:
 
     Parameters
     ----------
-    vertices : (nv, 2) float array
-        Vertex coordinates in meters.
-    triangles : (nt, 3) int array
-        Vertex indices, counterclockwise.
-    cell_tags : (nt,) array of CellTag values.
+    vertices : (nv, 2) finite coordinates in meters.
+    triangles : (nt, 3) vertex indices, 0-based, counterclockwise.
+    cell_tags : (nt,) CellTag values; all PHYSICAL when omitted.
+    tagged_edges : (k, 3) rows (i, j, tag) that tag the edge between
+        vertices i and j INTERFACE or OUTER_BOUNDARY; untagged edges are
+        OUTER_BOUNDARY if one triangle has them, else INTERIOR.
     h_x, h_y : maximum cell extents per axis, meters.
+    physical_bounds : (xmin, xmax, ymin, ymax); by default the bounding box
+        of the PHYSICAL cells.
 
-    Edge connectivity, orientation signs, areas and centroids are derived
-    on construction.  Instances are treated as immutable once built (the
-    only sanctioned mutation is interface tagging during construction).
+    The constructor checks all it is given and the mesh invariants; a
+    `MeshError` names the vertex, triangle or edge-tag row at fault.
+    Instances are treated as immutable once built (the only sanctioned
+    mutation is interface tagging by `snap_interface`).
     """
 
-    def __init__(self, vertices, triangles, cell_tags=None, h_x=None, h_y=None,
-                 physical_bounds=None, validate=True):
-        self.vertices = np.asarray(vertices, dtype=float)
-        self.triangles = np.asarray(triangles, dtype=np.int64)
-        if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
-            raise MeshError("vertices must be an (n, 2) array")
-        if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
-            raise MeshError("triangles must be an (m, 3) array")
+    def __init__(self, vertices, triangles, cell_tags=None, tagged_edges=None,
+                 h_x=None, h_y=None, physical_bounds=None):
+        v = self.vertices = _numbers(vertices, (None, 2),
+                                     "vertices must be an (n, 2) array")
+        _refuse(~np.isfinite(v), "vertex",
+                lambda i: f"coordinates {v[i].tolist()} are not finite")
+        self.triangles = _triangle_indices(
+            _numbers(triangles, (None, 3), "triangles must be an (m, 3) array"),
+            self.n_vertices)
+        nt = self.n_triangles
+        if nt == 0:
+            raise MeshError("a mesh needs at least one triangle")
+        tags = _numbers(np.zeros(nt) if cell_tags is None else cell_tags, (nt,),
+                        f"cell tags must be {nt} numbers, one per triangle")
+        _refuse((tags != CellTag.PHYSICAL) & (tags != CellTag.PML), "triangle",
+                lambda i: f"cell tag {tags[i]:g} is not 0 (physical) or 1 (absorber)")
+        self.cell_tags = tags.astype(np.uint8)
 
-        nt = len(self.triangles)
-        if cell_tags is None:
-            cell_tags = np.zeros(nt, dtype=np.uint8)
-        self.cell_tags = np.asarray(cell_tags, dtype=np.uint8)
-
-        self._build_edges()
         self._build_geometry()
+        _refuse(self.areas <= 0.0, "triangle", lambda i: "not counterclockwise "
+                f"(signed area {self.areas[i]:.3e})")
+        self._build_edges()
+        ev = self.vertices[self.edges[:, 1]] - self.vertices[self.edges[:, 0]]
+        self.edge_lengths = np.hypot(ev[:, 0], ev[:, 1])
+        self.edge_tangents = ev / self.edge_lengths[:, None]
+        shared = self.edge_triangle_count[self.tri_edges]
+        _refuse(shared > 2, "triangle",
+                lambda i: f"has an edge of {shared[i].max()} triangles, more than 2")
+        euler = self.n_vertices - self.n_edges + nt + 1
+        if euler != 2:
+            raise MeshError(f"Euler relation violated: V-E+T+1 = {euler}, expected 2")
 
         self.edge_tags = np.where(self.edge_triangle_count == 1,
                                   np.uint8(EdgeTag.OUTER_BOUNDARY),
                                   np.uint8(EdgeTag.INTERIOR))
+        rows = _numbers(np.empty((0, 3)) if tagged_edges is None else tagged_edges,
+                        (None, 3), "tagged edges must be a (k, 3) array")
+        _refuse(~np.isin(rows[:, 2], (EdgeTag.INTERFACE, EdgeTag.OUTER_BOUNDARY)),
+                "edge tag", lambda i: f"unknown edge tag {rows[i, 2]:g} "
+                "(1 interface, 2 outer boundary)")
+        edges = self.edge_index(rows[:, 0], rows[:, 1])
+        _refuse(edges < 0, "edge tag", lambda i: f"({rows[i, 0]:g}, {rows[i, 1]:g}) "
+                "is not an edge of the mesh")
+        self._set_edge_tags(edges, rows[:, 2].astype(np.uint8), "edge tag")
 
         if h_x is None or h_y is None:
-            span = self.vertices[self.triangles]
-            h_x = float(np.max(span[:, :, 0].max(axis=1) - span[:, :, 0].min(axis=1)))
-            h_y = float(np.max(span[:, :, 1].max(axis=1) - span[:, :, 1].min(axis=1)))
+            h_x, h_y = np.ptp(self.vertices[self.triangles], axis=1).max(axis=0)
         self.h_x = float(h_x)
         self.h_y = float(h_y)
 
         if physical_bounds is None:
-            physical_bounds = self._physical_bbox()
+            phys = self.triangles[self.cell_tags == CellTag.PHYSICAL]
+            corners = self.vertices[np.unique(phys)] if len(phys) else self.vertices
+            lo, hi = corners.min(axis=0), corners.max(axis=0)
+            physical_bounds = (lo[0], hi[0], lo[1], hi[1])
         self.physical_bounds = tuple(float(v) for v in physical_bounds)
-
-        if validate:
-            self.validate()
 
     # -- construction helpers -------------------------------------------------
 
     def _build_edges(self):
         tris = self.triangles
-        if np.any((tris[:, 0] == tris[:, 1]) | (tris[:, 1] == tris[:, 2])
-                  | (tris[:, 0] == tris[:, 2])):
-            raise MeshError("triangle with repeated vertex indices")
         raw = np.concatenate([tris[:, [i, j]] for i, j in TRI_EDGE_LOCAL])
         lo = np.minimum(raw[:, 0], raw[:, 1])
         hi = np.maximum(raw[:, 0], raw[:, 1])
         # One integer key per vertex pair sorts like the pair itself.
         nv = len(self.vertices)
-        keys, inverse = np.unique(lo * nv + hi, return_inverse=True)
-        self.edges = np.column_stack([keys // nv, keys % nv])
+        self._edge_keys, inverse = np.unique(lo * nv + hi, return_inverse=True)
+        self.edges = np.column_stack([self._edge_keys // nv, self._edge_keys % nv])
         nt = len(tris)
         self.tri_edges = inverse.reshape(3, nt).T.copy()
         # +1 when the counterclockwise traversal runs from the lower to the
@@ -173,15 +205,25 @@ class Mesh:
         d2 = p[:, 2] - p[:, 0]
         self.areas = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
         self.centroids = (p[:, 0] + p[:, 1] + p[:, 2]) / 3.0
-        ev = self.vertices[self.edges[:, 1]] - self.vertices[self.edges[:, 0]]
-        self.edge_lengths = np.hypot(ev[:, 0], ev[:, 1])
-        self.edge_tangents = ev / self.edge_lengths[:, None]
 
-    def _physical_bbox(self):
-        phys = self.cell_tags == CellTag.PHYSICAL
-        verts = self.vertices[np.unique(self.triangles[phys])] if phys.any() else self.vertices
-        return (verts[:, 0].min(), verts[:, 0].max(),
-                verts[:, 1].min(), verts[:, 1].max())
+    def _set_edge_tags(self, edges, tags, kind=None):
+        """Tag `edges` INTERFACE or OUTER_BOUNDARY by `tags`, where the edges of
+        one triangle, and only they, are OUTER_BOUNDARY and at most three
+        interface edges meet at a vertex; a `MeshError` names the entry of
+        `edges` (as `kind`) or the vertex."""
+        boundary = self.edge_triangle_count[edges] == 1
+        ends = self.edges[edges]
+        _refuse(boundary != (tags == EdgeTag.OUTER_BOUNDARY), kind, lambda i: (
+            f"interface edge {tuple(ends[i].tolist())} lies on the outer boundary"
+            if boundary[i] else
+            f"edge {tuple(ends[i].tolist())} of two triangles tagged outer boundary"))
+        new = self.edge_tags.copy()
+        new[edges] = tags
+        degree = np.bincount(self.edges[new == EdgeTag.INTERFACE].ravel(),
+                             minlength=self.n_vertices)
+        _refuse(degree > 3, "vertex",
+                lambda i: f"{degree[i]} interface edges meet here, more than 3")
+        self.edge_tags = new
 
     # -- queries ---------------------------------------------------------------
 
@@ -200,15 +242,14 @@ class Mesh:
     def interface_edges(self) -> np.ndarray:
         return np.flatnonzero(self.edge_tags == EdgeTag.INTERFACE)
 
-    def edge_index(self, a: int, b: int) -> int:
-        """Index of edge (a, b); -1 when absent."""
-        lo, hi = (a, b) if a < b else (b, a)
-        k = np.searchsorted(self.edges[:, 0], lo)
-        while k < len(self.edges) and self.edges[k, 0] == lo:
-            if self.edges[k, 1] == hi:
-                return int(k)
-            k += 1
-        return -1
+    def edge_index(self, a, b):
+        """Index of the edge between vertices a and b, elementwise over
+        arrays of vertex indices; -1 where there is none."""
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        keys = lo * self.n_vertices + hi
+        k = np.minimum(np.searchsorted(self._edge_keys, keys), self.n_edges - 1)
+        found = (self._edge_keys[k] == keys) & (lo >= 0) & (hi < self.n_vertices)
+        return np.where(found, k, -1)
 
     def vertex_adjacency(self):
         """CSR arrays (indptr, neighbors, edge indices): vertex v meets
@@ -221,30 +262,36 @@ class Mesh:
         np.cumsum(np.bincount(src, minlength=self.n_vertices), out=indptr[1:])
         return indptr, self.edges[:, ::-1].ravel()[order], edge_ids[order]
 
-    # -- invariants ------------------------------------------------------------
 
-    def validate(self):
-        if np.any(self.areas <= 0.0):
-            bad = int(np.argmax(self.areas <= 0.0))
-            raise MeshError(f"triangle {bad} is not counterclockwise "
-                            f"(signed area {self.areas[bad]:.3e})")
-        counts = self.edge_triangle_count
-        if np.any((counts < 1) | (counts > 2)):
-            raise MeshError("edge shared by an invalid number of triangles")
-        single = counts == 1
-        if np.any(single & (self.edge_tags != EdgeTag.OUTER_BOUNDARY)):
-            raise MeshError("edge with one incident triangle not tagged OUTER_BOUNDARY")
-        if np.any(~single & (self.edge_tags == EdgeTag.OUTER_BOUNDARY)):
-            raise MeshError("interior edge tagged OUTER_BOUNDARY")
-        euler = self.n_vertices - self.n_edges + self.n_triangles + 1
-        if euler != 2:
-            raise MeshError(f"Euler relation violated: V-E+T+1 = {euler}, expected 2")
-        iface = self.interface_edges()
-        if len(iface):
-            deg = np.zeros(self.n_vertices, dtype=np.int64)
-            np.add.at(deg, self.edges[iface].ravel(), 1)
-            if deg.max() > 3:
-                raise MeshError("interface vertex with more than 3 interface edges")
+def _numbers(value, shape, rule: str) -> np.ndarray:
+    """`value` as a float array of `shape` (None: any length), else a
+    `MeshError` that `rule` words."""
+    array = np.asarray(value, dtype=float)
+    if array.ndim != len(shape) or any(n not in (None, m)
+                                       for n, m in zip(shape, array.shape)):
+        raise MeshError(f"{rule}, got shape {array.shape}")
+    return array
+
+
+def _triangle_indices(rows: np.ndarray, nv: int) -> np.ndarray:
+    """`rows` as int64 vertex indices; a `MeshError` names the first triangle
+    with an index that is not an integer in [0, nv) or that repeats."""
+    bad = (rows != np.round(rows)) | (rows < 0) | (rows >= nv)
+    _refuse(bad, "triangle", lambda i: f"vertex index {rows[i][bad[i]][0]:g} "
+            f"is not an integer in [0, {nv})")
+    # A row against itself rolled by one compares each pair of its entries.
+    _refuse(rows == np.roll(rows, 1, axis=1), "triangle",
+            lambda i: f"repeated vertex index in {rows[i].astype(int).tolist()}")
+    return rows.astype(np.int64)
+
+
+def _refuse(bad: np.ndarray, kind, detail) -> None:
+    """Raise a `MeshError` about the first row `i` in which `bad` holds, if
+    any, as row `i` of `kind` with the text `detail(i)`."""
+    hits = np.flatnonzero(bad)
+    if len(hits):
+        i = int(np.unravel_index(hits[0], bad.shape)[0])
+        raise MeshError(detail(i), kind, i)
 
 
 def generate_rect_mesh(bounds, nx: int, ny: int, pml_layers: int = 0) -> Mesh:
@@ -272,41 +319,18 @@ def generate_rect_mesh(bounds, nx: int, ny: int, pml_layers: int = 0) -> Mesh:
     xg, yg = np.meshgrid(xs, ys, indexing="xy")
     vertices = np.column_stack([xg.ravel(), yg.ravel()])
 
-    def vid(i, j):
-        return j * (mx + 1) + i
-
-    ii, jj = np.meshgrid(np.arange(mx), np.arange(my), indexing="xy")
-    ii, jj = ii.ravel(), jj.ravel()
-    v00 = vid(ii, jj)
-    v10 = vid(ii + 1, jj)
-    v01 = vid(ii, jj + 1)
-    v11 = vid(ii + 1, jj + 1)
-    lower = np.column_stack([v00, v10, v11])
-    upper = np.column_stack([v00, v11, v01])
+    # Vertex ids on the grid; cell (i, j) has corners ids[j:j + 2, i:i + 2].
+    ids = np.arange((mx + 1) * (my + 1)).reshape(my + 1, mx + 1)
+    v00, v10 = ids[:-1, :-1].ravel(), ids[:-1, 1:].ravel()
+    v01, v11 = ids[1:, :-1].ravel(), ids[1:, 1:].ravel()
     triangles = np.empty((2 * mx * my, 3), dtype=np.int64)
-    triangles[0::2] = lower
-    triangles[1::2] = upper
-
-    mesh = Mesh(vertices, triangles, h_x=hx, h_y=hy,
-                physical_bounds=(xmin, xmax, ymin, ymax), validate=False)
-    mesh.cell_tags = classify_cells(mesh, (xmin, xmax, ymin, ymax))
-    mesh.validate()
-    return mesh
-
-
-def classify_cells(mesh: Mesh, physical_bounds) -> np.ndarray:
-    """Per-cell tags: PHYSICAL iff the centroid lies inside `physical_bounds`."""
-    xmin, xmax, ymin, ymax = physical_bounds
-    ext_x = mesh.vertices[:, 0]
-    ext_y = mesh.vertices[:, 1]
-    if not (ext_x.min() <= xmin and xmax <= ext_x.max()
-            and ext_y.min() <= ymin and ymax <= ext_y.max()):
-        raise MeshError("physical_bounds must lie inside the mesh extent")
-    c = mesh.centroids
-    inside = ((c[:, 0] > xmin) & (c[:, 0] < xmax)
-              & (c[:, 1] > ymin) & (c[:, 1] < ymax))
-    tags = np.where(inside, np.uint8(CellTag.PHYSICAL), np.uint8(CellTag.PML))
-    return tags
+    triangles[0::2] = np.column_stack([v00, v10, v11])
+    triangles[1::2] = np.column_stack([v00, v11, v01])
+    inside = np.zeros((my, mx), dtype=bool)
+    inside[p:p + ny, p:p + nx] = True
+    cell_tags = np.repeat(np.where(inside.ravel(), CellTag.PHYSICAL, CellTag.PML), 2)
+    return Mesh(vertices, triangles, cell_tags, h_x=hx, h_y=hy,
+                physical_bounds=(xmin, xmax, ymin, ymax))
 
 
 def snap_interface(mesh: Mesh, spec: InterfaceSpec) -> np.ndarray:
@@ -314,7 +338,8 @@ def snap_interface(mesh: Mesh, spec: InterfaceSpec) -> np.ndarray:
 
     Each primitive is sampled at sub-edge resolution, samples are moved to
     their nearest mesh vertex, and consecutive distinct vertices are joined
-    by shortest edge paths.  Returns the sorted interface edge indices.
+    by their edge, or by a shortest edge path where they share none.
+    Returns the sorted interface edge indices.
     Construction-phase operation: mutates ``mesh.edge_tags``.
     """
     from scipy.spatial import cKDTree
@@ -325,33 +350,21 @@ def snap_interface(mesh: Mesh, spec: InterfaceSpec) -> np.ndarray:
     tree = cKDTree(mesh.vertices)
     adjacency = mesh.vertex_adjacency()
 
-    chosen: set[int] = set()
+    pairs = [np.empty((0, 2), dtype=np.int64)]
     for prim in spec.primitives:
         pts = prim.sample(spacing)
         if np.any((pts[:, 0] < xmin - tol) | (pts[:, 0] > xmax + tol)
                   | (pts[:, 1] < ymin - tol) | (pts[:, 1] > ymax + tol)):
             raise MeshError("interface primitive leaves the physical region")
         _, nearest = tree.query(pts)
-        path_verts = [int(nearest[0])]
-        for v in nearest[1:]:
-            if int(v) != path_verts[-1]:
-                path_verts.append(int(v))
-        for a, b in zip(path_verts[:-1], path_verts[1:]):
-            e = mesh.edge_index(a, b)
-            if e >= 0:
-                chosen.add(e)
-            else:
-                for e in _shortest_edge_path(mesh, adjacency, a, b):
-                    chosen.add(e)
-
-    edges = np.array(sorted(chosen), dtype=np.int64)
-    if len(edges):
-        tags = mesh.edge_tags.copy()
-        if np.any(tags[edges] == EdgeTag.OUTER_BOUNDARY):
-            raise MeshError("interface may not run along the outer boundary")
-        tags[edges] = np.uint8(EdgeTag.INTERFACE)
-        mesh.edge_tags = tags
-        mesh.validate()
+        chain = nearest[np.r_[True, nearest[1:] != nearest[:-1]]]
+        pairs.append(np.column_stack([chain[:-1], chain[1:]]))
+    pairs = np.concatenate(pairs)
+    found = mesh.edge_index(pairs[:, 0], pairs[:, 1])
+    paths = [_shortest_edge_path(mesh, adjacency, a, b)
+             for a, b in pairs[found < 0].tolist()]
+    edges = np.unique(np.concatenate([found[found >= 0], *paths]).astype(np.int64))
+    mesh._set_edge_tags(edges, EdgeTag.INTERFACE)
     return edges
 
 
@@ -388,7 +401,8 @@ def _shortest_edge_path(mesh: Mesh, adjacency, start: int, goal: int) -> list:
 
 
 def load_mesh(path) -> Mesh:
-    """Read the ASCII mesh format; invariants are validated on load."""
+    """Read the ASCII mesh format.  This only parses: `Mesh` checks what the
+    file holds, and every error names its line as `path:LINE: ...`."""
     try:
         with open(path) as f:
             lines = f.read().splitlines()
@@ -400,90 +414,42 @@ def load_mesh(path) -> Mesh:
 
     if not lines or lines[0].strip() != MESH_FORMAT_HEADER:
         fail(0, f"expected header '{MESH_FORMAT_HEADER}'")
+    pos, starts = 1, {}
 
-    pos = 1
-
-    def row(fields):
-        if pos >= len(lines):
-            fail(len(lines) - 1, f"unexpected end of file, expected '{fields}'")
-        parts = lines[pos].split()
-        if len(parts) != len(fields.split()):
-            fail(pos, f"expected '{fields}'")
-        return parts
-
-    def expect_block(name):
+    def block(name, kind, fields, dtype):
+        """The rows of block `name`, each of `fields`, whose line a
+        `MeshError` about row `i` of `kind` names as `starts[kind] + i`."""
         nonlocal pos
-        parts = row(f"{name} <count>")
-        if parts[0] != name:
-            fail(pos, f"expected block header '{name} <count>'")
+        if pos >= len(lines):
+            fail(len(lines) - 1, f"unexpected end of file, expected '{name} <count>'")
+        head = lines[pos].split()
+        if len(head) != 2 or head[0] != name or not head[1].isdecimal():
+            fail(pos, f"expected block header '{name} <count>', a whole-number count")
+        count, width = int(head[1]), len(fields.split())
+        starts[kind] = pos = pos + 1
+        rows = [line.split() for line in lines[pos:pos + count]]
         try:
-            count = int(parts[1])
-        except ValueError:
-            fail(pos, f"bad count in '{name}' block")
-        if count < 0:
-            fail(pos, f"negative count in '{name}' block")
-        pos += 1
-        return count
+            values = np.array(rows, dtype=dtype).reshape(count, width)
+        except (ValueError, OverflowError):
+            for i, row in enumerate(rows):
+                if len(row) != width:
+                    fail(pos + i, f"expected '{fields}'")
+                try:
+                    np.array(row, dtype=dtype)
+                except (ValueError, OverflowError):
+                    fail(pos + i, f"bad number in '{fields}'")
+            fail(len(lines) - 1, f"unexpected end of file, expected '{fields}'")
+        pos += count
+        return values
 
-    nv = expect_block("VERTICES")
-    vertices = np.empty((nv, 2))
-    for i in range(nv):
-        parts = row("x y")
-        try:
-            vertices[i] = [float(parts[0]), float(parts[1])]
-        except ValueError:
-            fail(pos, "bad vertex coordinate")
-        pos += 1
-
-    nt = expect_block("TRIANGLES")
-    triangles = np.empty((nt, 3), dtype=np.int64)
-    cell_tags = np.empty(nt, dtype=np.uint8)
-    for i in range(nt):
-        parts = row("i j k tag")
-        try:
-            triangles[i] = [int(parts[0]), int(parts[1]), int(parts[2])]
-            tag = int(parts[3])
-        except ValueError:
-            fail(pos, "bad triangle entry")
-        if tag not in (int(CellTag.PHYSICAL), int(CellTag.PML)):
-            fail(pos, f"unknown cell tag {tag}")
-        if np.any(triangles[i] < 0) or np.any(triangles[i] >= nv):
-            fail(pos, "triangle vertex index out of range")
-        a, b, c = vertices[triangles[i]]
-        area2 = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-        if area2 <= 0.0:
-            fail(pos, f"triangle is not counterclockwise (signed area {0.5 * area2:.3e})")
-        cell_tags[i] = tag
-        pos += 1
-
-    np_tags = expect_block("EDGETAGS")
-    listed = []
-    for i in range(np_tags):
-        parts = row("i j tag")
-        try:
-            a, b, tag = int(parts[0]), int(parts[1]), int(parts[2])
-        except ValueError:
-            fail(pos, "bad edge tag entry")
-        if tag not in (int(EdgeTag.INTERFACE), int(EdgeTag.OUTER_BOUNDARY)):
-            fail(pos, f"unknown edge tag {tag}")
-        listed.append((a, b, tag, pos))
-        pos += 1
-
+    vertices = block("VERTICES", "vertex", "x y", float)
+    triangles = block("TRIANGLES", "triangle", "i j k tag", np.int64)
+    tagged_edges = block("EDGETAGS", "edge tag", "i j tag", np.int64)
+    if any(line.strip() for line in lines[pos:]):
+        fail(pos, "unexpected lines after the EDGETAGS block")
     try:
-        mesh = Mesh(vertices, triangles, cell_tags, validate=False)
+        return Mesh(vertices, triangles[:, :3], triangles[:, 3], tagged_edges)
     except MeshError as exc:
-        raise MeshError(f"{path}: {exc}") from exc
-
-    edge_tags = mesh.edge_tags.copy()
-    for a, b, tag, lineno in listed:
-        e = mesh.edge_index(a, b)
-        if e < 0:
-            fail(lineno, f"edge ({a}, {b}) not present in the mesh")
-        edge_tags[e] = tag
-    mesh.edge_tags = edge_tags
-
-    try:
-        mesh.validate()
-    except MeshError as exc:
-        raise MeshError(f"{path}: {exc}") from exc
-    return mesh
+        if exc.kind is None:
+            raise MeshError(f"{path}: {exc}") from exc
+        fail(starts[exc.kind] + exc.index, exc.detail)

@@ -8,8 +8,8 @@ from sppfetd.dynamics import (BlowUpError, CflConstants, FieldState,
                               LeapfrogStepper, cfl_max_timestep,
                               discrete_energy, init_state, run_simulation)
 from sppfetd.elements import interpolate_hcurl
-from sppfetd.mesh import (InterfaceSpec, Segment, classify_cells,
-                          generate_rect_mesh, snap_interface)
+from sppfetd.mesh import (InterfaceSpec, Mesh, Segment, generate_rect_mesh,
+                          snap_interface)
 from sppfetd.physics import ManufacturedCase, MaterialParams, damping_at_centroids
 
 import oracles
@@ -116,10 +116,8 @@ def test_step_h_rotational_field(small_setup):
 
 def _collar_only_setup():
     """Two-triangle mesh entirely inside the absorbing region."""
-    mesh = generate_rect_mesh((0, 1, 0, 1), 1, 1, 0)
-    # a physical box so small that no centroid falls inside it
-    mesh.cell_tags = classify_cells(mesh, (0.0, 1e-6, 0.0, 1e-6))
-    assert np.all(mesh.cell_tags == 1)
+    square = generate_rect_mesh((0, 1, 0, 1), 1, 1, 0)
+    mesh = Mesh(square.vertices, square.triangles, cell_tags=[1, 1])
     sx = np.array([0.7, 0.7])
     sy = np.array([0.3, 0.3])
     return mesh, build_operator_set(mesh, sx, sy), sx, sy

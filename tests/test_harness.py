@@ -491,14 +491,30 @@ def test_convergence_errors_decrease_monotonically():
     assert table.h_errors[1] < table.h_errors[0]
 
 
-@pytest.mark.parametrize("name", ["bifurcated-straight", "bifurcated-curved",
-                                  "adjacent-arcs", "bulb", "ring-resonator",
-                                  "spiral"])
+# Cells, edges, interface edges and the snapped sheet's length over the
+# true length of each published scenario.  A change to the snapping changes
+# these, and should update them on purpose.
+_SHEETS = {"bifurcated-straight": (30752, 46376, 150, 1.0547),
+           "bifurcated-curved": (30752, 46376, 167, 1.0941),
+           "adjacent-arcs": (30752, 46376, 188, 1.2580),
+           "bulb": (30752, 46376, 168, 1.1474),
+           "ring-resonator": (359552, 540176, 1452, 1.1336),
+           "spiral": (359552, 540176, 3437, 1.2303)}
+
+
+@pytest.mark.parametrize("name", _SHEETS)
 def test_scenario_geometries_snap_cleanly(name):
     from sppfetd.harness import build_mesh_for
     cfg = scenario(name)
-    mesh = build_mesh_for(cfg)  # snapping validates the mesh invariants
-    assert len(mesh.interface_edges()) > 100
+    mesh = build_mesh_for(cfg)  # tagging checks the interface invariants
+    iface = mesh.interface_edges()
+    ratio = (mesh.edge_lengths[iface].sum()
+             / sum(prim.length() for prim in cfg.interface.primitives))
+    print(f"\n[sheet] {name}: {mesh.n_triangles} cells, {mesh.n_edges} edges, "
+          f"{len(iface)} interface edges, snapped/true length {ratio:.4f}")
+    cells, edges, n_iface, pinned = _SHEETS[name]
+    assert (mesh.n_triangles, mesh.n_edges, len(iface)) == (cells, edges, n_iface)
+    assert ratio == pytest.approx(pinned, abs=5e-5)
 
 
 def test_cli_source_outside_mesh_is_configuration_error(tmp_path, capsys):
@@ -578,6 +594,9 @@ _PROBES = {
     "mesh-file-and-grid": ("mesh", {"file": "m.mesh", "nx": 4}, "mesh.nx"),
     "out-dir-number": ("out_dir", 5, "out_dir"),     # TypeError after the last step
     "misspelt-key": ("snapshot_evry", 1, "snapshot_evry"),      # ran, key ignored
+    # ran with the kubo block's relaxation time and conductivity instead
+    "kubo-material-tau0": ("material.tau0", 2.0, "material.tau0"),
+    "kubo-material-sigma0": ("material.sigma0", 0.5, "material.sigma0"),
     **{f"unknown-{path}": (path, 1.0, path) for path in (
         "mesh.nz", "pml.depth", "interface[1].width", "material.epsilon", "cfl.c_x",
         "source.phase", "source.points[1].charge")}}
@@ -673,6 +692,31 @@ def test_cli_blowup_exit_code(tmp_path, capsys):
     rows = (tmp_path / "o" / "energy.csv").read_text().splitlines()
     assert rows[0].startswith("step,")
     assert [int(r.split(",")[0]) for r in rows[1:]] == list(range(1, step))
+
+
+def test_cli_uncreatable_out_dir_fails_before_the_first_step(tmp_path, monkeypatch,
+                                                            capsys):
+    # an out_dir under a file ran every step, then ended in a
+    # NotADirectoryError traceback (exit 1)
+    (tmp_path / "afile").write_text("")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(harness, "run_simulation", None)   # any step would raise
+    data = _square(out_dir="afile/sub", snapshot_every=1)
+    assert cli_main(["run", _write(tmp_path, data)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: cannot create directory afile/sub")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("name", ["snap_000000.vtk", "energy.csv"])
+def test_cli_unwritable_output_file_is_configuration_error(name, tmp_path, capsys):
+    # a directory in the way of an output file gave a traceback (exit 1)
+    (tmp_path / "o" / name).mkdir(parents=True)
+    data = _square(snapshot_every=1)
+    assert cli_main(["run", _write(tmp_path, data), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "cannot write " in err and str(tmp_path / "o" / name) in err
+    assert len(err.splitlines()) == 1
 
 
 def test_cli_truncated_mesh_file_is_configuration_error(tmp_path, capsys):

@@ -1,7 +1,7 @@
 """Every name a module of the package imports is used in that module, every
 parameter of its functions is read, so is every private attribute its
 classes store, and package code refers to every module-level function and
-class."""
+class and to every method of those classes."""
 
 import ast
 from pathlib import Path
@@ -104,15 +104,23 @@ def test_module_reads_every_private_attribute(path):
     assert unread_private_attributes(path.read_text()) == []
 
 
+def _functions(body) -> list:
+    return [node for node in body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+
+
 def unreferenced_definitions(sources: dict) -> list:
-    """Module-level functions and classes of `sources` (module name to source)
-    that no module refers to by name or attribute; an import is no reference."""
+    """Module-level functions and classes of `sources` (module name to source),
+    and the methods of those classes other than dunders, that no module refers
+    to by name or attribute; an import is no reference."""
     defined, used = [], set()
     for module, source in sources.items():
         tree = ast.parse(source)
-        defined += [f"{module}.{node.name}" for node in tree.body
-                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                         ast.ClassDef))]
+        classes = [node for node in tree.body if isinstance(node, ast.ClassDef)]
+        defined += [f"{module}.{node.name}" for node in _functions(tree.body) + classes]
+        defined += [f"{module}.{cls.name}.{node.name}" for cls in classes
+                    for node in _functions(cls.body)
+                    if not (node.name.startswith("__") and node.name.endswith("__"))]
         used |= {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
         used |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
     return sorted(name for name in defined if name.rpartition(".")[2] not in used)
@@ -120,10 +128,14 @@ def unreferenced_definitions(sources: dict) -> list:
 
 def test_unreferenced_definition_detector():
     sources = {"a": "def f():\n    return g()\ndef g(): pass\ndef h(): pass\n"
-                    "class K: pass\nclass L: pass\n",
-               "b": "from a import h, L\nimport a\nx: a.K = a.f()\n"}
-    # a call from another module, an annotation and an attribute count
-    assert unreferenced_definitions(sources) == ["a.L", "a.h"]
+                    "class K: pass\nclass L: pass\n"
+                    "class M:\n    def __init__(self): self.p()\n    def p(self): pass\n"
+                    "    @property\n    def q(self): pass\n    def r(self): pass\n"
+                    "    def _s(self): pass\n",
+               "b": "from a import h, L\nimport a\nx: a.K = a.f()\ny = a.M().q\n"}
+    # a call from another module, an annotation and an attribute count; a
+    # method is referenced as an attribute, a dunder needs no reference
+    assert unreferenced_definitions(sources) == ["a.L", "a.M._s", "a.M.r", "a.h"]
 
 
 def test_package_refers_to_every_module_level_definition():

@@ -1,16 +1,21 @@
+import json
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import dijkstra
 
 import sppfetd.mesh as mesh_module
+from sppfetd.cli import main as cli_main
 from sppfetd.mesh import (Arc, CellTag, EdgeTag, InterfaceSpec, Mesh, MeshError,
-                          Segment, classify_cells, generate_rect_mesh,
-                          load_mesh, snap_interface)
+                          Segment, generate_rect_mesh, load_mesh, snap_interface)
 
 import oracles
 
 UM = 1e-6
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_generate_counts_4x4():
@@ -47,8 +52,7 @@ def test_generate_rejects_bad_input():
 def test_classify_no_collar_all_physical():
     m = generate_rect_mesh((0, 1, 0, 1), 3, 3, 0)
     assert np.all(m.cell_tags == CellTag.PHYSICAL)
-    tags = classify_cells(m, (0, 1, 0, 1))
-    assert np.all(tags == CellTag.PHYSICAL)
+    assert m.physical_bounds == (0, 1, 0, 1)
 
 
 def test_centroids_never_on_grid_lines():
@@ -215,3 +219,83 @@ def test_mesh_rejects_misoriented_triangle():
     verts = [[0, 0], [1, 0], [0, 1]]
     with pytest.raises(MeshError, match="counterclockwise"):
         Mesh(verts, [[0, 2, 1]])
+
+
+def test_readme_mesh_example_loads(tmp_path):
+    # the documented file format is the one the reader parses
+    section = (ROOT / "README.md").read_text().split("### Mesh files", 1)[1]
+    path = tmp_path / "readme.mesh"
+    path.write_text(re.search(r"```text\n(.*?)```", section, re.S).group(1))
+    m = load_mesh(path)
+    assert (m.n_vertices, m.n_triangles, m.n_edges) == (4, 2, 5)
+    assert m.edge_tags[m.edge_index(0, 2)] == EdgeTag.INTERFACE
+
+
+# The two-triangle square with its diagonal as the sheet, as file lines and
+# as the arguments of Mesh.
+_FIXTURE = ["SPPMESH 1", "VERTICES 4", "0 0", "1 0", "1 1", "0 1", "TRIANGLES 2",
+            "0 1 2 0", "0 2 3 0", "EDGETAGS 1", "0 2 1"]
+_ARGS = dict(vertices=[[0, 0], [1, 0], [1, 1], [0, 1]], triangles=[[0, 1, 2], [0, 2, 3]],
+             cell_tags=[0, 0], tagged_edges=[[0, 2, 1]])
+# Each defect: the file line (1-based) it replaces with `text` (None cuts the
+# file before it), the line the error names, the same defect as a Mesh
+# argument and the row (kind, index) that MeshError names.
+_DEFECTS = {
+    "nan-coordinate": (5, "1 nan", 5, {"vertices": [[0, 0], [1, 0], [1, np.nan], [0, 1]]},
+                       ("vertex", 2)),
+    "inf-coordinate": (4, "inf 0", 4, {"vertices": [[0, 0], [np.inf, 0], [1, 1], [0, 1]]},
+                       ("vertex", 1)),
+    "index-out-of-range": (9, "0 2 9 0", 9, {"triangles": [[0, 1, 2], [0, 2, 9]]},
+                           ("triangle", 1)),
+    "index-negative": (8, "0 -1 2 0", 8, {"triangles": [[0, -1, 2], [0, 2, 3]]},
+                       ("triangle", 0)),
+    "index-repeated": (9, "0 2 2 0", 9, {"triangles": [[0, 1, 2], [0, 2, 2]]},
+                       ("triangle", 1)),
+    "cell-tag-7": (9, "0 2 3 7", 9, {"cell_tags": [0, 7]}, ("triangle", 1)),
+    "clockwise": (9, "0 3 2 0", 9, {"triangles": [[0, 1, 2], [0, 3, 2]]}, ("triangle", 1)),
+    "non-integer-index": (8, "0 1.5 2 0", 8, {"triangles": [[0, 1.5, 2], [0, 2, 3]]},
+                          ("triangle", 0)),
+    "unknown-edge-tag": (11, "0 2 7", 11, {"tagged_edges": [[0, 2, 7]]}, ("edge tag", 0)),
+    "tag-on-non-edge": (11, "1 3 1", 11, {"tagged_edges": [[1, 3, 1]]}, ("edge tag", 0)),
+    "interface-on-boundary": (11, "0 1 1", 11, {"tagged_edges": [[0, 1, 1]]},
+                              ("edge tag", 0)),
+    "truncated-block": (9, None, 8, {"tagged_edges": [[0, 2]]}, (None, None)),
+    "bad-count": (7, "TRIANGLES two", 7, {"cell_tags": [0]}, (None, None)),
+    "count-too-small": (10, "EDGETAGS 0", 11, {"tagged_edges": [[0, 2, 1, 0]]}, (None, None)),
+}
+
+
+@pytest.mark.parametrize("line,text,named,args,row", _DEFECTS.values(), ids=_DEFECTS)
+def test_mesh_defect_is_refused_by_mesh_and_named_by_line(line, text, named, args, row,
+                                                          tmp_path, capsys):
+    # before, a NaN vertex ran to a singular-matrix solver failure (exit 4),
+    # an out-of-range index raised IndexError, cell tag 7 was accepted and
+    # the edge tags after a too-small EDGETAGS count were dropped
+    with pytest.raises(MeshError) as exc:
+        Mesh(**{**_ARGS, **args})
+    assert (exc.value.kind, exc.value.index) == row
+    lines = _FIXTURE[:line - 1] + ([] if text is None else [text] + _FIXTURE[line:])
+    path = tmp_path / "bad.mesh"
+    path.write_text("\n".join(lines) + "\n")
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"version": 2, "mesh": {"file": str(path)},
+                                  "tau": 1e-3, "steps": 1}))
+    assert cli_main(["run", str(config), "--out", ""]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {path}:{named}: "), err
+    assert len(err.splitlines()) == 1
+
+
+def test_edge_index_looks_up_arrays_of_pairs():
+    m = generate_rect_mesh((0, 1, 0, 1), 3, 3, 0)
+    a, b = m.edges.T
+    assert np.array_equal(m.edge_index(b, a), np.arange(m.n_edges))
+    # absent pairs, including out-of-range vertices whose key aliases an edge
+    assert m.edge_index(1, 2) >= 0
+    assert m.edge_index([0, 0, -1, 0], [2, 0, 1, m.n_vertices + 2]).tolist() == [-1] * 4
+
+
+def test_mesh_needs_a_triangle():
+    # a lone vertex meets the Euler relation; it ended in a traceback
+    with pytest.raises(MeshError, match="at least one triangle"):
+        Mesh([[0.0, 0.0]], np.empty((0, 3)))
