@@ -47,6 +47,7 @@ class OperatorSet:
     g          : interface mass on the graphene curve (tangential traces)
     areas      : cell areas (diagonal of the P0 mass)
     sigma_x/y  : damping samples at cell centroids
+    damped     : indices of the cells with sigma_x or sigma_y != 0 (split Hz)
     c1         : physical-region indicator per cell (1 - c1 marks the collar)
     pec_mask   : boolean mask of constrained edge DoFs
     """
@@ -60,6 +61,7 @@ class OperatorSet:
     sigma_y: np.ndarray
     c1: np.ndarray
     pec_mask: np.ndarray
+    damped: np.ndarray
 
 
 def _cell_coeff(mesh: Mesh, coeff) -> np.ndarray:
@@ -139,13 +141,13 @@ def assemble_edge_load(mesh: Mesh, field) -> np.ndarray:
 
     `field` maps an (n, 2) point array to (n, 2) vector values, or to
     (m, n, 2) for m fields at once, which gives (m, n_edges) loads from one
-    pass.  Local edge k = (k, k+1) with sign s_k takes
-    s_k (F_k . grad(l_{k+1}) - F_{k+1} . grad(l_k)), F_m being the
-    integral over K of field times l_m, so no basis table is formed.
+    pass; an array holds them at the degree-3 `quad_points_physical`.  Local
+    edge k = (k, k+1) with sign s_k takes s_k (F_k . grad(l_{k+1}) -
+    F_{k+1} . grad(l_k)), F_m the integral over K of field times l_m.
     """
     rule = triangle_quadrature(3)
     pts = quad_points_physical(mesh, rule)
-    vals = np.asarray(field(pts.reshape(-1, 2)), dtype=float)
+    vals = np.asarray(field(pts.reshape(-1, 2)) if callable(field) else field, dtype=float)
     lead = vals.shape[:-2]
     moments = (rule.weights[:, None] * rule.points).T @ vals.reshape(lead + pts.shape)
     fx, fy = moments[..., 0], moments[..., 1]       # (..., nt, 3): F_m / (2|K|)
@@ -197,4 +199,5 @@ def build_operator_set(mesh: Mesh, sigma_x=None, sigma_y=None) -> OperatorSet:
         sigma_y=sigma_y,
         c1=(mesh.cell_tags == CellTag.PHYSICAL).astype(float),
         pec_mask=boundary_dof_mask(mesh),
+        damped=np.flatnonzero((sigma_x != 0.0) | (sigma_y != 0.0)),
     )

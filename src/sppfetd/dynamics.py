@@ -1,12 +1,12 @@
 """Unified leapfrog time stepper for the graphene/absorber field equations.
 
-Each step first updates the two split magnetic components cell by cell
-(the P0 mass is diagonal, so those solves are exact divisions), then
-solves one symmetric positive definite edge system, factored once, for
-the new electric field.  Subdomain indicator coefficients merge the
-interface scheme in the physical region with the split-field damping
-scheme in the collar; with the damping off and every cell physical the
-update reduces exactly to the plain interface scheme.
+Each step first updates the magnetic field cell by cell, in Berenger's
+split halves on the damped cells only (the P0 mass is diagonal, so those
+solves are exact divisions), then solves one symmetric positive definite
+edge system, factored once, for the new electric field.  Subdomain
+indicator coefficients merge the interface scheme in the physical region
+with the split-field damping scheme in the collar; with the damping off and
+every cell physical the update is exactly the plain interface scheme.
 """
 
 from __future__ import annotations
@@ -52,9 +52,10 @@ class CflConstants:
 
 @dataclass
 class FieldState:
-    """Electric edge DoFs at two levels plus split magnetic cell DoFs.
+    """Electric edge DoFs at two levels plus magnetic cell DoFs.
 
-    e_curr lives at t_n, e_prev at t_{n-1}, hzx/hzy at t_{n-1/2}; curl_e is C e_curr.
+    e_curr lives at t_n, e_prev at t_{n-1}, hz at t_{n-1/2}; curl_e is C e_curr.
+    hzx/hzy, with hzx + hzy = hz, split it on the `OperatorSet.damped` cells.
     At step 0, e_prev = e_0 - 2 tau v carries the initial velocity v, not a
     field level, so the energy of a step-0 state is not meaningful.
     """
@@ -62,14 +63,11 @@ class FieldState:
     e_prev: np.ndarray
     e_curr: np.ndarray
     curl_e: np.ndarray
+    hz: np.ndarray
     hzx: np.ndarray
     hzy: np.ndarray
     step: int
     tau: float
-
-    @property
-    def hz(self) -> np.ndarray:
-        return self.hzx + self.hzy
 
 
 @dataclass(frozen=True)
@@ -153,9 +151,9 @@ def init_state(ops: OperatorSet, params: MaterialParams, *, tau: float,
 
     ks0 = np.zeros(mesh.n_triangles) if ks0_cells is None else np.asarray(ks0_cells)
     curl_e = ops.c @ e_curr
-    h_half = tau / (2.0 * params.mu0) * (curl_e / ops.areas + ks0)
-    return FieldState(e_prev=e_prev, e_curr=e_curr, curl_e=curl_e,
-                      hzx=0.5 * h_half, hzy=0.5 * h_half, step=0, tau=tau)
+    h0 = tau / (2.0 * params.mu0) * (curl_e / ops.areas + ks0)
+    return FieldState(e_prev=e_prev, e_curr=e_curr, curl_e=curl_e, hz=h0,
+                      hzx=0.5 * h0[ops.damped], hzy=0.5 * h0[ops.damped], step=0, tau=tau)
 
 
 class LeapfrogStepper:
@@ -163,10 +161,11 @@ class LeapfrogStepper:
 
     The electric step is solved for the change Delta = e_{n+1} - e_n,
 
-        A Delta = R + (2 M_lead - A) d,
-        R = C^T (h_term - c1/(mu0 |K|) C e_n) - (sigma0/tau0) G e_n + load,
+        A Delta = R + (2 M_lead - A) d,    R = C^T h_term - (sigma0/tau0) G e_n + load,
 
-    with d = e_n - e_{n-1}, M_lead = (eps0/tau^2) M_E and the physical
+    with d = e_n - e_{n-1}, M_lead = (eps0/tau^2) M_E and per cell
+    h_term = w_new H^{n+1/2} + w_old H^{n-1/2} - (c1/mu0)(C e_n/|K| + ks),
+    w_new/old = c1/(2 tau0) +/- (1 - c1)/tau, which carries the physical
     curl-curl matrix C^T diag(c1/|K|) C.  A = M_lead + M_damp is one edge
     mass with the per-cell weight eps0/tau^2 + c1 eps0/(2 tau tau0) +
     diag(sigma_y, sigma_x)/(2 tau): w_phys M_E (w_phys: a physical cell's
@@ -206,17 +205,17 @@ class LeapfrogStepper:
             self._collar = k_collar[self._collar_rows]
         self._solve, self._bnd = None, np.flatnonzero(ops.pec_mask)   # factored lazily
         self._ct = ops.c.T.tocsr()
-        self._cells = np.empty((2, len(ops.areas)))     # per-cell work buffers
-
-        # Split-field H update per cell (rows x, y): keep * h - drive * (C e/|K| + ks).
-        damp = mu0 * np.stack([ops.sigma_x, ops.sigma_y]) / (2.0 * eps0)
-        self._h_keep = (mu0 / tau - damp) / (mu0 / tau + damp)
-        self._h_drive = 0.5 / (mu0 / tau + damp)
-        # Per-cell weights of the new and old H levels, ks and C e_n in the RHS.
-        self._w_new = ops.c1 / (2.0 * tau0) + (1.0 - ops.c1) / tau
-        self._w_old = ops.c1 / (2.0 * tau0) - (1.0 - ops.c1) / tau
-        self._w_ks = -ops.c1 / mu0
-        self._w_curl = self._w_ks / ops.areas
+        self._drive, self._h_term, self._scratch = np.empty((3, len(ops.areas)))
+        self._delta = np.empty(ops.mesh.n_edges)     # r d
+        # All cells: H -= kappa drive, h_term = alpha H_old + beta drive.  Damped cells then
+        # split, H_a = keep_a H_a - feed_a drive (rows x, y); h_term adds w_new (H - that H).
+        self._kappa, self._alpha = tau / mu0, ops.c1 / tau0
+        self._beta = -(1.0 + ops.c1 * tau / (2.0 * tau0)) / mu0
+        d = self._damped = ops.damped
+        damp = mu0 * np.stack([ops.sigma_x[d], ops.sigma_y[d]]) / (2.0 * eps0)
+        self._keep = (mu0 / tau - damp) / (mu0 / tau + damp)
+        self._feed = 0.5 / (mu0 / tau + damp)
+        self._w_new = ops.c1[d] / (2.0 * tau0) + (1.0 - ops.c1[d]) / tau
         # G is diagonal, nonzero on the interface edges only: a gather there.
         g_diag = ops.g.diagonal()
         self._g_rows = np.flatnonzero(g_diag)
@@ -229,39 +228,39 @@ class LeapfrogStepper:
         return (factorize(apply_pec(matrix, self.ops.pec_mask)), rows,
                 matrix[rows][:, self._bnd])
 
-    def step_h(self, state: FieldState, ks_cells: np.ndarray):
-        """Advance the split magnetic components by one half-shifted step.
-
-        The two split derivatives of a Whitney field are +curl(E)/2 and
-        -curl(E)/2 on each cell, so both components share one drive.
-        """
-        drive = np.divide(state.curl_e, self.ops.areas, out=self._cells[0])
+    def step_h(self, state: FieldState, ks_cells: np.ndarray) -> np.ndarray:
+        """Advance the magnetic field of `state` in place by one step; return
+        h_term (see the class docstring), a buffer the next call overwrites.
+        Both split derivatives of a Whitney field, +-curl(E)/2, share one drive."""
+        drive = np.divide(state.curl_e, self.ops.areas, out=self._drive)
         drive += ks_cells
-        hzx, hzy = self._h_keep[0] * state.hzx, self._h_keep[1] * state.hzy
-        hzx -= np.multiply(self._h_drive[0], drive, out=self._cells[1])
-        hzy -= np.multiply(self._h_drive[1], drive, out=self._cells[1])
-        return hzx, hzy
+        h_term = np.multiply(self._alpha, state.hz, out=self._h_term)
+        h_term += np.multiply(self._beta, drive, out=self._scratch)
+        state.hz -= np.multiply(self._kappa, drive, out=self._scratch)
+        d, local = self._damped, drive[self._damped]
+        for half, keep, feed in zip((state.hzx, state.hzy), self._keep, self._feed):
+            half *= keep
+            half -= feed * local
+        split = state.hzx + state.hzy
+        h_term[d] += self._w_new * (split - state.hz[d])
+        state.hz[d] = split
+        return h_term
 
-    def step_e(self, state: FieldState, hzx_new, hzy_new, ks_cells,
-               extra_load=None, bc_values=None):
-        """Solve the edge system for the next electric field.
-
-        Step 0 solves with 2 M_lead, every later step with A (see the class
-        docstring); the boundary change enters through the matrix's boundary
-        columns.  `bc_values` carries Dirichlet data on the `pec_mask` edges
-        only; None imposes the conducting boundary.
-        """
-        h_term = np.add(hzx_new, hzy_new, out=self._cells[0])
-        h_term *= self._w_new
-        for weight, cell_values in ((self._w_old, state.hzx), (self._w_old, state.hzy),
-                                    (self._w_ks, ks_cells), (self._w_curl, state.curl_e)):
-            h_term += np.multiply(weight, cell_values, out=self._cells[1])
+    def step_e(self, state: FieldState, h_term, extra_load=None, bc_values=None):
+        """Solve the edge system for the next electric field from `step_h`'s
+        h_term.  Step 0 solves with 2 M_lead, every later step with A (see
+        the class docstring); the boundary change enters through the
+        matrix's boundary columns.  `bc_values` carries Dirichlet data on the
+        `pec_mask` edges only; None imposes the conducting boundary."""
         rhs = self._ct @ h_term
         rhs[self._g_rows] -= self._g_part * state.e_curr[self._g_rows]
         if extra_load is not None:
             rhs += extra_load
-        d = state.e_curr - state.e_prev
-        delta = self._r * d
+        delta = np.subtract(state.e_curr, state.e_prev, out=self._delta)
+        if state.step == 0:
+            # 2 M_lead = r w_phys M_E, which is r A unless a collar makes them differ
+            rhs += (self._r - 1.0) * (self.a @ delta)
+        delta *= self._r
         if self._collar is not None:
             rhs[self._collar_rows] -= self._collar @ delta
 
@@ -271,8 +270,6 @@ class LeapfrogStepper:
             self._solve, self._lift_rows, self._lift = self._factored(self.a)
         target = 0.0 if bc_values is None else bc_values
         if state.step == 0:
-            # 2 M_lead = r w_phys M_E, which is r A unless a collar makes them differ
-            rhs += (self._r - 1.0) * (self.a @ d)
             change = target - state.e_curr[self._bnd]
             solve, rows, lift = self._solve, self._lift_rows, self._lift
             if self._collar is not None and (rhs.any() or change.any()):
@@ -283,19 +280,19 @@ class LeapfrogStepper:
             lifted = delta[self._bnd] - (target - state.e_prev[self._bnd])
             if lifted.any():
                 rhs[self._lift_rows] += self._lift @ lifted
-            e_next = self._solve(rhs) + delta + state.e_prev
+            e_next = self._solve(rhs)
+            e_next += delta
+            e_next += state.e_prev
         e_next[self._bnd] = target
         return e_next
 
     def advance(self, state: FieldState, ks_cells, extra_load=None,
                 bc_values=None) -> FieldState:
         """One full leapfrog step; mutates and returns `state`."""
-        hzx_new, hzy_new = self.step_h(state, ks_cells)
-        e_next = self.step_e(state, hzx_new, hzy_new, ks_cells,
-                             extra_load=extra_load, bc_values=bc_values)
+        h_term = self.step_h(state, ks_cells)
+        e_next = self.step_e(state, h_term, extra_load=extra_load, bc_values=bc_values)
         state.e_prev, state.e_curr = state.e_curr, e_next
         state.curl_e = self.ops.c @ e_next
-        state.hzx, state.hzy = hzx_new, hzy_new
         state.step += 1
         return state
 
@@ -319,13 +316,12 @@ def discrete_energy(state: FieldState, ops: OperatorSet,
     s_old = float(curl_old @ (curl_old / ops.areas))
     g_new = float(e_new @ (ops.g @ e_new))
     g_old = float(e_old @ (ops.g @ e_old))
-    hz = state.hz
     return EnergyReport(
         step=state.step,
         time=state.step * tau,
         kinetic=params.eps0 * float(diff @ (ops.m_e @ diff)),
         curl=(s_new + s_old) / (2.0 * params.mu0),
-        magnetic=params.mu0 * float(ops.areas @ hz ** 2),
+        magnetic=params.mu0 * float(ops.areas @ state.hz ** 2),
         interface=params.sigma0 / (2.0 * params.tau0) * (g_new + g_old),
         curl_extra=tau / (4.0 * params.mu0 * params.tau0) * (s_new + s_old),
     )
@@ -353,7 +349,7 @@ def run_simulation(ops: OperatorSet, params: MaterialParams,
     result = SimulationResult(state=state)
 
     if snapshot_every > 0:
-        result.snapshots.append(Snapshot(0, 0.0, state.e_curr.copy(), state.hz))
+        result.snapshots.append(Snapshot(0, 0.0, state.e_curr.copy(), state.hz.copy()))
 
     scale = max(np.max(np.abs(state.e_curr), initial=0.0),
                 np.max(np.abs(state.hz), initial=0.0))
@@ -383,6 +379,6 @@ def run_simulation(ops: OperatorSet, params: MaterialParams,
             result.energy.append(discrete_energy(state, ops, params))
         if snapshot_every > 0 and state.step % snapshot_every == 0:
             result.snapshots.append(
-                Snapshot(state.step, state.step * tau, state.e_curr.copy(), state.hz))
+                Snapshot(state.step, state.step * tau, state.e_curr.copy(), state.hz.copy()))
 
     return result

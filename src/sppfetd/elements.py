@@ -109,9 +109,9 @@ def project_l2_p0(field, mesh: Mesh) -> np.ndarray:
     """Cell-mean projection: DoF_K = (1/|K|) integral over K of field.
 
     `field` maps an (n, 2) point array to (n,) scalar values, or to (m, n)
-    for m fields at once, which gives (m, n_cells) means.
-    """
+    for m fields at once, which gives (m, n_cells) means; an array holds
+    them at the degree-3 `quad_points_physical`."""
     rule = triangle_quadrature(3)
     pts = quad_points_physical(mesh, rule)
-    vals = np.asarray(field(pts.reshape(-1, 2)), dtype=float)
+    vals = np.asarray(field(pts.reshape(-1, 2)) if callable(field) else field, dtype=float)
     return 2.0 * vals.reshape(vals.shape[:-1] + pts.shape[:2]) @ rule.weights

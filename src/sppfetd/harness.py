@@ -132,8 +132,11 @@ class ManufacturedDrivers:
 
     def __init__(self, mesh: Mesh, case: ManufacturedCase, pec_mask: np.ndarray):
         self.case = case
-        self.ks_means = project_l2_p0(case.ks_modes, mesh)
-        self.e_loads = assemble_edge_load(mesh, case.e_load_modes) / case.params.tau0
+        ks_modes, e_load_modes = case.drive_modes(   # one trig pass serves both
+            quad_points_physical(mesh, triangle_quadrature(3)).reshape(-1, 2))
+        self.ks_means = project_l2_p0(ks_modes, mesh)
+        del ks_modes    # the load pass below is the set-up's memory peak
+        self.e_loads = assemble_edge_load(mesh, e_load_modes) / case.params.tau0
         self.bc_moments = interpolate_hcurl(case.e_modes, mesh, pec_mask)
 
     def source(self, t: float) -> np.ndarray:
@@ -161,12 +164,15 @@ def build_manufactured_problem(h: float):
 
 def _convergence_single(h: float, mode: str, tau: float, n_steps: int,
                         final_time: float, tau_ratio: float):
-    mesh, ops, case = build_manufactured_problem(h)
     if mode == "fixed":
         step_tau, steps = tau, n_steps
     else:
         step_tau = h / tau_ratio
         steps = round(final_time / step_tau)
+        if abs(final_time / step_tau - steps) > 1e-9 * steps:
+            raise ConfigError(f"final_time {final_time!r} is {final_time / step_tau:.6g} "
+                              f"steps of h/tau_ratio at h = {h!r}, not a whole number")
+    mesh, ops, case = build_manufactured_problem(h)
     drivers = ManufacturedDrivers(mesh, case, ops.pec_mask)
     result = run_simulation(
         ops, case.params, step_tau, steps,
@@ -183,7 +189,7 @@ def run_convergence_study(mode: str, h_list, tau: float = 1e-4,
 
     mode "fixed" runs every mesh with the same small time step for
     `n_steps` steps; mode "coupled" ties tau to h via `tau_ratio` and runs
-    to `final_time`.
+    to `final_time`, which must be a whole number of steps on each mesh.
     """
     one_of("fixed", "coupled")("mode", mode)
     h_list = [positive("h", h) for h in h_list]

@@ -223,24 +223,26 @@ class ManufacturedCase:
     # -- separable drives: fixed spatial modes (leading axis) weighted by
     # scalar coefficients of t, so a mesh integrates the modes only once.
 
-    def _vector_modes(self, pts):
-        """V1 = (sx sy, cx cy), the shape of E, and V2 = (sx cy, -cx sy), of curl H."""
-        sx, cx, sy, cy = self._sc(pts)
-        return (np.column_stack([sx * sy, cx * cy]),
-                np.column_stack([sx * cy, -cx * sy]))
-
     def e_modes(self, pts):
-        """V1, shape (1, n, 2); E and its boundary data are sin(2 pi t) V1."""
-        return self._vector_modes(pts)[0][None]
+        """V1 = (sx sy, cx cy), shape (1, n, 2): E and its boundary data are V1 sin(2pi t)."""
+        sx, cx, sy, cy = self._sc(pts)
+        return np.column_stack([sx * sy, cx * cy])[None]
 
     def e_coeffs(self, t):
         return np.array([np.sin(2.0 * np.pi * t)])
 
-    def e_load_modes(self, pts):
-        """V1, V2 above and V2 below the interface, shape (3, n, 2)."""
-        v1, v2 = self._vector_modes(pts)
-        upper = self._upper(pts)[:, None]
-        return np.stack([v1, np.where(upper, v2, 0.0), np.where(upper, 0.0, v2)])
+    def drive_modes(self, pts):
+        """From one trig pass: ks modes (3, n), sx sy above and below the interface,
+        then sx cy; load modes (3, n, 2), V1, then V2 = (sx cy, -cx sy) above and below."""
+        sx, cx, sy, cy = self._sc(pts)
+        upper = self._upper(pts)
+        load = np.empty((3, len(pts), 2))
+        load[0, :, 0], load[0, :, 1] = sx * sy, cx * cy
+        load[2, :, 0], load[2, :, 1] = sx * cy, -cx * sy
+        ks = np.stack([load[0, :, 0], load[0, :, 0], load[2, :, 0]])
+        ks[0, ~upper] = ks[1, upper] = load[1, ~upper] = 0.0
+        load[1, upper], load[2, upper] = load[2, upper], 0.0
+        return ks, load
 
     def e_load_coeffs(self, t):
         w, eps0, tau0 = 2.0 * np.pi, self.params.eps0, self.params.tau0
@@ -248,13 +250,6 @@ class ManufacturedCase:
         return np.array([eps0 * w * (ct - tau0 * w * st),
                          -self._a * w * (st + tau0 * w * ct),
                          -self._a * w * (self._g(t) + tau0 * self._dg(t))])
-
-    def ks_modes(self, pts):
-        """sx sy above and below the interface, then sx cy; shape (3, n)."""
-        sx, _, sy, cy = self._sc(pts)
-        upper = self._upper(pts)
-        return np.stack([np.where(upper, sx * sy, 0.0),
-                         np.where(upper, 0.0, sx * sy), sx * cy])
 
     def ks_coeffs(self, t):
         w, mu_a = 2.0 * np.pi, self.params.mu0 * self._a

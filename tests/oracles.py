@@ -12,6 +12,7 @@ that they check the kernels that use a rule rather than the rule itself.
 
 import numpy as np
 
+from sppfetd.dynamics import FieldState
 from sppfetd.mesh import Mesh, generate_rect_mesh
 
 REF_EDGES = ((0, 1), (1, 2), (2, 0))
@@ -342,6 +343,15 @@ def dense_merged_step(mesh, params, tau, e_prev, e_curr, hx_old, hy_old, ks,
     return e_new, hx_new, hy_new
 
 
+def split_state(ops, e_prev, e_curr, hx, hy, step, tau):
+    """The stepper's state for split halves `hx`, `hy` given on every cell:
+    hz = hx + hy, and the halves kept on the damped cells only."""
+    damped = ops.damped
+    return FieldState(e_prev=e_prev.copy(), e_curr=e_curr.copy(), curl_e=ops.c @ e_curr,
+                      hz=hx + hy, hzx=hx[damped].copy(), hzy=hy[damped].copy(),
+                      step=step, tau=tau)
+
+
 def brute_force_adjacency(mesh):
     """Per vertex, the (neighbor, edge index) pairs found by scanning every edge."""
     return [[(int(b if a == v else a), e) for e, (a, b) in enumerate(mesh.edges)
@@ -454,9 +464,9 @@ def f_scalar(case, pts, t):
 
 def ks(case, pts, t):
     """The case's magnetic drive summed from its modes; K_s = -f_scalar."""
-    return np.tensordot(case.ks_coeffs(t), case.ks_modes(pts), axes=1)
+    return np.tensordot(case.ks_coeffs(t), case.drive_modes(pts)[0], axes=1)
 
 
 def e_load_field(case, pts, t):
     """The case's electric drive summed from its modes: f + tau0 df/dt."""
-    return np.tensordot(case.e_load_coeffs(t), case.e_load_modes(pts), axes=1)
+    return np.tensordot(case.e_load_coeffs(t), case.drive_modes(pts)[1], axes=1)

@@ -102,11 +102,10 @@ def test_criterion_4_scheme_reduction_oracle():
         ks = vec[2 * ne + nt:]
         e_prev[mask] = 0.0
         e_curr[mask] = 0.0
-        state = FieldState(e_prev=e_prev, e_curr=e_curr, curl_e=ops.c @ e_curr,
-                           hzx=0.5 * h_old, hzy=0.5 * h_old, step=1, tau=tau)
-        hzx, hzy = stepper.step_h(state, ks)
-        e_new = stepper.step_e(state, hzx, hzy, ks)
-        return np.concatenate([e_new, hzx + hzy])
+        state = oracles.split_state(ops, e_prev, e_curr, 0.5 * h_old, 0.5 * h_old,
+                                    step=1, tau=tau)
+        e_new = stepper.step_e(state, stepper.step_h(state, ks))
+        return np.concatenate([e_new, state.hz])
 
     def reference(vec):
         e_prev, e_curr = vec[:ne].copy(), vec[ne:2 * ne].copy()
@@ -191,8 +190,8 @@ def test_criterion_6_interpolation_projection_rates():
         mesh, _, _ = build_manufactured_problem(h)
         e = interpolate_hcurl(lambda p: oracles.e_field(case, p, t), mesh)
         hz = project_l2_p0(lambda p: oracles.h_field(case, p, t), mesh)
-        state = FieldState(e_prev=e, e_curr=e, curl_e=None, hzx=hz, hzy=0 * hz,
-                           step=0, tau=0.0)
+        state = FieldState(e_prev=e, e_curr=e, curl_e=None, hz=hz, hzx=np.zeros(0),
+                           hzy=np.zeros(0), step=0, tau=0.0)
         ee, eh = l2_errors(state, case, mesh, t)
         errs_e.append(ee)
         errs_h.append(eh)

@@ -98,8 +98,8 @@ def test_step_h_zero(small_setup):
     mesh, ops = small_setup
     stepper = LeapfrogStepper(ops, UNIT, 0.01)
     state = init_state(ops, UNIT, tau=0.01)
-    hzx, hzy = stepper.step_h(state, np.zeros(mesh.n_triangles))
-    assert np.all(hzx == 0) and np.all(hzy == 0)
+    h_term = stepper.step_h(state, np.zeros(mesh.n_triangles))
+    assert np.all(state.hz == 0) and np.all(h_term == 0)
 
 
 def test_step_h_rotational_field(small_setup):
@@ -107,11 +107,11 @@ def test_step_h_rotational_field(small_setup):
     tau = 0.01
     stepper = LeapfrogStepper(ops, UNIT, tau)
     dofs = interpolate_hcurl(lambda p: np.column_stack([-p[:, 1], p[:, 0]]), mesh)
-    state = FieldState(e_prev=np.zeros(mesh.n_edges), e_curr=dofs, curl_e=ops.c @ dofs,
-                       hzx=np.zeros(mesh.n_triangles),
-                       hzy=np.zeros(mesh.n_triangles), step=1, tau=tau)
-    hzx, hzy = stepper.step_h(state, np.zeros(mesh.n_triangles))
-    np.testing.assert_allclose((hzx + hzy) / tau, -2.0 / UNIT.mu0, rtol=1e-12)
+    zero = np.zeros(mesh.n_triangles)
+    state = oracles.split_state(ops, np.zeros(mesh.n_edges), dofs, zero, zero,
+                                step=1, tau=tau)
+    stepper.step_h(state, zero)
+    np.testing.assert_allclose(state.hz / tau, -2.0 / UNIT.mu0, rtol=1e-12)
 
 
 def _collar_only_setup():
@@ -134,19 +134,20 @@ def test_step_h_collar_recurrence_scalar_oracle():
     rng = np.random.default_rng(0)
     e = rng.standard_normal(mesh.n_edges)
     ks = rng.standard_normal(2)
-    state = FieldState(e_prev=np.zeros_like(e), e_curr=e, curl_e=ops.c @ e,
-                       hzx=np.zeros(2), hzy=np.zeros(2), step=1, tau=tau)
-    hzx, _ = stepper.step_h(state, ks)
+    state = oracles.split_state(ops, np.zeros_like(e), e, np.zeros(2), np.zeros(2),
+                                step=1, tau=tau)
+    stepper.step_h(state, ks)
     expected = (-(0.5 * ops.c @ e) / mesh.areas - 0.5 * ks) * tau / (1.5 * params.mu0)
-    np.testing.assert_allclose(hzx, expected, rtol=1e-12)
+    assert list(ops.damped) == [0, 1]
+    np.testing.assert_allclose(state.hzx, expected, rtol=1e-12)
+    np.testing.assert_array_equal(state.hz, state.hzx + state.hzy)
 
 
 def test_step_e_zero(small_setup):
     mesh, ops = small_setup
     stepper = LeapfrogStepper(ops, UNIT, 0.01)
     state = init_state(ops, UNIT, tau=0.01)
-    e_next = stepper.step_e(state, np.zeros(mesh.n_triangles),
-                            np.zeros(mesh.n_triangles), np.zeros(mesh.n_triangles))
+    e_next = stepper.step_e(state, np.zeros(mesh.n_triangles))
     assert np.abs(e_next).max() == 0.0
 
 
@@ -163,15 +164,13 @@ def test_merged_step_reduces_to_interface_scheme(small_setup):
         e_curr = rng.standard_normal(mesh.n_edges); e_curr[mask] = 0
         h_old = rng.standard_normal(mesh.n_triangles)
         ks = rng.standard_normal(mesh.n_triangles)
-        state = FieldState(e_prev=e_prev.copy(), e_curr=e_curr.copy(),
-                           curl_e=ops.c @ e_curr,
-                           hzx=0.5 * h_old, hzy=0.5 * h_old, step=1, tau=tau)
-        hzx, hzy = stepper.step_h(state, ks)
-        e_new = stepper.step_e(state, hzx, hzy, ks)
+        state = oracles.split_state(ops, e_prev, e_curr, 0.5 * h_old, 0.5 * h_old,
+                                    step=1, tau=tau)
+        e_new = stepper.step_e(state, stepper.step_h(state, ks))
         e_ref, h_ref = oracles.dense_leapfrog_step(
             mesh, params, tau, e_prev, e_curr, h_old, ks)
         np.testing.assert_allclose(e_new, e_ref, atol=1e-12)
-        np.testing.assert_allclose(hzx + hzy, h_ref, atol=1e-12)
+        np.testing.assert_allclose(state.hz, h_ref, atol=1e-12)
 
 
 def test_merged_step_with_interface_matches_dense(small_setup):
@@ -187,11 +186,9 @@ def test_merged_step_with_interface_matches_dense(small_setup):
     e_curr = rng.standard_normal(mesh.n_edges); e_curr[mask] = 0
     h_old = rng.standard_normal(mesh.n_triangles)
     ks = rng.standard_normal(mesh.n_triangles)
-    state = FieldState(e_prev=e_prev.copy(), e_curr=e_curr.copy(),
-                       curl_e=ops.c @ e_curr,
-                       hzx=0.5 * h_old, hzy=0.5 * h_old, step=1, tau=tau)
-    hzx, hzy = stepper.step_h(state, ks)
-    e_new = stepper.step_e(state, hzx, hzy, ks)
+    state = oracles.split_state(ops, e_prev, e_curr, 0.5 * h_old, 0.5 * h_old,
+                                step=1, tau=tau)
+    e_new = stepper.step_e(state, stepper.step_h(state, ks))
     g_dense = oracles.dense_interface_mass(mesh, edges)
     e_ref, _ = oracles.dense_leapfrog_step(mesh, params, tau, e_prev, e_curr,
                                            h_old, ks, g_dense=g_dense)
@@ -220,18 +217,17 @@ def test_merged_step_collar_and_sheet_matches_dense(first_step):
     hzy = rng.standard_normal(mesh.n_triangles)
     ks = rng.standard_normal(mesh.n_triangles)
     velocity = rng.standard_normal(mesh.n_edges) if first_step else None
-    state = FieldState(e_prev=e_curr - 2 * tau * velocity if first_step else e_prev.copy(),
-                       e_curr=e_curr.copy(),
-                       curl_e=ops.c @ e_curr, hzx=hzx.copy(), hzy=hzy.copy(),
-                       step=0 if first_step else 1, tau=tau)
-    hzx_new, hzy_new = stepper.step_h(state, ks)
-    e_new = stepper.step_e(state, hzx_new, hzy_new, ks)
+    state = oracles.split_state(ops, e_curr - 2 * tau * velocity if first_step else e_prev,
+                                e_curr, hzx, hzy, step=0 if first_step else 1, tau=tau)
+    e_new = stepper.step_e(state, stepper.step_h(state, ks))
     e_ref, hx_ref, hy_ref = oracles.dense_merged_step(
         mesh, params, tau, e_prev, e_curr, hzx, hzy, ks,
         g_dense=oracles.dense_interface_mass(mesh, edges), mask=mask,
         sigma=(sx, sy), velocity=velocity)
-    np.testing.assert_allclose(hzx_new, hx_ref, rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(hzy_new, hy_ref, rtol=1e-12, atol=1e-12)
+    damped = ops.damped
+    np.testing.assert_allclose(state.hz, hx_ref + hy_ref, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(state.hzx, hx_ref[damped], rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(state.hzy, hy_ref[damped], rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(e_new, e_ref, rtol=1e-11, atol=1e-11 * np.abs(e_ref).max())
 
 
@@ -258,12 +254,9 @@ def test_merged_step_with_dirichlet_data_matches_dense(first_step):
     load = rng.standard_normal(mesh.n_edges)
     bc = rng.standard_normal(mesh.n_edges)
     velocity = rng.standard_normal(mesh.n_edges) if first_step else None
-    state = FieldState(e_prev=e_curr - 2 * tau * velocity if first_step else e_prev.copy(),
-                       e_curr=e_curr.copy(),
-                       curl_e=ops.c @ e_curr, hzx=hzx.copy(), hzy=hzy.copy(),
-                       step=0 if first_step else 1, tau=tau)
-    hzx_new, hzy_new = stepper.step_h(state, ks)
-    e_new = stepper.step_e(state, hzx_new, hzy_new, ks, extra_load=load,
+    state = oracles.split_state(ops, e_curr - 2 * tau * velocity if first_step else e_prev,
+                                e_curr, hzx, hzy, step=0 if first_step else 1, tau=tau)
+    e_new = stepper.step_e(state, stepper.step_h(state, ks), extra_load=load,
                            bc_values=bc[mask])
     e_ref, _, _ = oracles.dense_merged_step(
         mesh, params, tau, e_prev, e_curr, hzx, hzy, ks,
@@ -291,14 +284,14 @@ def test_first_step_is_later_step_with_two_lead_mass():
     mask = ops.pec_mask
     e_prev = rng.standard_normal(mesh.n_edges); e_prev[mask] = 0
     e_curr = rng.standard_normal(mesh.n_edges); e_curr[mask] = 0
-    state = FieldState(e_prev=e_prev, e_curr=e_curr, curl_e=ops.c @ e_curr,
-                       hzx=rng.standard_normal(mesh.n_triangles),
-                       hzy=rng.standard_normal(mesh.n_triangles), step=0, tau=tau)
+    state = oracles.split_state(ops, e_prev, e_curr,
+                                rng.standard_normal(mesh.n_triangles),
+                                rng.standard_normal(mesh.n_triangles), step=0, tau=tau)
     ks = rng.standard_normal(mesh.n_triangles)
-    hzx_new, hzy_new = stepper.step_h(state, ks)
-    e_first = stepper.step_e(state, hzx_new, hzy_new, ks)
+    h_term = stepper.step_h(state, ks)
+    e_first = stepper.step_e(state, h_term)
     state.step = 1
-    e_later = stepper.step_e(state, hzx_new, hzy_new, ks)
+    e_later = stepper.step_e(state, h_term)
 
     md = oracles.dense_edge_mass(mesh)
     c1 = (mesh.cell_tags == 0).astype(float)
@@ -326,11 +319,8 @@ def test_collar_step_matches_scalar_recurrence():
     e_curr = np.zeros(mesh.n_edges); e_curr[free] = rng.standard_normal()
     hzx = rng.standard_normal(2)
     hzy = rng.standard_normal(2)
-    state = FieldState(e_prev=e_prev.copy(), e_curr=e_curr.copy(),
-                       curl_e=ops.c @ e_curr, hzx=hzx.copy(), hzy=hzy.copy(),
-                       step=1, tau=tau)
-    hzx_new, hzy_new = stepper.step_h(state, np.zeros(2))
-    e_new = stepper.step_e(state, hzx_new, hzy_new, np.zeros(2))
+    state = oracles.split_state(ops, e_prev, e_curr, hzx, hzy, step=1, tau=tau)
+    e_new = stepper.step_e(state, stepper.step_h(state, np.zeros(2)))
 
     m_d = oracles.dense_edge_mass(mesh)[free, free]
     d1_d = oracles.dense_edge_mass(mesh, np.column_stack([sy, sx]))[free, free]
@@ -338,7 +328,7 @@ def test_collar_step_matches_scalar_recurrence():
     lhs = (params.eps0 / tau ** 2) * m_d + d1_d / (2 * tau)
     rhs = ((2 * params.eps0 / tau ** 2) * m_d * e_curr[free]
            - ((params.eps0 / tau ** 2) * m_d - d1_d / (2 * tau)) * e_prev[free]
-           + c_col @ ((hzx_new - hzx) + (hzy_new - hzy)) / tau)
+           + c_col @ (state.hz - (hzx + hzy)) / tau)
     assert e_new[free] == pytest.approx(rhs / lhs, rel=1e-12)
 
 
@@ -353,8 +343,7 @@ def test_first_step_uses_initial_velocity(small_setup):
     state = init_state(ops, params, tau=tau, dt_e0=case.dt_e0)
     vel = interpolate_hcurl(case.dt_e0, mesh)
     stepper = LeapfrogStepper(ops, params, tau)
-    e1 = stepper.step_e(state, np.zeros(mesh.n_triangles),
-                        np.zeros(mesh.n_triangles), np.zeros(mesh.n_triangles))
+    e1 = stepper.step_e(state, np.zeros(mesh.n_triangles))
     m_d = oracles.dense_edge_mass(mesh)
     mask = ops.pec_mask
     free = ~mask
@@ -376,15 +365,14 @@ def test_conducting_wall_gets_no_initial_velocity():
     state = init_state(ops, UNIT, tau=tau, dt_e0=_swirl)
     stepper = LeapfrogStepper(ops, UNIT, tau)
     ks = np.zeros(mesh.n_triangles)
-    hzx, hzy = state.hzx.copy(), state.hzy.copy()
-    hzx_new, hzy_new = stepper.step_h(state, ks)
-    e1 = stepper.step_e(state, hzx_new, hzy_new, ks)
+    half = 0.5 * state.hz
+    e1 = stepper.step_e(state, stepper.step_h(state, ks))
     mask = ops.pec_mask
     velocity = interpolate_hcurl(_swirl, mesh)
     assert np.abs(velocity[mask]).max() > 0.1
     velocity[mask] = 0.0
     zero = np.zeros(mesh.n_edges)
-    ref, _, _ = oracles.dense_merged_step(mesh, UNIT, tau, zero, zero, hzx, hzy,
+    ref, _, _ = oracles.dense_merged_step(mesh, UNIT, tau, zero, zero, half, half,
                                           ks, mask=mask, velocity=velocity)
     np.testing.assert_allclose(e1, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
 
@@ -401,8 +389,7 @@ def test_energy_isolated_magnetic_term(small_setup):
     state = init_state(ops, UNIT, tau=0.01)
     rng = np.random.default_rng(4)
     h = rng.standard_normal(mesh.n_triangles)
-    state.hzx = 0.5 * h
-    state.hzy = 0.5 * h
+    state.hz = h
     state.step = 1
     rep = discrete_energy(state, ops, UNIT)
     assert rep.total == pytest.approx(UNIT.mu0 * float(mesh.areas @ h ** 2))
@@ -419,8 +406,8 @@ def test_energy_terms_against_dense_forms():
     e_new = rng.standard_normal(mesh.n_edges)
     e_old = rng.standard_normal(mesh.n_edges)
     h = rng.standard_normal(mesh.n_triangles)
-    state = FieldState(e_prev=e_old, e_curr=e_new, curl_e=ops.c @ e_new, hzx=h, hzy=0 * h,
-                       step=3, tau=tau)
+    state = FieldState(e_prev=e_old, e_curr=e_new, curl_e=ops.c @ e_new, hz=h,
+                       hzx=np.zeros(0), hzy=np.zeros(0), step=3, tau=tau)
     rep = discrete_energy(state, ops, params)
     md = oracles.dense_edge_mass(mesh)
     sd = oracles.dense_curl_curl(mesh)
@@ -441,24 +428,52 @@ def test_energy_terms_against_dense_forms():
                rep.curl_extra) >= 0.0
 
 
-def test_split_choice_does_not_change_physical_sum(small_setup):
+def test_collar_free_state_carries_empty_split(small_setup):
     mesh, ops = small_setup
-    params = UNIT
-    tau = 0.005
-    stepper = LeapfrogStepper(ops, params, tau)
-    rng = np.random.default_rng(6)
-    e = rng.standard_normal(mesh.n_edges); e[ops.pec_mask] = 0
-    h = rng.standard_normal(mesh.n_triangles)
-    ks = rng.standard_normal(mesh.n_triangles)
-    outs = []
-    for split in (0.5, 0.8):
-        state = FieldState(e_prev=np.zeros_like(e), e_curr=e.copy(), curl_e=ops.c @ e,
-                           hzx=split * h, hzy=(1 - split) * h, step=1, tau=tau)
-        hzx, hzy = stepper.step_h(state, ks)
-        e_new = stepper.step_e(state, hzx, hzy, ks)
-        outs.append((hzx + hzy, e_new))
-    np.testing.assert_allclose(outs[0][0], outs[1][0], atol=1e-12)
-    np.testing.assert_allclose(outs[0][1], outs[1][1], atol=1e-12)
+    state = init_state(ops, UNIT, e0=_bump, tau=0.01)
+    stepper = LeapfrogStepper(ops, UNIT, 0.01)
+    for _ in range(3):
+        stepper.advance(state, np.ones(mesh.n_triangles))
+    assert state.hzx.shape == state.hzy.shape == (0,)
+    assert state.hz.shape == (mesh.n_triangles,) and np.abs(state.hz).max() > 0.0
+
+
+def test_damped_split_covers_exactly_the_damped_cells():
+    # sigma != 0 on collar cells and on some physical ones, sigma = 0 on
+    # some collar cells: the split follows the damping, not the cell tags
+    mesh = generate_rect_mesh((0, 1, 0, 1), 4, 4, 1)
+    sx, sy = damping_at_centroids(mesh)
+    sx[::3], sy[::3] = 0.0, 0.0
+    physical = np.flatnonzero(mesh.cell_tags == 0)
+    sx[physical[:5]] = 0.5
+    ops = build_operator_set(mesh, sx, sy)
+    expected = np.flatnonzero((sx != 0.0) | (sy != 0.0))
+    assert 0 < len(expected) < mesh.n_triangles
+    assert np.any(mesh.cell_tags[expected] == 0)
+    assert np.any((mesh.cell_tags != 0) & (sx == 0.0) & (sy == 0.0))
+    np.testing.assert_array_equal(ops.damped, expected)
+    state = init_state(ops, UNIT, e0=_bump, dt_e0=_swirl, tau=0.01)
+    assert state.hzx.shape == state.hzy.shape == expected.shape
+
+
+def test_damped_split_sums_to_carried_hz():
+    # the split is Berenger's recurrence on the damped cells, and hz is its
+    # sum there after every step; off them hz follows the unsplit update
+    ops, params, state, steps = _collar_sheet_run()
+    stepper = LeapfrogStepper(ops, params, state.tau)
+    damped = ops.damped
+    undamped = np.setdiff1d(np.arange(ops.mesh.n_triangles), damped)
+    assert len(damped) and len(undamped)
+    np.testing.assert_array_equal(state.hz[damped], state.hzx + state.hzy)
+    mu0 = params.mu0
+    for inputs in steps:
+        hz_old, curl = state.hz.copy(), state.curl_e.copy()
+        stepper.advance(state, **inputs)
+        np.testing.assert_array_equal(state.hz[damped], state.hzx + state.hzy)
+        expected = hz_old - state.tau / mu0 * (curl / ops.areas + inputs["ks_cells"])
+        np.testing.assert_allclose(state.hz[undamped], expected[undamped],
+                                   rtol=1e-12, atol=1e-12 * np.abs(expected).max())
+    assert np.abs(state.hzx - state.hzy).max() > 1e-3 * np.abs(state.hzx).max()
 
 
 def test_run_zero_steps_initial_snapshot_only(small_setup):
@@ -466,6 +481,22 @@ def test_run_zero_steps_initial_snapshot_only(small_setup):
     result = run_simulation(ops, UNIT, 0.01, 0, snapshot_every=5)
     assert len(result.snapshots) == 1 and result.snapshots[0].step == 0
     assert result.energy == []
+
+
+def test_snapshots_hold_the_state_of_their_step():
+    # hz is updated in place, so a snapshot must keep its own copy: each one
+    # equals, bitwise, the final state of a run stopped at its step
+    ops, params, state, _ = _collar_sheet_run()
+    base = np.random.default_rng(14).standard_normal(ops.mesh.n_triangles)
+    inputs = dict(source=lambda t: np.sin(40.0 * t + 0.3) * base, e0=_bump,
+                  dt_e0=_swirl, energy_every=0)
+    snaps = run_simulation(ops, params, state.tau, 6, snapshot_every=1, **inputs).snapshots
+    assert [snap.step for snap in snaps] == list(range(7))
+    for snap in snaps:
+        final = run_simulation(ops, params, state.tau, snap.step, **inputs).state
+        np.testing.assert_array_equal(snap.e, final.e_curr)
+        np.testing.assert_array_equal(snap.hz, final.hz)
+    assert not np.array_equal(snaps[-1].hz, snaps[-2].hz)
 
 
 @pytest.mark.parametrize("n_steps,factorisations", [(0, 0), (1, 1), (4, 1)])
@@ -723,17 +754,26 @@ def test_collar_term_lives_on_collar_edges(setup):
     assert stepper._r * w_phys == pytest.approx(2 * p.eps0 / tau ** 2, rel=1e-15)
 
 
-@pytest.mark.parametrize("field", ["e_curr", "hzx"])
-def test_blowup_guard_catches_nan_in_either_field(small_setup, monkeypatch, field):
+@pytest.mark.parametrize("field", ["e_curr", "hzx", "hz"])
+def test_blowup_guard_catches_nan_in_either_field(monkeypatch, field):
     # a NaN in one field must trip the guard whichever field holds the
-    # other, finite peak
-    _, ops = small_setup
+    # other, finite peak: in E, in a collar cell's split (which the step
+    # sums into hz there) and in hz outside the collar
+    mesh = generate_rect_mesh((0, 1, 0, 1), 4, 4, 1)
+    ops = build_operator_set(mesh, *damping_at_centroids(mesh))
+    damped = ops.damped
+    outside = np.setdiff1d(np.arange(mesh.n_triangles), damped)
     advance = LeapfrogStepper.advance
 
     def poisoned(self, state, *args, **kwargs):
         advance(self, state, *args, **kwargs)
         if state.step == 3:
-            getattr(state, field)[0] = np.nan
+            if field == "e_curr":
+                state.e_curr[0] = np.nan
+            elif field == "hzx":
+                state.hzx[0] = state.hz[damped[0]] = np.nan
+            else:
+                state.hz[outside[0]] = np.nan
         return state
 
     monkeypatch.setattr(LeapfrogStepper, "advance", poisoned)

@@ -72,8 +72,8 @@ def test_l2_errors_zero_state_equals_exact_norm():
     state = FieldState(e_prev=np.zeros(mesh.n_edges),
                        e_curr=np.zeros(mesh.n_edges),
                        curl_e=np.zeros(mesh.n_triangles),
-                       hzx=np.zeros(mesh.n_triangles),
-                       hzy=np.zeros(mesh.n_triangles), step=0, tau=tau)
+                       hz=np.zeros(mesh.n_triangles), hzx=np.zeros(0),
+                       hzy=np.zeros(0), step=0, tau=tau)
     err_e, err_h = l2_errors(state, case, mesh, t)
     # independent quadrature of the exact norms
     ref_pts, wts = oracles.duffy_rule(10)
@@ -95,8 +95,8 @@ def test_l2_errors_interpolant_scales_linearly_with_h():
         mesh, ops, case = build_manufactured_problem(h)
         e = interpolate_hcurl(lambda p: oracles.e_field(case, p, t), mesh)
         hz = project_l2_p0(lambda p: oracles.h_field(case, p, t), mesh)
-        state = FieldState(e_prev=e, e_curr=e, curl_e=ops.c @ e, hzx=hz, hzy=0 * hz,
-                           step=0, tau=0.0)
+        state = FieldState(e_prev=e, e_curr=e, curl_e=ops.c @ e, hz=hz, hzx=np.zeros(0),
+                           hzy=np.zeros(0), step=0, tau=0.0)
         errs.append(l2_errors(state, case, mesh, t)[0])
     assert np.log2(errs[0] / errs[1]) == pytest.approx(1.0, abs=0.15)
 
@@ -163,6 +163,20 @@ def test_manufactured_drivers_evaluate_no_closed_form_per_step(monkeypatch):
     assert calls == []
     case.exact_fields(mesh.centroids, 0.3, 0.3)   # the counter does see a pointwise call
     assert calls == [mesh.n_triangles]
+
+
+def test_manufactured_drivers_sample_the_modes_once(monkeypatch):
+    # the cell means of ks and the edge loads share one trig pass on the
+    # degree-3 points; the boundary moments take theirs on the edge points
+    mesh, ops, case = build_manufactured_problem(1 / 4)
+    calls = []
+    trig = ManufacturedCase._sc
+    monkeypatch.setattr(ManufacturedCase, "_sc",
+                        staticmethod(lambda pts: calls.append(len(pts)) or trig(pts)))
+    ManufacturedDrivers(mesh, case, ops.pec_mask)
+    n_boundary = int(ops.pec_mask.sum())
+    assert calls.count(6 * mesh.n_triangles) == 1
+    assert set(calls) == {6 * mesh.n_triangles, n_boundary}
 
 
 def test_scenario_bifurcated_straight_coordinates():
@@ -477,6 +491,19 @@ def test_cli_convergence_rejects_bad_mesh_size(h, capsys):
 def test_cli_convergence_rejects_bad_step_settings(args, capsys):
     assert cli_main(["convergence", "--h", "1/10", *args]) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("final_time", [1e-9, 0.0101, 0.01 + 3e-7])
+def test_coupled_study_refuses_final_time_between_steps(final_time):
+    # h/tau_ratio = 5e-4 and 2.5e-4: errors would be reported at a rounded time
+    with pytest.raises(ConfigError, match=r"final_time .* at h = 0\.(1|05)\b"):
+        run_convergence_study("coupled", [1 / 10, 1 / 20], final_time=final_time)
+
+
+def test_cli_coupled_study_refuses_final_time_between_steps(capsys):
+    assert cli_main(["convergence", "--mode", "coupled", "--h", "1/10", "--T", "1e-9"]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error: final_time 1e-09" in err and "h = 0.1" in err
 
 
 @pytest.mark.parametrize("h_list", [[0.0], [1 / 10, 0.0], [-0.1]])
