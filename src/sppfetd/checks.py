@@ -44,7 +44,6 @@ def _real(value) -> bool:
 finite = _rule("a finite number", _real)
 positive = _rule("finite and positive", lambda v: _real(v) and v > 0)
 nonnegative = _rule("finite and nonnegative", lambda v: _real(v) and v >= 0)
-fraction = _rule("a number in (0, 1)", lambda v: _real(v) and 0 < v < 1)
 count = _rule("a nonnegative integer",
               lambda v: isinstance(v, Integral) and not isinstance(v, bool) and v >= 0)
 string = _rule("a string", lambda v: isinstance(v, str))

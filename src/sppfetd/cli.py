@@ -1,8 +1,9 @@
 """Command-line entry points.
 
 Exit codes: 0 success, 2 configuration, mesh or output-file error (also a
-check-cfl violation), 3 field blow-up, 4 solver failure (a singular step
-matrix, a non-finite right-hand side or a factor that fails its residual check).
+check-cfl violation), 3 a non-finite or runaway field, named with its step
+and simulated time, 4 a step matrix that cannot be factored (singular, or
+a factor that fails its residual check).
 """
 
 from __future__ import annotations
@@ -44,11 +45,17 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
+# The flag that sets each study argument, and the arguments each mode reads.
+_STUDY_FLAGS = {"tau": "--tau", "n_steps": "--steps", "final_time": "--T"}
+_MODE_READS = {"fixed": ("tau", "n_steps"), "coupled": ("final_time",)}
+
+
 def _cmd_convergence(args) -> int:
-    hs = _parse_h(args.h)
-    table = run_convergence_study(args.mode, hs, tau=args.tau,
-                                  n_steps=args.steps, final_time=args.final_time)
-    print(table)
+    given = {k: v for k, v in vars(args).items() if k in _STUDY_FLAGS and v is not None}
+    for key in given:
+        if key not in _MODE_READS[args.mode]:
+            raise ConfigError(f"{_STUDY_FLAGS[key]} is not read in --mode {args.mode}")
+    print(run_convergence_study(args.mode, _parse_h(args.h), **given))
     return EXIT_OK
 
 
@@ -92,9 +99,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("convergence", help="manufactured-solution rate study")
     p.add_argument("--mode", choices=("fixed", "coupled"), required=True)
     p.add_argument("--h", required=True, help="comma list, e.g. 1/10,1/20,1/40")
-    p.add_argument("--tau", type=float, default=1e-4)
-    p.add_argument("--steps", type=int, default=1000)
-    p.add_argument("--T", dest="final_time", type=float, default=0.01)
+    p.add_argument("--tau", type=float, help="fixed mode only")
+    p.add_argument("--steps", dest="n_steps", metavar="STEPS", type=int,
+                   help="fixed mode only")
+    p.add_argument("--T", dest="final_time", type=float, help="coupled mode only")
     p.set_defaults(func=_cmd_convergence)
 
     p = sub.add_parser("scenario", help="run a published setup by name")

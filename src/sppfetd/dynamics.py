@@ -340,7 +340,9 @@ def run_simulation(ops: OperatorSet, params: MaterialParams,
                  only; None imposes the conducting boundary.
     Snapshots include the initial state; the energy log starts after the
     first step.  Raises BlowUpError, carrying the result so far, when a
-    field norm passes the guard.
+    field is non-finite or its peak passes the guard; the solve checks
+    nothing, so a non-finite source, load, boundary value or start makes E
+    non-finite in the step that reads it.
     """
     ks0 = source(0.0) if source is not None else None
     state = init_state(ops, params, e0=e0, ks0_cells=ks0, tau=tau, dt_e0=dt_e0,

@@ -9,16 +9,15 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 import numpy as np
 
 from .assembly import assemble_edge_load, build_operator_set
-from .checks import (ConfigError, FieldError, count, fraction, nonnegative, numbers,
-                     one_of, optional, positive, string, validate)
+from .checks import (ConfigError, FieldError, count, nonnegative, numbers, one_of,
+                     optional, positive, string, validate)
 from .dynamics import (BlowUpError, CflConstants, FieldState,
                        SimulationResult, Snapshot, run_simulation)
 from .elements import (eval_edge_field, interpolate_hcurl, project_l2_p0,
                        quad_points_physical, triangle_quadrature)
 from .mesh import (Arc, InterfaceSpec, Mesh, Segment,
                    generate_rect_mesh, load_mesh, snap_interface)
-from .physics import (COLLAR_IMPEDANCE, COLLAR_REFLECTION, KuboParams,
-                      ManufacturedCase, MaterialParams, SourceSpec,
+from .physics import (KuboParams, ManufacturedCase, MaterialParams, SourceSpec,
                       damping_at_centroids, dipole_source_cells, eval_source,
                       kubo_sigma0)
 
@@ -38,8 +37,6 @@ class SimulationConfig:
     interface: InterfaceSpec | None = None
     material: MaterialParams = field(default_factory=MaterialParams)
     kubo: KuboParams | None = None
-    pml_err: float = COLLAR_REFLECTION
-    pml_eta: float = COLLAR_IMPEDANCE
     source: SourceSpec | None = None
     tau: float = 1e-16
     n_steps: int = 0
@@ -50,8 +47,7 @@ class SimulationConfig:
     def __post_init__(self):
         validate(self, bounds=optional(numbers(4)), nx=optional(count),
                  ny=optional(count), pml_layers=count, mesh_file=optional(string),
-                 pml_err=fraction, pml_eta=positive, tau=positive, n_steps=count,
-                 snapshot_every=count, out_dir=string)
+                 tau=positive, n_steps=count, snapshot_every=count, out_dir=string)
         # The mesh is a file, or a grid generated from bounds, nx and ny.
         for name in ("bounds", "nx", "ny"):
             if (getattr(self, name) is None) == (self.mesh_file is None):
@@ -346,8 +342,7 @@ def run(config: SimulationConfig, out_dir: str | None = None) -> SimulationResul
     mesh = build_mesh_for(config)
     params = config.resolved_material()
 
-    ops = build_operator_set(
-        mesh, *damping_at_centroids(mesh, config.pml_err, config.pml_eta))
+    ops = build_operator_set(mesh, *damping_at_centroids(mesh))
 
     source = None
     if config.source is not None:
@@ -435,8 +430,7 @@ def write_energy_log(series, path) -> None:
 # The SimulationConfig field that each key path of a file sets directly.
 _FIELDS = {"tau": "tau", "steps": "n_steps", "snapshot_every": "snapshot_every",
            "out_dir": "out_dir", "mesh.file": "mesh_file", "mesh.bounds": "bounds",
-           "mesh.nx": "nx", "mesh.ny": "ny", "mesh.pml_layers": "pml_layers",
-           "pml.err": "pml_err", "pml.eta": "pml_eta"}
+           "mesh.nx": "nx", "mesh.ny": "ny", "mesh.pml_layers": "pml_layers"}
 _BLOCKS = {"material": MaterialParams, "kubo": KuboParams, "cfl": CflConstants}
 _PRIMITIVES = {"segment": Segment, "arc": Arc}
 
@@ -499,14 +493,12 @@ def config_from_json(data) -> SimulationConfig:
         raise ConfigError('config version 1 is no longer read: drop its "solver" '
                           f'block and set "version": {CONFIG_VERSION}')
     _object(data, "", ("version", "mesh", "tau", "steps"),
-            ("snapshot_every", "out_dir", "pml", "interface", "source", *_BLOCKS))
+            ("snapshot_every", "out_dir", "interface", "source", *_BLOCKS))
     if data["version"] != CONFIG_VERSION:
         raise ConfigError(f"version must be {CONFIG_VERSION}, got {data['version']!r}")
     mesh = _object(data["mesh"], "mesh.", (), ("file", "bounds", "nx", "ny", "pml_layers"))
-    pml = _object(data.get("pml", {}), "pml.", (), ("err", "eta"))
     kwargs = {_FIELDS[key]: value for key, value in data.items() if key in _FIELDS}
     kwargs.update((_FIELDS["mesh." + key], value) for key, value in mesh.items())
-    kwargs.update((_FIELDS["pml." + key], value) for key, value in pml.items())
     kwargs.update((key, _holder(cls, data[key], key + "."))
                   for key, cls in _BLOCKS.items() if key in data)
     if "interface" in data:

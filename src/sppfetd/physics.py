@@ -73,18 +73,18 @@ def kubo_sigma0(params: KuboParams) -> float:
     return float(prefactor * bracket)
 
 
-def damping_at_centroids(mesh: Mesh, err: float = COLLAR_REFLECTION,
-                         eta: float = COLLAR_IMPEDANCE):
+def damping_at_centroids(mesh: Mesh):
     """(sigma_x, sigma_y) of the absorbing collar at the cell centroids.
 
     On each axis the collar depth d is how far the mesh extends beyond
     `mesh.physical_bounds`, the larger of the two sides.  A centroid at
     distance s outside the physical rectangle gets the quartic ramp
-    sigma_max (s / d)^4, with sigma_max = -(m + 1) ln(err) / (2 d eta) and
-    m = 4.  Centroids inside the rectangle get exact zeros, and so does
-    every cell on an axis where the mesh has no collar.
+    sigma_max (s / d)^4, with sigma_max = -(m + 1) ln(err) / (2 d eta),
+    m = 4, err = COLLAR_REFLECTION and eta = COLLAR_IMPEDANCE.  Centroids
+    inside the rectangle get exact zeros, and so does every cell on an axis
+    where the mesh has no collar.
     """
-    sigmas = []
+    err, eta, sigmas = COLLAR_REFLECTION, COLLAR_IMPEDANCE, []
     for axis, (lo, hi) in enumerate(np.reshape(mesh.physical_bounds, (2, 2))):
         coord = mesh.centroids[:, axis]
         extent = mesh.vertices[:, axis]

@@ -21,6 +21,8 @@ factor (row gathers) beats a's plain solve (column scatters) in cache.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import spilu
@@ -29,7 +31,7 @@ DROP_TOL = 1e-17
 
 
 class SolverError(RuntimeError):
-    """A factorisation or solve could not produce a finite solution."""
+    """A matrix is singular, or its factor fails the residual check."""
 
 
 def factorize(a: sp.spmatrix):
@@ -37,10 +39,10 @@ def factorize(a: sp.spmatrix):
 
     Factors a^T, read uncopied from the CSR arrays of `a` (a non-canonical
     `a` is copied, as SuperLU sorts in place); trans="T" solves with `a`.
+    The solve is SuperLU's own and checks nothing: a NaN in b stays NaN.
 
-    Raises SolverError when `a` is singular, when the relative residual of
-    the solve of a @ ones exceeds 1e-12 and, on each solve, when the
-    right-hand side contains NaN or Inf.
+    Raises SolverError when `a` is singular or when the relative residual
+    of the solve of a @ ones exceeds 1e-12.
     """
     a = sp.csr_matrix(a)
     if not a.has_canonical_format:
@@ -56,11 +58,4 @@ def factorize(a: sp.spmatrix):
     residual = np.abs(a @ lu.solve(b, trans="T") - b).max() / np.abs(b).max()
     if not residual <= 1e-12:
         raise SolverError(f"factor's relative residual {residual:.3e} exceeds 1e-12")
-
-    def solve(b: np.ndarray) -> np.ndarray:
-        b = np.asarray(b, dtype=float)
-        if not np.all(np.isfinite(b)):
-            raise SolverError("right-hand side contains NaN or Inf")
-        return lu.solve(b, trans="T")
-
-    return solve
+    return partial(lu.solve, trans="T")

@@ -93,7 +93,7 @@ def _ring_grid(pml_layers):
     SI material, step and damped collar; returns (mesh, ops, stepper)."""
     cfg = scenario("ring-resonator")
     mesh = generate_rect_mesh((16e-6, 20e-6, -20e-6, -16e-6), 40, 40, pml_layers)
-    ops = build_operator_set(mesh, *damping_at_centroids(mesh, cfg.pml_err, cfg.pml_eta))
+    ops = build_operator_set(mesh, *damping_at_centroids(mesh))
     return mesh, ops, LeapfrogStepper(ops, cfg.resolved_material(), cfg.tau)
 
 

@@ -784,6 +784,47 @@ def test_blowup_guard_catches_nan_in_either_field(monkeypatch, field):
     assert str(err.value) == f"non-finite {name} at step 3 (t = 3.000e-02 s)"
 
 
+def _nan_on_a_free_edge(ops):
+    load = np.zeros(ops.mesh.n_edges)
+    load[np.flatnonzero(~ops.pec_mask)[0]] = np.nan
+    return load
+
+
+def test_advance_with_nan_load_keeps_both_fields_at_one_step():
+    # the solve checks nothing, so a NaN load makes E non-finite in the
+    # step that reads it and H and E advance together; the solve refused
+    # such a load before, leaving hz one step ahead of e_curr
+    mesh = generate_rect_mesh((0, 1, 0, 1), 4, 4, 0)
+    ops = build_operator_set(mesh)
+    stepper = LeapfrogStepper(ops, UNIT, 0.01)
+    clean, poisoned = (init_state(ops, UNIT, e0=_bump, tau=0.01) for _ in range(2))
+    ks = np.zeros(mesh.n_triangles)
+    stepper.advance(clean, ks)
+    stepper.advance(poisoned, ks, extra_load=_nan_on_a_free_edge(ops))
+    assert poisoned.step == clean.step == 1
+    np.testing.assert_array_equal(poisoned.hz, clean.hz)
+    np.testing.assert_array_equal(poisoned.e_prev, clean.e_prev)
+    assert np.isfinite(clean.e_curr).all() and not np.isfinite(poisoned.e_curr).all()
+
+
+def test_nan_load_ends_run_in_the_guard_with_earlier_snapshots():
+    # from step k the load holds a NaN: the guard names E at step k + 1,
+    # and the result it carries holds the snapshots through step k
+    mesh = generate_rect_mesh((0, 1, 0, 1), 4, 4, 0)
+    ops = build_operator_set(mesh)
+    k, tau, nan_load = 3, 0.01, _nan_on_a_free_edge(ops)
+
+    def load(t):
+        return nan_load if round(t / tau) >= k else np.zeros(mesh.n_edges)
+
+    with pytest.raises(BlowUpError) as err:
+        run_simulation(ops, UNIT, tau, 10, e0=_bump, extra_load=load, snapshot_every=1)
+    assert str(err.value) == f"non-finite E at step {k + 1} (t = 4.000e-02 s)"
+    assert err.value.step == k + 1
+    assert [snap.step for snap in err.value.result.snapshots] == list(range(k + 1))
+    assert [rep.step for rep in err.value.result.energy] == list(range(1, k + 1))
+
+
 def test_blowup_guard_reports_step():
     mesh = generate_rect_mesh((0, 1, 0, 1), 8, 8, 0)
     ops = build_operator_set(mesh)

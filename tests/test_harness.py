@@ -291,11 +291,11 @@ def test_config_version_1_is_refused_with_its_upgrade(tmp_path, capsys):
 
 def test_config_json_omitted_keys_take_dataclass_defaults():
     # the JSON reader restates no default: what the file leaves out is
-    # SimulationConfig's, the collar's included
+    # SimulationConfig's
     data = {"version": 2, "mesh": {"bounds": [0.0, 1.0, 0.0, 1.0], "nx": 4, "ny": 4},
-            "tau": 0.01, "steps": 3, "pml": {"err": 1e-6}}
+            "tau": 0.01, "steps": 3, "snapshot_every": 5}
     assert config_from_json(data) == SimulationConfig(
-        bounds=(0.0, 1.0, 0.0, 1.0), nx=4, ny=4, tau=0.01, n_steps=3, pml_err=1e-6)
+        bounds=(0.0, 1.0, 0.0, 1.0), nx=4, ny=4, tau=0.01, n_steps=3, snapshot_every=5)
 
 
 @pytest.mark.parametrize("section,key,value", [
@@ -310,14 +310,6 @@ def test_cli_non_integer_count_is_configuration_error(section, key, value,
     assert cli_main(["run", _write(tmp_path, data), "--out", ""]) == 2
     err = capsys.readouterr().err
     assert "configuration error" in err and "must be a nonnegative integer" in err
-
-
-@pytest.mark.parametrize("pml", [{"pml_err": 0.0}, {"pml_err": 1.5},
-                                 {"pml_eta": -377.0}])
-def test_config_rejects_bad_pml_settings(pml):
-    # these reached the absorber set-up as bare ValueErrors before
-    with pytest.raises(ConfigError, match="pml"):
-        SimulationConfig(**pml)
 
 
 @pytest.mark.parametrize("constant", ["q", "k_b", "hbar"])
@@ -500,6 +492,17 @@ def test_coupled_study_refuses_final_time_between_steps(final_time):
         run_convergence_study("coupled", [1 / 10, 1 / 20], final_time=final_time)
 
 
+@pytest.mark.parametrize("args,flag,mode", [
+    (["--mode", "coupled", "--tau", "1e-3", "--steps", "5"], "--tau", "coupled"),
+    (["--mode", "fixed", "--T", "5", "--steps", "3"], "--T", "fixed")])
+def test_cli_convergence_refuses_a_flag_its_mode_does_not_read(args, flag, mode,
+                                                              capsys):
+    # both ran (exit 0) with the flag dropped silently
+    assert cli_main(["convergence", "--h", "1/10", *args]) == 2
+    assert capsys.readouterr().err == (f"configuration error: {flag} is not read "
+                                       f"in --mode {mode}\n")
+
+
 def test_cli_coupled_study_refuses_final_time_between_steps(capsys):
     assert cli_main(["convergence", "--mode", "coupled", "--h", "1/10", "--T", "1e-9"]) == 2
     err = capsys.readouterr().err
@@ -593,7 +596,6 @@ _FULL = {
     "material": {"eps0": 8.8541878128e-12, "mu0": 1.25663706212e-6, "tau0": 1.2e-12,
                  "sigma0": 0.0},
     "kubo": {"mu_c_ev": 1.5, "tau0": 1.2e-12, "temperature": 300.0},
-    "pml": {"err": 1e-7, "eta": 377.0},
     "cfl": {"c_in": 1.0, "c_tr": 1.0},
     "source": {"points": [{"position": [-1e-6, 0.2e-6], "sign": 1.0},
                           {"position": [-1e-6, -0.2e-6], "sign": -1.0}],
@@ -606,7 +608,7 @@ _REPLACEMENTS = {"nan": float("nan"), "inf": float("inf"), "neg": -1, "str": "x"
 # a negative angle or sign, a string directory.
 _VALID = {**dict.fromkeys(["mesh.pml_layers", "material.eps0", "material.mu0",
                            "material.tau0", "material.sigma0", "kubo.tau0",
-                           "kubo.temperature", "pml.err", "pml.eta", "cfl.c_in",
+                           "kubo.temperature", "cfl.c_in",
                            "cfl.c_tr", "source.n_cycles", "snapshot_every"], {"del"}),
           **dict.fromkeys(["interface[1].angle_start", "interface[1].angle_end",
                            "source.points[0].sign", "source.points[1].sign"], {"neg"}),
@@ -621,11 +623,13 @@ _PROBES = {
     "mesh-file-and-grid": ("mesh", {"file": "m.mesh", "nx": 4}, "mesh.nx"),
     "out-dir-number": ("out_dir", 5, "out_dir"),     # TypeError after the last step
     "misspelt-key": ("snapshot_evry", 1, "snapshot_evry"),      # ran, key ignored
+    # the collar's err and eta are module constants, no longer settings
+    "unknown-pml": ("pml", {"err": 1e-7, "eta": 377.0}, "pml"),
     # ran with the kubo block's relaxation time and conductivity instead
     "kubo-material-tau0": ("material.tau0", 2.0, "material.tau0"),
     "kubo-material-sigma0": ("material.sigma0", 0.5, "material.sigma0"),
     **{f"unknown-{path}": (path, 1.0, path) for path in (
-        "mesh.nz", "pml.depth", "interface[1].width", "material.epsilon", "cfl.c_x",
+        "mesh.nz", "interface[1].width", "material.epsilon", "cfl.c_x",
         "source.phase", "source.points[1].charge")}}
 
 
@@ -721,6 +725,29 @@ def test_cli_blowup_exit_code(tmp_path, capsys):
     assert [int(r.split(",")[0]) for r in rows[1:]] == list(range(1, step))
 
 
+def test_cli_nan_source_is_blowup_and_keeps_earlier_output(tmp_path, monkeypatch,
+                                                           capsys):
+    # a NaN source from step k ended the run in the solve, with exit 4, no
+    # step, time or field named and no file written
+    k, eval_source = 3, harness.eval_source
+
+    def poisoned(spec, t, cells, n_cells):
+        if round(t / 0.01) >= k:
+            return np.full(n_cells, np.nan)
+        return eval_source(spec, t, cells, n_cells)
+
+    monkeypatch.setattr(harness, "eval_source", poisoned)
+    data = _square(nx=6, ny=6, steps=10, snapshot_every=1, source=_dipole(0.4, 0.4))
+    out = tmp_path / "o"
+    assert cli_main(["run", _write(tmp_path, data), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (f"blow-up: non-finite E at step {k + 1} "
+                                       "(t = 4.000e-02 s)\n")
+    assert sorted(p.name for p in out.iterdir()) == (
+        ["energy.csv"] + [f"snap_{step:06d}.vtk" for step in range(k + 1)])
+    rows = (out / "energy.csv").read_text().splitlines()[1:]
+    assert [int(row.split(",")[0]) for row in rows] == list(range(1, k + 1))
+
+
 def test_cli_uncreatable_out_dir_fails_before_the_first_step(tmp_path, monkeypatch,
                                                             capsys):
     # an out_dir under a file ran every step, then ended in a
@@ -761,7 +788,7 @@ def test_cli_config_that_is_not_an_object_is_configuration_error(tmp_path, capsy
     assert "JSON object" in capsys.readouterr().err
     # nested blocks that are not objects either
     cfg = _square(nx=2, ny=2)
-    for key in ("pml", "interface"):
+    for key in ("mesh", "interface"):
         cfg_path.write_text(json.dumps({**cfg, key: [1]}))
         assert cli_main(["run", str(cfg_path)]) == 2
         assert "configuration error" in capsys.readouterr().err

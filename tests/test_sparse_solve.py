@@ -58,12 +58,12 @@ def test_solve_recovers_known_solution():
     np.testing.assert_allclose(solve(a @ (2.0 * x_true)), 2.0 * x_true, atol=1e-12)
 
 
-def test_solve_rejects_nonfinite_rhs():
-    solve = factorize(sp.eye(2, format="csr"))
-    with pytest.raises(SolverError, match="NaN or Inf"):
-        solve(np.array([1.0, np.nan]))
-    with pytest.raises(SolverError, match="NaN or Inf"):
-        solve(np.array([np.inf, 1.0]))
+def test_solve_passes_nan_through():
+    # SolverError means a matrix that cannot be factored; the solve checks
+    # nothing, and the run's blow-up guard names a non-finite field
+    solve = factorize(sp.csr_matrix(np.diag([2.0, 4.0])))
+    x = solve(np.array([1.0, np.nan]))
+    assert x[0] == 0.5 and np.isnan(x[1])
 
 
 def test_factor_rejects_singular_matrix():
