@@ -111,8 +111,6 @@ def cfl_max_timestep(params: MaterialParams, mesh: Mesh,
     the two relaxation bounds, evaluated with h = min(h_x, h_y).
     """
     h = min(mesh.h_x, mesh.h_y)
-    if h <= 0:
-        raise ValueError("mesh sizes must be positive")
     cv = params.c_v
     terms = [
         1.0,
@@ -340,9 +338,9 @@ def run_simulation(ops: OperatorSet, params: MaterialParams,
                  only; None imposes the conducting boundary.
     Snapshots include the initial state; the energy log starts after the
     first step.  Raises BlowUpError, carrying the result so far, when a
-    field is non-finite or its peak passes the guard; the solve checks
-    nothing, so a non-finite source, load, boundary value or start makes E
-    non-finite in the step that reads it.
+    field is non-finite at the start or after a step, or its peak passes the
+    guard; the solve checks nothing, so a non-finite source, load or
+    boundary value makes E non-finite in the step that reads it.
     """
     ks0 = source(0.0) if source is not None else None
     state = init_state(ops, params, e0=e0, ks0_cells=ks0, tau=tau, dt_e0=dt_e0,
@@ -350,11 +348,20 @@ def run_simulation(ops: OperatorSet, params: MaterialParams,
     stepper = LeapfrogStepper(ops, params, tau)
     result = SimulationResult(state=state)
 
+    def guard():
+        """The name and peak of the field with the larger peak, where a NaN
+        names its field (np.max, unlike max, keeps it); a BlowUpError if a
+        field is non-finite."""
+        pe, ph = (np.max((f.max(), -f.min())) for f in (state.e_curr, state.hz))
+        name, peak = ("E", pe) if pe >= ph or np.isnan(pe) else ("Hz", ph)
+        if not np.isfinite(peak):
+            raise BlowUpError(f"non-finite {name} at step {state.step} "
+                              f"(t = {state.step * tau:.3e} s)", state.step, result)
+        return name, peak
+
+    _, scale = guard()
     if snapshot_every > 0:
         result.snapshots.append(Snapshot(0, 0.0, state.e_curr.copy(), state.hz.copy()))
-
-    scale = max(np.max(np.abs(state.e_curr), initial=0.0),
-                np.max(np.abs(state.hz), initial=0.0))
 
     for n in range(n_steps):
         t_n = n * tau
@@ -363,12 +370,7 @@ def run_simulation(ops: OperatorSet, params: MaterialParams,
         bc = bc_values((n + 1) * tau) if bc_values is not None else None
         stepper.advance(state, ks, extra_load=load, bc_values=bc)
 
-        # np.max, unlike max, keeps a NaN; a NaN or the larger peak names the field
-        pe, ph = (np.max((f.max(), -f.min())) for f in (state.e_curr, state.hz))
-        name, peak = ("E", pe) if pe >= ph or np.isnan(pe) else ("Hz", ph)
-        if not np.isfinite(peak):
-            raise BlowUpError(f"non-finite {name} at step {state.step} "
-                              f"(t = {state.step * tau:.3e} s)", state.step, result)
+        name, peak = guard()
         if state.step <= 10:
             scale = max(scale, peak)
         elif peak > BLOWUP_FACTOR * max(scale, np.finfo(float).tiny):

@@ -55,16 +55,14 @@ class SimulationConfig:
                                  getattr(self, name))
         if self.mesh_file is not None and self.pml_layers:
             raise FieldError("pml_layers", "0 with a mesh file", self.pml_layers)
-        for name in ("tau0", "sigma0") if self.kubo is not None else ():
-            default = getattr(MaterialParams, name)
-            if getattr(self.material, name) != default:
-                raise FieldError(f"material.{name}", f"left at {default!r} with a kubo "
-                                 "block, which sets it", getattr(self.material, name))
+        if self.kubo is not None and self.material.sigma0 != MaterialParams.sigma0:
+            raise FieldError("material.sigma0", f"left at {MaterialParams.sigma0!r} with "
+                             "a kubo block, which sets it", self.material.sigma0)
 
     def resolved_material(self) -> MaterialParams:
         if self.kubo is not None:
-            return replace(self.material, tau0=self.kubo.tau0,
-                           sigma0=kubo_sigma0(self.kubo))
+            return replace(self.material,
+                           sigma0=kubo_sigma0(self.kubo, self.material.tau0))
         return self.material
 
 

@@ -10,7 +10,6 @@ path of ordinary conforming edges.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -34,6 +33,8 @@ class EdgeTag(IntEnum):
 TRI_EDGE_LOCAL = ((0, 1), (1, 2), (2, 0))
 
 MESH_FORMAT_HEADER = "SPPMESH 1"
+
+SNAP_HALVINGS = 4       # times `snap_interface` may halve a sample spacing
 
 
 class MeshError(ConfigError):
@@ -110,9 +111,9 @@ class Mesh:
     tagged_edges : (k, 3) rows (i, j, tag) that tag the edge between
         vertices i and j INTERFACE or OUTER_BOUNDARY; untagged edges are
         OUTER_BOUNDARY if one triangle has them, else INTERIOR.
-    h_x, h_y : maximum cell extents per axis, meters.
-    physical_bounds : (xmin, xmax, ymin, ymax); by default the bounding box
-        of the PHYSICAL cells.
+    h_x, h_y : maximum cell extents per axis, meters, finite and positive.
+    physical_bounds : (xmin, xmax, ymin, ymax), finite with min < max; by
+        default the bounding box of the PHYSICAL cells.
 
     The constructor checks all it is given and the mesh invariants; a
     `MeshError` names the vertex, triangle or edge-tag row at fault.
@@ -167,15 +168,21 @@ class Mesh:
 
         if h_x is None or h_y is None:
             h_x, h_y = np.ptp(self.vertices[self.triangles], axis=1).max(axis=0)
-        self.h_x = float(h_x)
-        self.h_y = float(h_y)
+        h = _numbers((h_x, h_y), (2,), "h_x and h_y must be numbers")
+        if not np.all(np.isfinite(h) & (h > 0)):
+            raise MeshError(f"h_x and h_y must be finite and positive, got {h.tolist()}")
+        self.h_x, self.h_y = h.tolist()
 
         if physical_bounds is None:
             phys = self.triangles[self.cell_tags == CellTag.PHYSICAL]
             corners = self.vertices[np.unique(phys)] if len(phys) else self.vertices
             lo, hi = corners.min(axis=0), corners.max(axis=0)
             physical_bounds = (lo[0], hi[0], lo[1], hi[1])
-        self.physical_bounds = tuple(float(v) for v in physical_bounds)
+        b = _numbers(physical_bounds, (4,), "physical bounds must be 4 numbers")
+        if not (np.all(np.isfinite(b)) and b[0] < b[1] and b[2] < b[3]):
+            raise MeshError("physical bounds (xmin, xmax, ymin, ymax) must be finite "
+                            f"with min < max on each axis, got {b.tolist()}")
+        self.physical_bounds = tuple(b.tolist())
 
     # -- construction helpers -------------------------------------------------
 
@@ -250,17 +257,6 @@ class Mesh:
         k = np.minimum(np.searchsorted(self._edge_keys, keys), self.n_edges - 1)
         found = (self._edge_keys[k] == keys) & (lo >= 0) & (hi < self.n_vertices)
         return np.where(found, k, -1)
-
-    def vertex_adjacency(self):
-        """CSR arrays (indptr, neighbors, edge indices): vertex v meets
-        neighbors[indptr[v]:indptr[v + 1]] through the edges at the same
-        positions, in increasing edge order."""
-        src = self.edges.ravel()
-        edge_ids = np.repeat(np.arange(self.n_edges), 2)
-        order = np.lexsort((edge_ids, src))
-        indptr = np.zeros(self.n_vertices + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=self.n_vertices), out=indptr[1:])
-        return indptr, self.edges[:, ::-1].ravel()[order], edge_ids[order]
 
 
 def _numbers(value, shape, rule: str) -> np.ndarray:
@@ -338,66 +334,69 @@ def snap_interface(mesh: Mesh, spec: InterfaceSpec) -> np.ndarray:
 
     Each primitive is sampled at sub-edge resolution, samples are moved to
     their nearest mesh vertex, and consecutive distinct vertices are joined
-    by their edge, or by a shortest edge path where they share none.
-    Returns the sorted interface edge indices.
-    Construction-phase operation: mutates ``mesh.edge_tags``.
+    (`_join`).  A primitive with a step that `_join` cannot join is sampled
+    again at half the spacing, at most SNAP_HALVINGS times.  Returns the
+    sorted interface edge indices.  Mutates ``mesh.edge_tags``.
     """
     from scipy.spatial import cKDTree
 
-    xmin, xmax, ymin, ymax = mesh.physical_bounds
+    lo, hi = np.reshape(mesh.physical_bounds, (2, 2)).T
     tol = 1e-9 * max(mesh.h_x, mesh.h_y)
     spacing = 0.25 * min(mesh.h_x, mesh.h_y)
     tree = cKDTree(mesh.vertices)
-    adjacency = mesh.vertex_adjacency()
 
-    pairs = [np.empty((0, 2), dtype=np.int64)]
-    for prim in spec.primitives:
-        pts = prim.sample(spacing)
-        if np.any((pts[:, 0] < xmin - tol) | (pts[:, 0] > xmax + tol)
-                  | (pts[:, 1] < ymin - tol) | (pts[:, 1] > ymax + tol)):
+    def steps(prim, halvings):
+        pts = prim.sample(spacing / 2 ** halvings)
+        if np.any((pts < lo - tol) | (pts > hi + tol)):
             raise MeshError("interface primitive leaves the physical region")
         _, nearest = tree.query(pts)
         chain = nearest[np.r_[True, nearest[1:] != nearest[:-1]]]
-        pairs.append(np.column_stack([chain[:-1], chain[1:]]))
-    pairs = np.concatenate(pairs)
+        return np.column_stack([chain[:-1], chain[1:]])
+
+    level = np.zeros(len(spec.primitives), dtype=int)
+    for _ in range(SNAP_HALVINGS + 1):
+        chains = [steps(prim, n) for prim, n in zip(spec.primitives, level)]
+        pairs = np.concatenate([np.empty((0, 2), dtype=np.int64), *chains])
+        edges, unjoined = _join(mesh, pairs)
+        if not len(unjoined):
+            mesh._set_edge_tags(edges, EdgeTag.INTERFACE)
+            return edges
+        level[np.repeat(np.arange(len(chains)), list(map(len, chains)))[unjoined]] += 1
+    a, b = pairs[unjoined[0]]
+    raise MeshError(f"snapped interface steps from vertex {a} to vertex {b}, which share "
+                    f"neither an edge nor a quad, after {SNAP_HALVINGS} halvings")
+
+
+def _join(mesh: Mesh, pairs: np.ndarray):
+    """The sorted edges that join the vertex pairs (a, b) of `pairs`, and the
+    rows of the pairs that are neither an edge nor a quad diagonal.  A quad
+    is two triangles that share an edge (p, q), with apexes a and b; it is
+    joined through the end c with the shorter L(a, c) + L(c, b), on a tie the
+    shorter L(a, c), then the lower index, as a shortest-path search would."""
     found = mesh.edge_index(pairs[:, 0], pairs[:, 1])
-    paths = [_shortest_edge_path(mesh, adjacency, a, b)
-             for a, b in pairs[found < 0].tolist()]
-    edges = np.unique(np.concatenate([found[found >= 0], *paths]).astype(np.int64))
-    mesh._set_edge_tags(edges, EdgeTag.INTERFACE)
-    return edges
-
-
-def _shortest_edge_path(mesh: Mesh, adjacency, start: int, goal: int) -> list:
-    """Dijkstra over mesh edges with Euclidean weights; deterministic."""
-    indptr, neighbors, edge_ids = adjacency
-    dist = {start: 0.0}
-    prev: dict[int, tuple] = {}
-    heap = [(0.0, start)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if u == goal:
-            break
-        if d > dist.get(u, np.inf):
-            continue
-        lo, hi = indptr[u], indptr[u + 1]
-        for v, e in zip(neighbors[lo:hi].tolist(), edge_ids[lo:hi].tolist()):
-            nd = d + mesh.edge_lengths[e]
-            if nd < dist.get(v, np.inf):
-                dist[v] = nd
-                prev[v] = (u, e)
-                heapq.heappush(heap, (nd, v))
-    if goal not in dist:
-        raise MeshError(f"snapped interface is disconnected between "
-                        f"vertices {start} and {goal}")
-    path = []
-    v = goal
-    while v != start:
-        u, e = prev[v]
-        path.append(e)
-        v = u
-    path.reverse()
-    return path
+    a, b = pairs[found < 0].T
+    # Only the triangles at an end of a step can be half of its quad.
+    ends = np.zeros(mesh.n_vertices, dtype=bool)
+    ends[a] = ends[b] = True
+    tris = np.unique(np.flatnonzero(ends[mesh.triangles]) // 3)
+    order = np.argsort(mesh.tri_edges[tris].ravel())
+    sides = mesh.tri_edges[tris].ravel()[order]
+    apexes = mesh.triangles[tris][:, [2, 0, 1]].ravel()[order]
+    twin = np.flatnonzero(sides[1:] == sides[:-1])
+    quads, wanted = (np.minimum(u, v) * mesh.n_vertices + np.maximum(u, v)
+                     for u, v in ((apexes[twin], apexes[twin + 1]), (a, b)))
+    hit = np.isin(wanted, quads)
+    order = np.argsort(quads)
+    shared = sides[twin][order[np.searchsorted(quads, wanted[hit], sorter=order)]]
+    p, q = mesh.edges[shared].T
+    a, b = a[hit], b[hit]
+    l_ap, l_pb, l_aq, l_qb = (mesh.edge_lengths[mesh.edge_index(u, v)]
+                              for u, v in ((a, p), (p, b), (a, q), (q, b)))
+    # Edges are stored lower index first, so p < q wins the last tie.
+    via_q = (l_aq + l_qb < l_ap + l_pb) | ((l_aq + l_qb == l_ap + l_pb) & (l_aq < l_ap))
+    c = np.where(via_q, q, p)
+    edges = np.concatenate([found[found >= 0], mesh.edge_index(a, c), mesh.edge_index(c, b)])
+    return np.unique(edges), np.flatnonzero(found < 0)[~hit]
 
 
 def load_mesh(path) -> Mesh:

@@ -52,15 +52,15 @@ class KuboParams:
     """Inputs of the intraband surface-conductivity formula."""
 
     mu_c_ev: float                 # chemical potential, eV
-    tau0: float = 1.2e-12          # relaxation time, s
     temperature: float = 300.0     # K
 
     def __post_init__(self):
-        validate(self, mu_c_ev=positive, tau0=positive, temperature=positive)
+        validate(self, mu_c_ev=positive, temperature=positive)
 
 
-def kubo_sigma0(params: KuboParams) -> float:
-    """Intraband surface conductivity magnitude in siemens.
+def kubo_sigma0(params: KuboParams, tau0: float = MaterialParams.tau0) -> float:
+    """Intraband surface conductivity magnitude in siemens, for the
+    relaxation time `tau0` in seconds.
 
     The printed closed form carries a leading minus and evaluates negative
     for positive chemical potential; the model requires a positive surface
@@ -69,7 +69,7 @@ def kubo_sigma0(params: KuboParams) -> float:
     kbt = K_B * params.temperature
     x = params.mu_c_ev * Q_E / kbt
     bracket = x + 2.0 * np.log(np.exp(-x) + 1.0)
-    prefactor = Q_E ** 2 * kbt * params.tau0 / (np.pi * HBAR ** 2)
+    prefactor = Q_E ** 2 * kbt * tau0 / (np.pi * HBAR ** 2)
     return float(prefactor * bracket)
 
 

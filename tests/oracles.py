@@ -10,7 +10,10 @@ the basis-table oracles take the production rule's points and weights, so
 that they check the kernels that use a rule rather than the rule itself.
 """
 
+import heapq
+
 import numpy as np
+from scipy.spatial import cKDTree
 
 from sppfetd.dynamics import FieldState
 from sppfetd.mesh import Mesh, generate_rect_mesh
@@ -352,11 +355,57 @@ def split_state(ops, e_prev, e_curr, hx, hy, step, tau):
                       step=step, tau=tau)
 
 
-def brute_force_adjacency(mesh):
-    """Per vertex, the (neighbor, edge index) pairs found by scanning every edge."""
-    return [[(int(b if a == v else a), e) for e, (a, b) in enumerate(mesh.edges)
-             if v in (a, b)]
-            for v in range(mesh.n_vertices)]
+def shortest_edge_path(mesh, start, goal):
+    """Edge indices of a shortest path from vertex `start` to `goal` over the
+    mesh edges, weighted by length; None if there is none.  Dijkstra with a
+    heap of (distance, vertex) that relaxes each vertex's edges in increasing
+    edge order, so ties go to the shorter first edge, then the lower vertex."""
+    neighbors = [[] for _ in range(mesh.n_vertices)]
+    for e, (a, b) in enumerate(mesh.edges.tolist()):
+        neighbors[a].append((b, e))
+        neighbors[b].append((a, e))
+    dist, prev, heap = {start: 0.0}, {}, [(0.0, start)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if u == goal:
+            break
+        if d > dist[u]:
+            continue
+        for v, e in neighbors[u]:
+            if d + mesh.edge_lengths[e] < dist.get(v, np.inf):
+                dist[v], prev[v] = d + mesh.edge_lengths[e], (u, e)
+                heapq.heappush(heap, (dist[v], v))
+    if goal not in dist:
+        return None
+    path = []
+    while goal != start:
+        goal, e = prev[goal]
+        path.append(e)
+    return path[::-1]
+
+
+def shortest_path_snap(mesh, spec):
+    """The sorted interface edges of `spec` on `mesh`, with consecutive snapped
+    vertices that share no edge joined by `shortest_edge_path`, at the sample
+    spacing that `snap_interface` starts from; tags nothing."""
+    tree = cKDTree(mesh.vertices)
+    edges = set()
+    for prim in spec.primitives:
+        _, nearest = tree.query(prim.sample(0.25 * min(mesh.h_x, mesh.h_y)))
+        chain = nearest[np.r_[True, nearest[1:] != nearest[:-1]]].tolist()
+        for a, b in zip(chain[:-1], chain[1:]):
+            e = int(mesh.edge_index(a, b))
+            edges.update([e] if e >= 0 else shortest_edge_path(mesh, a, b))
+    return sorted(edges)
+
+
+def graded_mesh(n):
+    """The n x n criss-cross mesh of the unit square with x mapped to x^2, as
+    a mesh file would give it: cells 1/n^2 wide at x = 0 and ~2/n at x = 1."""
+    base = generate_rect_mesh((0.0, 1.0, 0.0, 1.0), n, n, 0)
+    vertices = base.vertices.copy()
+    vertices[:, 0] **= 2
+    return Mesh(vertices, base.triangles)
 
 
 def cells_containing(mesh, point, tol=1e-12):

@@ -784,6 +784,21 @@ def test_blowup_guard_catches_nan_in_either_field(monkeypatch, field):
     assert str(err.value) == f"non-finite {name} at step 3 (t = 3.000e-02 s)"
 
 
+@pytest.mark.parametrize("start,name", [("e0", "E"), ("source", "Hz")])
+def test_blowup_guard_checks_the_start(start, name):
+    # a start that interpolates to NaN, or a source that is NaN at t = 0,
+    # stored a non-finite snapshot 0 and was named only at step 1, as E
+    mesh = generate_rect_mesh((0, 1, 0, 1), 4, 4, 0)
+    ops = build_operator_set(mesh)
+    nan = {"e0": {"e0": lambda p: np.full(p.shape, np.nan)},
+           "source": {"source": lambda t: np.full(mesh.n_triangles,
+                                                   np.nan if t == 0 else 0.0)}}
+    with pytest.raises(BlowUpError) as err:
+        run_simulation(ops, UNIT, 0.01, 3, snapshot_every=1, **nan[start])
+    assert str(err.value) == f"non-finite {name} at step 0 (t = 0.000e+00 s)"
+    assert err.value.step == 0 and err.value.result.snapshots == []
+
+
 def _nan_on_a_free_edge(ops):
     load = np.zeros(ops.mesh.n_edges)
     load[np.flatnonzero(~ops.pec_mask)[0]] = np.nan

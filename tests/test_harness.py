@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from sppfetd import harness
 from sppfetd.assembly import build_operator_set
@@ -22,8 +24,8 @@ from sppfetd.harness import (ConfigError, ErrorTable, ManufacturedDrivers,
                              run, run_convergence_study, scenario,
                              write_energy_log, write_snapshot)
 from sppfetd.mesh import Arc, InterfaceSpec, Segment, generate_rect_mesh
-from sppfetd.physics import (ManufacturedCase, MaterialParams, SourceSpec,
-                             damping_at_centroids)
+from sppfetd.physics import (KuboParams, ManufacturedCase, MaterialParams, SourceSpec,
+                             damping_at_centroids, kubo_sigma0)
 from sppfetd.elements import interpolate_hcurl, project_l2_p0
 
 import oracles
@@ -350,6 +352,46 @@ def test_run_damps_the_collar_of_a_mesh_file(tmp_path, monkeypatch):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
+def test_sheet_on_a_mesh_file_snaps_as_on_the_generated_mesh(tmp_path):
+    # the 40x40 bifurcated mesh with its collar, saved and read back, takes
+    # the bifurcated sheet, anti-diagonal staircase included, on the same edges
+    generated = replace(scenario("bifurcated-straight"), nx=40, ny=40)
+    mesh_path = tmp_path / "bifurcated.mesh"
+    oracles.save_mesh(generate_rect_mesh(generated.bounds, 40, 40, 12), mesh_path)
+    from_file = replace(generated, bounds=None, nx=None, ny=None, pml_layers=0,
+                        mesh_file=str(mesh_path))
+    want = build_mesh_for(generated).interface_edges()
+    assert len(want) == 60
+    np.testing.assert_array_equal(build_mesh_for(from_file).interface_edges(), want)
+
+
+def test_cli_runs_a_sheet_on_a_graded_mesh_file(tmp_path, capsys):
+    # cells from 1/256 wide at x = 0: at the starting sample spacing the
+    # sheet's first step skips a vertex, and a halving joins it
+    mesh_path = tmp_path / "graded.mesh"
+    oracles.save_mesh(oracles.graded_mesh(16), mesh_path)
+    data = {"version": 2, "mesh": {"file": str(mesh_path)},
+            "interface": [{"type": "segment", "p0": [0.0, 0.53], "p1": [0.9, 0.53]}],
+            "material": dict(UNIT), "tau": 1e-3, "steps": 2}
+    assert cli_main(["run", _write(tmp_path, data), "--out", ""]) == 0, capsys.readouterr()
+    mesh = build_mesh_for(config_from_json(data))
+    ends = mesh.edges[mesh.interface_edges()]
+    vertices, local = np.unique(ends, return_inverse=True)
+    graph = coo_matrix((np.ones(len(ends)), local.reshape(-1, 2).T),
+                       shape=(len(vertices),) * 2)
+    assert len(ends) == 15 and connected_components(graph, directed=False)[0] == 1
+
+
+def test_kubo_block_takes_the_material_relaxation_time():
+    # the relaxation time could be set in the kubo and the material block,
+    # and a config with a kubo block and another material.tau0 was refused
+    cfg = SimulationConfig(bounds=(0, 1, 0, 1), nx=2, ny=2, kubo=KuboParams(mu_c_ev=1.5),
+                           material=MaterialParams(tau0=2.4e-12))
+    params = cfg.resolved_material()
+    assert params.tau0 == 2.4e-12
+    assert params.sigma0 == kubo_sigma0(KuboParams(mu_c_ev=1.5), tau0=2.4e-12)
+
+
 def test_run_with_empty_out_dir_writes_nothing(tmp_path, monkeypatch, capsys):
     # an empty out_dir turns output off; it does not fall back to the
     # config's out_dir ("out" by default) in the working directory
@@ -595,7 +637,7 @@ _FULL = {
                    "angle_start": 0.0, "angle_end": 3.0}],
     "material": {"eps0": 8.8541878128e-12, "mu0": 1.25663706212e-6, "tau0": 1.2e-12,
                  "sigma0": 0.0},
-    "kubo": {"mu_c_ev": 1.5, "tau0": 1.2e-12, "temperature": 300.0},
+    "kubo": {"mu_c_ev": 1.5, "temperature": 300.0},
     "cfl": {"c_in": 1.0, "c_tr": 1.0},
     "source": {"points": [{"position": [-1e-6, 0.2e-6], "sign": 1.0},
                           {"position": [-1e-6, -0.2e-6], "sign": -1.0}],
@@ -607,7 +649,7 @@ _REPLACEMENTS = {"nan": float("nan"), "inf": float("inf"), "neg": -1, "str": "x"
 # The replacements that leave a valid config: a left-out key with a default,
 # a negative angle or sign, a string directory.
 _VALID = {**dict.fromkeys(["mesh.pml_layers", "material.eps0", "material.mu0",
-                           "material.tau0", "material.sigma0", "kubo.tau0",
+                           "material.tau0", "material.sigma0",
                            "kubo.temperature", "cfl.c_in",
                            "cfl.c_tr", "source.n_cycles", "snapshot_every"], {"del"}),
           **dict.fromkeys(["interface[1].angle_start", "interface[1].angle_end",
@@ -625,12 +667,19 @@ _PROBES = {
     "misspelt-key": ("snapshot_evry", 1, "snapshot_evry"),      # ran, key ignored
     # the collar's err and eta are module constants, no longer settings
     "unknown-pml": ("pml", {"err": 1e-7, "eta": 377.0}, "pml"),
-    # ran with the kubo block's relaxation time and conductivity instead
-    "kubo-material-tau0": ("material.tau0", 2.0, "material.tau0"),
+    # ran with the kubo block's conductivity instead
     "kubo-material-sigma0": ("material.sigma0", 0.5, "material.sigma0"),
+    # the relaxation time is set in one place, material.tau0
+    "kubo-tau0": ("kubo.tau0", 1.2e-12, "kubo.tau0"),
+    "kubo-material-tau0": ("material.tau0", 2.0, "material.tau0"),
     **{f"unknown-{path}": (path, 1.0, path) for path in (
         "mesh.nz", "interface[1].width", "material.epsilon", "cfl.c_x",
         "source.phase", "source.points[1].charge")}}
+
+
+# The probes that leave a valid config: a kubo block computes its
+# conductivity at the material's relaxation time.
+_VALID_PROBES = {"kubo-material-tau0"}
 
 
 def _leaves(node, path=""):
@@ -656,7 +705,8 @@ def _locate(data, path):
 _TABLE = ([pytest.param(path, value, path, case in _VALID.get(path, ()),
                         id=f"{path}-{case}")
            for path in _leaves(_FULL) for case, value in _REPLACEMENTS.items()]
-          + [pytest.param(*probe, False, id=name) for name, probe in _PROBES.items()])
+          + [pytest.param(*probe, name in _VALID_PROBES, id=name)
+             for name, probe in _PROBES.items()])
 
 
 @pytest.mark.parametrize("path,value,named,valid", _TABLE)

@@ -114,37 +114,68 @@ def test_snap_semicircle_hausdorff():
     assert dist <= m.h_x + m.h_y
 
 
-def test_vertex_adjacency_matches_brute_force_oracle():
-    m = generate_rect_mesh((0, 1, 0, 1), 6, 6, 2)
-    indptr, neighbors, edge_ids = m.vertex_adjacency()
-    got = [list(zip(neighbors[indptr[v]:indptr[v + 1]].tolist(),
-                    edge_ids[indptr[v]:indptr[v + 1]].tolist()))
-           for v in range(m.n_vertices)]
-    assert got == oracles.brute_force_adjacency(m)
-
-
 def test_arc_snap_paths_are_shortest(monkeypatch):
+    # every chain step that is not an edge is joined through one corner, by
+    # the two interface edges of a shortest path between its ends
     m = generate_rect_mesh((0, 1, 0, 1), 20, 20, 2)
-    paths = []
-    search = mesh_module._shortest_edge_path
+    calls = []
+    join = mesh_module._join
 
-    def recording(mesh, adjacency, start, goal):
-        paths.append((start, goal, search(mesh, adjacency, start, goal)))
-        return paths[-1][2]
+    def recording(mesh, pairs):
+        calls.append(pairs)
+        return join(mesh, pairs)
 
-    monkeypatch.setattr(mesh_module, "_shortest_edge_path", recording)
-    snap_interface(m, InterfaceSpec([Arc((0.5, 0.5), 0.3, 0.0, 2 * np.pi)]))
-    assert paths
+    monkeypatch.setattr(mesh_module, "_join", recording)
+    edges = snap_interface(m, InterfaceSpec([Arc((0.5, 0.5), 0.3, 0.0, 2 * np.pi)]))
+    steps = [(a, b) for a, b in calls[-1].tolist() if m.edge_index(a, b) < 0]
+    assert steps
     a, b = m.edges.T
     graph = coo_matrix((m.edge_lengths, (a, b)), shape=(m.n_vertices,) * 2)
-    dist = dijkstra(graph.tocsr(), directed=False, indices=[p[0] for p in paths])
-    for row, (start, goal, path) in zip(dist, paths):
-        v = start
-        for e in path:
-            assert v in m.edges[e]
-            v = int(m.edges[e].sum() - v)
-        assert v == goal
-        assert m.edge_lengths[path].sum() == pytest.approx(row[goal], rel=1e-12)
+    dist = dijkstra(graph.tocsr(), directed=False, indices=[s[0] for s in steps])
+    for row, (start, goal) in zip(dist, steps):
+        first, second = (m.edge_index(v, np.arange(m.n_vertices)) for v in (start, goal))
+        corners = np.flatnonzero(np.isin(first, edges) & np.isin(second, edges))
+        assert len(corners) == 1
+        length = m.edge_lengths[[first[corners[0]], second[corners[0]]]].sum()
+        assert length == pytest.approx(row[goal], rel=1e-12)
+
+
+_GRIDS = {"square": lambda: generate_rect_mesh((0, 1, 0, 1), 32, 32, 2),
+          "3:1": lambda: generate_rect_mesh((0, 3, 0, 1), 16, 16, 2),
+          "graded": lambda: oracles.graded_mesh(32)}
+# Per grid: an arc and both diagonals, clear of the outer boundary.
+_CURVES = {
+    "square": {"arc": Arc((0.5, 0.5), 0.3, 0.0, 2 * np.pi),
+               "diagonal": Segment((0, 0), (1, 1)), "anti-diagonal": Segment((0, 1), (1, 0))},
+    "3:1": {"arc": Arc((1.5, 0.5), 0.4, 0.0, 2 * np.pi),
+            "diagonal": Segment((0, 0), (3, 1)), "anti-diagonal": Segment((0, 1), (3, 0))},
+    "graded": {"arc": Arc((0.5, 0.5), 0.3, 0.0, 2 * np.pi),
+               "diagonal": Segment((0.02, 0.03), (0.97, 0.98)),
+               "anti-diagonal": Segment((0.02, 0.97), (0.97, 0.02))}}
+
+
+@pytest.mark.parametrize("grid,curve", [(g, c) for g in _CURVES for c in _CURVES[g]])
+def test_snap_joins_steps_as_the_shortest_path_search(grid, curve):
+    # the two-triangle join gives the edges that a shortest-path search
+    # between the snapped vertices gave, ties on square cells included
+    m = _GRIDS[grid]()
+    spec = InterfaceSpec([_CURVES[grid][curve]])
+    assert snap_interface(m, spec).tolist() == oracles.shortest_path_snap(m, spec)
+
+
+def test_snap_halves_the_spacing_where_a_step_skips_a_vertex(monkeypatch):
+    # the first step of this segment skips the narrowest column of a graded
+    # grid; one halving joins it with the edges the search gave, and without
+    # it the step is refused naming both vertices
+    spec = InterfaceSpec([Segment((0.0, 0.53), (0.9, 0.53))])
+    m = oracles.graded_mesh(16)
+    assert snap_interface(m, spec).tolist() == oracles.shortest_path_snap(m, spec)
+    monkeypatch.setattr(mesh_module, "SNAP_HALVINGS", 0)
+    a, b = (np.flatnonzero((m.vertices == p).all(axis=1))[0]
+            for p in ([0, 0.5], [1 / 64, 0.5]))
+    with pytest.raises(MeshError, match=f"from vertex {a} to vertex {b}, which share "
+                       "neither an edge nor a quad, after 0 halvings"):
+        snap_interface(oracles.graded_mesh(16), spec)
 
 
 def test_snap_idempotent():
@@ -293,6 +324,20 @@ def test_edge_index_looks_up_arrays_of_pairs():
     # absent pairs, including out-of-range vertices whose key aliases an edge
     assert m.edge_index(1, 2) >= 0
     assert m.edge_index([0, 0, -1, 0], [2, 0, 1, m.n_vertices + 2]).tolist() == [-1] * 4
+
+
+@pytest.mark.parametrize("args,rule", [
+    ({"h_x": -1.0, "h_y": 1.0}, "h_x and h_y must be finite and positive"),
+    ({"h_x": np.nan, "h_y": 1.0}, "h_x and h_y must be finite and positive"),
+    ({"physical_bounds": (0, 1, 0)}, "physical bounds must be 4 numbers"),
+    ({"physical_bounds": (0, 1, 1, 0)}, r"physical bounds \(xmin, xmax, ymin, ymax\) "
+                                        "must be finite with min < max on each axis"),
+], ids=["h-negative", "h-nan", "bounds-short", "bounds-reversed"])
+def test_mesh_refuses_bad_sizes_and_bounds(args, rule):
+    # each was stored unchecked: with a NaN h_x cfl_max_timestep returned
+    # 1.0, and three bounds failed later in damping_at_centroids
+    with pytest.raises(MeshError, match=rule):
+        Mesh(**_ARGS, **args)
 
 
 def test_mesh_needs_a_triangle():

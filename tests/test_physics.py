@@ -40,13 +40,13 @@ def test_kubo_decimal_oracle():
 
 def test_kubo_small_chemical_potential_limit():
     kp = KuboParams(mu_c_ev=1e-12)
-    pref = Q_E ** 2 * K_B * kp.temperature * kp.tau0 / (np.pi * HBAR ** 2)
+    pref = Q_E ** 2 * K_B * kp.temperature * MaterialParams.tau0 / (np.pi * HBAR ** 2)
     assert kubo_sigma0(kp) == pytest.approx(pref * 2.0 * np.log(2.0), rel=1e-6)
 
 
 def test_kubo_linear_in_relaxation_time():
-    base = kubo_sigma0(KuboParams(mu_c_ev=1.5, tau0=1.2e-12))
-    double = kubo_sigma0(KuboParams(mu_c_ev=1.5, tau0=2.4e-12))
+    base = kubo_sigma0(KuboParams(mu_c_ev=1.5), tau0=1.2e-12)
+    double = kubo_sigma0(KuboParams(mu_c_ev=1.5), tau0=2.4e-12)
     assert double == pytest.approx(2.0 * base, rel=1e-14)
 
 
