@@ -5,8 +5,8 @@ from .assembly import (OperatorSet, apply_pec, assemble_edge_load,
                        assemble_mixed_curl, boundary_dof_mask,
                        build_operator_set)
 from .dynamics import (BlowUpError, CflConstants, EnergyReport, FieldState,
-                       LeapfrogStepper, Snapshot, cfl_max_timestep,
-                       discrete_energy, init_state, run_simulation)
+                       LeapfrogStepper, cfl_max_timestep, discrete_energy,
+                       init_state, run_simulation)
 from .elements import (QuadratureRule, interpolate_hcurl, project_l2_p0,
                        segment_quadrature, triangle_quadrature)
 from .harness import (ErrorTable, SimulationConfig, l2_errors, load_config,

@@ -39,8 +39,10 @@ def _cmd_run(args) -> int:
     if args.snapshot_every is not None:
         config = replace(config, snapshot_every=args.snapshot_every)
     out = config.out_dir if args.out is None else args.out
-    result = run(config, out_dir=out)
-    wrote = f"wrote {len(result.snapshots)} snapshots to {out}" if out else _NO_FILES
+    run(config, out_dir=out)
+    every = config.snapshot_every    # a snapshot at step 0 and every `every` steps
+    snaps = config.n_steps // every + 1 if every else 0
+    wrote = f"wrote {snaps} snapshots to {out}" if out else _NO_FILES
     print(f"completed {config.n_steps} steps; {wrote}")
     return EXIT_OK
 

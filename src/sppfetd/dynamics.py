@@ -28,15 +28,11 @@ BLOWUP_FACTOR = 1e12
 
 
 class BlowUpError(RuntimeError):
-    """Field norms exceeded the divergence guard (CFL violation or bad setup).
+    """Field norms exceeded the divergence guard (CFL violation or bad setup)."""
 
-    `result` holds the output of the steps before the failing one.
-    """
-
-    def __init__(self, message, step, result=None):
+    def __init__(self, message, step):
         super().__init__(message)
         self.step = step
-        self.result = result
 
 
 @dataclass(frozen=True)
@@ -89,16 +85,7 @@ class EnergyReport:
 
 
 @dataclass
-class Snapshot:
-    step: int
-    time: float
-    e: np.ndarray
-    hz: np.ndarray
-
-
-@dataclass
 class SimulationResult:
-    snapshots: list = field(default_factory=list)
     energy: list = field(default_factory=list)
     state: FieldState | None = None
 
@@ -328,16 +315,18 @@ def discrete_energy(state: FieldState, ops: OperatorSet,
 def run_simulation(ops: OperatorSet, params: MaterialParams,
                    tau: float, n_steps: int, source=None, e0=None,
                    dt_e0=None, extra_load=None, bc_values=None,
-                   snapshot_every: int = 0,
-                   energy_every: int = 1) -> SimulationResult:
+                   energy_every: int = 1, record=None) -> SimulationResult:
     """Run the leapfrog scheme for `n_steps` steps on `ops.mesh`.
 
     source     : callable t -> per-cell K_s values, or None.
     extra_load : callable t -> edge load vector added to the electric step.
     bc_values  : callable t -> Dirichlet data on the `ops.pec_mask` edges
                  only; None imposes the conducting boundary.
-    Snapshots include the initial state; the energy log starts after the
-    first step.  Raises BlowUpError, carrying the result so far, when a
+    record     : callable (state, report) called on the start and after each
+                 step that passes the guard, with that step's EnergyReport
+                 or None; the state is updated in place, so a recorder
+                 copies what it keeps.
+    The energy log starts after the first step.  Raises BlowUpError when a
     field is non-finite at the start or after a step, or its peak passes the
     guard; the solve checks nothing, so a non-finite source, load or
     boundary value makes E non-finite in the step that reads it.
@@ -356,12 +345,12 @@ def run_simulation(ops: OperatorSet, params: MaterialParams,
         name, peak = ("E", pe) if pe >= ph or np.isnan(pe) else ("Hz", ph)
         if not np.isfinite(peak):
             raise BlowUpError(f"non-finite {name} at step {state.step} "
-                              f"(t = {state.step * tau:.3e} s)", state.step, result)
+                              f"(t = {state.step * tau:.3e} s)", state.step)
         return name, peak
 
     _, scale = guard()
-    if snapshot_every > 0:
-        result.snapshots.append(Snapshot(0, 0.0, state.e_curr.copy(), state.hz.copy()))
+    if record is not None:
+        record(state, None)
 
     for n in range(n_steps):
         t_n = n * tau
@@ -377,12 +366,13 @@ def run_simulation(ops: OperatorSet, params: MaterialParams,
             raise BlowUpError(
                 f"{name} magnitude {peak:.3e} at t = {state.step * tau:.3e} s exceeded "
                 f"{BLOWUP_FACTOR:.0e} x initial scale at step {state.step}",
-                state.step, result)
+                state.step)
 
+        report = None
         if energy_every > 0 and state.step % energy_every == 0:
-            result.energy.append(discrete_energy(state, ops, params))
-        if snapshot_every > 0 and state.step % snapshot_every == 0:
-            result.snapshots.append(
-                Snapshot(state.step, state.step * tau, state.e_curr.copy(), state.hz.copy()))
+            report = discrete_energy(state, ops, params)
+            result.energy.append(report)
+        if record is not None:
+            record(state, report)
 
     return result

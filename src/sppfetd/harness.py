@@ -11,8 +11,7 @@ import numpy as np
 from .assembly import assemble_edge_load, build_operator_set
 from .checks import (ConfigError, FieldError, count, nonnegative, numbers, one_of,
                      optional, positive, string, validate)
-from .dynamics import (BlowUpError, CflConstants, FieldState,
-                       SimulationResult, Snapshot, run_simulation)
+from .dynamics import CflConstants, FieldState, SimulationResult, run_simulation
 from .elements import (eval_edge_field, interpolate_hcurl, project_l2_p0,
                        quad_points_physical, triangle_quadrature)
 from .mesh import (Arc, InterfaceSpec, Mesh, Segment,
@@ -171,8 +170,7 @@ def _convergence_single(h: float, mode: str, tau: float, n_steps: int,
     result = run_simulation(
         ops, case.params, step_tau, steps,
         source=drivers.source, dt_e0=case.dt_e0,
-        extra_load=drivers.extra_load, bc_values=drivers.bc_values,
-        snapshot_every=0, energy_every=0)
+        extra_load=drivers.extra_load, bc_values=drivers.bc_values, energy_every=0)
     return l2_errors(result.state, case, mesh, steps * step_tau)
 
 
@@ -336,7 +334,8 @@ def build_mesh_for(config: SimulationConfig) -> Mesh:
 
 
 def run(config: SimulationConfig, out_dir: str | None = None) -> SimulationResult:
-    """Execute a configured run and write snapshots plus the energy log."""
+    """Execute a configured run, writing each snapshot and energy-log row
+    as the run reaches it; a run that stops early keeps the files before."""
     mesh = build_mesh_for(config)
     params = config.resolved_material()
 
@@ -349,32 +348,35 @@ def run(config: SimulationConfig, out_dir: str | None = None) -> SimulationResul
         def source(t):
             return eval_source(config.source, t, cells, mesh.n_triangles)
 
+    every = config.snapshot_every
+
+    def steps(record=None):
+        return run_simulation(ops, params, config.tau, config.n_steps, source=source,
+                              energy_every=max(every, 1), record=record)
+
     out = config.out_dir if out_dir is None else out_dir
-    if out:
-        try:
-            os.makedirs(out, exist_ok=True)
-        except OSError as exc:
-            raise ConfigError(f"cannot create directory {out}: {exc.strerror}") from exc
+    if not out:
+        return steps()
     try:
-        result = run_simulation(
-            ops, params, config.tau, config.n_steps, source=source,
-            snapshot_every=config.snapshot_every,
-            energy_every=max(config.snapshot_every, 1) if config.n_steps else 0)
-    except BlowUpError as exc:
-        # Keep the diagnostics written up to the failing step.
-        _write_outputs(exc.result, mesh, out)
-        raise
-    _write_outputs(result, mesh, out)
-    return result
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create directory {out}: {exc.strerror}") from exc
+    geometry = _vtk_geometry(mesh) if every else None
+    try:
+        log = open(os.path.join(out, "energy.csv"), "w")
+    except OSError as exc:
+        raise ConfigError(f"cannot write energy log {exc.filename}: {exc.strerror}") from exc
+    with log:
+        write_energy_log([], log)
 
+        def record(state, report):
+            if report is not None:
+                write_energy_log([report], log)
+            if every and state.step % every == 0:
+                write_snapshot(state, mesh, os.path.join(out, f"snap_{state.step:06d}.vtk"),
+                               geometry)
 
-def _write_outputs(result: SimulationResult, mesh: Mesh, out) -> None:
-    if out:
-        geometry = _vtk_geometry(mesh) if result.snapshots else None
-        for snap in result.snapshots:
-            write_snapshot(snap, mesh, os.path.join(out, f"snap_{snap.step:06d}.vtk"),
-                           geometry)
-        write_energy_log(result.energy, os.path.join(out, "energy.csv"))
+        return steps(record=record)
 
 
 # -- output -------------------------------------------------------------------
@@ -390,37 +392,41 @@ def _vtk_geometry(mesh: Mesh) -> str:
             + f"CELL_TYPES {nt}\n" + "5\n" * nt)
 
 
-def write_snapshot(snap: Snapshot, mesh: Mesh, path, geometry: str) -> None:
-    """Legacy ASCII VTK unstructured grid with cell data Hz and E; `geometry`
-    is `_vtk_geometry(mesh)`, which a run formats once for all snapshots."""
-    e_cells = eval_edge_field(mesh, snap.e, triangle_quadrature(1))[:, 0, :]
+def write_snapshot(state: FieldState, mesh: Mesh, path, geometry: str) -> None:
+    """Legacy ASCII VTK unstructured grid with the cell data Hz and E of
+    `state`; `geometry` is `_vtk_geometry(mesh)`, which a run formats once
+    for all its snapshots."""
+    e_cells = eval_edge_field(mesh, state.e_curr, triangle_quadrature(1))[:, 0, :]
     nt = mesh.n_triangles
     try:
         with open(path, "w") as f:
             f.write("# vtk DataFile Version 2.0\n")
-            f.write(f"sppfetd step {snap.step} time {snap.time:.9e}\n")
+            f.write(f"sppfetd step {state.step} time {state.step * state.tau:.9e}\n")
             f.write("ASCII\nDATASET UNSTRUCTURED_GRID\n")
             f.write(geometry)
             f.write(f"CELL_DATA {nt}\n")
             f.write("SCALARS Hz double\nLOOKUP_TABLE default\n")
-            f.write(("%.9e\n" * nt) % tuple(snap.hz.tolist()))
+            f.write(("%.9e\n" * nt) % tuple(state.hz.tolist()))
             f.write("VECTORS E double\n")
             f.write(("%.9e %.9e 0.0\n" * nt) % tuple(e_cells.ravel().tolist()))
     except OSError as exc:
         raise ConfigError(f"cannot write snapshot {path}: {exc.strerror}") from exc
 
 
-def write_energy_log(series, path) -> None:
-    """CSV with one row per logged step: the energy terms and their total."""
+def write_energy_log(series, log) -> None:
+    """Write and flush one CSV row per report in `series` to the open file
+    `log`, after the header when `log` is empty: the energy terms and their
+    total."""
     try:
-        with open(path, "w") as f:
-            f.write("step,time,kinetic,curl,magnetic,interface,curl_extra,total\n")
-            for rep in series:
-                f.write(f"{rep.step},{rep.time:.12e},{rep.kinetic:.12e},"
-                        f"{rep.curl:.12e},{rep.magnetic:.12e},{rep.interface:.12e},"
-                        f"{rep.curl_extra:.12e},{rep.total:.12e}\n")
+        if log.tell() == 0:
+            log.write("step,time,kinetic,curl,magnetic,interface,curl_extra,total\n")
+        for rep in series:
+            log.write(f"{rep.step},{rep.time:.12e},{rep.kinetic:.12e},"
+                      f"{rep.curl:.12e},{rep.magnetic:.12e},{rep.interface:.12e},"
+                      f"{rep.curl_extra:.12e},{rep.total:.12e}\n")
+        log.flush()
     except OSError as exc:
-        raise ConfigError(f"cannot write energy log {path}: {exc.strerror}") from exc
+        raise ConfigError(f"cannot write energy log {log.name}: {exc.strerror}") from exc
 
 
 # -- JSON configuration -------------------------------------------------------

@@ -167,7 +167,8 @@ class Mesh:
         self._set_edge_tags(edges, rows[:, 2].astype(np.uint8), "edge tag")
 
         if h_x is None or h_y is None:
-            h_x, h_y = np.ptp(self.vertices[self.triangles], axis=1).max(axis=0)
+            extent = np.ptp(self.vertices[self.triangles], axis=1).max(axis=0)
+            h_x, h_y = (e if h is None else h for h, e in zip((h_x, h_y), extent))
         h = _numbers((h_x, h_y), (2,), "h_x and h_y must be numbers")
         if not np.all(np.isfinite(h) & (h > 0)):
             raise MeshError(f"h_x and h_y must be finite and positive, got {h.tolist()}")

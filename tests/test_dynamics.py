@@ -476,27 +476,55 @@ def test_damped_split_sums_to_carried_hz():
     assert np.abs(state.hzx - state.hzy).max() > 1e-3 * np.abs(state.hzx).max()
 
 
+def _collector():
+    """A recorder that keeps each (step, E copy, Hz copy, report) it is
+    given, and the list it fills."""
+    seen = []
+
+    def record(state, report):
+        seen.append((state.step, state.e_curr.copy(), state.hz.copy(), report))
+
+    return seen, record
+
+
 def test_run_zero_steps_initial_snapshot_only(small_setup):
     _, ops = small_setup
-    result = run_simulation(ops, UNIT, 0.01, 0, snapshot_every=5)
-    assert len(result.snapshots) == 1 and result.snapshots[0].step == 0
+    seen, record = _collector()
+    result = run_simulation(ops, UNIT, 0.01, 0, record=record)
+    assert [(step, report) for step, _, _, report in seen] == [(0, None)]
     assert result.energy == []
 
 
+def test_recorder_sees_the_start_and_every_step(small_setup):
+    # one call on the start and one after each step, each with the report
+    # of its step when the energy log has one, the same the result lists
+    _, ops = small_setup
+    seen, record = _collector()
+    result = run_simulation(ops, UNIT, 0.01, 5, e0=_bump, energy_every=2, record=record)
+    assert [step for step, *_ in seen] == list(range(6))
+    reports = [report for *_, report in seen]
+    assert [r is None for r in reports] == [True, True, False, True, False, True]
+    assert [r for r in reports if r is not None] == result.energy
+    assert [r.step for r in result.energy] == [2, 4]
+    np.testing.assert_array_equal(seen[-1][1], result.state.e_curr)
+
+
 def test_snapshots_hold_the_state_of_their_step():
-    # hz is updated in place, so a snapshot must keep its own copy: each one
-    # equals, bitwise, the final state of a run stopped at its step
+    # the state is updated in place and handed to the recorder after each
+    # step: the copies it keeps equal, bitwise, the final state of a run
+    # stopped at their step
     ops, params, state, _ = _collar_sheet_run()
     base = np.random.default_rng(14).standard_normal(ops.mesh.n_triangles)
     inputs = dict(source=lambda t: np.sin(40.0 * t + 0.3) * base, e0=_bump,
                   dt_e0=_swirl, energy_every=0)
-    snaps = run_simulation(ops, params, state.tau, 6, snapshot_every=1, **inputs).snapshots
-    assert [snap.step for snap in snaps] == list(range(7))
-    for snap in snaps:
-        final = run_simulation(ops, params, state.tau, snap.step, **inputs).state
-        np.testing.assert_array_equal(snap.e, final.e_curr)
-        np.testing.assert_array_equal(snap.hz, final.hz)
-    assert not np.array_equal(snaps[-1].hz, snaps[-2].hz)
+    snaps, record = _collector()
+    run_simulation(ops, params, state.tau, 6, record=record, **inputs)
+    assert [step for step, *_ in snaps] == list(range(7))
+    for step, e, hz, _ in snaps:
+        final = run_simulation(ops, params, state.tau, step, **inputs).state
+        np.testing.assert_array_equal(e, final.e_curr)
+        np.testing.assert_array_equal(hz, final.hz)
+    assert not np.array_equal(snaps[-1][2], snaps[-2][2])
 
 
 @pytest.mark.parametrize("n_steps,factorisations", [(0, 0), (1, 1), (4, 1)])
@@ -793,10 +821,11 @@ def test_blowup_guard_checks_the_start(start, name):
     nan = {"e0": {"e0": lambda p: np.full(p.shape, np.nan)},
            "source": {"source": lambda t: np.full(mesh.n_triangles,
                                                    np.nan if t == 0 else 0.0)}}
+    seen, record = _collector()
     with pytest.raises(BlowUpError) as err:
-        run_simulation(ops, UNIT, 0.01, 3, snapshot_every=1, **nan[start])
+        run_simulation(ops, UNIT, 0.01, 3, record=record, **nan[start])
     assert str(err.value) == f"non-finite {name} at step 0 (t = 0.000e+00 s)"
-    assert err.value.step == 0 and err.value.result.snapshots == []
+    assert err.value.step == 0 and seen == []
 
 
 def _nan_on_a_free_edge(ops):
@@ -824,7 +853,7 @@ def test_advance_with_nan_load_keeps_both_fields_at_one_step():
 
 def test_nan_load_ends_run_in_the_guard_with_earlier_snapshots():
     # from step k the load holds a NaN: the guard names E at step k + 1,
-    # and the result it carries holds the snapshots through step k
+    # and the recorder has seen the states and reports through step k
     mesh = generate_rect_mesh((0, 1, 0, 1), 4, 4, 0)
     ops = build_operator_set(mesh)
     k, tau, nan_load = 3, 0.01, _nan_on_a_free_edge(ops)
@@ -832,12 +861,13 @@ def test_nan_load_ends_run_in_the_guard_with_earlier_snapshots():
     def load(t):
         return nan_load if round(t / tau) >= k else np.zeros(mesh.n_edges)
 
+    seen, record = _collector()
     with pytest.raises(BlowUpError) as err:
-        run_simulation(ops, UNIT, tau, 10, e0=_bump, extra_load=load, snapshot_every=1)
+        run_simulation(ops, UNIT, tau, 10, e0=_bump, extra_load=load, record=record)
     assert str(err.value) == f"non-finite E at step {k + 1} (t = 4.000e-02 s)"
     assert err.value.step == k + 1
-    assert [snap.step for snap in err.value.result.snapshots] == list(range(k + 1))
-    assert [rep.step for rep in err.value.result.energy] == list(range(1, k + 1))
+    assert [step for step, *_ in seen] == list(range(k + 1))
+    assert [rep.step for *_, rep in seen if rep is not None] == list(range(1, k + 1))
 
 
 def test_blowup_guard_reports_step():

@@ -3,8 +3,10 @@ import importlib
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -16,7 +18,7 @@ from scipy.sparse.csgraph import connected_components
 from sppfetd import harness
 from sppfetd.assembly import build_operator_set
 from sppfetd.cli import main as cli_main
-from sppfetd.dynamics import FieldState, Snapshot, run_simulation
+from sppfetd.dynamics import FieldState, init_state, run_simulation
 from sppfetd.harness import (ConfigError, ErrorTable, ManufacturedDrivers,
                              SimulationConfig, _vtk_geometry,
                              build_manufactured_problem,
@@ -211,9 +213,9 @@ def test_scenario_unknown_name_lists_valid():
 
 def test_write_snapshot_zero_state(tmp_path):
     mesh = generate_rect_mesh((0, 1, 0, 1), 2, 2, 0)
-    snap = Snapshot(0, 0.0, np.zeros(mesh.n_edges), np.zeros(mesh.n_triangles))
+    state = init_state(build_operator_set(mesh), MaterialParams.unit(), tau=0.01)
     path = tmp_path / "snap.vtk"
-    write_snapshot(snap, mesh, path, _vtk_geometry(mesh))
+    write_snapshot(state, mesh, path, _vtk_geometry(mesh))
     text = path.read_text().splitlines()
     assert text[0] == "# vtk DataFile Version 2.0"
     assert "DATASET UNSTRUCTURED_GRID" in text
@@ -230,7 +232,8 @@ def test_energy_log_round_trip(tmp_path):
     series = [EnergyReport(step=1, time=0.5, kinetic=1.25, curl=0.5,
                            magnetic=2.0, interface=0.125, curl_extra=0.0625)]
     path = tmp_path / "energy.csv"
-    write_energy_log(series, path)
+    with open(path, "w") as log:
+        write_energy_log(series, log)
     header, row = path.read_text().strip().splitlines()
     assert header.split(",") == ["step", "time", "kinetic", "curl", "magnetic",
                                  "interface", "curl_extra", "total"]
@@ -400,7 +403,7 @@ def test_run_with_empty_out_dir_writes_nothing(tmp_path, monkeypatch, capsys):
         bounds=(0.0, 1.0, 0.0, 1.0), nx=4, ny=4, pml_layers=2,
         material=MaterialParams.unit(), tau=0.01, n_steps=4, snapshot_every=2)
     result = run(cfg, out_dir="")
-    assert len(result.snapshots) == 3 and len(result.energy) == 2
+    assert len(result.energy) == 2
     assert list(tmp_path.iterdir()) == []
     cfg_path = _write(tmp_path, _square(pml_layers=2, steps=4, snapshot_every=2))
     assert config_from_json(json.loads(Path(cfg_path).read_text())) == cfg
@@ -430,12 +433,17 @@ def test_run_tiny_simulation_writes_outputs(tmp_path):
     assert (out / "energy.csv").exists()
     assert result.state.step == 10
     # the run formats the mesh blocks once for all its snapshots; each file
-    # is still what one write_snapshot call writes
+    # is still what one write_snapshot call writes of a run stopped at its step
     mesh = build_mesh_for(cfg)
-    for snap in result.snapshots:
-        write_snapshot(snap, mesh, tmp_path / "one.vtk", _vtk_geometry(mesh))
+    for step in (0, 5, 10):
+        state = run(replace(cfg, n_steps=step), out_dir="").state
+        write_snapshot(state, mesh, tmp_path / "one.vtk", _vtk_geometry(mesh))
         assert ((tmp_path / "one.vtk").read_bytes()
-                == (out / f"snap_{snap.step:06d}.vtk").read_bytes())
+                == (out / f"snap_{step:06d}.vtk").read_bytes())
+    # a run of zero steps still writes the energy log's header
+    run(replace(cfg, n_steps=0, snapshot_every=0), out_dir=str(tmp_path / "zero"))
+    assert [p.name for p in (tmp_path / "zero").iterdir()] == ["energy.csv"]
+    assert (tmp_path / "zero" / "energy.csv").read_text().startswith("step,time,")
 
 
 def test_run_determinism(tmp_path):
@@ -760,7 +768,7 @@ def test_manufactured_start_in_collar_completes():
     state = run_simulation(
         ops, case.params, 0.01, 2, source=drivers.source, dt_e0=case.dt_e0,
         extra_load=drivers.extra_load, bc_values=drivers.bc_values,
-        snapshot_every=0, energy_every=0).state
+        energy_every=0).state
     assert state.step == 2 and np.abs(state.e_curr).max() > 0.0
     assert np.all(np.isfinite(state.e_curr)) and np.all(np.isfinite(state.hz))
 
@@ -813,14 +821,55 @@ def test_cli_uncreatable_out_dir_fails_before_the_first_step(tmp_path, monkeypat
 
 
 @pytest.mark.parametrize("name", ["snap_000000.vtk", "energy.csv"])
-def test_cli_unwritable_output_file_is_configuration_error(name, tmp_path, capsys):
-    # a directory in the way of an output file gave a traceback (exit 1)
+def test_cli_unwritable_output_file_is_configuration_error(name, tmp_path, monkeypatch,
+                                                           capsys):
+    # a directory in the way of an output file gave a traceback (exit 1);
+    # the energy log is opened before the first step, snapshot 0 written at it
     (tmp_path / "o" / name).mkdir(parents=True)
+    if name == "energy.csv":
+        monkeypatch.setattr(harness, "run_simulation", None)   # any step would raise
     data = _square(snapshot_every=1)
     assert cli_main(["run", _write(tmp_path, data), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "cannot write " in err and str(tmp_path / "o" / name) in err
     assert len(err.splitlines()) == 1
+
+
+def test_killed_run_keeps_the_files_written_before(tmp_path):
+    # outputs are written as the run goes: a run killed once snapshot k + 1
+    # exists leaves snapshots 0..k whole and the energy rows through them
+    every, k, nx = 20, 3, 6
+    data = _square(nx=nx, ny=nx, tau=0.001, steps=10 ** 7, snapshot_every=every)
+    out = tmp_path / "o"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sppfetd.cli", "run", _write(tmp_path, data),
+         "--out", str(out)], env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    try:
+        deadline = time.monotonic() + 30.0
+        while not (out / f"snap_{(k + 1) * every:06d}.vtk").exists():
+            assert proc.poll() is None, proc.stderr.read().decode()
+            assert time.monotonic() < deadline, "no snapshot k + 1 within 30 s"
+            time.sleep(0.01)
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    assert proc.returncode == -signal.SIGKILL
+    nv, nt = (nx + 1) ** 2, 2 * nx * nx
+    for step in range(0, (k + 1) * every, every):
+        lines = (out / f"snap_{step:06d}.vtk").read_text().splitlines()
+        assert lines[1].startswith(f"sppfetd step {step} ")
+        assert len(lines) == 11 + nv + 4 * nt
+        assert [float(v) for v in lines[-1].split()][2] == 0.0
+    rows = (out / "energy.csv").read_text().splitlines()
+    assert rows[0].startswith("step,")
+    for row, step in zip(rows[1:k + 1], range(every, (k + 1) * every, every)):
+        values = row.split(",")
+        assert int(values[0]) == step and len(values) == 8
+        assert all(np.isfinite([float(v) for v in values[1:]]))
 
 
 def test_cli_truncated_mesh_file_is_configuration_error(tmp_path, capsys):

@@ -329,15 +329,25 @@ def test_edge_index_looks_up_arrays_of_pairs():
 @pytest.mark.parametrize("args,rule", [
     ({"h_x": -1.0, "h_y": 1.0}, "h_x and h_y must be finite and positive"),
     ({"h_x": np.nan, "h_y": 1.0}, "h_x and h_y must be finite and positive"),
+    ({"h_x": -1.0}, "h_x and h_y must be finite and positive"),
     ({"physical_bounds": (0, 1, 0)}, "physical bounds must be 4 numbers"),
     ({"physical_bounds": (0, 1, 1, 0)}, r"physical bounds \(xmin, xmax, ymin, ymax\) "
                                         "must be finite with min < max on each axis"),
-], ids=["h-negative", "h-nan", "bounds-short", "bounds-reversed"])
+], ids=["h-negative", "h-nan", "h-x-alone", "bounds-short", "bounds-reversed"])
 def test_mesh_refuses_bad_sizes_and_bounds(args, rule):
     # each was stored unchecked: with a NaN h_x cfl_max_timestep returned
-    # 1.0, and three bounds failed later in damping_at_centroids
+    # 1.0, three bounds failed later in damping_at_centroids, and an h_x
+    # given without h_y was replaced by the computed extent
     with pytest.raises(MeshError, match=rule):
         Mesh(**_ARGS, **args)
+
+
+def test_mesh_keeps_a_given_size_and_computes_the_other():
+    # the unit square's cells span 1 m on each axis
+    m = Mesh(**_ARGS, h_x=0.5)
+    assert (m.h_x, m.h_y) == (0.5, 1.0)
+    m = Mesh(**_ARGS, h_y=0.25)
+    assert (m.h_x, m.h_y) == (1.0, 0.25)
 
 
 def test_mesh_needs_a_triangle():
