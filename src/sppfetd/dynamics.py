@@ -11,6 +11,7 @@ every cell physical the update is exactly the plain interface scheme.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -131,8 +132,7 @@ def init_state(ops: OperatorSet, params: MaterialParams, *, tau: float,
     e_prev = (e_curr - (2.0 * tau) * interpolate_hcurl(dt_e0, mesh) if dt_e0 is not None
               else e_curr.copy())
     if zero_boundary:     # a conducting wall has no tangential field or velocity
-        e_curr[ops.pec_mask] = 0.0
-        e_prev[ops.pec_mask] = 0.0
+        e_curr[ops.pec_mask] = e_prev[ops.pec_mask] = 0.0
 
     ks0 = np.zeros(mesh.n_triangles) if ks0_cells is None else np.asarray(ks0_cells)
     curl_e = ops.c @ e_curr
@@ -209,26 +209,28 @@ class LeapfrogStepper:
     def _factored(self, matrix):
         """The factor of `matrix` with conducting rows and columns, and its
         boundary columns on the rows they touch, which lift boundary data."""
-        rows = np.unique(matrix[self._bnd].indices)
-        return (factorize(apply_pec(matrix, self.ops.pec_mask)), rows,
-                matrix[rows][:, self._bnd])
+        columns = matrix[:, self._bnd]
+        rows = np.flatnonzero(np.diff(columns.indptr))
+        return factorize(apply_pec(matrix, self.ops.pec_mask)), rows, columns[rows]
 
-    def step_h(self, state: FieldState, ks_cells: np.ndarray) -> np.ndarray:
+    def step_h(self, state: FieldState, ks_cells=None) -> np.ndarray:
         """Advance the magnetic field of `state` in place by one step; return
         h_term (see the class docstring), a buffer the next call overwrites.
         Both split derivatives of a Whitney field, +-curl(E)/2, share one drive."""
         drive = np.divide(state.curl_e, self.ops.areas, out=self._drive)
-        drive += ks_cells
+        if ks_cells is not None:
+            drive += ks_cells
         h_term = np.multiply(self._alpha, state.hz, out=self._h_term)
         h_term += np.multiply(self._beta, drive, out=self._scratch)
         state.hz -= np.multiply(self._kappa, drive, out=self._scratch)
-        d, local = self._damped, drive[self._damped]
-        for half, keep, feed in zip((state.hzx, state.hzy), self._keep, self._feed):
-            half *= keep
-            half -= feed * local
-        split = state.hzx + state.hzy
-        h_term[d] += self._w_new * (split - state.hz[d])
-        state.hz[d] = split
+        if len(d := self._damped):
+            local = drive[d]
+            for half, keep, feed in zip((state.hzx, state.hzy), self._keep, self._feed):
+                half *= keep
+                half -= feed * local
+            split = state.hzx + state.hzy
+            h_term[d] += self._w_new * (split - state.hz[d])
+            state.hz[d] = split
         return h_term
 
     def step_e(self, state: FieldState, h_term, extra_load=None, bc_values=None):
@@ -238,7 +240,8 @@ class LeapfrogStepper:
         matrix's boundary columns.  `bc_values` carries Dirichlet data on the
         `pec_mask` edges only; None imposes the conducting boundary."""
         rhs = self._ct @ h_term
-        rhs[self._g_rows] -= self._g_part * state.e_curr[self._g_rows]
+        if len(self._g_rows):
+            rhs[self._g_rows] -= self._g_part * state.e_curr[self._g_rows]
         if extra_load is not None:
             rhs += extra_load
         delta = np.subtract(state.e_curr, state.e_prev, out=self._delta)
@@ -271,7 +274,7 @@ class LeapfrogStepper:
         e_next[self._bnd] = target
         return e_next
 
-    def advance(self, state: FieldState, ks_cells, extra_load=None,
+    def advance(self, state: FieldState, ks_cells=None, extra_load=None,
                 bc_values=None) -> FieldState:
         """One full leapfrog step; mutates and returns `state`."""
         h_term = self.step_h(state, ks_cells)
@@ -292,11 +295,9 @@ def discrete_energy(state: FieldState, ops: OperatorSet,
     sum over cells of (C e)_K^2 / |K|.  Not meaningful at step 0, where
     e_prev carries the initial velocity.
     """
-    e_new, e_old = state.e_curr, state.e_prev
-    tau = state.tau
+    e_new, e_old, tau = state.e_curr, state.e_prev, state.tau
     diff = (e_new - e_old) / tau
-    curl_new = state.curl_e
-    curl_old = ops.c @ e_old
+    curl_new, curl_old = state.curl_e, ops.c @ e_old
     s_new = float(curl_new @ (curl_new / ops.areas))
     s_old = float(curl_old @ (curl_old / ops.areas))
     g_new = float(e_new @ (ops.g @ e_new))
@@ -338,35 +339,32 @@ def run_simulation(ops: OperatorSet, params: MaterialParams,
     result = SimulationResult(state=state)
 
     def guard():
-        """The name and peak of the field with the larger peak, where a NaN
-        names its field (np.max, unlike max, keeps it); a BlowUpError if a
-        field is non-finite."""
-        pe, ph = (np.max((f.max(), -f.min())) for f in (state.e_curr, state.hz))
-        name, peak = ("E", pe) if pe >= ph or np.isnan(pe) else ("Hz", ph)
-        if not np.isfinite(peak):
+        """The name and peak of the field with the larger peak (a NaN names its
+        field: np.maximum keeps it, max does not); a BlowUpError if non-finite."""
+        pe, ph = (np.maximum(f.max(), -f.min()) for f in (state.e_curr, state.hz))
+        name, peak = ("E", pe) if pe >= ph or math.isnan(pe) else ("Hz", ph)
+        if not math.isfinite(peak):
             raise BlowUpError(f"non-finite {name} at step {state.step} "
                               f"(t = {state.step * tau:.3e} s)", state.step)
         return name, peak
 
-    _, scale = guard()
+    scale = max(guard()[1], np.finfo(float).tiny)
     if record is not None:
         record(state, None)
 
     for n in range(n_steps):
-        t_n = n * tau
-        ks = source(t_n) if source is not None else np.zeros(ops.mesh.n_triangles)
-        load = extra_load(t_n) if extra_load is not None else None
+        ks = source(n * tau) if source is not None else None
+        load = extra_load(n * tau) if extra_load is not None else None
         bc = bc_values((n + 1) * tau) if bc_values is not None else None
         stepper.advance(state, ks, extra_load=load, bc_values=bc)
 
         name, peak = guard()
         if state.step <= 10:
             scale = max(scale, peak)
-        elif peak > BLOWUP_FACTOR * max(scale, np.finfo(float).tiny):
+        elif peak > BLOWUP_FACTOR * scale:
             raise BlowUpError(
                 f"{name} magnitude {peak:.3e} at t = {state.step * tau:.3e} s exceeded "
-                f"{BLOWUP_FACTOR:.0e} x initial scale at step {state.step}",
-                state.step)
+                f"{BLOWUP_FACTOR:.0e} x initial scale at step {state.step}", state.step)
 
         report = None
         if energy_every > 0 and state.step % energy_every == 0:

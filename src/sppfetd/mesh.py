@@ -263,7 +263,10 @@ class Mesh:
 def _numbers(value, shape, rule: str) -> np.ndarray:
     """`value` as a float array of `shape` (None: any length), else a
     `MeshError` that `rule` words."""
-    array = np.asarray(value, dtype=float)
+    try:
+        array = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise MeshError(f"{rule}: {exc}") from None
     if array.ndim != len(shape) or any(n not in (None, m)
                                        for n, m in zip(shape, array.shape)):
         raise MeshError(f"{rule}, got shape {array.shape}")
@@ -334,23 +337,25 @@ def snap_interface(mesh: Mesh, spec: InterfaceSpec) -> np.ndarray:
     """Snap curve primitives onto mesh edges and tag them INTERFACE.
 
     Each primitive is sampled at sub-edge resolution, samples are moved to
-    their nearest mesh vertex, and consecutive distinct vertices are joined
-    (`_join`).  A primitive with a step that `_join` cannot join is sampled
-    again at half the spacing, at most SNAP_HALVINGS times.  Returns the
-    sorted interface edge indices.  Mutates ``mesh.edge_tags``.
+    their nearest mesh vertex (on a tie, the lowest index of the four
+    nearest, a rule no tree layout changes), and consecutive distinct
+    vertices are joined (`_join`).  A primitive with a step that `_join`
+    cannot join is sampled again at half the spacing, at most SNAP_HALVINGS
+    times.  Returns the sorted interface edge indices; mutates ``mesh.edge_tags``.
     """
     from scipy.spatial import cKDTree
 
     lo, hi = np.reshape(mesh.physical_bounds, (2, 2)).T
     tol = 1e-9 * max(mesh.h_x, mesh.h_y)
     spacing = 0.25 * min(mesh.h_x, mesh.h_y)
-    tree = cKDTree(mesh.vertices)
+    tree = cKDTree(mesh.vertices, balanced_tree=False, compact_nodes=False)
 
     def steps(prim, halvings):
         pts = prim.sample(spacing / 2 ** halvings)
         if np.any((pts < lo - tol) | (pts > hi + tol)):
             raise MeshError("interface primitive leaves the physical region")
-        _, nearest = tree.query(pts)
+        dist, near = tree.query(pts, k=4)
+        nearest = np.where(dist == dist[:, :1], near, mesh.n_vertices).min(axis=1)
         chain = nearest[np.r_[True, nearest[1:] != nearest[:-1]]]
         return np.column_stack([chain[:-1], chain[1:]])
 

@@ -13,7 +13,6 @@ that they check the kernels that use a rule rather than the rule itself.
 import heapq
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from sppfetd.dynamics import FieldState
 from sppfetd.mesh import Mesh, generate_rect_mesh
@@ -384,14 +383,20 @@ def shortest_edge_path(mesh, start, goal):
     return path[::-1]
 
 
+def nearest_vertex(mesh, pts):
+    """Per point, the lowest index among the vertices at the least Euclidean
+    distance, found by measuring to every vertex."""
+    dist = np.sqrt(((pts[:, None, :] - mesh.vertices[None]) ** 2).sum(axis=2))
+    return np.argmax(dist == dist.min(axis=1, keepdims=True), axis=1)
+
+
 def shortest_path_snap(mesh, spec):
     """The sorted interface edges of `spec` on `mesh`, with consecutive snapped
     vertices that share no edge joined by `shortest_edge_path`, at the sample
     spacing that `snap_interface` starts from; tags nothing."""
-    tree = cKDTree(mesh.vertices)
     edges = set()
     for prim in spec.primitives:
-        _, nearest = tree.query(prim.sample(0.25 * min(mesh.h_x, mesh.h_y)))
+        nearest = nearest_vertex(mesh, prim.sample(0.25 * min(mesh.h_x, mesh.h_y)))
         chain = nearest[np.r_[True, nearest[1:] != nearest[:-1]]].tolist()
         for a, b in zip(chain[:-1], chain[1:]):
             e = int(mesh.edge_index(a, b))

@@ -782,11 +782,10 @@ def test_collar_term_lives_on_collar_edges(setup):
     assert stepper._r * w_phys == pytest.approx(2 * p.eps0 / tau ** 2, rel=1e-15)
 
 
-@pytest.mark.parametrize("field", ["e_curr", "hzx", "hz"])
-def test_blowup_guard_catches_nan_in_either_field(monkeypatch, field):
-    # a NaN in one field must trip the guard whichever field holds the
-    # other, finite peak: in E, in a collar cell's split (which the step
-    # sums into hz there) and in hz outside the collar
+def _poisoned_at_step_3(monkeypatch, field, value):
+    """The BlowUpError of a collared run whose `field` gets `value` in one
+    entry after step 3: in E, in a collar cell's split and the hz it sums
+    to ("hzx"), or in hz outside the collar ("hz")."""
     mesh = generate_rect_mesh((0, 1, 0, 1), 4, 4, 1)
     ops = build_operator_set(mesh, *damping_at_centroids(mesh))
     damped = ops.damped
@@ -797,19 +796,38 @@ def test_blowup_guard_catches_nan_in_either_field(monkeypatch, field):
         advance(self, state, *args, **kwargs)
         if state.step == 3:
             if field == "e_curr":
-                state.e_curr[0] = np.nan
+                state.e_curr[0] = value
             elif field == "hzx":
-                state.hzx[0] = state.hz[damped[0]] = np.nan
+                state.hzx[0] = state.hz[damped[0]] = value
             else:
-                state.hz[outside[0]] = np.nan
+                state.hz[outside[0]] = value
         return state
 
     monkeypatch.setattr(LeapfrogStepper, "advance", poisoned)
     with pytest.raises(BlowUpError) as err:
         run_simulation(ops, UNIT, 0.01, 10, e0=_bump, energy_every=0)
-    assert err.value.step == 3
+    return err.value
+
+
+@pytest.mark.parametrize("field", ["e_curr", "hzx", "hz"])
+def test_blowup_guard_catches_nan_in_either_field(monkeypatch, field):
+    # a NaN in one field must trip the guard whichever field holds the
+    # other, finite peak
+    err = _poisoned_at_step_3(monkeypatch, field, np.nan)
+    assert err.step == 3
     name = "E" if field == "e_curr" else "Hz"
-    assert str(err.value) == f"non-finite {name} at step 3 (t = 3.000e-02 s)"
+    assert str(err) == f"non-finite {name} at step 3 (t = 3.000e-02 s)"
+
+
+@pytest.mark.parametrize("field,value", [("e_curr", np.inf), ("e_curr", -np.inf),
+                                         ("hz", np.inf), ("hz", -np.inf)])
+def test_blowup_guard_names_an_infinite_field(monkeypatch, field, value):
+    # an infinity of either sign is non-finite, not a large peak, and names
+    # its field; the field's peak is max(max, -min)
+    err = _poisoned_at_step_3(monkeypatch, field, value)
+    assert err.step == 3
+    name = "E" if field == "e_curr" else "Hz"
+    assert str(err) == f"non-finite {name} at step 3 (t = 3.000e-02 s)"
 
 
 @pytest.mark.parametrize("start,name", [("e0", "E"), ("source", "Hz")])

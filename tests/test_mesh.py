@@ -163,6 +163,17 @@ def test_snap_joins_steps_as_the_shortest_path_search(grid, curve):
     assert snap_interface(m, spec).tolist() == oracles.shortest_path_snap(m, spec)
 
 
+def test_snap_takes_the_lowest_index_of_equidistant_vertices():
+    # a segment midway between two grid rows is equidistant from the vertex
+    # above and the one below each sample, and from four where a sample is
+    # midway between columns; on a renumbered grid the lowest index wins
+    base = generate_rect_mesh((0, 1, 0, 1), 8, 8, 0)
+    perm = np.random.default_rng(3).permutation(base.n_vertices)
+    m = Mesh(base.vertices[perm], np.argsort(perm)[base.triangles])
+    spec = InterfaceSpec([Segment((0, 0.5625), (1, 0.5625))])
+    assert snap_interface(m, spec).tolist() == oracles.shortest_path_snap(m, spec)
+
+
 def test_snap_halves_the_spacing_where_a_step_skips_a_vertex(monkeypatch):
     # the first step of this segment skips the narrowest column of a graded
     # grid; one halving joins it with the edges the search gave, and without
@@ -333,13 +344,18 @@ def test_edge_index_looks_up_arrays_of_pairs():
     ({"physical_bounds": (0, 1, 0)}, "physical bounds must be 4 numbers"),
     ({"physical_bounds": (0, 1, 1, 0)}, r"physical bounds \(xmin, xmax, ymin, ymax\) "
                                         "must be finite with min < max on each axis"),
-], ids=["h-negative", "h-nan", "h-x-alone", "bounds-short", "bounds-reversed"])
+    ({"h_x": "a", "h_y": 1.0}, "h_x and h_y must be numbers: could not convert string"),
+    ({"vertices": [[0, 0], [1, 0], [1, "b"], [0, 1]]},
+     r"vertices must be an \(n, 2\) array: could not convert string"),
+], ids=["h-negative", "h-nan", "h-x-alone", "bounds-short", "bounds-reversed", "h-string",
+        "vertex-string"])
 def test_mesh_refuses_bad_sizes_and_bounds(args, rule):
     # each was stored unchecked: with a NaN h_x cfl_max_timestep returned
     # 1.0, three bounds failed later in damping_at_centroids, and an h_x
-    # given without h_y was replaced by the computed extent
+    # given without h_y was replaced by the computed extent; a string
+    # raised numpy's bare ValueError
     with pytest.raises(MeshError, match=rule):
-        Mesh(**_ARGS, **args)
+        Mesh(**{**_ARGS, **args})
 
 
 def test_mesh_keeps_a_given_size_and_computes_the_other():

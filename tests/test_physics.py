@@ -292,6 +292,32 @@ def test_manufactured_modes_sum_to_the_sources(params):
                                    rtol=0.0, atol=1e-15)
 
 
+@pytest.mark.parametrize("params", [MaterialParams.unit(),
+                                    MaterialParams(eps0=2.0, mu0=0.5, tau0=0.3)])
+def test_drive_coefficients_match_their_closed_forms(params):
+    # the scalar weights of the modes, against the closed forms evaluated by
+    # numpy on a vector of times: with s(t) = sin(wt) above the interface and
+    # g(t) below, ks = -mu0 a s' sx sy + 2w sin(wt) sx cy and the load is
+    # eps0 w (cos - tau0 w sin)(wt) V1 - a w (s + tau0 s') V2
+    case = ManufacturedCase(params)
+    eps0, mu0, tau0 = params.eps0, params.mu0, params.tau0
+    w = 2.0 * np.pi
+    a = 1.0 / (1.0 + w ** 2)
+    t = np.linspace(0.0, 0.01, 201)
+    st, ct, ex = np.sin(w * t), np.cos(w * t), np.exp(-t)
+    g, dg = w * (ct - ex), -w ** 2 * st + w * ex
+    closed = {"e_coeffs": [st],
+              "e_load_coeffs": [eps0 * w * (ct - tau0 * w * st),
+                                -a * w * (st + tau0 * w * ct),
+                                -a * w * (g + tau0 * dg)],
+              "ks_coeffs": [-mu0 * a * w * ct, -mu0 * a * dg, 2.0 * w * st]}
+    for name, rows in closed.items():
+        got = np.array([getattr(case, name)(float(ti)) for ti in t]).T
+        assert got.shape == (len(rows), len(t))
+        for row, want in zip(got, rows):
+            assert np.abs(row - want).max() <= 1e-15 * np.abs(want).max(), name
+
+
 def test_exact_fields_match_the_closed_forms(case):
     # both subdomains, and E and H at different times as the error norm asks
     rng = np.random.default_rng(5)
