@@ -146,10 +146,11 @@ def assemble_edge_load(mesh: Mesh, field) -> np.ndarray:
     F_{k+1} . grad(l_k)), F_m the integral over K of field times l_m.
     """
     rule = triangle_quadrature(3)
-    pts = quad_points_physical(mesh, rule)
-    vals = np.asarray(field(pts.reshape(-1, 2)) if callable(field) else field, dtype=float)
+    vals = np.asarray(field(quad_points_physical(mesh, rule).reshape(-1, 2))
+                      if callable(field) else field, dtype=float)
     lead = vals.shape[:-2]
-    moments = (rule.weights[:, None] * rule.points).T @ vals.reshape(lead + pts.shape)
+    moments = ((rule.weights[:, None] * rule.points).T
+               @ vals.reshape(lead + (mesh.n_triangles, -1, 2)))
     fx, fy = moments[..., 0], moments[..., 1]       # (..., nt, 3): F_m / (2|K|)
     gx, gy = _barycentric_gradients(mesh).transpose(1, 2, 0)   # (nt, 3) each
     local = (fx * gx[:, _NEXT] + fy * gy[:, _NEXT]

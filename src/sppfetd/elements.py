@@ -112,6 +112,6 @@ def project_l2_p0(field, mesh: Mesh) -> np.ndarray:
     for m fields at once, which gives (m, n_cells) means; an array holds
     them at the degree-3 `quad_points_physical`."""
     rule = triangle_quadrature(3)
-    pts = quad_points_physical(mesh, rule)
-    vals = np.asarray(field(pts.reshape(-1, 2)) if callable(field) else field, dtype=float)
-    return 2.0 * vals.reshape(vals.shape[:-1] + pts.shape[:2]) @ rule.weights
+    vals = np.asarray(field(quad_points_physical(mesh, rule).reshape(-1, 2))
+                      if callable(field) else field, dtype=float)
+    return 2.0 * vals.reshape(vals.shape[:-1] + (mesh.n_triangles, -1)) @ rule.weights

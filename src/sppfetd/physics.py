@@ -183,10 +183,9 @@ class ManufacturedCase:
     model with sources: f_vec = eps0 dE/dt - curl H and
     f_sca = mu0 dH/dt + curl E per subdomain; the scheme consumes them as
     ks = -f_sca (cell means) and the edge load f_vec + tau0 d(f_vec)/dt.
-    The case carries these drives only in modal form (fixed spatial modes
-    times coefficients of t) and the exact fields only as the pair the
-    error norm compares against; the pointwise closed forms, the oracle
-    both are tested against, live in tests/oracles.py.
+    The case carries the drives and the exact fields only in modal form
+    (fixed spatial modes times coefficients of t); the pointwise closed
+    forms, the oracle both are tested against, live in tests/oracles.py.
     """
 
     interface_y = 0.5
@@ -209,13 +208,9 @@ class ManufacturedCase:
         w, ex = 2.0 * math.pi, math.exp(-t)
         return w * (math.cos(w * t) - ex), -w ** 2 * math.sin(w * t) + w * ex
 
-    def exact_fields(self, pts, t_e, t_h):
-        """E = sin(2 pi t_e) V1 and H at t_h, (n, 2) and (n,), from one trig pass."""
-        sx, cx, sy, cy = self._sc(pts)
-        s_h = np.where(pts[:, 1] > self.interface_y, np.sin(2.0 * np.pi * t_h),
-                       self._g(t_h)[0])
-        return (np.sin(2.0 * np.pi * t_e) * np.column_stack([sx * sy, cx * cy]),
-                self._a * sx * sy * s_h)
+    def h_coeffs(self, t):
+        """H = sx sy times these at t: a sin(2 pi t) above the interface, a g(t) below."""
+        return self._a * math.sin(2.0 * math.pi * t), self._a * self._g(t)[0]
 
     # -- separable drives: fixed spatial modes (leading axis) weighted by
     # scalar coefficients of t, so a mesh integrates the modes only once.

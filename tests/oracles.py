@@ -462,12 +462,11 @@ def save_mesh(mesh, path):
 
 
 # -- pointwise fields and sources of the manufactured case ----------------------
-# physics.ManufacturedCase keeps its drives only as modes times coefficients
-# of t and its fields only as the pair `exact_fields` returns.  These are its
-# closed-form fields and the sources written out from them: E = sin(wt) V1
-# and H = a sx sy s(t) with s = sin(wt) above the interface and
-# g(t) = w (cos(wt) - exp(-t)) below; w = 2 pi, a = 1/(1 + w^2), V1 =
-# (sx sy, cx cy), and curl H = (dH/dy, -dH/dx) = a w s(t) (sx cy, -cx sy).
+# physics.ManufacturedCase keeps its drives and its fields only as modes times
+# coefficients of t.  These are its closed-form fields and the sources written
+# out from them: E = sin(wt) V1 and H = a sx sy s(t) with s = sin(wt) above the
+# interface and g(t) = w (cos(wt) - exp(-t)) below; w = 2 pi, a = 1/(1 + w^2),
+# V1 = (sx sy, cx cy), and curl H = (dH/dy, -dH/dx) = a w s(t) (sx cy, -cx sy).
 
 _W = 2.0 * np.pi
 _A = 1.0 / (1.0 + _W ** 2)

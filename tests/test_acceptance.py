@@ -14,8 +14,8 @@ from sppfetd.assembly import (apply_pec, assemble_edge_mass,
 from sppfetd.dynamics import (CflConstants, FieldState, LeapfrogStepper,
                               cfl_max_timestep, init_state, run_simulation)
 from sppfetd.elements import interpolate_hcurl, project_l2_p0
-from sppfetd.harness import (build_manufactured_problem, l2_errors,
-                             run_convergence_study)
+from sppfetd.harness import (ManufacturedDrivers, build_manufactured_problem,
+                             l2_errors, run_convergence_study)
 from sppfetd.mesh import (InterfaceSpec, Segment, generate_rect_mesh,
                           snap_interface)
 from sppfetd.physics import (KuboParams, ManufacturedCase, MaterialParams,
@@ -187,12 +187,12 @@ def test_criterion_6_interpolation_projection_rates():
     t = 0.3
     errs_e, errs_h = [], []
     for h in (1 / 8, 1 / 16, 1 / 32):
-        mesh, _, _ = build_manufactured_problem(h)
+        mesh, ops, _ = build_manufactured_problem(h)
         e = interpolate_hcurl(lambda p: oracles.e_field(case, p, t), mesh)
         hz = project_l2_p0(lambda p: oracles.h_field(case, p, t), mesh)
         state = FieldState(e_prev=e, e_curr=e, curl_e=None, hz=hz, hzx=np.zeros(0),
                            hzy=np.zeros(0), step=0, tau=0.0)
-        ee, eh = l2_errors(state, case, mesh, t)
+        ee, eh = l2_errors(state, ManufacturedDrivers(mesh, case, ops.pec_mask), t)
         errs_e.append(ee)
         errs_h.append(eh)
     rates_e = [np.log2(a / b) for a, b in zip(errs_e[:-1], errs_e[1:])]

@@ -15,7 +15,7 @@ import pytest
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from sppfetd import harness
+from sppfetd import assembly, elements, harness
 from sppfetd.assembly import build_operator_set
 from sppfetd.cli import main as cli_main
 from sppfetd.dynamics import FieldState, init_state, run_simulation
@@ -28,7 +28,8 @@ from sppfetd.harness import (ConfigError, ErrorTable, ManufacturedDrivers,
 from sppfetd.mesh import Arc, InterfaceSpec, Segment, generate_rect_mesh
 from sppfetd.physics import (KuboParams, ManufacturedCase, MaterialParams, SourceSpec,
                              damping_at_centroids, kubo_sigma0)
-from sppfetd.elements import interpolate_hcurl, project_l2_p0
+from sppfetd.elements import (eval_edge_field, interpolate_hcurl, project_l2_p0,
+                              quad_points_physical, triangle_quadrature)
 
 import oracles
 
@@ -78,7 +79,7 @@ def test_l2_errors_zero_state_equals_exact_norm():
                        curl_e=np.zeros(mesh.n_triangles),
                        hz=np.zeros(mesh.n_triangles), hzx=np.zeros(0),
                        hzy=np.zeros(0), step=0, tau=tau)
-    err_e, err_h = l2_errors(state, case, mesh, t)
+    err_e, err_h = l2_errors(state, ManufacturedDrivers(mesh, case, ops.pec_mask), t)
     # independent quadrature of the exact norms
     ref_pts, wts = oracles.duffy_rule(10)
     acc_e = acc_h = 0.0
@@ -101,8 +102,60 @@ def test_l2_errors_interpolant_scales_linearly_with_h():
         hz = project_l2_p0(lambda p: oracles.h_field(case, p, t), mesh)
         state = FieldState(e_prev=e, e_curr=e, curl_e=ops.c @ e, hz=hz, hzx=np.zeros(0),
                            hzy=np.zeros(0), step=0, tau=0.0)
-        errs.append(l2_errors(state, case, mesh, t)[0])
+        errs.append(l2_errors(state, ManufacturedDrivers(mesh, case, ops.pec_mask), t)[0])
     assert np.log2(errs[0] / errs[1]) == pytest.approx(1.0, abs=0.15)
+
+
+@pytest.mark.parametrize("h", [1 / 8, 1 / 16])
+@pytest.mark.parametrize("start", ["zero", "interpolated"])
+@pytest.mark.parametrize("t", [0.3, 2.3])
+def test_l2_errors_match_the_quadrature_of_the_closed_forms(h, start, t):
+    # the error norm reads the drivers' samples; the reference takes the same
+    # degree-3 quadrature of the pointwise closed forms, H at t - tau/2
+    mesh, ops, case = build_manufactured_problem(h)
+    tau = 1e-3
+    t_h = t - tau / 2
+    # H's time factors differ across the interface at t_h; were they equal,
+    # H at (1/4, 3/4) and at (1/4, 1/4) would cancel
+    assert abs(oracles.h_field(case, np.array([[0.25, 0.75], [0.25, 0.25]]), t_h).sum()) > 0.01
+    if start == "zero":
+        e, hz = np.zeros(mesh.n_edges), np.zeros(mesh.n_triangles)
+    else:
+        e = interpolate_hcurl(lambda p: oracles.e_field(case, p, t), mesh)
+        hz = project_l2_p0(lambda p: oracles.h_field(case, p, t_h), mesh)
+    state = FieldState(e_prev=e, e_curr=e, curl_e=ops.c @ e, hz=hz, hzx=np.zeros(0),
+                       hzy=np.zeros(0), step=0, tau=tau)
+    got = l2_errors(state, ManufacturedDrivers(mesh, case, ops.pec_mask), t)
+
+    rule = triangle_quadrature(3)
+    pts = quad_points_physical(mesh, rule).reshape(-1, 2)
+    weights = (2.0 * mesh.areas[:, None] * rule.weights).ravel()
+    de = oracles.e_field(case, pts, t) - eval_edge_field(mesh, e, rule).reshape(-1, 2)
+    dh = oracles.h_field(case, pts, t_h) - np.repeat(hz, len(rule.weights))
+    want = np.sqrt(weights @ np.sum(de ** 2, axis=1)), np.sqrt(weights @ dh ** 2)
+    assert min(want) > 0.0
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+
+def test_convergence_study_samples_each_mesh_once(monkeypatch):
+    # one trig pass on the degree-3 points and one set of those points per
+    # mesh serve the drives and the error norm
+    h = 1 / 10
+    n_cells = build_manufactured_problem(h)[0].n_triangles
+    trig, points = ManufacturedCase._sc, elements.quad_points_physical
+    trig_calls, point_calls = [], []
+    monkeypatch.setattr(ManufacturedCase, "_sc",
+                        staticmethod(lambda pts: trig_calls.append(len(pts)) or trig(pts)))
+
+    def counted_points(mesh, rule):
+        point_calls.append(mesh.n_triangles)
+        return points(mesh, rule)
+
+    for module in (elements, assembly, harness):
+        monkeypatch.setattr(module, "quad_points_physical", counted_points)
+    run_convergence_study("coupled", [h])
+    assert trig_calls.count(6 * n_cells) == 1
+    assert point_calls == [n_cells]
 
 
 def test_convergence_study_validates_input():
@@ -160,12 +213,14 @@ def test_manufactured_drivers_evaluate_no_closed_form_per_step(monkeypatch):
     trig = ManufacturedCase._sc
     monkeypatch.setattr(ManufacturedCase, "_sc",
                         staticmethod(lambda pts: calls.append(len(pts)) or trig(pts)))
+    state = init_state(ops, case.params, tau=1e-3)
     for t in (0.0, 0.3):
         drivers.source(t)
         drivers.extra_load(t)
         drivers.bc_values(t)
+        l2_errors(state, drivers, t)
     assert calls == []
-    case.exact_fields(mesh.centroids, 0.3, 0.3)   # the counter does see a pointwise call
+    case.e_modes(mesh.centroids)   # the counter does see a pointwise call
     assert calls == [mesh.n_triangles]
 
 
