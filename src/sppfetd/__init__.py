@@ -2,13 +2,12 @@
 
 from .assembly import (OperatorSet, apply_pec, assemble_edge_load,
                        assemble_edge_mass, assemble_interface_mass,
-                       assemble_mixed_curl, boundary_dof_mask,
-                       build_operator_set)
+                       assemble_mixed_curl, build_operator_set)
 from .dynamics import (BlowUpError, CflConstants, EnergyReport, FieldState,
                        LeapfrogStepper, cfl_max_timestep, discrete_energy,
                        init_state, run_simulation)
-from .elements import (QuadratureRule, interpolate_hcurl, project_l2_p0,
-                       segment_quadrature, triangle_quadrature)
+from .elements import (CENTROID, DEGREE3, GAUSS2, QuadratureRule,
+                       interpolate_hcurl, project_l2_p0)
 from .harness import (ErrorTable, SimulationConfig, l2_errors, load_config,
                       run, run_convergence_study, scenario, write_energy_log,
                       write_snapshot)

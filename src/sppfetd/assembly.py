@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .elements import (_NEXT, _barycentric_gradients, quad_points_physical,
-                       triangle_quadrature)
+from .elements import (_NEXT, DEGREE3, _barycentric_gradients,
+                       quad_points_physical)
 from .mesh import TRI_EDGE_LOCAL, CellTag, EdgeTag, Mesh
 
 
@@ -64,21 +64,14 @@ class OperatorSet:
     damped: np.ndarray
 
 
-def _cell_coeff(mesh: Mesh, coeff) -> np.ndarray:
-    """Normalise a coefficient spec to an (nt, 2) diagonal-weight array."""
-    nt = mesh.n_triangles
-    arr = np.asarray(1.0 if coeff is None else coeff, dtype=float)
-    if arr.shape == (nt,):
-        arr = arr[:, None]
-    if arr.shape not in ((), (nt, 1), (nt, 2)):
-        raise ValueError(f"coefficient shape {arr.shape} does not match {nt} cells")
-    return np.broadcast_to(arr, (nt, 2))
+def assemble_edge_mass(mesh: Mesh, w: np.ndarray, cells=slice(None)) -> sp.csr_matrix:
+    """Edge mass over `cells` with (n, 2) diagonal weights of any sign, exact.
 
-
-def _edge_mass_kernel(mesh: Mesh, w: np.ndarray, cells=slice(None)) -> sp.csr_matrix:
-    """Edge mass over `cells` with (n, 2) diagonal weights of any sign, exact:
-    _EDGE_MASS_MAP applied to each cell's weighted gradient products, scaled
-    by |K| and the two edge signs, summed into an edge-by-edge CSR."""
+    Entry (e, e') = sum over K in `cells` of the integral of w1 phi_e,x phi_e',x
+    + w2 phi_e,y phi_e',y: _EDGE_MASS_MAP applied to each cell's weighted
+    gradient products, scaled by |K| and the two edge signs, summed into an
+    edge-by-edge CSR.
+    """
     g = _barycentric_gradients(mesh, cells)         # (3, 2, n)
     prods = w[:, 0] * (g[:, None, 0] * g[:, 0]) + w[:, 1] * (g[:, None, 1] * g[:, 1])
     local = _EDGE_MASS_MAP @ prods.reshape(9, -1)   # (9, n)
@@ -97,17 +90,6 @@ def _edge_mass_kernel(mesh: Mesh, w: np.ndarray, cells=slice(None)) -> sp.csr_ma
         stored = np.flatnonzero(stored.T)
         rows, cols, data = rows[stored], cols[stored], data[stored]
     return sp.coo_matrix((data, (rows, cols)), shape=(mesh.n_edges,) * 2).tocsr()
-
-
-def assemble_edge_mass(mesh: Mesh, coeff=None) -> sp.csr_matrix:
-    """Edge mass with scalar or 2x2-diagonal per-cell coefficient.
-
-    Entry (e, e') = sum_K integral of w1 phi_e,x phi_e',x + w2 phi_e,y phi_e',y.
-    """
-    w = _cell_coeff(mesh, coeff)
-    if np.any(w < 0.0) or not np.all(np.isfinite(w)):
-        raise ValueError("edge-mass coefficient must be finite and nonnegative")
-    return _edge_mass_kernel(mesh, w)
 
 
 def assemble_mixed_curl(mesh: Mesh) -> sp.csr_matrix:
@@ -145,11 +127,10 @@ def assemble_edge_load(mesh: Mesh, field) -> np.ndarray:
     edge k = (k, k+1) with sign s_k takes s_k (F_k . grad(l_{k+1}) -
     F_{k+1} . grad(l_k)), F_m the integral over K of field times l_m.
     """
-    rule = triangle_quadrature(3)
-    vals = np.asarray(field(quad_points_physical(mesh, rule).reshape(-1, 2))
+    vals = np.asarray(field(quad_points_physical(mesh, DEGREE3).reshape(-1, 2))
                       if callable(field) else field, dtype=float)
     lead = vals.shape[:-2]
-    moments = ((rule.weights[:, None] * rule.points).T
+    moments = ((DEGREE3.weights[:, None] * DEGREE3.points).T
                @ vals.reshape(lead + (mesh.n_triangles, -1, 2)))
     fx, fy = moments[..., 0], moments[..., 1]       # (..., nt, 3): F_m / (2|K|)
     gx, gy = _barycentric_gradients(mesh).transpose(1, 2, 0)   # (nt, 3) each
@@ -160,11 +141,6 @@ def assemble_edge_load(mesh: Mesh, field) -> np.ndarray:
     out = [np.bincount(idx, w, minlength=mesh.n_edges)
            for w in local.reshape(-1, idx.size)]
     return np.reshape(out, lead + (mesh.n_edges,))
-
-
-def boundary_dof_mask(mesh: Mesh) -> np.ndarray:
-    """Boolean mask of PEC-constrained edge DoFs."""
-    return mesh.edge_tags == EdgeTag.OUTER_BOUNDARY
 
 
 def apply_pec(matrix: sp.spmatrix, mask: np.ndarray) -> sp.csr_matrix:
@@ -192,13 +168,13 @@ def build_operator_set(mesh: Mesh, sigma_x=None, sigma_y=None) -> OperatorSet:
     sigma_y = np.zeros(nt) if sigma_y is None else np.asarray(sigma_y, dtype=float)
     return OperatorSet(
         mesh=mesh,
-        m_e=assemble_edge_mass(mesh),
+        m_e=assemble_edge_mass(mesh, np.ones((nt, 2))),
         c=assemble_mixed_curl(mesh),
         g=assemble_interface_mass(mesh),
         areas=mesh.areas.copy(),
         sigma_x=sigma_x,
         sigma_y=sigma_y,
         c1=(mesh.cell_tags == CellTag.PHYSICAL).astype(float),
-        pec_mask=boundary_dof_mask(mesh),
+        pec_mask=mesh.edge_tags == EdgeTag.OUTER_BOUNDARY,
         damped=np.flatnonzero((sigma_x != 0.0) | (sigma_y != 0.0)),
     )

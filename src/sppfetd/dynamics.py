@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import OperatorSet, _edge_mass_kernel, apply_pec
+from .assembly import OperatorSet, apply_pec, assemble_edge_mass
 from .checks import positive, validate
 from .elements import interpolate_hcurl
 from .mesh import Mesh
@@ -184,7 +184,7 @@ class LeapfrogStepper:
         # r in a form that stays finite when eps0/tau^2 underflows
         self._r, self._collar = 2.0 / (1.0 + tau / (2.0 * tau0)), None
         if len(cells):
-            k_collar = _edge_mass_kernel(ops.mesh, w[cells] - self._w_phys, cells)
+            k_collar = assemble_edge_mass(ops.mesh, w[cells] - self._w_phys, cells)
             self.a += k_collar
             self._collar_rows = np.flatnonzero(np.diff(k_collar.indptr))
             self._collar = k_collar[self._collar_rows]

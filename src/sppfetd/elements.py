@@ -3,9 +3,10 @@
 The edge space is spanned per triangle by the three Whitney functions
 phi_e = lambda_i grad(lambda_j) - lambda_j grad(lambda_i), one per edge,
 normalised so the tangential moment over the own edge equals one.  The
-scalar space is piecewise constant.  Quadrature rules are symmetric
-positive-weight rules on the reference triangle (barycentric points,
-weights summing to the reference measure 1/2) and Gauss rules on [0, 1].
+scalar space is piecewise constant.  The scheme uses three quadrature
+rules: two symmetric positive-weight rules on the reference triangle
+(barycentric points, weights summing to the reference measure 1/2) and a
+Gauss rule on [0, 1].
 """
 
 from __future__ import annotations
@@ -30,30 +31,17 @@ def _orbit3(a, b):
     return [(a, b, b), (b, a, b), (b, b, a)]
 
 
-_TRI_RULES = {
-    1: ([(1 / 3, 1 / 3, 1 / 3)], [0.5]),
-    # Dunavant 6-point, exact to degree 4.
-    3: (_orbit3(0.816847572980459, 0.091576213509771)
-        + _orbit3(0.108103018168070, 0.445948490915965),
-        [0.109951743655322 / 2] * 3 + [0.223381589678011 / 2] * 3),
-}
-
-
-def triangle_quadrature(degree: int) -> QuadratureRule:
-    """Symmetric positive rule on the reference triangle, exact to `degree` (1 or 3)."""
-    if degree not in _TRI_RULES:
-        raise ValueError(f"unsupported triangle quadrature degree {degree}")
-    pts, w = _TRI_RULES[degree]
-    return QuadratureRule(np.array(pts, dtype=float), np.array(w, dtype=float))
-
-
-def segment_quadrature(degree: int) -> QuadratureRule:
-    """Gauss rule on [0, 1], exact to `degree`."""
-    if degree not in range(1, 6):
-        raise ValueError(f"unsupported segment quadrature degree {degree}")
-    n = (degree + 2) // 2
-    xi, w = np.polynomial.legendre.leggauss(n)
-    return QuadratureRule(0.5 * (xi + 1.0), 0.5 * w)
+# The scheme's three rules.  One point, exact to degree 1: a Whitney field's
+# cell value for the snapshots.
+CENTROID = QuadratureRule(np.full((1, 3), 1 / 3), np.array([0.5]))
+# Dunavant 6-point, exact to degree 4: loads, projections and L2 errors.
+DEGREE3 = QuadratureRule(
+    np.array(_orbit3(0.816847572980459, 0.091576213509771)
+             + _orbit3(0.108103018168070, 0.445948490915965)),
+    np.array([0.109951743655322 / 2] * 3 + [0.223381589678011 / 2] * 3))
+# Two-point Gauss on [0, 1], exact to degree 3: edge interpolation.
+_GAUSS_XI, _GAUSS_W = np.polynomial.legendre.leggauss(2)
+GAUSS2 = QuadratureRule(0.5 * (_GAUSS_XI + 1.0), 0.5 * _GAUSS_W)
 
 
 def _barycentric_gradients(mesh: Mesh, cells=slice(None)) -> np.ndarray:
@@ -95,13 +83,12 @@ def interpolate_hcurl(field, mesh: Mesh, edges=slice(None)) -> np.ndarray:
     tangent runs from the lower-index to the higher-index endpoint.
     `edges` (indices or a boolean mask) keeps only those edges' DoFs.
     """
-    rule = segment_quadrature(3)
     p0 = mesh.vertices[mesh.edges[edges, 0]]
     p1 = mesh.vertices[mesh.edges[edges, 1]]
     dofs = sum(w * np.einsum("...ed,ed->...e",
                              np.asarray(field(p0 + s * (p1 - p0)), dtype=float),
                              mesh.edge_tangents[edges])
-               for s, w in zip(rule.points, rule.weights))
+               for s, w in zip(GAUSS2.points, GAUSS2.weights))
     return dofs * mesh.edge_lengths[edges]
 
 
@@ -111,7 +98,6 @@ def project_l2_p0(field, mesh: Mesh) -> np.ndarray:
     `field` maps an (n, 2) point array to (n,) scalar values, or to (m, n)
     for m fields at once, which gives (m, n_cells) means; an array holds
     them at the degree-3 `quad_points_physical`."""
-    rule = triangle_quadrature(3)
-    vals = np.asarray(field(quad_points_physical(mesh, rule).reshape(-1, 2))
+    vals = np.asarray(field(quad_points_physical(mesh, DEGREE3).reshape(-1, 2))
                       if callable(field) else field, dtype=float)
-    return 2.0 * vals.reshape(vals.shape[:-1] + (mesh.n_triangles, -1)) @ rule.weights
+    return 2.0 * vals.reshape(vals.shape[:-1] + (mesh.n_triangles, -1)) @ DEGREE3.weights

@@ -12,8 +12,8 @@ from .assembly import assemble_edge_load, build_operator_set
 from .checks import (ConfigError, FieldError, count, nonnegative, numbers, one_of,
                      optional, positive, string, validate)
 from .dynamics import CflConstants, FieldState, SimulationResult, run_simulation
-from .elements import (eval_edge_field, interpolate_hcurl, project_l2_p0,
-                       quad_points_physical, triangle_quadrature)
+from .elements import (CENTROID, DEGREE3, eval_edge_field, interpolate_hcurl,
+                       project_l2_p0, quad_points_physical)
 from .mesh import (Arc, InterfaceSpec, Mesh, Segment,
                    generate_rect_mesh, load_mesh, snap_interface)
 from .physics import (KuboParams, ManufacturedCase, MaterialParams, SourceSpec,
@@ -105,12 +105,12 @@ def l2_errors(state: FieldState, drivers: ManufacturedDrivers, t: float):
     the case's coefficients of time: E at time t, and H at t - tau/2, half a
     step earlier, where the magnetic cell values live.
     """
-    mesh, case, rule = drivers.mesh, drivers.case, triangle_quadrature(3)
+    mesh, case = drivers.mesh, drivers.case
     e_ex = case.e_coeffs(t)[0] * drivers.v1
     h_ex = drivers.v1[..., 0] * np.where(drivers.upper, *case.h_coeffs(t - 0.5 * state.tau))
-    diff2 = np.sum((e_ex - eval_edge_field(mesh, state.e_curr, rule)) ** 2, axis=2)
+    diff2 = np.sum((e_ex - eval_edge_field(mesh, state.e_curr, DEGREE3)) ** 2, axis=2)
     dh2 = (h_ex - state.hz[:, None]) ** 2
-    weights = 2.0 * mesh.areas[:, None] * rule.weights
+    weights = 2.0 * mesh.areas[:, None] * DEGREE3.weights
     return float(np.sqrt(np.sum(weights * diff2))), float(np.sqrt(np.sum(weights * dh2)))
 
 
@@ -127,7 +127,7 @@ class ManufacturedDrivers:
 
     def __init__(self, mesh: Mesh, case: ManufacturedCase, pec_mask: np.ndarray):
         self.mesh, self.case = mesh, case
-        pts = quad_points_physical(mesh, triangle_quadrature(3))
+        pts = quad_points_physical(mesh, DEGREE3)
         ks_modes, e_load_modes = case.drive_modes(pts.reshape(-1, 2))   # one trig pass
         self.upper = pts[..., 1] > case.interface_y
         self.ks_means = project_l2_p0(ks_modes, mesh)
@@ -400,7 +400,7 @@ def write_snapshot(state: FieldState, mesh: Mesh, path, geometry: str) -> None:
     """Legacy ASCII VTK unstructured grid with the cell data Hz and E of
     `state`; `geometry` is `_vtk_geometry(mesh)`, which a run formats once
     for all its snapshots."""
-    e_cells = eval_edge_field(mesh, state.e_curr, triangle_quadrature(1))[:, 0, :]
+    e_cells = eval_edge_field(mesh, state.e_curr, CENTROID)[:, 0, :]
     nt = mesh.n_triangles
     try:
         with open(path, "w") as f:

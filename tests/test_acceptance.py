@@ -1,4 +1,5 @@
-"""Acceptance suite: one test per criterion, each printing pass/fail.
+"""Acceptance suite: one test per criterion, each printing pass/fail, and
+the absorbing collar's reflection gate, which prints its figure alike.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the summary lines.
 The full module takes a few minutes; the two field-scale runs (absorber
@@ -16,14 +17,14 @@ from sppfetd.dynamics import (CflConstants, FieldState, LeapfrogStepper,
 from sppfetd.elements import interpolate_hcurl, project_l2_p0
 from sppfetd.harness import (ManufacturedDrivers, build_manufactured_problem,
                              l2_errors, run_convergence_study)
-from sppfetd.mesh import (InterfaceSpec, Segment, generate_rect_mesh,
-                          snap_interface)
+from sppfetd.mesh import (CellTag, InterfaceSpec, Mesh, Segment,
+                          generate_rect_mesh, snap_interface)
 from sppfetd.physics import (KuboParams, ManufacturedCase, MaterialParams,
                              SourceSpec, damping_at_centroids,
                              dipole_source_cells, eval_source, kubo_sigma0)
 
 import oracles
-from test_physics import manufactured_residuals
+from test_physics import extrapolated_residuals
 
 UM = 1e-6
 C_LIGHT = 2.99792458e8
@@ -147,7 +148,8 @@ def test_criterion_5_assembly_oracles():
 
     checks = {
         "M_E": (ops.m_e.toarray(), dense_m_e),
-        "M_E_phys": (assemble_edge_mass(mesh, c1).toarray(), dense_m_phys),
+        "M_E_phys": (assemble_edge_mass(mesh, np.column_stack([c1, c1])).toarray(),
+                     dense_m_phys),
         "M_D1": (assemble_edge_mass(mesh, np.column_stack(
             [ops.sigma_y, ops.sigma_x])).toarray(), dense_m_d1),
         # relative to the leading coefficient eps0/tau^2 = 1e4
@@ -230,6 +232,55 @@ def test_criterion_7_pml_effectiveness():
             f"after 1000 steps (gate: one source period)")
 
 
+def test_collar_normal_incidence_reflection():
+    # A TEM wave (E along x, Hz uniform across) between PEC plates at x = 0
+    # and W, with the published 12-layer collar at the two y ends only: the
+    # physical bounds span the full width, so sigma_x = 0 everywhere.  A
+    # continuous Ks row at y = -15 um drives 30 periods at 10 THz; the
+    # row-mean Hz over the last 5, fitted to A e^{-iky} + B e^{iky} (the
+    # incident and reflected waves under an e^{-i omega t} kernel) clear of
+    # the source and the collar, gives the collar's reflection |B/A|.  It is
+    # structural (P0 Hz gives both split halves the same drive, and a
+    # y-collar never damps the hzx half), so the gate pins today's figure.
+    width, half, h, layers, f0 = 2 * UM, 20 * UM, 0.4 * UM, 12, 1e13
+    depth, nx, ny = layers * h, 5, 2 * (50 + layers)
+    grid = generate_rect_mesh((0.0, width, -half - depth, half + depth), nx, ny, 0)
+    tags = np.where(np.abs(grid.centroids[:, 1]) > half, CellTag.PML, CellTag.PHYSICAL)
+    mesh = Mesh(grid.vertices, grid.triangles, tags, h_x=h, h_y=h,
+                physical_bounds=(0.0, width, -half, half))
+    sx, sy = damping_at_centroids(mesh)
+    assert not sx.any() and sy[tags == CellTag.PML].all()
+    ops = build_operator_set(mesh, sx, sy)
+
+    params = MaterialParams()
+    tau = h / (4.0 * params.c_v)
+    omega, n_steps, n_last = 2 * np.pi * f0, round(30 / (f0 * tau)), round(5 / (f0 * tau))
+    drive = np.abs(mesh.centroids[:, 1] + 15 * UM) < h / 2
+    assert drive.sum() == 2 * nx
+    state = init_state(ops, params, tau=tau)
+    stepper = LeapfrogStepper(ops, params, tau)
+    ks, dft = np.zeros(mesh.n_triangles), np.zeros(ny, dtype=complex)
+    for n in range(n_steps):
+        ks[drive] = np.sin(omega * n * tau)
+        stepper.advance(state, ks)
+        if n >= n_steps - n_last:   # generate_rect_mesh numbers cells row by row
+            row_mean = state.hz.reshape(ny, 2 * nx).mean(axis=1)
+            dft += row_mean * np.exp(-1j * omega * (n + 0.5) * tau)
+
+    y = -half - depth + (np.arange(ny) + 0.5) * h
+    fit = (y > -10 * UM) & (y < 15 * UM)
+    k = omega / params.c_v
+    waves = np.exp(np.outer(y[fit], [-1j * k, 1j * k]))
+    (inc, ref), *_ = np.linalg.lstsq(waves, dft[fit], rcond=None)
+    residual = np.linalg.norm(waves @ [inc, ref] - dft[fit]) / np.linalg.norm(dft[fit])
+    reflection = abs(ref / inc)
+    ok = reflection <= 0.42 and residual <= 2e-3
+    detail = (f"|R| = {reflection:.3f} at normal incidence, 12 layers of 0.4 um "
+              f"(gate 0.42); fit residual {residual:.1e} (gate 2e-3)")
+    print(f"\n[{'PASS' if ok else 'FAIL'}] collar gate (TEM channel reflection): {detail}")
+    assert ok, f"collar gate failed: {detail}"
+
+
 def _example1_reduced(sigma0, n_steps, tau):
     mesh = generate_rect_mesh((-30 * UM, 30 * UM, -10 * UM, 10 * UM), 50, 50, 12)
     iface = InterfaceSpec([
@@ -274,8 +325,8 @@ def test_criterion_8_spp_localization():
             proj = pa + t[:, None] * ab
             dist = np.minimum(dist, np.hypot(*(c - proj).T))
         band = ((dist <= 2 * mesh.h_y) & (mesh.cell_tags == 0)).astype(float)
-        m_band = assemble_edge_mass(mesh, band)
-        m_phys = assemble_edge_mass(mesh, ops.c1)
+        m_band = assemble_edge_mass(mesh, np.column_stack([band, band]))
+        m_phys = assemble_edge_mass(mesh, np.column_stack([ops.c1, ops.c1]))
         fracs.append(float(e @ (m_band @ e)) / float(e @ (m_phys @ e)))
     ratio = fracs[0] / fracs[1]
     ok = ratio >= 3.0
@@ -285,7 +336,10 @@ def test_criterion_8_spp_localization():
 
 
 def test_criterion_9_manufactured_source_oracle():
-    res_e, res_h = manufactured_residuals(ManufacturedCase(), n_points=100)
-    ok = res_e <= 1e-6 and res_h <= 1e-6
+    (e1, e2, e_ex), (h1, h2, h_ex) = extrapolated_residuals(ManufacturedCase())
+    ok = e_ex <= 1e-6 and h_ex <= 1e-6
     _report(9, "manufactured source finite-difference oracle", ok,
-            f"max residuals: electric {res_e:.2e}, magnetic {res_h:.2e}")
+            f"max residuals at dx = dt = 1e-3 / 5e-4: electric {e1:.2e} / {e2:.2e} "
+            f"(ratio {e1 / e2:.4f}), magnetic {h1:.2e} / {h2:.2e} (ratio {h1 / h2:.4f}); "
+            f"Richardson-extrapolated: electric {e_ex:.1e}, magnetic {h_ex:.1e} "
+            f"(gate 1e-6)")

@@ -8,9 +8,9 @@ from scipy.sparse.linalg import splu
 from sppfetd import sparse_solve
 from sppfetd.assembly import (apply_pec, assemble_edge_load, assemble_edge_mass,
                               assemble_interface_mass, assemble_mixed_curl,
-                              boundary_dof_mask, build_operator_set)
+                              build_operator_set)
 from sppfetd.dynamics import LeapfrogStepper
-from sppfetd.elements import interpolate_hcurl, triangle_quadrature
+from sppfetd.elements import DEGREE3, interpolate_hcurl
 from sppfetd.harness import SCENARIO_NAMES, build_manufactured_problem, scenario
 from sppfetd.mesh import (InterfaceSpec, Mesh, Segment, generate_rect_mesh,
                           snap_interface)
@@ -38,7 +38,7 @@ def pair_mesh():
 
 
 def test_edge_mass_matches_quadrature_oracle(pair_mesh):
-    got = assemble_edge_mass(pair_mesh).toarray()
+    got = assemble_edge_mass(pair_mesh, np.ones((pair_mesh.n_triangles, 2))).toarray()
     ref = oracles.dense_edge_mass(pair_mesh)
     np.testing.assert_allclose(got, ref, atol=1e-13)
 
@@ -54,32 +54,43 @@ def test_edge_mass_closed_form_on_one_cell_matches_oracle(order):
         verts = np.empty((3, 2))
         verts[list(order)] = np.roll(sheared, shift, axis=0)
         mesh = Mesh(verts, [list(order)])
-        for coeff in (None, np.array([[0.7, 2.9]])):
-            got = assemble_edge_mass(mesh, coeff).toarray()
-            ref = oracles.dense_edge_mass(mesh, coeff)
+        for w in (np.ones((1, 2)), np.array([[0.7, 2.9]])):
+            got = assemble_edge_mass(mesh, w).toarray()
+            ref = oracles.dense_edge_mass(mesh, w)
             np.testing.assert_allclose(got, ref, rtol=0.0,
                                        atol=1e-13 * np.abs(ref).max())
 
 
 def test_edge_mass_zero_coefficient(small_mesh):
-    got = assemble_edge_mass(small_mesh, 0.0)
+    got = assemble_edge_mass(small_mesh, np.zeros((small_mesh.n_triangles, 2)))
     assert abs(got).max() == 0.0
 
 
 def test_edge_mass_shared_edge_accumulates(pair_mesh):
     diag = pair_mesh.edge_index(0, 3)  # lower-left to upper-right diagonal
-    full = assemble_edge_mass(pair_mesh).toarray()[diag, diag]
+    full = assemble_edge_mass(pair_mesh, np.ones((2, 2))).toarray()[diag, diag]
     per_cell = []
     for cell in (0, 1):
-        coeff = np.zeros(2)
-        coeff[cell] = 1.0
-        per_cell.append(assemble_edge_mass(pair_mesh, coeff).toarray()[diag, diag])
+        w = np.zeros((2, 2))
+        w[cell] = 1.0
+        per_cell.append(assemble_edge_mass(pair_mesh, w).toarray()[diag, diag])
     assert full == pytest.approx(sum(per_cell), rel=1e-13)
 
 
-def test_edge_mass_rejects_negative_coefficient(small_mesh):
-    with pytest.raises(ValueError):
-        assemble_edge_mass(small_mesh, -1.0)
+@pytest.mark.parametrize("mesh", [generate_rect_mesh((0, 1, 0, 1), 2, 2, 0),
+                                  oracles.jittered_mesh()], ids=["grid", "jittered"])
+def test_edge_mass_signed_weights_on_a_cell_subset(mesh):
+    # the stepper's collar correction: weights of either sign, unequal or
+    # equal (cell 5's are equal and negative: on the grid the kernel drops
+    # that right isosceles cell's exact zeros), over some cells only, against
+    # the oracle with zero weight on the other cells
+    cells = np.array([1, 2, 5, 6])
+    w = np.array([[0.7, -1.3], [-2.0, 0.4], [-0.9, -0.9], [1.5, 2.5]])
+    got = assemble_edge_mass(mesh, w, cells).toarray()
+    everywhere = np.zeros((mesh.n_triangles, 2))
+    everywhere[cells] = w
+    ref = oracles.dense_edge_mass(mesh, everywhere)
+    np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-13 * np.abs(ref).max())
 
 
 def _stored(mat, rows, cols):
@@ -157,8 +168,8 @@ def test_zeroed_couplings_are_far_below_kept_ones():
         local = oracles.local_edge_masses(mesh)
         p, q = [0, 0, 1], [1, 2, 2]            # the local off-diagonal pairs
         ratio = np.abs(local[:, p, q]) / np.sqrt(local[:, p, p] * local[:, q, q])
-        kept = _stored(assemble_edge_mass(mesh), mesh.tri_edges[:, p],
-                       mesh.tri_edges[:, q])
+        kept = _stored(assemble_edge_mass(mesh, np.ones((mesh.n_triangles, 2))),
+                       mesh.tri_edges[:, p], mesh.tri_edges[:, q])
         assert np.all(ratio[~kept] <= 1e-13)
         assert np.all(ratio[kept] >= 1e-6)
         zeroed_total += np.count_nonzero(~kept)
@@ -187,12 +198,13 @@ def test_curl_curl_rank_euler(small_mesh):
     s_mat = curl_curl(small_mesh).toarray()
     expected = small_mesh.n_edges - small_mesh.n_vertices + 1
     assert np.linalg.matrix_rank(s_mat, tol=1e-10) == expected
-    pecced = apply_pec(sp.csr_matrix(s_mat), boundary_dof_mask(small_mesh))
+    mask = build_operator_set(small_mesh).pec_mask
+    pecced = apply_pec(sp.csr_matrix(s_mat), mask)
     # constrained block is the identity; the interior block loses one rank
     # per interior vertex (gradients of interior hat functions)
-    n_boundary = int(boundary_dof_mask(small_mesh).sum())
+    n_boundary = int(mask.sum())
     n_int_edges = small_mesh.n_edges - n_boundary
-    boundary_verts = np.unique(small_mesh.edges[boundary_dof_mask(small_mesh)])
+    boundary_verts = np.unique(small_mesh.edges[mask])
     n_int_verts = small_mesh.n_vertices - len(boundary_verts)
     assert (np.linalg.matrix_rank(pecced.toarray(), tol=1e-10)
             == n_boundary + n_int_edges - n_int_verts)
@@ -301,7 +313,7 @@ def test_edge_load_with_mode_axis_matches_basis_table():
                          np.column_stack([x * x - y, 0.5 + x * y]),
                          np.column_stack([np.exp(x - y), -np.sin(x + 2 * y)])])
 
-    ref = oracles.table_edge_load(mesh, modes, triangle_quadrature(3))
+    ref = oracles.table_edge_load(mesh, modes, DEGREE3)
     got = assemble_edge_load(mesh, modes)
     assert got.shape == ref.shape == (3, mesh.n_edges)
     np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-14 * np.abs(ref).max())
@@ -310,9 +322,10 @@ def test_edge_load_with_mode_axis_matches_basis_table():
 
 
 def test_apply_pec_two_triangle_mesh(pair_mesh):
-    mask = boundary_dof_mask(pair_mesh)
+    ops = build_operator_set(pair_mesh)
+    mask = ops.pec_mask
     assert int(mask.sum()) == 4 and int((~mask).sum()) == 1
-    m_pec = apply_pec(assemble_edge_mass(pair_mesh), mask)
+    m_pec = apply_pec(ops.m_e, mask)
     rng = np.random.default_rng(0)
     b = rng.standard_normal(pair_mesh.n_edges)
     b[mask] = 0.0
@@ -321,8 +334,8 @@ def test_apply_pec_two_triangle_mesh(pair_mesh):
 
 
 def test_apply_pec_preserves_constrained_energy(small_mesh):
-    mask = boundary_dof_mask(small_mesh)
-    m_raw = assemble_edge_mass(small_mesh)
+    ops = build_operator_set(small_mesh)
+    mask, m_raw = ops.pec_mask, ops.m_e
     m_pec = apply_pec(m_raw, mask)
     rng = np.random.default_rng(1)
     x = rng.standard_normal(small_mesh.n_edges)
@@ -359,7 +372,7 @@ def test_operator_set_symmetry_and_oracle(small_mesh):
     sy = np.abs(rng.standard_normal(small_mesh.n_triangles))
     ops = build_operator_set(small_mesh, sx, sy)
     # the physical and damping masses the step matrix combines
-    m_phys = assemble_edge_mass(small_mesh, ops.c1)
+    m_phys = assemble_edge_mass(small_mesh, np.column_stack([ops.c1, ops.c1]))
     m_d1 = assemble_edge_mass(small_mesh, np.column_stack([ops.sigma_y, ops.sigma_x]))
     s_mat = (ops.c.T @ sp.diags(1.0 / ops.areas) @ ops.c).tocsr()
     s_phys = (ops.c.T @ sp.diags(ops.c1 / ops.areas) @ ops.c).tocsr()
@@ -386,7 +399,8 @@ def test_step_system_matrix_positive_definite(small_mesh):
     tau, eps0, tau0 = 1e-3, 1.0, 1.0
     m_d1 = assemble_edge_mass(small_mesh, np.column_stack([ops.sigma_y, ops.sigma_x]))
     a_mat = ((eps0 / tau ** 2) * ops.m_e + (1.0 / (2 * tau)) * m_d1
-             + (eps0 / (2 * tau * tau0)) * assemble_edge_mass(small_mesh, ops.c1))
+             + (eps0 / (2 * tau * tau0))
+             * assemble_edge_mass(small_mesh, np.column_stack([ops.c1, ops.c1])))
     stepper = LeapfrogStepper(ops, MaterialParams(eps0=eps0, tau0=tau0), tau)
     assert abs(stepper.a - a_mat).max() <= 1e-12 * abs(a_mat).max()
     a_pec = apply_pec(stepper.a, ops.pec_mask)

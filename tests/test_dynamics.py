@@ -570,14 +570,14 @@ def test_run_factors_each_step_matrix_once(small_setup, monkeypatch,
 def _count_kernel_cells(monkeypatch):
     """Record how many cells each edge-mass kernel pass visits."""
     visits = []
-    real = assembly._edge_mass_kernel
+    real = assembly.assemble_edge_mass
 
     def counting(mesh, w, *args):
         visits.append(len(w))
         return real(mesh, w, *args)
 
-    monkeypatch.setattr(assembly, "_edge_mass_kernel", counting)
-    monkeypatch.setattr(dynamics, "_edge_mass_kernel", counting)
+    monkeypatch.setattr(assembly, "assemble_edge_mass", counting)
+    monkeypatch.setattr(dynamics, "assemble_edge_mass", counting)
     return visits
 
 

@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 
 from sppfetd.assembly import assemble_mixed_curl
-from sppfetd.elements import (QuadratureRule, eval_edge_field, interpolate_hcurl,
-                              project_l2_p0, quad_points_physical,
-                              segment_quadrature, triangle_quadrature)
+from sppfetd.elements import (CENTROID, DEGREE3, GAUSS2, QuadratureRule,
+                              eval_edge_field, interpolate_hcurl, project_l2_p0,
+                              quad_points_physical)
 from sppfetd.mesh import TRI_EDGE_LOCAL, Mesh, generate_rect_mesh
 
 from oracles import (duffy_rule, edge_midpoints, jittered_mesh, ref_whitney,
                      table_edge_field)
 
 RIGHT = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+TRIANGLE_RULES = {1: CENTROID, 3: DEGREE3}     # by the degree each is exact to
 
 
 def _one_cell(tri, order=(0, 1, 2)):
@@ -33,7 +34,7 @@ def _basis_at(mesh, bary):
 
 def _moment_matrix(mesh):
     """Tangential moments of the three basis functions over the cell's edges."""
-    rule = segment_quadrature(3)
+    rule = GAUSS2
     out = np.zeros((3, 3))
     for k, (i, j) in enumerate(TRI_EDGE_LOCAL):
         bary = np.zeros((len(rule.points), 3))
@@ -107,7 +108,7 @@ def test_piola_map_preserves_tangential_moments():
 
 @pytest.mark.parametrize("degree", [1, 3])
 def test_triangle_rule_monomial_exactness(degree):
-    rule = triangle_quadrature(degree)
+    rule = TRIANGLE_RULES[degree]
     assert np.all(rule.weights > 0)
     for p in range(degree + 1):
         for q in range(degree + 1 - p):
@@ -120,34 +121,24 @@ def test_triangle_rule_monomial_exactness(degree):
 
 
 def test_triangle_rule_degree1_is_centroid():
-    rule = triangle_quadrature(1)
-    np.testing.assert_allclose(rule.points, [[1 / 3, 1 / 3, 1 / 3]])
-    np.testing.assert_allclose(rule.weights, [0.5])
+    np.testing.assert_allclose(CENTROID.points, [[1 / 3, 1 / 3, 1 / 3]])
+    np.testing.assert_allclose(CENTROID.weights, [0.5])
 
 
 def test_triangle_rule_x_squared():
-    xy = triangle_quadrature(3).points @ RIGHT
-    val = np.sum(triangle_quadrature(3).weights * xy[:, 0] ** 2)
+    xy = DEGREE3.points @ RIGHT
+    val = np.sum(DEGREE3.weights * xy[:, 0] ** 2)
     assert val == pytest.approx(1 / 12, rel=1e-14)
 
 
 def test_segment_rule_cubic():
-    rule = segment_quadrature(3)
-    assert np.sum(rule.weights * rule.points ** 3) == pytest.approx(0.25, rel=1e-14)
-
-
-def test_unsupported_degree_rejected():
-    for degree in (2, 6):
-        with pytest.raises(ValueError):
-            triangle_quadrature(degree)
-    with pytest.raises(ValueError):
-        segment_quadrature(0)
+    assert np.sum(GAUSS2.weights * GAUSS2.points ** 3) == pytest.approx(0.25, rel=1e-14)
 
 
 def test_interpolation_reproduces_constants():
     m = generate_rect_mesh((0, 1, 0, 1), 3, 3, 0)
     dofs = interpolate_hcurl(lambda p: np.tile([1.0, 0.0], (len(p), 1)), m)
-    vals = eval_edge_field(m, dofs, triangle_quadrature(1))[:, 0, :]
+    vals = eval_edge_field(m, dofs, CENTROID)[:, 0, :]
     np.testing.assert_allclose(vals, np.tile([1.0, 0.0], (m.n_triangles, 1)),
                                atol=1e-12)
 
@@ -156,7 +147,7 @@ def test_interpolation_reproduces_rotational_mode():
     # (-y, x) spans the homogeneous part of the local space
     m = generate_rect_mesh((0, 1, 0, 1), 2, 2, 0)
     dofs = interpolate_hcurl(lambda p: np.column_stack([-p[:, 1], p[:, 0]]), m)
-    rule = triangle_quadrature(3)
+    rule = DEGREE3
     vals = eval_edge_field(m, dofs, rule)
     pts = quad_points_physical(m, rule)
     exact = np.stack([-pts[:, :, 1], pts[:, :, 0]], axis=2)
@@ -198,7 +189,7 @@ def test_tangential_continuity_across_interior_edges():
 def test_eval_edge_field_matches_basis_table(degree):
     # vertex values against the oriented, Piola-mapped basis table
     mesh = jittered_mesh()
-    rule = triangle_quadrature(degree)
+    rule = TRIANGLE_RULES[degree]
     dofs = np.random.default_rng(12).standard_normal(mesh.n_edges)
     ref = table_edge_field(mesh, dofs, rule)
     got = eval_edge_field(mesh, dofs, rule)

@@ -28,8 +28,8 @@ from sppfetd.harness import (ConfigError, ErrorTable, ManufacturedDrivers,
 from sppfetd.mesh import Arc, InterfaceSpec, Segment, generate_rect_mesh
 from sppfetd.physics import (KuboParams, ManufacturedCase, MaterialParams, SourceSpec,
                              damping_at_centroids, kubo_sigma0)
-from sppfetd.elements import (eval_edge_field, interpolate_hcurl, project_l2_p0,
-                              quad_points_physical, triangle_quadrature)
+from sppfetd.elements import (DEGREE3, eval_edge_field, interpolate_hcurl,
+                              project_l2_p0, quad_points_physical)
 
 import oracles
 
@@ -127,7 +127,7 @@ def test_l2_errors_match_the_quadrature_of_the_closed_forms(h, start, t):
                        hzy=np.zeros(0), step=0, tau=tau)
     got = l2_errors(state, ManufacturedDrivers(mesh, case, ops.pec_mask), t)
 
-    rule = triangle_quadrature(3)
+    rule = DEGREE3
     pts = quad_points_physical(mesh, rule).reshape(-1, 2)
     weights = (2.0 * mesh.areas[:, None] * rule.weights).ravel()
     de = oracles.e_field(case, pts, t) - eval_edge_field(mesh, e, rule).reshape(-1, 2)

@@ -39,7 +39,7 @@ def test_solve_zero_rhs():
 
 def test_solve_mass_system_against_dense_factorization():
     mesh = generate_rect_mesh((0, 1, 0, 1), 2, 2, 0)  # 8 triangles
-    m = assemble_edge_mass(mesh)
+    m = assemble_edge_mass(mesh, np.ones((mesh.n_triangles, 2)))
     rng = np.random.default_rng(1)
     b = rng.standard_normal(mesh.n_edges)
     x = factorize(m)(b)
