@@ -41,12 +41,21 @@ def _real(value) -> bool:
     return isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
+def _integer(value) -> bool:
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
 finite = _rule("a finite number", _real)
 positive = _rule("finite and positive", lambda v: _real(v) and v > 0)
 nonnegative = _rule("finite and nonnegative", lambda v: _real(v) and v >= 0)
-count = _rule("a nonnegative integer",
-              lambda v: isinstance(v, Integral) and not isinstance(v, bool) and v >= 0)
+count = _rule("a nonnegative integer", lambda v: _integer(v) and v >= 0)
+positive_count = _rule("a positive integer", lambda v: _integer(v) and v > 0)
 string = _rule("a string", lambda v: isinstance(v, str))
+
+
+def instance(cls):
+    """Rule for an instance of `cls`."""
+    return _rule(f"a {cls.__name__}", lambda v: isinstance(v, cls))
 
 
 def numbers(n: int):

@@ -36,8 +36,6 @@ def _parse_h(text: str) -> list:
 
 def _cmd_run(args) -> int:
     config = load_config(args.config)
-    if args.snapshot_every is not None:
-        config = replace(config, snapshot_every=args.snapshot_every)
     out = config.out_dir if args.out is None else args.out
     run(config, out_dir=out)
     every = config.snapshot_every    # a snapshot at step 0 and every `every` steps
@@ -47,17 +45,9 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
-# The flag that sets each study argument, and the arguments each mode reads.
-_STUDY_FLAGS = {"tau": "--tau", "n_steps": "--steps", "final_time": "--T"}
-_MODE_READS = {"fixed": ("tau", "n_steps"), "coupled": ("final_time",)}
-
-
 def _cmd_convergence(args) -> int:
-    given = {k: v for k, v in vars(args).items() if k in _STUDY_FLAGS and v is not None}
-    for key in given:
-        if key not in _MODE_READS[args.mode]:
-            raise ConfigError(f"{_STUDY_FLAGS[key]} is not read in --mode {args.mode}")
-    print(run_convergence_study(args.mode, _parse_h(args.h), **given))
+    print(run_convergence_study(args.mode, _parse_h(args.h), tau=args.tau,
+                                n_steps=args.n_steps, final_time=args.final_time))
     return EXIT_OK
 
 
@@ -95,7 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run a JSON-configured simulation")
     p.add_argument("config")
     p.add_argument("--out", default=None)
-    p.add_argument("--snapshot-every", type=int, default=None)
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("convergence", help="manufactured-solution rate study")

@@ -9,13 +9,13 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 import numpy as np
 
 from .assembly import assemble_edge_load, build_operator_set
-from .checks import (ConfigError, FieldError, count, nonnegative, numbers, one_of,
-                     optional, positive, string, validate)
+from .checks import (ConfigError, FieldError, count, instance, nonnegative, numbers,
+                     one_of, optional, positive, positive_count, string, validate)
 from .dynamics import CflConstants, FieldState, SimulationResult, run_simulation
 from .elements import (CENTROID, DEGREE3, eval_edge_field, interpolate_hcurl,
                        project_l2_p0, quad_points_physical)
-from .mesh import (Arc, InterfaceSpec, Mesh, Segment,
-                   generate_rect_mesh, load_mesh, snap_interface)
+from .mesh import (Arc, Mesh, Segment, generate_rect_mesh, load_mesh, sheet,
+                   snap_interface)
 from .physics import (KuboParams, ManufacturedCase, MaterialParams, SourceSpec,
                       damping_at_centroids, dipole_source_cells, eval_source,
                       kubo_sigma0)
@@ -33,7 +33,7 @@ class SimulationConfig:
     ny: int | None = None
     pml_layers: int = 0
     mesh_file: str | None = None
-    interface: InterfaceSpec | None = None
+    interface: tuple | None = None
     material: MaterialParams = field(default_factory=MaterialParams)
     kubo: KuboParams | None = None
     source: SourceSpec | None = None
@@ -44,9 +44,15 @@ class SimulationConfig:
     cfl: CflConstants = field(default_factory=CflConstants)
 
     def __post_init__(self):
-        validate(self, bounds=optional(numbers(4)), nx=optional(count),
-                 ny=optional(count), pml_layers=count, mesh_file=optional(string),
-                 tau=positive, n_steps=count, snapshot_every=count, out_dir=string)
+        validate(self, bounds=optional(numbers(4)), nx=optional(positive_count),
+                 ny=optional(positive_count), pml_layers=count, mesh_file=optional(string),
+                 interface=optional(sheet), material=instance(MaterialParams),
+                 kubo=optional(instance(KuboParams)),
+                 source=optional(instance(SourceSpec)), tau=positive, n_steps=count,
+                 snapshot_every=count, out_dir=string, cfl=instance(CflConstants))
+        b = self.bounds
+        if b is not None and not (b[0] < b[1] and b[2] < b[3]):
+            raise FieldError("bounds", "x min < x max and y min < y max", b)
         # The mesh is a file, or a grid generated from bounds, nx and ny.
         for name in ("bounds", "nx", "ny"):
             if (getattr(self, name) is None) == (self.mesh_file is None):
@@ -153,18 +159,17 @@ def build_manufactured_problem(h: float):
         raise ConfigError(f"1/h must be an integer, got h={h}")
     if n % 2 != 0:
         raise ConfigError("ny must be even so the interface lies on a grid line")
+    case = ManufacturedCase()
     mesh = generate_rect_mesh((0.0, 1.0, 0.0, 1.0), n, n, 0)
-    snap_interface(mesh, InterfaceSpec([Segment((0.0, 0.5), (1.0, 0.5))]))
-    ops = build_operator_set(mesh)
-    return mesh, ops, ManufacturedCase()
+    snap_interface(mesh, [Segment((0.0, case.interface_y), (1.0, case.interface_y))])
+    return mesh, build_operator_set(mesh), case
 
 
-def _convergence_single(h: float, mode: str, tau: float, n_steps: int,
-                        final_time: float, tau_ratio: float):
+def _convergence_single(h: float, mode: str, args: dict):
     if mode == "fixed":
-        step_tau, steps = tau, n_steps
+        step_tau, steps = args["tau"], args["n_steps"]
     else:
-        step_tau = h / tau_ratio
+        final_time, step_tau = args["final_time"], h / args["tau_ratio"]
         steps = round(final_time / step_tau)
         if abs(final_time / step_tau - steps) > 1e-9 * steps:
             raise ConfigError(f"final_time {final_time!r} is {final_time / step_tau:.6g} "
@@ -178,27 +183,36 @@ def _convergence_single(h: float, mode: str, tau: float, n_steps: int,
     return l2_errors(result.state, drivers, steps * step_tau)
 
 
-def run_convergence_study(mode: str, h_list, tau: float = 1e-4,
-                          n_steps: int = 1000, final_time: float = 0.01,
-                          tau_ratio: float = 200.0) -> ErrorTable:
+# The arguments each study mode reads, with the rule and the default of each.
+_STUDY_ARGS = {"fixed": {"tau": (positive, 1e-4), "n_steps": (count, 1000)},
+               "coupled": {"final_time": (nonnegative, 0.01),
+                           "tau_ratio": (positive, 200.0)}}
+
+
+def run_convergence_study(mode: str, h_list, tau: float | None = None,
+                          n_steps: int | None = None, final_time: float | None = None,
+                          tau_ratio: float | None = None) -> ErrorTable:
     """Manufactured-solution study over a halving sequence of mesh sizes.
 
-    mode "fixed" runs every mesh with the same small time step for
-    `n_steps` steps; mode "coupled" ties tau to h via `tau_ratio` and runs
-    to `final_time`, which must be a whole number of steps on each mesh.
+    mode "fixed" runs every mesh with the same small time step `tau`
+    (default 1e-4) for `n_steps` steps (1000); mode "coupled" ties tau to h
+    via `tau_ratio` (200) and runs to `final_time` (0.01), which must be a
+    whole number of steps on each mesh.  An argument the mode does not
+    read is an error.
     """
-    one_of("fixed", "coupled")("mode", mode)
+    one_of(*_STUDY_ARGS)("mode", mode)
+    given = dict(tau=tau, n_steps=n_steps, final_time=final_time, tau_ratio=tau_ratio)
+    for name, value in given.items():
+        if value is not None and name not in _STUDY_ARGS[mode]:
+            raise ConfigError(f"{name} is not read in mode {mode!r}")
+    args = {name: rule(name, default if given[name] is None else given[name])
+            for name, (rule, default) in _STUDY_ARGS[mode].items()}
     h_list = [positive("h", h) for h in h_list]
     for prev, cur in zip(h_list[:-1], h_list[1:]):
         if abs(prev / cur - 2.0) > 1e-9:
             raise ConfigError("mesh sizes must halve between rows")
-    positive("tau", tau)
-    count("n_steps", n_steps)
-    nonnegative("final_time", final_time)
-    positive("tau_ratio", tau_ratio)
 
-    errors = [_convergence_single(h, mode, tau, n_steps, final_time, tau_ratio)
-              for h in h_list]
+    errors = [_convergence_single(h, mode, args) for h in h_list]
     return ErrorTable(hs=h_list,
                       e_errors=[e for e, _ in errors],
                       h_errors=[h for _, h in errors])
@@ -263,25 +277,25 @@ def scenario(name: str) -> SimulationConfig:
     src_f0 = 1e13
 
     if name == "bifurcated-straight":
-        iface = InterfaceSpec([
+        iface = [
             _um_segment((-30, 0), (-15, 0)),
             _um_segment((-15, 0), (0, 5)),
             _um_segment((0, 5), (15, 5)),
             _um_segment((-15, 0), (0, -5)),
             _um_segment((0, -5), (15, -5)),
-        ])
+        ]
         return SimulationConfig(
             bounds=_WIDE, nx=100, ny=100, interface=iface,
             source=SourceSpec(_dipole_pair(-27, 1.0, -1.0), src_f0, 0.2 * MICRON),
             n_steps=20000, **common)
 
     if name == "bifurcated-curved":
-        iface = InterfaceSpec([
+        iface = [
             _um_segment((-28, 0), (0, 0)),
             _um_arc((7, 0), 7.0, np.pi / 2, 3 * np.pi / 2),
             _um_segment((7, 7), (15, 7)),
             _um_segment((7, -7), (15, -7)),
-        ])
+        ]
         return SimulationConfig(
             bounds=_WIDE, nx=100, ny=100, interface=iface,
             source=SourceSpec(_dipole_pair(-27, 1.0, -1.0), src_f0, 0.2 * MICRON),
@@ -290,16 +304,16 @@ def scenario(name: str) -> SimulationConfig:
     if name == "adjacent-arcs":
         return SimulationConfig(
             bounds=_WIDE, nx=100, ny=100,
-            interface=InterfaceSpec(_adjacent_arcs()),
+            interface=_adjacent_arcs(),
             source=SourceSpec(_dipole_pair(-18, 3.5, 2.5), src_f0, 0.2 * MICRON),
             n_steps=20000, **common)
 
     if name == "bulb":
-        iface = InterfaceSpec([
+        iface = [
             _um_segment((-15, 2), (0, 2)),
             _um_segment((-15, -2), (0, -2)),
             _um_arc((4.8, 0.0), 5.2, _BULB_ARC[0], _BULB_ARC[1]),
-        ])
+        ]
         pair_top = _dipole_pair(-15, 2.5, 1.5)
         pair_bot = _dipole_pair(-15, -1.5, -2.5)
         return SimulationConfig(
@@ -308,11 +322,11 @@ def scenario(name: str) -> SimulationConfig:
             n_steps=10000, **common)
 
     if name == "ring-resonator":
-        iface = InterfaceSpec([
+        iface = [
             _um_arc((0.0, 0.0), 11.0, 0.0, 2 * np.pi),
             _um_segment((-15, 13), (15, 13)),
             _um_segment((-15, -13), (15, -13)),
-        ])
+        ]
         return SimulationConfig(
             bounds=_SQUARE, nx=400, ny=400, interface=iface,
             source=SourceSpec(_dipole_pair(-13, 13.5, 12.5), src_f0, 0.1 * MICRON),
@@ -321,7 +335,7 @@ def scenario(name: str) -> SimulationConfig:
     # name == "spiral", the last one
     return SimulationConfig(
         bounds=_SQUARE, nx=400, ny=400,
-        interface=InterfaceSpec(_spiral_primitives()),
+        interface=_spiral_primitives(),
         source=SourceSpec(_dipole_pair(-16, -17.5, -18.5), src_f0, 0.1 * MICRON),
         n_steps=100000, pml_layers=12, tau=8.3e-17,
         kubo=KuboParams(mu_c_ev=0.8), snapshot_every=2000)
@@ -371,11 +385,11 @@ def run(config: SimulationConfig, out_dir: str | None = None) -> SimulationResul
     except OSError as exc:
         raise ConfigError(f"cannot write energy log {exc.filename}: {exc.strerror}") from exc
     with log:
-        write_energy_log([], log)
+        write_energy_log(None, log)
 
         def record(state, report):
             if report is not None:
-                write_energy_log([report], log)
+                write_energy_log(report, log)
             if every and state.step % every == 0:
                 write_snapshot(state, mesh, os.path.join(out, f"snap_{state.step:06d}.vtk"),
                                geometry)
@@ -417,14 +431,14 @@ def write_snapshot(state: FieldState, mesh: Mesh, path, geometry: str) -> None:
         raise ConfigError(f"cannot write snapshot {path}: {exc.strerror}") from exc
 
 
-def write_energy_log(series, log) -> None:
-    """Write and flush one CSV row per report in `series` to the open file
-    `log`, after the header when `log` is empty: the energy terms and their
-    total."""
+def write_energy_log(rep, log) -> None:
+    """Write the CSV row of the report `rep` (the energy terms and their
+    total; nothing for None) to the open file `log`, after the header when
+    `log` is empty, and flush."""
     try:
         if log.tell() == 0:
             log.write("step,time,kinetic,curl,magnetic,interface,curl_extra,total\n")
-        for rep in series:
+        if rep is not None:
             log.write(f"{rep.step},{rep.time:.12e},{rep.kinetic:.12e},"
                       f"{rep.curl:.12e},{rep.magnetic:.12e},{rep.interface:.12e},"
                       f"{rep.curl_extra:.12e},{rep.total:.12e}\n")
@@ -497,9 +511,6 @@ def _source(value) -> SourceSpec:
 
 def config_from_json(data) -> SimulationConfig:
     """The configuration a parsed JSON file describes; a key it does not map is an error."""
-    if isinstance(data, dict) and data.get("version") == 1:
-        raise ConfigError('config version 1 is no longer read: drop its "solver" '
-                          f'block and set "version": {CONFIG_VERSION}')
     _object(data, "", ("version", "mesh", "tau", "steps"),
             ("snapshot_every", "out_dir", "interface", "source", *_BLOCKS))
     if data["version"] != CONFIG_VERSION:
@@ -510,9 +521,8 @@ def config_from_json(data) -> SimulationConfig:
     kwargs.update((key, _holder(cls, data[key], key + "."))
                   for key, cls in _BLOCKS.items() if key in data)
     if "interface" in data:
-        kwargs["interface"] = InterfaceSpec(
-            _primitive(item, f"interface[{i}].")
-            for i, item in enumerate(_list(data["interface"], "interface")))
+        kwargs["interface"] = [_primitive(item, f"interface[{i}].") for i, item
+                               in enumerate(_list(data["interface"], "interface"))]
     if "source" in data:
         kwargs["source"] = _source(data["source"])
     return _build("", SimulationConfig, {v: k for k, v in _FIELDS.items()}, **kwargs)

@@ -15,7 +15,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .checks import ConfigError, finite, numbers, positive, validate
+from .checks import ConfigError, FieldError, finite, numbers, positive, validate
 
 
 class CellTag(IntEnum):
@@ -90,14 +90,12 @@ class Arc:
         ])
 
 
-@dataclass(frozen=True)
-class InterfaceSpec:
-    """Ordered curve primitives describing a graphene sheet."""
-
-    primitives: tuple
-
-    def __init__(self, primitives):
-        object.__setattr__(self, "primitives", tuple(primitives))
+def sheet(name: str, value) -> tuple:
+    """Rule for a graphene sheet: a list or tuple of Segments and Arcs, kept as a tuple."""
+    if not (isinstance(value, (list, tuple))
+            and all(isinstance(p, (Segment, Arc)) for p in value)):
+        raise FieldError(name, "a list or tuple of Segment and Arc", value)
+    return tuple(value)
 
 
 class Mesh:
@@ -333,8 +331,9 @@ def generate_rect_mesh(bounds, nx: int, ny: int, pml_layers: int = 0) -> Mesh:
                 physical_bounds=(xmin, xmax, ymin, ymax))
 
 
-def snap_interface(mesh: Mesh, spec: InterfaceSpec) -> np.ndarray:
-    """Snap curve primitives onto mesh edges and tag them INTERFACE.
+def snap_interface(mesh: Mesh, primitives) -> np.ndarray:
+    """Snap a sheet's curve primitives (`Segment`s and `Arc`s) onto mesh
+    edges and tag them INTERFACE.
 
     Each primitive is sampled at sub-edge resolution, samples are moved to
     their nearest mesh vertex (on a tie, the lowest index of the four
@@ -359,9 +358,9 @@ def snap_interface(mesh: Mesh, spec: InterfaceSpec) -> np.ndarray:
         chain = nearest[np.r_[True, nearest[1:] != nearest[:-1]]]
         return np.column_stack([chain[:-1], chain[1:]])
 
-    level = np.zeros(len(spec.primitives), dtype=int)
+    level = np.zeros(len(primitives), dtype=int)
     for _ in range(SNAP_HALVINGS + 1):
-        chains = [steps(prim, n) for prim, n in zip(spec.primitives, level)]
+        chains = [steps(prim, n) for prim, n in zip(primitives, level)]
         pairs = np.concatenate([np.empty((0, 2), dtype=np.int64), *chains])
         edges, unjoined = _join(mesh, pairs)
         if not len(unjoined):

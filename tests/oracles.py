@@ -390,12 +390,13 @@ def nearest_vertex(mesh, pts):
     return np.argmax(dist == dist.min(axis=1, keepdims=True), axis=1)
 
 
-def shortest_path_snap(mesh, spec):
-    """The sorted interface edges of `spec` on `mesh`, with consecutive snapped
-    vertices that share no edge joined by `shortest_edge_path`, at the sample
-    spacing that `snap_interface` starts from; tags nothing."""
+def shortest_path_snap(mesh, primitives):
+    """The sorted interface edges of the sheet `primitives` on `mesh`, with
+    consecutive snapped vertices that share no edge joined by
+    `shortest_edge_path`, at the sample spacing that `snap_interface` starts
+    from; tags nothing."""
     edges = set()
-    for prim in spec.primitives:
+    for prim in primitives:
         nearest = nearest_vertex(mesh, prim.sample(0.25 * min(mesh.h_x, mesh.h_y)))
         chain = nearest[np.r_[True, nearest[1:] != nearest[:-1]]].tolist()
         for a, b in zip(chain[:-1], chain[1:]):

@@ -17,7 +17,7 @@ from sppfetd.dynamics import (CflConstants, FieldState, LeapfrogStepper,
 from sppfetd.elements import interpolate_hcurl, project_l2_p0
 from sppfetd.harness import (ManufacturedDrivers, build_manufactured_problem,
                              l2_errors, run_convergence_study)
-from sppfetd.mesh import (CellTag, InterfaceSpec, Mesh, Segment,
+from sppfetd.mesh import (CellTag, Mesh, Segment,
                           generate_rect_mesh, snap_interface)
 from sppfetd.physics import (KuboParams, ManufacturedCase, MaterialParams,
                              SourceSpec, damping_at_centroids,
@@ -59,7 +59,7 @@ def test_criterion_2_fixed_tau_convergence():
 def test_criterion_3_stability():
     params = MaterialParams.unit()
     mesh = generate_rect_mesh((0, 1, 0, 1), 10, 10, 0)
-    snap_interface(mesh, InterfaceSpec([Segment((0, 0.5), (1, 0.5))]))
+    snap_interface(mesh, [Segment((0, 0.5), (1, 0.5))])
     ops = build_operator_set(mesh)
     tau = 0.5 * cfl_max_timestep(params, mesh, CflConstants(c_in=1.0, c_tr=1.0))
 
@@ -130,7 +130,7 @@ def test_criterion_4_scheme_reduction_oracle():
 
 def test_criterion_5_assembly_oracles():
     mesh = generate_rect_mesh((0, 1, 0, 1), 2, 2, 0)
-    snap_interface(mesh, InterfaceSpec([Segment((0, 0.5), (1, 0.5))]))
+    snap_interface(mesh, [Segment((0, 0.5), (1, 0.5))])
     rng = np.random.default_rng(9)
     sx = np.abs(rng.standard_normal(mesh.n_triangles))
     sy = np.abs(rng.standard_normal(mesh.n_triangles))
@@ -283,13 +283,13 @@ def test_collar_normal_incidence_reflection():
 
 def _example1_reduced(sigma0, n_steps, tau):
     mesh = generate_rect_mesh((-30 * UM, 30 * UM, -10 * UM, 10 * UM), 50, 50, 12)
-    iface = InterfaceSpec([
+    iface = [
         Segment((-30 * UM, 0), (-15 * UM, 0)),
         Segment((-15 * UM, 0), (0, 5 * UM)),
         Segment((0, 5 * UM), (15 * UM, 5 * UM)),
         Segment((-15 * UM, 0), (0, -5 * UM)),
         Segment((0, -5 * UM), (15 * UM, -5 * UM)),
-    ])
+    ]
     edges = snap_interface(mesh, iface)
     sx, sy = damping_at_centroids(mesh)
     ops = build_operator_set(mesh, sx, sy)
@@ -343,3 +343,59 @@ def test_criterion_9_manufactured_source_oracle():
             f"(ratio {e1 / e2:.4f}), magnetic {h1:.2e} / {h2:.2e} (ratio {h1 / h2:.4f}); "
             f"Richardson-extrapolated: electric {e_ex:.1e}, magnetic {h_ex:.1e} "
             f"(gate 1e-6)")
+
+
+def test_criterion_10_sheet_transmission():
+    # The collar gate's TEM channel with physical y in (-40, 40) um and a
+    # graphene sheet across it at y = 0: a freestanding sheet at normal
+    # incidence, where tangential E is continuous, so the exact
+    # transmission is T = 2 / (2 + eta0 sigma), sigma = sigma0 / (1 - i omega
+    # tau0) (Hanson 2008), conjugated for the e^{-i omega t} DFT kernel
+    # below.  The collar takes isotropic weights sigma_x = sigma_y = sx + sy:
+    # the published ones make this channel a cavity (T 32% off).  A Ks row
+    # at -20 um drives sin(omega t) for 60 periods; T_num is the DFT of the
+    # mean Hz of the row at +3 um over the last 10, with the sheet over
+    # the same without it (sigma0 = 0).  The tolerance was fixed before
+    # the run; the 0.25-0.43% left does not fall with h (0.33-0.57% at 0.2 um).
+    width, half, h, layers, f0 = 2 * UM, 40 * UM, 0.4 * UM, 12, 1e13
+    depth, nx, ny = layers * h, 5, 2 * (100 + layers)
+    grid = generate_rect_mesh((0.0, width, -half - depth, half + depth), nx, ny, 0)
+    tags = np.where(np.abs(grid.centroids[:, 1]) > half, CellTag.PML, CellTag.PHYSICAL)
+    mesh = Mesh(grid.vertices, grid.triangles, tags, h_x=h, h_y=h,
+                physical_bounds=(0.0, width, -half, half))
+    assert len(snap_interface(mesh, [Segment((0.0, 0.0), (width, 0.0))])) == nx
+    iso = sum(damping_at_centroids(mesh))
+    ops = build_operator_set(mesh, iso, iso)
+
+    vacuum = MaterialParams()
+    tau = h / (4.0 * vacuum.c_v)
+    omega, n_steps, n_last = 2 * np.pi * f0, round(60 / (f0 * tau)), round(10 / (f0 * tau))
+    drive = np.abs(mesh.centroids[:, 1] + 20 * UM) < h / 2
+    probe = np.abs(mesh.centroids[:, 1] - 3 * UM) < h / 2
+    assert drive.sum() == probe.sum() == 2 * nx
+
+    def probe_dft(sigma0):
+        params = MaterialParams(sigma0=sigma0)
+        state = init_state(ops, params, tau=tau)
+        stepper = LeapfrogStepper(ops, params, tau)
+        ks, dft = np.zeros(mesh.n_triangles), 0j
+        for n in range(n_steps):
+            ks[drive] = np.sin(omega * n * tau)
+            stepper.advance(state, ks)
+            if n >= n_steps - n_last:
+                dft += state.hz[probe].mean() * np.exp(-1j * omega * (n + 0.5) * tau)
+        return dft
+
+    eta0 = np.sqrt(vacuum.mu0 / vacuum.eps0)
+    without = probe_dft(0.0)
+    ok, details = True, []
+    for mu_c in (1.5, 0.8):
+        sigma0 = kubo_sigma0(KuboParams(mu_c_ev=mu_c), vacuum.tau0)
+        t_num = probe_dft(sigma0) / without
+        t_exact = np.conj(2 / (2 + eta0 * sigma0 / (1 - 1j * omega * vacuum.tau0)))
+        off = abs(t_num - t_exact) / abs(t_exact)
+        ok = ok and off <= 0.015
+        details.append(f"mu_c = {mu_c} eV: T_num = {t_num:.4f}, T = {t_exact:.4f} "
+                       f"({100 * off:.2f}% off)")
+    _report(10, "sheet transmission at 10 THz", ok,
+            "; ".join(details) + " (gate 1.5% of |T|)")

@@ -12,7 +12,7 @@ from sppfetd.assembly import (apply_pec, assemble_edge_load, assemble_edge_mass,
 from sppfetd.dynamics import LeapfrogStepper
 from sppfetd.elements import DEGREE3, interpolate_hcurl
 from sppfetd.harness import SCENARIO_NAMES, build_manufactured_problem, scenario
-from sppfetd.mesh import (InterfaceSpec, Mesh, Segment, generate_rect_mesh,
+from sppfetd.mesh import (Mesh, Segment, generate_rect_mesh,
                           snap_interface)
 from sppfetd.physics import MaterialParams, damping_at_centroids
 from sppfetd.sparse_solve import factorize
@@ -251,7 +251,7 @@ def test_partial_matrices(small_mesh):
 
 
 def test_interface_mass_diagonal(small_mesh):
-    edges = snap_interface(small_mesh, InterfaceSpec([Segment((0, 0.5), (1, 0.5))]))
+    edges = snap_interface(small_mesh, [Segment((0, 0.5), (1, 0.5))])
     g_mat = assemble_interface_mass(small_mesh)
     ref = oracles.dense_interface_mass(small_mesh, edges)
     np.testing.assert_allclose(g_mat.toarray(), ref, atol=1e-13)
@@ -267,7 +267,7 @@ def test_interface_mass_empty():
 def test_interface_trace_same_from_both_sides(small_mesh):
     # the conforming trace makes the line integrals independent of which
     # incident triangle evaluates them
-    edges = snap_interface(small_mesh, InterfaceSpec([Segment((0, 0.5), (1, 0.5))]))
+    edges = snap_interface(small_mesh, [Segment((0, 0.5), (1, 0.5))])
     e = edges[0]
     cells = np.flatnonzero((small_mesh.tri_edges == e).any(axis=1))
     assert len(cells) == 2

@@ -8,7 +8,7 @@ from sppfetd.dynamics import (BlowUpError, CflConstants, FieldState,
                               LeapfrogStepper, cfl_max_timestep,
                               discrete_energy, init_state, run_simulation)
 from sppfetd.elements import interpolate_hcurl
-from sppfetd.mesh import (InterfaceSpec, Mesh, Segment, generate_rect_mesh,
+from sppfetd.mesh import (Mesh, Segment, generate_rect_mesh,
                           snap_interface)
 from sppfetd.physics import ManufacturedCase, MaterialParams, damping_at_centroids
 
@@ -175,7 +175,7 @@ def test_merged_step_reduces_to_interface_scheme(small_setup):
 
 def test_merged_step_with_interface_matches_dense(small_setup):
     mesh, _ = small_setup
-    edges = snap_interface(mesh, InterfaceSpec([Segment((0, 0.5), (1, 0.5))]))
+    edges = snap_interface(mesh, [Segment((0, 0.5), (1, 0.5))])
     ops = build_operator_set(mesh)
     params = MaterialParams(eps0=1.0, mu0=1.0, tau0=0.8, sigma0=2.5)
     tau = 0.005
@@ -200,7 +200,7 @@ def test_merged_step_collar_and_sheet_matches_dense(first_step):
     # physical core with a snapped sheet inside a damped collar, sigma0 > 0
     # and a source in every cell: one step against the dense merged scheme
     mesh = generate_rect_mesh((0, 1, 0, 1), 2, 2, 1)
-    edges = snap_interface(mesh, InterfaceSpec([Segment((0, 0.5), (1, 0.5))]))
+    edges = snap_interface(mesh, [Segment((0, 0.5), (1, 0.5))])
     collar = mesh.cell_tags != 0
     assert collar.any() and not collar.all() and len(edges) > 0
     rng = np.random.default_rng(6)
@@ -236,7 +236,7 @@ def test_merged_step_with_dirichlet_data_matches_dense(first_step):
     # inhomogeneous boundary data, as the manufactured runs impose it: both
     # field levels are nonzero on the boundary and the new level takes bc
     mesh = generate_rect_mesh((0, 1, 0, 1), 2, 2, 1)
-    edges = snap_interface(mesh, InterfaceSpec([Segment((0, 0.5), (1, 0.5))]))
+    edges = snap_interface(mesh, [Segment((0, 0.5), (1, 0.5))])
     collar = mesh.cell_tags != 0
     rng = np.random.default_rng(11)
     sx = np.where(collar, rng.uniform(10.0, 100.0, mesh.n_triangles), 0.0)
@@ -272,7 +272,7 @@ def test_first_step_is_later_step_with_two_lead_mass():
     # 2 M_lead (e^0 - e_n) = b and a later one A (e^1 - e_n) = b for the
     # same right-hand side b, checked on the free rows with dense matrices
     mesh = generate_rect_mesh((0, 1, 0, 1), 2, 2, 1)
-    snap_interface(mesh, InterfaceSpec([Segment((0, 0.5), (1, 0.5))]))
+    snap_interface(mesh, [Segment((0, 0.5), (1, 0.5))])
     collar = mesh.cell_tags != 0
     rng = np.random.default_rng(13)
     sx = np.where(collar, rng.uniform(10.0, 100.0, mesh.n_triangles), 0.0)
@@ -398,7 +398,7 @@ def test_energy_isolated_magnetic_term(small_setup):
 
 def test_energy_terms_against_dense_forms():
     mesh = generate_rect_mesh((0, 1, 0, 1), 1, 1, 0)
-    snap_interface(mesh, InterfaceSpec([Segment((0.0, 0.0), (1.0, 1.0))]))
+    snap_interface(mesh, [Segment((0.0, 0.0), (1.0, 1.0))])
     ops = build_operator_set(mesh)
     params = MaterialParams(eps0=2.0, mu0=3.0, tau0=0.7, sigma0=1.3)
     tau = 0.05
@@ -676,7 +676,7 @@ def _collar_sheet_run():
     """Operators, material, start state and 24 steps' inputs on a mesh with a
     damped collar and a sheet."""
     mesh = generate_rect_mesh((0, 1, 0, 1), 4, 4, 1)
-    snap_interface(mesh, InterfaceSpec([Segment((0, 0.5), (1, 0.5))]))
+    snap_interface(mesh, [Segment((0, 0.5), (1, 0.5))])
     collar = mesh.cell_tags != 0
     rng = np.random.default_rng(12)
     sx = np.where(collar, rng.uniform(10.0, 100.0, mesh.n_triangles), 0.0)

@@ -19,13 +19,14 @@ from sppfetd import assembly, elements, harness
 from sppfetd.assembly import build_operator_set
 from sppfetd.cli import main as cli_main
 from sppfetd.dynamics import FieldState, init_state, run_simulation
+from sppfetd.checks import FieldError
 from sppfetd.harness import (ConfigError, ErrorTable, ManufacturedDrivers,
                              SimulationConfig, _vtk_geometry,
                              build_manufactured_problem,
                              build_mesh_for, config_from_json, l2_errors,
                              run, run_convergence_study, scenario,
                              write_energy_log, write_snapshot)
-from sppfetd.mesh import Arc, InterfaceSpec, Segment, generate_rect_mesh
+from sppfetd.mesh import Arc, Segment, generate_rect_mesh
 from sppfetd.physics import (KuboParams, ManufacturedCase, MaterialParams, SourceSpec,
                              damping_at_centroids, kubo_sigma0)
 from sppfetd.elements import (DEGREE3, eval_edge_field, interpolate_hcurl,
@@ -242,7 +243,7 @@ def test_scenario_bifurcated_straight_coordinates():
     cfg = scenario("bifurcated-straight")
     assert cfg.bounds == (-30 * UM, 30 * UM, -10 * UM, 10 * UM)
     assert (cfg.nx, cfg.ny, cfg.pml_layers) == (100, 100, 12)
-    segs = cfg.interface.primitives
+    segs = cfg.interface
     assert segs[0].p0 == (-30 * UM, 0.0) and segs[0].p1 == (-15 * UM, 0.0)
     assert cfg.source.points[0][:2] == (-27 * UM, 1 * UM)
     assert cfg.tau == 8.3e-17 and cfg.n_steps == 20000
@@ -254,9 +255,9 @@ def test_scenario_spiral_parameters():
     cfg = scenario("spiral")
     assert cfg.n_steps == 100000
     assert cfg.kubo.mu_c_ev == 0.8
-    arcs = [p for p in cfg.interface.primitives if isinstance(p, Arc)]
+    arcs = [p for p in cfg.interface if isinstance(p, Arc)]
     assert len(arcs) == 8  # 7 half turns plus the closing quarter
-    segs = [p for p in cfg.interface.primitives if isinstance(p, Segment)]
+    segs = [p for p in cfg.interface if isinstance(p, Segment)]
     assert len(segs) == 1
     assert segs[0].p0 == (0.0, -18 * UM)
 
@@ -284,11 +285,11 @@ def test_write_snapshot_zero_state(tmp_path):
 
 def test_energy_log_round_trip(tmp_path):
     from sppfetd.dynamics import EnergyReport
-    series = [EnergyReport(step=1, time=0.5, kinetic=1.25, curl=0.5,
-                           magnetic=2.0, interface=0.125, curl_extra=0.0625)]
+    report = EnergyReport(step=1, time=0.5, kinetic=1.25, curl=0.5,
+                          magnetic=2.0, interface=0.125, curl_extra=0.0625)
     path = tmp_path / "energy.csv"
     with open(path, "w") as log:
-        write_energy_log(series, log)
+        write_energy_log(report, log)
     header, row = path.read_text().strip().splitlines()
     assert header.split(",") == ["step", "time", "kinetic", "curl", "magnetic",
                                  "interface", "curl_extra", "total"]
@@ -326,7 +327,7 @@ def test_config_json_round_trip():
         _segment_um((7, 7), (15, 7)), _segment_um((7, -7), (15, -7))])
     again = config_from_json(json.loads(json.dumps(data)))
     assert again == scenario("bifurcated-curved")
-    assert isinstance(again.interface.primitives[1], Arc)
+    assert isinstance(again.interface[1], Arc)
 
 
 def test_config_v2_round_trip_has_no_solver_block():
@@ -342,11 +343,10 @@ def test_config_v2_round_trip_has_no_solver_block():
 
 def test_config_version_1_is_refused_with_its_upgrade(tmp_path, capsys):
     # version 1 configured an iterative solver that no longer exists; it
-    # loaded with a warning before
-    data = _square(version=1, solver={"tol": 1e-10, "max_iter": None,
-                                      "preconditioner": "jacobi"})
+    # loaded with a warning before, and is refused as any other version is
+    data = _square(version=1)
     assert cli_main(["run", _write(tmp_path, data), "--out", ""]) == 2
-    assert 'drop its "solver" block and set "version": 2' in capsys.readouterr().err
+    assert "version must be 2, got 1" in capsys.readouterr().err
 
 
 def test_config_json_omitted_keys_take_dataclass_defaults():
@@ -364,12 +364,43 @@ def test_config_json_omitted_keys_take_dataclass_defaults():
 def test_cli_non_integer_count_is_configuration_error(section, key, value,
                                                       tmp_path, capsys):
     # a float or string count crashed the mesh build or the time loop, a
-    # float layer count or cadence was truncated, and true ran as one step
+    # float layer count or cadence was truncated, and true ran as one step;
+    # a grid count must also be at least 1
     data = _square()
     (data if section is None else data[section])[key] = value
     assert cli_main(["run", _write(tmp_path, data), "--out", ""]) == 2
     err = capsys.readouterr().err
-    assert "configuration error" in err and "must be a nonnegative integer" in err
+    rule = "a positive integer" if key == "nx" else "a nonnegative integer"
+    assert "configuration error" in err and f"must be {rule}" in err
+
+
+_GRID = {"bounds": (0.0, 1.0, 0.0, 1.0), "nx": 4, "ny": 4}
+
+
+@pytest.mark.parametrize("key,value", [
+    ("bounds", (1.0, 0.0, 0.0, 1.0)), ("bounds", (0.0, 1.0, 1.0, 1.0)),
+    ("nx", 0), ("ny", 0),
+    ("material", None), ("material", {"eps0": 1.0}), ("cfl", None),
+    ("kubo", {"mu_c_ev": 1.5}), ("source", {"f0": 1}),
+    ("interface", ["x"]), ("interface", "x"),
+    ("interface", Segment((0.0, 0.5), (1.0, 0.5)))])
+def test_config_value_breaking_its_rule_is_field_error(key, value):
+    # a degenerate grid was refused by the grid generator without the
+    # field's name; a block or sheet of the wrong type was accepted, then
+    # the run failed with an AttributeError such as 'NoneType' object has
+    # no attribute 'mu0'
+    with pytest.raises(FieldError) as exc:
+        SimulationConfig(**{**_GRID, key: value})
+    assert exc.value.name == key
+
+
+def test_config_sheet_list_is_stored_as_a_tuple_and_runs():
+    seg = Segment((0.0, 0.5), (1.0, 0.5))
+    cfg = SimulationConfig(**_GRID, interface=[seg], material=MaterialParams.unit(),
+                           tau=0.01, n_steps=2)
+    assert cfg.interface == (seg,)
+    assert run(cfg, out_dir="").state.step == 2
+    assert len(build_mesh_for(cfg).interface_edges()) == 4
 
 
 @pytest.mark.parametrize("constant", ["q", "k_b", "hbar"])
@@ -504,7 +535,7 @@ def test_run_tiny_simulation_writes_outputs(tmp_path):
 def test_run_determinism(tmp_path):
     cfg = SimulationConfig(
         bounds=(0.0, 1.0, 0.0, 1.0), nx=8, ny=8,
-        interface=InterfaceSpec([Segment((0.0, 0.5), (1.0, 0.5))]),
+        interface=[Segment((0.0, 0.5), (1.0, 0.5))],
         material=MaterialParams.unit(), tau=0.01, n_steps=5, snapshot_every=5,
         source=SourceSpec(((0.3, 0.3, 1.0),), f0=1.0, h_norm=1.0),
         out_dir=str(tmp_path / "a"))
@@ -602,10 +633,23 @@ def test_coupled_study_refuses_final_time_between_steps(final_time):
     (["--mode", "fixed", "--T", "5", "--steps", "3"], "--T", "fixed")])
 def test_cli_convergence_refuses_a_flag_its_mode_does_not_read(args, flag, mode,
                                                               capsys):
-    # both ran (exit 0) with the flag dropped silently
+    # both ran (exit 0) with the flag dropped silently; the study refuses
+    # the argument the flag sets and names it
+    name = {"--tau": "tau", "--T": "final_time"}[flag]
     assert cli_main(["convergence", "--h", "1/10", *args]) == 2
-    assert capsys.readouterr().err == (f"configuration error: {flag} is not read "
-                                       f"in --mode {mode}\n")
+    assert capsys.readouterr().err == (f"configuration error: {name} is not read "
+                                       f"in mode '{mode}'\n")
+
+
+@pytest.mark.parametrize("mode,h_list,kwargs", [
+    ("coupled", [1 / 10], {"tau": 1e-3}), ("coupled", [1 / 10], {"n_steps": 7}),
+    ("fixed", [1 / 8], {"final_time": 1.0}), ("fixed", [1 / 8], {"tau_ratio": 100.0})])
+def test_convergence_study_refuses_an_argument_its_mode_does_not_read(mode, h_list,
+                                                                     kwargs):
+    # coupled mode ran with tau=123.0 and n_steps=7 dropped silently
+    (name,) = kwargs
+    with pytest.raises(ConfigError, match=f"^{name} is not read in mode '{mode}'$"):
+        run_convergence_study(mode, h_list, **kwargs)
 
 
 def test_cli_coupled_study_refuses_final_time_between_steps(capsys):
@@ -644,7 +688,7 @@ def test_scenario_geometries_snap_cleanly(name):
     mesh = build_mesh_for(cfg)  # tagging checks the interface invariants
     iface = mesh.interface_edges()
     ratio = (mesh.edge_lengths[iface].sum()
-             / sum(prim.length() for prim in cfg.interface.primitives))
+             / sum(prim.length() for prim in cfg.interface))
     print(f"\n[sheet] {name}: {mesh.n_triangles} cells, {mesh.n_edges} edges, "
           f"{len(iface)} interface edges, snapped/true length {ratio:.4f}")
     cells, edges, n_iface, pinned = _SHEETS[name]
@@ -727,6 +771,10 @@ _PROBES = {
     "mesh-file-descriptor": ("mesh", {"file": 0}, "mesh.file"),   # read stdin
     "mesh-file-and-grid": ("mesh", {"file": "m.mesh", "nx": 4}, "mesh.nx"),
     "out-dir-number": ("out_dir", 5, "out_dir"),     # TypeError after the last step
+    # the grid generator refused these without naming the key
+    "bounds-degenerate": ("mesh.bounds", [1e-5, 0.0, 0.0, 1e-5], "mesh.bounds"),
+    "nx-zero": ("mesh.nx", 0, "mesh.nx"),
+    "ny-zero": ("mesh.ny", 0, "mesh.ny"),
     "misspelt-key": ("snapshot_evry", 1, "snapshot_evry"),      # ran, key ignored
     # the collar's err and eta are module constants, no longer settings
     "unknown-pml": ("pml", {"err": 1e-7, "eta": 377.0}, "pml"),

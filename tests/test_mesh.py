@@ -9,7 +9,7 @@ from scipy.sparse.csgraph import dijkstra
 
 import sppfetd.mesh as mesh_module
 from sppfetd.cli import main as cli_main
-from sppfetd.mesh import (Arc, CellTag, EdgeTag, InterfaceSpec, Mesh, MeshError,
+from sppfetd.mesh import (Arc, CellTag, EdgeTag, Mesh, MeshError,
                           Segment, generate_rect_mesh, load_mesh, snap_interface)
 
 import oracles
@@ -73,7 +73,7 @@ def test_interior_edges_have_opposite_incidence_signs():
 
 def test_snap_grid_aligned_segment():
     m = generate_rect_mesh((0, 1, 0, 1), 6, 6, 0)
-    edges = snap_interface(m, InterfaceSpec([Segment((0, 0.5), (1, 0.5))]))
+    edges = snap_interface(m, [Segment((0, 0.5), (1, 0.5))])
     assert len(edges) == 6
     mids = oracles.edge_midpoints(m)[edges]
     assert np.allclose(mids[:, 1], 0.5)
@@ -82,7 +82,7 @@ def test_snap_grid_aligned_segment():
 
 def test_snap_bifurcated_sheet_segment():
     m = generate_rect_mesh((-30 * UM, 30 * UM, -10 * UM, 10 * UM), 100, 50, 4)
-    edges = snap_interface(m, InterfaceSpec([Segment((-30 * UM, 0), (-15 * UM, 0))]))
+    edges = snap_interface(m, [Segment((-30 * UM, 0), (-15 * UM, 0))])
     ends = m.vertices[m.edges[edges]]
     assert np.allclose(ends[:, :, 1], 0.0)
     # 15 um span over h_x = 0.6 um
@@ -108,7 +108,7 @@ def _hausdorff_to_circle(mesh, edges, center, radius):
 def test_snap_semicircle_hausdorff():
     m = generate_rect_mesh((-30 * UM, 30 * UM, -10 * UM, 10 * UM), 100, 100, 0)
     arc = Arc((7 * UM, 0.0), 7 * UM, np.pi / 2, 3 * np.pi / 2)
-    edges = snap_interface(m, InterfaceSpec([arc]))
+    edges = snap_interface(m, [arc])
     assert len(edges) > 10
     dist = _hausdorff_to_circle(m, edges, np.array([7 * UM, 0.0]), 7 * UM)
     assert dist <= m.h_x + m.h_y
@@ -126,7 +126,7 @@ def test_arc_snap_paths_are_shortest(monkeypatch):
         return join(mesh, pairs)
 
     monkeypatch.setattr(mesh_module, "_join", recording)
-    edges = snap_interface(m, InterfaceSpec([Arc((0.5, 0.5), 0.3, 0.0, 2 * np.pi)]))
+    edges = snap_interface(m, [Arc((0.5, 0.5), 0.3, 0.0, 2 * np.pi)])
     steps = [(a, b) for a, b in calls[-1].tolist() if m.edge_index(a, b) < 0]
     assert steps
     a, b = m.edges.T
@@ -159,7 +159,7 @@ def test_snap_joins_steps_as_the_shortest_path_search(grid, curve):
     # the two-triangle join gives the edges that a shortest-path search
     # between the snapped vertices gave, ties on square cells included
     m = _GRIDS[grid]()
-    spec = InterfaceSpec([_CURVES[grid][curve]])
+    spec = [_CURVES[grid][curve]]
     assert snap_interface(m, spec).tolist() == oracles.shortest_path_snap(m, spec)
 
 
@@ -170,7 +170,7 @@ def test_snap_takes_the_lowest_index_of_equidistant_vertices():
     base = generate_rect_mesh((0, 1, 0, 1), 8, 8, 0)
     perm = np.random.default_rng(3).permutation(base.n_vertices)
     m = Mesh(base.vertices[perm], np.argsort(perm)[base.triangles])
-    spec = InterfaceSpec([Segment((0, 0.5625), (1, 0.5625))])
+    spec = [Segment((0, 0.5625), (1, 0.5625))]
     assert snap_interface(m, spec).tolist() == oracles.shortest_path_snap(m, spec)
 
 
@@ -178,7 +178,7 @@ def test_snap_halves_the_spacing_where_a_step_skips_a_vertex(monkeypatch):
     # the first step of this segment skips the narrowest column of a graded
     # grid; one halving joins it with the edges the search gave, and without
     # it the step is refused naming both vertices
-    spec = InterfaceSpec([Segment((0.0, 0.53), (0.9, 0.53))])
+    spec = [Segment((0.0, 0.53), (0.9, 0.53))]
     m = oracles.graded_mesh(16)
     assert snap_interface(m, spec).tolist() == oracles.shortest_path_snap(m, spec)
     monkeypatch.setattr(mesh_module, "SNAP_HALVINGS", 0)
@@ -192,22 +192,22 @@ def test_snap_halves_the_spacing_where_a_step_skips_a_vertex(monkeypatch):
 def test_snap_idempotent():
     m = generate_rect_mesh((0, 1, 0, 1), 8, 8, 0)
     arc = Arc((0.5, 0.5), 0.3, 0.0, np.pi)
-    first = set(snap_interface(m, InterfaceSpec([arc])))
+    first = set(snap_interface(m, [arc]))
     induced = [Segment(tuple(m.vertices[a]), tuple(m.vertices[b]))
                for a, b in m.edges[sorted(first)]]
-    second = set(snap_interface(m, InterfaceSpec(induced)))
+    second = set(snap_interface(m, induced))
     assert first == second
 
 
 def test_snap_rejects_curve_in_collar():
     m = generate_rect_mesh((0, 1, 0, 1), 4, 4, 2)
     with pytest.raises(MeshError):
-        snap_interface(m, InterfaceSpec([Segment((0.5, 0.5), (1.4, 0.5))]))
+        snap_interface(m, [Segment((0.5, 0.5), (1.4, 0.5))])
 
 
 def test_save_load_round_trip(tmp_path):
     m = generate_rect_mesh((0, 1, 0, 1), 4, 4, 1)
-    snap_interface(m, InterfaceSpec([Segment((0, 0.5), (1, 0.5))]))
+    snap_interface(m, [Segment((0, 0.5), (1, 0.5))])
     path = tmp_path / "mesh.txt"
     oracles.save_mesh(m, path)
     m2 = load_mesh(path)
