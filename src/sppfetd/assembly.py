@@ -16,7 +16,7 @@ import scipy.sparse as sp
 
 from .elements import (_NEXT, DEGREE3, _barycentric_gradients,
                        quad_points_physical)
-from .mesh import TRI_EDGE_LOCAL, CellTag, EdgeTag, Mesh
+from .mesh import TRI_EDGE_LOCAL, EdgeTag, Mesh
 
 
 def _edge_mass_map() -> np.ndarray:
@@ -47,8 +47,8 @@ class OperatorSet:
     g          : interface mass on the graphene curve (tangential traces)
     areas      : cell areas (diagonal of the P0 mass)
     sigma_x/y  : damping samples at cell centroids
-    damped     : indices of the cells with sigma_x or sigma_y != 0 (split Hz)
-    c1         : physical-region indicator per cell (1 - c1 marks the collar)
+    damped     : indices of the cells with sigma_x or sigma_y != 0: the
+                 collar, where Hz is split and the relaxation terms are off
     pec_mask   : boolean mask of constrained edge DoFs
     """
 
@@ -59,7 +59,6 @@ class OperatorSet:
     areas: np.ndarray
     sigma_x: np.ndarray
     sigma_y: np.ndarray
-    c1: np.ndarray
     pec_mask: np.ndarray
     damped: np.ndarray
 
@@ -174,7 +173,6 @@ def build_operator_set(mesh: Mesh, sigma_x=None, sigma_y=None) -> OperatorSet:
         areas=mesh.areas.copy(),
         sigma_x=sigma_x,
         sigma_y=sigma_y,
-        c1=(mesh.cell_tags == CellTag.PHYSICAL).astype(float),
         pec_mask=mesh.edge_tags == EdgeTag.OUTER_BOUNDARY,
         damped=np.flatnonzero((sigma_x != 0.0) | (sigma_y != 0.0)),
     )

@@ -5,8 +5,8 @@ split halves on the damped cells only (the P0 mass is diagonal, so those
 solves are exact divisions), then solves one symmetric positive definite
 edge system, factored once, for the new electric field.  Subdomain
 indicator coefficients merge the interface scheme in the physical region
-with the split-field damping scheme in the collar; with the damping off and
-every cell physical the update is exactly the plain interface scheme.
+with the split-field damping scheme in the collar, the damped cells; with
+the damping off the update is exactly the plain interface scheme.
 """
 
 from __future__ import annotations
@@ -149,13 +149,14 @@ class LeapfrogStepper:
         A Delta = R + (2 M_lead - A) d,    R = C^T h_term - (sigma0/tau0) G e_n + load,
 
     with d = e_n - e_{n-1}, M_lead = (eps0/tau^2) M_E and per cell
-    h_term = w_new H^{n+1/2} + w_old H^{n-1/2} - (c1/mu0)(C e_n/|K| + ks),
-    w_new/old = c1/(2 tau0) +/- (1 - c1)/tau, which carries the physical
-    curl-curl matrix C^T diag(c1/|K|) C.  A = M_lead + M_damp is one edge
-    mass with the per-cell weight eps0/tau^2 + c1 eps0/(2 tau tau0) +
+    h_term = w_new H^{n+1/2} + w_old H^{n-1/2} - (p/mu0)(C e_n/|K| + ks),
+    w_new/old = p/(2 tau0) +/- (1 - p)/tau, p = 0 on the collar (the damped
+    cells, `ops.damped`) and 1 elsewhere, which carries the physical
+    curl-curl matrix C^T diag(p/|K|) C.  A = M_lead + M_damp is one edge
+    mass with the per-cell weight eps0/tau^2 + p eps0/(2 tau tau0) +
     diag(sigma_y, sigma_x)/(2 tau): w_phys M_E (w_phys: a physical cell's
-    weight) plus K_collar, weighted by the difference on the other cells
-    (the collar).  As 2 M_lead = r (A - K_collar), r = 2 eps0/(tau^2 w_phys),
+    weight) plus K_collar, weighted by the difference on the collar.
+    As 2 M_lead = r (A - K_collar), r = 2 eps0/(tau^2 w_phys),
     every step builds b = R - r K_collar d, and a later step's
     e_{n+1} - e_{n-1} is r d plus the solve of b: no M_E product.  With
     e_prev = e_0 - 2 tau v (see `init_state`) the first step is the same
@@ -174,17 +175,16 @@ class LeapfrogStepper:
 
         eps0, mu0, tau0 = params.eps0, params.mu0, params.tau0
         lead = eps0 / tau ** 2
-        # E_x is damped by sigma_y and E_y by sigma_x.
-        base = lead + ops.c1 * eps0 / (2.0 * tau * tau0)
-        w = np.column_stack([base + ops.sigma_y / (2.0 * tau),
-                             base + ops.sigma_x / (2.0 * tau)])
         self._w_phys = lead + eps0 / (2.0 * tau * tau0)
-        cells = np.flatnonzero(np.any(w != self._w_phys, axis=1))
         self.a = self._w_phys * ops.m_e
         # r in a form that stays finite when eps0/tau^2 underflows
         self._r, self._collar = 2.0 / (1.0 + tau / (2.0 * tau0)), None
-        if len(cells):
-            k_collar = assemble_edge_mass(ops.mesh, w[cells] - self._w_phys, cells)
+        d = self._damped = ops.damped
+        if len(d):
+            # E_x is damped by sigma_y and E_y by sigma_x; no relaxation term.
+            w = np.column_stack([lead + ops.sigma_y[d] / (2.0 * tau),
+                                 lead + ops.sigma_x[d] / (2.0 * tau)])
+            k_collar = assemble_edge_mass(ops.mesh, w - self._w_phys, d)
             self.a += k_collar
             self._collar_rows = np.flatnonzero(np.diff(k_collar.indptr))
             self._collar = k_collar[self._collar_rows]
@@ -194,13 +194,14 @@ class LeapfrogStepper:
         self._delta = np.empty(ops.mesh.n_edges)     # r d
         # All cells: H -= kappa drive, h_term = alpha H_old + beta drive.  Damped cells then
         # split, H_a = keep_a H_a - feed_a drive (rows x, y); h_term adds w_new (H - that H).
-        self._kappa, self._alpha = tau / mu0, ops.c1 / tau0
-        self._beta = -(1.0 + ops.c1 * tau / (2.0 * tau0)) / mu0
-        d = self._damped = ops.damped
+        p = np.ones(len(ops.areas))
+        p[d] = 0.0
+        self._kappa, self._alpha = tau / mu0, p / tau0
+        self._beta = -(1.0 + p * tau / (2.0 * tau0)) / mu0
         damp = mu0 * np.stack([ops.sigma_x[d], ops.sigma_y[d]]) / (2.0 * eps0)
         self._keep = (mu0 / tau - damp) / (mu0 / tau + damp)
         self._feed = 0.5 / (mu0 / tau + damp)
-        self._w_new = ops.c1[d] / (2.0 * tau0) + (1.0 - ops.c1[d]) / tau
+        self._w_new = 1.0 / tau
         # G is diagonal, nonzero on the interface edges only: a gather there.
         g_diag = ops.g.diagonal()
         self._g_rows = np.flatnonzero(g_diag)

@@ -18,11 +18,6 @@ import numpy as np
 from .checks import ConfigError, FieldError, finite, numbers, positive, validate
 
 
-class CellTag(IntEnum):
-    PHYSICAL = 0
-    PML = 1
-
-
 class EdgeTag(IntEnum):
     INTERIOR = 0
     INTERFACE = 1
@@ -99,19 +94,19 @@ def sheet(name: str, value) -> tuple:
 
 
 class Mesh:
-    """Triangular mesh with oriented edges and cell/edge tags.
+    """Triangular mesh with oriented edges and edge tags.
 
     Parameters
     ----------
     vertices : (nv, 2) finite coordinates in meters.
     triangles : (nt, 3) vertex indices, 0-based, counterclockwise.
-    cell_tags : (nt,) CellTag values; all PHYSICAL when omitted.
+    cell_tags : (nt,) a file's tag column, 1 where a centroid is out of bounds, else 0.
     tagged_edges : (k, 3) rows (i, j, tag) that tag the edge between
         vertices i and j INTERFACE or OUTER_BOUNDARY; untagged edges are
         OUTER_BOUNDARY if one triangle has them, else INTERIOR.
     h_x, h_y : maximum cell extents per axis, meters, finite and positive.
     physical_bounds : (xmin, xmax, ymin, ymax), finite with min < max; by
-        default the bounding box of the PHYSICAL cells.
+        default the bounding box of the tag-0 cells.
 
     The constructor checks all it is given and the mesh invariants; a
     `MeshError` names the vertex, triangle or edge-tag row at fault.
@@ -133,9 +128,8 @@ class Mesh:
             raise MeshError("a mesh needs at least one triangle")
         tags = _numbers(np.zeros(nt) if cell_tags is None else cell_tags, (nt,),
                         f"cell tags must be {nt} numbers, one per triangle")
-        _refuse((tags != CellTag.PHYSICAL) & (tags != CellTag.PML), "triangle",
+        _refuse((tags != 0) & (tags != 1), "triangle",
                 lambda i: f"cell tag {tags[i]:g} is not 0 (physical) or 1 (absorber)")
-        self.cell_tags = tags.astype(np.uint8)
 
         self._build_geometry()
         _refuse(self.areas <= 0.0, "triangle", lambda i: "not counterclockwise "
@@ -173,7 +167,7 @@ class Mesh:
         self.h_x, self.h_y = h.tolist()
 
         if physical_bounds is None:
-            phys = self.triangles[self.cell_tags == CellTag.PHYSICAL]
+            phys = self.triangles[tags == 0]
             corners = self.vertices[np.unique(phys)] if len(phys) else self.vertices
             lo, hi = corners.min(axis=0), corners.max(axis=0)
             physical_bounds = (lo[0], hi[0], lo[1], hi[1])
@@ -182,6 +176,11 @@ class Mesh:
             raise MeshError("physical bounds (xmin, xmax, ymin, ymax) must be finite "
                             f"with min < max on each axis, got {b.tolist()}")
         self.physical_bounds = tuple(b.tolist())
+        if cell_tags is not None:
+            inside = np.all((self.centroids >= b[::2]) & (self.centroids <= b[1::2]), axis=1)
+            _refuse(inside == (tags == 1), "triangle", lambda i: f"cell tag {tags[i]:g}, "
+                    f"but its centroid lies {'in' if inside[i] else 'out'}side the "
+                    f"physical rectangle {self.physical_bounds}")
 
     # -- construction helpers -------------------------------------------------
 
@@ -296,8 +295,8 @@ def generate_rect_mesh(bounds, nx: int, ny: int, pml_layers: int = 0) -> Mesh:
     """Criss-cross triangulation of `bounds` plus a `pml_layers`-cell collar.
 
     `bounds` is (xmin, xmax, ymin, ymax) in meters and describes the physical
-    region; the collar cells outside it are tagged PML.  Each grid cell is
-    split along its lower-left to upper-right diagonal.
+    region, the mesh's `physical_bounds`; the collar is the cells outside
+    it.  Each grid cell is split along its lower-left to upper-right diagonal.
     """
     xmin, xmax, ymin, ymax = (float(v) for v in bounds)
     if not (xmax > xmin and ymax > ymin):
@@ -324,10 +323,7 @@ def generate_rect_mesh(bounds, nx: int, ny: int, pml_layers: int = 0) -> Mesh:
     triangles = np.empty((2 * mx * my, 3), dtype=np.int64)
     triangles[0::2] = np.column_stack([v00, v10, v11])
     triangles[1::2] = np.column_stack([v00, v11, v01])
-    inside = np.zeros((my, mx), dtype=bool)
-    inside[p:p + ny, p:p + nx] = True
-    cell_tags = np.repeat(np.where(inside.ravel(), CellTag.PHYSICAL, CellTag.PML), 2)
-    return Mesh(vertices, triangles, cell_tags, h_x=hx, h_y=hy,
+    return Mesh(vertices, triangles, h_x=hx, h_y=hy,
                 physical_bounds=(xmin, xmax, ymin, ymax))
 
 
@@ -340,7 +336,8 @@ def snap_interface(mesh: Mesh, primitives) -> np.ndarray:
     nearest, a rule no tree layout changes), and consecutive distinct
     vertices are joined (`_join`).  A primitive with a step that `_join`
     cannot join is sampled again at half the spacing, at most SNAP_HALVINGS
-    times.  Returns the sorted interface edge indices; mutates ``mesh.edge_tags``.
+    times; one that snaps to a single vertex is a `MeshError` naming its
+    index.  Returns the sorted interface edge indices; mutates ``mesh.edge_tags``.
     """
     from scipy.spatial import cKDTree
 
@@ -349,18 +346,21 @@ def snap_interface(mesh: Mesh, primitives) -> np.ndarray:
     spacing = 0.25 * min(mesh.h_x, mesh.h_y)
     tree = cKDTree(mesh.vertices, balanced_tree=False, compact_nodes=False)
 
-    def steps(prim, halvings):
-        pts = prim.sample(spacing / 2 ** halvings)
+    def steps(i, halvings):
+        pts = primitives[i].sample(spacing / 2 ** halvings)
         if np.any((pts < lo - tol) | (pts > hi + tol)):
-            raise MeshError("interface primitive leaves the physical region")
+            raise MeshError(f"interface primitive {i} leaves the physical region")
         dist, near = tree.query(pts, k=4)
         nearest = np.where(dist == dist[:, :1], near, mesh.n_vertices).min(axis=1)
         chain = nearest[np.r_[True, nearest[1:] != nearest[:-1]]]
+        if len(chain) == 1:
+            raise MeshError(f"interface primitive {i} snaps to the single vertex "
+                            f"{chain[0]}, so it lies on no mesh edge")
         return np.column_stack([chain[:-1], chain[1:]])
 
     level = np.zeros(len(primitives), dtype=int)
     for _ in range(SNAP_HALVINGS + 1):
-        chains = [steps(prim, n) for prim, n in zip(primitives, level)]
+        chains = [steps(i, n) for i, n in enumerate(level)]
         pairs = np.concatenate([np.empty((0, 2), dtype=np.int64), *chains])
         edges, unjoined = _join(mesh, pairs)
         if not len(unjoined):

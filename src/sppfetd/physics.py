@@ -15,7 +15,7 @@ import numpy as np
 
 from .checks import (ConfigError, FieldError, finite, nonnegative, numbers, optional,
                      positive, validate)
-from .mesh import CellTag, Mesh
+from .mesh import Mesh
 
 EPSILON_0 = 8.8541878128e-12   # F/m
 MU_0 = 1.25663706212e-6        # H/m
@@ -153,10 +153,10 @@ def locate_cell(mesh: Mesh, point) -> int:
 
 def dipole_source_cells(mesh: Mesh, spec: SourceSpec) -> list:
     """Map each dipole point to its containing physical cell, as (cell, sign)."""
-    out = []
+    out, (lo, hi) = [], np.reshape(mesh.physical_bounds, (2, 2)).T
     for x, y, sign in spec.points:
         cell = locate_cell(mesh, (x, y))
-        if mesh.cell_tags[cell] != CellTag.PHYSICAL:
+        if np.any((mesh.centroids[cell] < lo) | (mesh.centroids[cell] > hi)):
             raise ConfigError(f"dipole source at ({x}, {y}) lies in the absorbing collar")
         out.append((cell, float(sign)))
     return out

@@ -14,8 +14,10 @@ import heapq
 
 import numpy as np
 
+from sppfetd.assembly import build_operator_set
 from sppfetd.dynamics import FieldState
-from sppfetd.mesh import Mesh, generate_rect_mesh
+from sppfetd.mesh import Mesh, Segment, generate_rect_mesh, snap_interface
+from sppfetd.physics import damping_at_centroids
 
 REF_EDGES = ((0, 1), (1, 2), (2, 0))
 _REF_GRADS = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
@@ -274,16 +276,17 @@ def dense_merged_step(mesh, params, tau, e_prev, e_curr, hx_old, hy_old, ks,
                       load=None):
     """Independent dense implementation of one merged interface/collar step.
 
-    With every cell physical, no damping and no velocity this is the plain
-    scheme of `dense_leapfrog_step`, written in split form.  Returns
-    (e_new, hx_new, hy_new).
+    With no damping and no velocity this is the plain scheme of
+    `dense_leapfrog_step`, written in split form.  Returns (e_new, hx_new,
+    hy_new).
 
     `sigma` = (sigma_x, sigma_y) per cell switches on the collar damping;
-    cells tagged physical carry the sheet scheme, the others the split-field
-    scheme.  Passing `velocity` makes this the first step: the pre-initial
-    level is eliminated through e_prev = e_new - 2 tau velocity.  `bc`, a
-    full edge vector, prescribes e_new on the constrained edges (zero when
-    omitted); the free rows then carry the known columns to the right.
+    the undamped cells carry the sheet scheme, the damped ones (the collar)
+    the split-field scheme.  Passing `velocity` makes this the first step:
+    the pre-initial level is eliminated through e_prev = e_new - 2 tau
+    velocity.  `bc`, a full edge vector, prescribes e_new on the
+    constrained edges (zero when omitted); the free rows then carry the
+    known columns to the right.
     `load` is an edge vector added to the electric right-hand side.
 
     Magnetic update, per component a in {x, y}:
@@ -296,8 +299,8 @@ def dense_merged_step(mesh, params, tau, e_prev, e_curr, hx_old, hy_old, ks,
     """
     eps0, mu0, tau0, sig0 = params.eps0, params.mu0, params.tau0, params.sigma0
     nt = mesh.n_triangles
-    c1 = (mesh.cell_tags == 0).astype(float)
     sx, sy = (np.zeros(nt), np.zeros(nt)) if sigma is None else sigma
+    c1 = physical(sx, sy).astype(float)
     md = dense_edge_mass(mesh)
     md_phys = dense_edge_mass(mesh, c1)
     md1 = dense_edge_mass(mesh, np.column_stack([sy, sx]))
@@ -343,6 +346,17 @@ def dense_merged_step(mesh, params, tau, e_prev, e_curr, hx_old, hy_old, ks,
         rhs = rhs - a_mat[:, mask] @ bc[mask]
     e_new[free] = np.linalg.solve(a_mat[np.ix_(free, free)], rhs[free])
     return e_new, hx_new, hy_new
+
+
+def physical(sigma_x, sigma_y):
+    """The cells the scheme treats as physical: those with no damping."""
+    return (np.asarray(sigma_x) == 0.0) & (np.asarray(sigma_y) == 0.0)
+
+
+def collar_cells(mesh):
+    """The cells whose centroid lies outside `mesh.physical_bounds`."""
+    lo, hi = np.reshape(mesh.physical_bounds, (2, 2)).T
+    return np.any((mesh.centroids < lo) | (mesh.centroids > hi), axis=1)
 
 
 def split_state(ops, e_prev, e_curr, hx, hy, step, tau):
@@ -414,6 +428,27 @@ def graded_mesh(n):
     return Mesh(vertices, base.triangles)
 
 
+def tem_channel(width, h, half, layers, isotropic=False, sheet=False):
+    """A parallel-plate channel and its operators: conducting plates at x = 0
+    and `width`, physical y in (-half, half), square cells of side `h` and
+    `layers` collar cells at each y end only, so sigma_x is 0 there.
+    `isotropic` gives both axes the weight sigma_x + sigma_y; `sheet` snaps
+    a graphene sheet across the channel at y = 0.  A TEM wave (E along x,
+    Hz uniform across) runs along y; `generate_rect_mesh` numbers the cells
+    row by row, two per grid cell."""
+    depth, nx = layers * h, round(width / h)
+    grid = generate_rect_mesh((0.0, width, -half - depth, half + depth),
+                              nx, round(2 * half / h) + 2 * layers, 0)
+    mesh = Mesh(grid.vertices, grid.triangles, h_x=h, h_y=h,
+                physical_bounds=(0.0, width, -half, half))
+    if sheet:
+        assert len(snap_interface(mesh, [Segment((0.0, 0.0), (width, 0.0))])) == nx
+    sx, sy = damping_at_centroids(mesh)
+    if isotropic:
+        sx = sy = sx + sy
+    return mesh, build_operator_set(mesh, sx, sy)
+
+
 def cells_containing(mesh, point, tol=1e-12):
     """Every cell whose barycentric coordinates at `point` are all >= -tol,
     in increasing order, found by solving on every cell."""
@@ -447,15 +482,16 @@ def edge_midpoints(mesh):
 def save_mesh(mesh, path):
     """Write `mesh` in the documented ASCII format that `load_mesh` reads.
 
-    Interior edges (tag 0) are implicit in the format, so only the
-    interface and outer-boundary edges are listed.
+    A cell's tag is 1 in the collar (`collar_cells`), else 0.  Interior
+    edges (tag 0) are implicit in the format, so only the interface and
+    outer-boundary edges are listed.
     """
     with open(path, "w") as f:
         f.write(f"SPPMESH 1\nVERTICES {mesh.n_vertices}\n")
         f.writelines(f"{x:.17g} {y:.17g}\n" for x, y in mesh.vertices)
         f.write(f"TRIANGLES {mesh.n_triangles}\n")
         f.writelines(f"{i} {j} {k} {int(tag)}\n"
-                     for (i, j, k), tag in zip(mesh.triangles, mesh.cell_tags))
+                     for (i, j, k), tag in zip(mesh.triangles, collar_cells(mesh)))
         tagged = np.flatnonzero(mesh.edge_tags != 0)
         f.write(f"EDGETAGS {len(tagged)}\n")
         f.writelines(f"{a} {b} {int(mesh.edge_tags[e])}\n"

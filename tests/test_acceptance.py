@@ -1,5 +1,6 @@
 """Acceptance suite: one test per criterion, each printing pass/fail, and
-the absorbing collar's reflection gate, which prints its figure alike.
+the absorbing collar's reflection gate and its seam's, which print their
+figures alike.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the summary lines.
 The full module takes a few minutes; the two field-scale runs (absorber
@@ -7,7 +8,6 @@ effectiveness, sheet localisation) dominate.
 """
 
 import numpy as np
-import pytest
 import scipy.sparse as sp
 
 from sppfetd.assembly import (apply_pec, assemble_edge_mass,
@@ -17,8 +17,7 @@ from sppfetd.dynamics import (CflConstants, FieldState, LeapfrogStepper,
 from sppfetd.elements import interpolate_hcurl, project_l2_p0
 from sppfetd.harness import (ManufacturedDrivers, build_manufactured_problem,
                              l2_errors, run_convergence_study)
-from sppfetd.mesh import (CellTag, Mesh, Segment,
-                          generate_rect_mesh, snap_interface)
+from sppfetd.mesh import Segment, generate_rect_mesh, snap_interface
 from sppfetd.physics import (KuboParams, ManufacturedCase, MaterialParams,
                              SourceSpec, damping_at_centroids,
                              dipole_source_cells, eval_source, kubo_sigma0)
@@ -134,8 +133,9 @@ def test_criterion_5_assembly_oracles():
     rng = np.random.default_rng(9)
     sx = np.abs(rng.standard_normal(mesh.n_triangles))
     sy = np.abs(rng.standard_normal(mesh.n_triangles))
+    sx[:4] = sy[:4] = 0.0      # the lower row physical, the upper one collar
     ops = build_operator_set(mesh, sx, sy)
-    c1 = ops.c1
+    c1 = oracles.physical(sx, sy).astype(float)
     areas = oracles.dense_cell_areas(mesh)
     tau, params = 0.01, MaterialParams.unit()
     stepper = LeapfrogStepper(ops, params, tau)
@@ -219,7 +219,7 @@ def test_criterion_7_pml_effectiveness():
 
     state = init_state(ops, params, tau=tau)
     stepper = LeapfrogStepper(ops, params, tau)
-    phys = mesh.cell_tags == 0
+    phys = oracles.physical(sx, sy)
     peak = 0.0
     for n in range(1000):
         ks = eval_source(spec, n * tau, cells, mesh.n_triangles)
@@ -232,26 +232,17 @@ def test_criterion_7_pml_effectiveness():
             f"after 1000 steps (gate: one source period)")
 
 
-def test_collar_normal_incidence_reflection():
-    # A TEM wave (E along x, Hz uniform across) between PEC plates at x = 0
-    # and W, with the published 12-layer collar at the two y ends only: the
-    # physical bounds span the full width, so sigma_x = 0 everywhere.  A
-    # continuous Ks row at y = -15 um drives 30 periods at 10 THz; the
-    # row-mean Hz over the last 5, fitted to A e^{-iky} + B e^{iky} (the
-    # incident and reflected waves under an e^{-i omega t} kernel) clear of
-    # the source and the collar, gives the collar's reflection |B/A|.  It is
-    # structural (P0 Hz gives both split halves the same drive, and a
-    # y-collar never damps the hzx half), so the gate pins today's figure.
-    width, half, h, layers, f0 = 2 * UM, 20 * UM, 0.4 * UM, 12, 1e13
+def _channel_reflection(f0, layers, isotropic):
+    """The reflection |R| of `oracles.tem_channel`'s collar (h = 0.4 um,
+    physical y in (-20, 20) um) at normal incidence and `f0`, and the
+    fit's relative residual.  A continuous Ks row at y = -15 um drives 30
+    periods; the row-mean Hz over the last 5, fitted to A e^{-iky} + B
+    e^{iky} (the incident and reflected waves under an e^{-i omega t}
+    kernel) clear of the source and the collar, gives |B/A|."""
+    width, half, h = 2 * UM, 20 * UM, 0.4 * UM
+    mesh, ops = oracles.tem_channel(width, h, half, layers, isotropic)
+    assert np.array_equal(ops.damped, np.flatnonzero(np.abs(mesh.centroids[:, 1]) > half))
     depth, nx, ny = layers * h, 5, 2 * (50 + layers)
-    grid = generate_rect_mesh((0.0, width, -half - depth, half + depth), nx, ny, 0)
-    tags = np.where(np.abs(grid.centroids[:, 1]) > half, CellTag.PML, CellTag.PHYSICAL)
-    mesh = Mesh(grid.vertices, grid.triangles, tags, h_x=h, h_y=h,
-                physical_bounds=(0.0, width, -half, half))
-    sx, sy = damping_at_centroids(mesh)
-    assert not sx.any() and sy[tags == CellTag.PML].all()
-    ops = build_operator_set(mesh, sx, sy)
-
     params = MaterialParams()
     tau = h / (4.0 * params.c_v)
     omega, n_steps, n_last = 2 * np.pi * f0, round(30 / (f0 * tau)), round(5 / (f0 * tau))
@@ -263,7 +254,7 @@ def test_collar_normal_incidence_reflection():
     for n in range(n_steps):
         ks[drive] = np.sin(omega * n * tau)
         stepper.advance(state, ks)
-        if n >= n_steps - n_last:   # generate_rect_mesh numbers cells row by row
+        if n >= n_steps - n_last:
             row_mean = state.hz.reshape(ny, 2 * nx).mean(axis=1)
             dft += row_mean * np.exp(-1j * omega * (n + 0.5) * tau)
 
@@ -273,12 +264,39 @@ def test_collar_normal_incidence_reflection():
     waves = np.exp(np.outer(y[fit], [-1j * k, 1j * k]))
     (inc, ref), *_ = np.linalg.lstsq(waves, dft[fit], rcond=None)
     residual = np.linalg.norm(waves @ [inc, ref] - dft[fit]) / np.linalg.norm(dft[fit])
-    reflection = abs(ref / inc)
+    return abs(ref / inc), residual
+
+
+def test_collar_normal_incidence_reflection():
+    # The published 12-layer collar (sigma_x = 0 in the channel) at 10 THz.
+    # Its reflection is structural (P0 Hz gives both split halves the same
+    # drive, and a y-collar never damps the hzx half), so the gate pins
+    # today's figure.
+    reflection, residual = _channel_reflection(1e13, 12, isotropic=False)
     ok = reflection <= 0.42 and residual <= 2e-3
     detail = (f"|R| = {reflection:.3f} at normal incidence, 12 layers of 0.4 um "
               f"(gate 0.42); fit residual {residual:.1e} (gate 2e-3)")
     print(f"\n[{'PASS' if ok else 'FAIL'}] collar gate (TEM channel reflection): {detail}")
     assert ok, f"collar gate failed: {detail}"
+
+
+def test_collar_seam_reflects_one_over_two_omega_tau0():
+    # The relaxation terms, (eps0/tau0) E_t and (1/tau0) curl H, act in the
+    # physical cells only, so the seam where the collar starts is an
+    # impedance step of relative size about 1/(omega tau0): it reflects
+    # ~1/(2 omega tau0) whatever h and the collar's depth.  24 isotropic
+    # layers (sigma_x = sigma_y = sx + sy) reflect little themselves, so
+    # the channel reads the seam; the 20% tolerance was fixed before the run.
+    tau0, ok, details = MaterialParams().tau0, True, []
+    for f0 in (5e12, 1e13):
+        reflection, residual = _channel_reflection(f0, 24, isotropic=True)
+        seam = 1 / (4 * np.pi * f0 * tau0)
+        ok = ok and abs(reflection - seam) <= 0.2 * seam and residual <= 2e-3
+        details.append(f"{f0 / 1e12:g} THz: |R| = {reflection:.4f}, 1/(2 omega tau0) = "
+                       f"{seam:.4f}, fit residual {residual:.1e}")
+    detail = "; ".join(details) + " (gate 20% of 1/(2 omega tau0), residual 2e-3)"
+    print(f"\n[{'PASS' if ok else 'FAIL'}] collar seam (24 isotropic layers): {detail}")
+    assert ok, f"collar seam failed: {detail}"
 
 
 def _example1_reduced(sigma0, n_steps, tau):
@@ -324,9 +342,10 @@ def test_criterion_8_spp_localization():
             t = np.clip((c - pa) @ ab / (ab @ ab), 0, 1)
             proj = pa + t[:, None] * ab
             dist = np.minimum(dist, np.hypot(*(c - proj).T))
-        band = ((dist <= 2 * mesh.h_y) & (mesh.cell_tags == 0)).astype(float)
+        phys = oracles.physical(ops.sigma_x, ops.sigma_y).astype(float)
+        band = (dist <= 2 * mesh.h_y) * phys
         m_band = assemble_edge_mass(mesh, np.column_stack([band, band]))
-        m_phys = assemble_edge_mass(mesh, np.column_stack([ops.c1, ops.c1]))
+        m_phys = assemble_edge_mass(mesh, np.column_stack([phys, phys]))
         fracs.append(float(e @ (m_band @ e)) / float(e @ (m_phys @ e)))
     ratio = fracs[0] / fracs[1]
     ok = ratio >= 3.0
@@ -356,16 +375,11 @@ def test_criterion_10_sheet_transmission():
     # at -20 um drives sin(omega t) for 60 periods; T_num is the DFT of the
     # mean Hz of the row at +3 um over the last 10, with the sheet over
     # the same without it (sigma0 = 0).  The tolerance was fixed before
-    # the run; the 0.25-0.43% left does not fall with h (0.33-0.57% at 0.2 um).
-    width, half, h, layers, f0 = 2 * UM, 40 * UM, 0.4 * UM, 12, 1e13
-    depth, nx, ny = layers * h, 5, 2 * (100 + layers)
-    grid = generate_rect_mesh((0.0, width, -half - depth, half + depth), nx, ny, 0)
-    tags = np.where(np.abs(grid.centroids[:, 1]) > half, CellTag.PML, CellTag.PHYSICAL)
-    mesh = Mesh(grid.vertices, grid.triangles, tags, h_x=h, h_y=h,
-                physical_bounds=(0.0, width, -half, half))
-    assert len(snap_interface(mesh, [Segment((0.0, 0.0), (width, 0.0))])) == nx
-    iso = sum(damping_at_centroids(mesh))
-    ops = build_operator_set(mesh, iso, iso)
+    # the run.  The 0.25-0.43% left does not fall with h (0.33-0.57% at 0.2
+    # um): it is the collar seam's echo (see the seam test) between the
+    # collar and the sheet; criterion 11 measures the sheet without one.
+    width, half, h, f0, nx = 2 * UM, 40 * UM, 0.4 * UM, 1e13, 5
+    mesh, ops = oracles.tem_channel(width, h, half, 12, isotropic=True, sheet=True)
 
     vacuum = MaterialParams()
     tau = h / (4.0 * vacuum.c_v)
@@ -399,3 +413,69 @@ def test_criterion_10_sheet_transmission():
                        f"({100 * off:.2f}% off)")
     _report(10, "sheet transmission at 10 THz", ok,
             "; ".join(details) + " (gate 1.5% of |T|)")
+
+
+BAND_THZ = (5.0, 7.5, 10.0, 15.0, 20.0)
+
+
+def _pulse_transmission_errors(h, mu_cs):
+    """Per chemical potential in `mu_cs`, |T_num - T| / |T| at BAND_THZ from
+    one gated pulse through a sheet across a collar-free channel of cells
+    of side `h` (see criterion 11)."""
+    width, s = 1.6 * UM, 20e-15
+    mesh, ops = oracles.tem_channel(width, h, 120 * UM, 0, sheet=True)
+    vacuum = MaterialParams()
+    tau = h / (4.0 * vacuum.c_v)
+    n_steps = round(0.7e-12 / tau)
+    drive = np.abs(mesh.centroids[:, 1] + 20 * UM) < h / 2
+    probe = np.abs(mesh.centroids[:, 1] - 3 * UM) < h / 2
+    assert drive.sum() == probe.sum() == 2 * round(width / h)
+    omega = 2e12 * np.pi * np.array(BAND_THZ)
+    kernel = np.exp(-1j * np.outer(np.arange(n_steps) + 0.5, omega * tau))
+
+    def probe_dft(sigma0):
+        params = MaterialParams(sigma0=sigma0)
+        state = init_state(ops, params, tau=tau)
+        stepper = LeapfrogStepper(ops, params, tau)
+        ks, record = np.zeros(mesh.n_triangles), np.empty(n_steps)
+        for n in range(n_steps):
+            u = (n * tau - 4 * s) / s
+            ks[drive] = -u * np.exp(-u * u)
+            stepper.advance(state, ks)
+            record[n] = state.hz[probe].mean()
+        return record @ kernel
+
+    eta0 = np.sqrt(vacuum.mu0 / vacuum.eps0)
+    without, errors = probe_dft(0.0), []
+    for mu_c in mu_cs:
+        sigma0 = kubo_sigma0(KuboParams(mu_c_ev=mu_c), vacuum.tau0)
+        t_exact = np.conj(2 / (2 + eta0 * sigma0 / (1 - 1j * omega * vacuum.tau0)))
+        errors.append(np.abs(probe_dft(sigma0) / without - t_exact) / np.abs(t_exact))
+    return errors
+
+
+def test_criterion_11_sheet_conductivity_over_a_band():
+    # Criterion 10's exact T from one pulse over 5-20 THz, with no collar
+    # in the loop.  The channel has conducting walls at y = +-120 um and the
+    # sheet at y = 0; a Ks row at -20 um is driven by -u e^{-u^2}, u = (t -
+    # 4s)/s, s = 20 fs, and the mean Hz of the row at +3 um is recorded
+    # every step for 0.7 ps.  The record ends before the first wall echo
+    # reaches the probe: the backward wave's source-wall-probe path, 223
+    # um, takes 0.74 ps.  The sheet's own response decays in ~29 fs (1.5
+    # eV) and ~55 fs (0.8 eV).  T_num is the record's DFT with the sheet
+    # over the same without it (sigma0 = 0).  Both gates were fixed before
+    # the run: 0.2% of |T| at h = 0.4 um, and the 20 THz error at 1.5 eV
+    # falls at least 3x from h = 0.8 um to 0.4 um.
+    fine = _pulse_transmission_errors(0.4 * UM, (1.5, 0.8))
+    coarse = _pulse_transmission_errors(0.8 * UM, (1.5,))[0]
+    ratio = coarse[-1] / fine[0][-1]
+    ok, details = ratio >= 3.0, []
+    for mu_c, err in zip((1.5, 0.8), fine):
+        worst = int(np.argmax(err))
+        ok = ok and err[worst] <= 2e-3
+        details.append(f"mu_c = {mu_c} eV: worst {100 * err[worst]:.3f}% off at "
+                       f"{BAND_THZ[worst]:g} THz")
+    _report(11, "sheet conductivity over 5-20 THz from one pulse", ok,
+            "; ".join(details) + " (gate 0.2% of |T| at h = 0.4 um); 20 THz error at "
+            f"h = 0.8 / 0.4 um {100 * coarse[-1]:.3f}% / {100 * fine[0][-1]:.3f}%, "
+            f"ratio {ratio:.2f} (need >= 3)")

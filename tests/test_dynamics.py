@@ -8,8 +8,7 @@ from sppfetd.dynamics import (BlowUpError, CflConstants, FieldState,
                               LeapfrogStepper, cfl_max_timestep,
                               discrete_energy, init_state, run_simulation)
 from sppfetd.elements import interpolate_hcurl
-from sppfetd.mesh import (Mesh, Segment, generate_rect_mesh,
-                          snap_interface)
+from sppfetd.mesh import Segment, generate_rect_mesh, snap_interface
 from sppfetd.physics import ManufacturedCase, MaterialParams, damping_at_centroids
 
 import oracles
@@ -115,9 +114,8 @@ def test_step_h_rotational_field(small_setup):
 
 
 def _collar_only_setup():
-    """Two-triangle mesh entirely inside the absorbing region."""
-    square = generate_rect_mesh((0, 1, 0, 1), 1, 1, 0)
-    mesh = Mesh(square.vertices, square.triangles, cell_tags=[1, 1])
+    """Two-triangle mesh whose cells are both damped: all collar."""
+    mesh = generate_rect_mesh((0, 1, 0, 1), 1, 1, 0)
     sx = np.array([0.7, 0.7])
     sy = np.array([0.3, 0.3])
     return mesh, build_operator_set(mesh, sx, sy), sx, sy
@@ -201,7 +199,7 @@ def test_merged_step_collar_and_sheet_matches_dense(first_step):
     # and a source in every cell: one step against the dense merged scheme
     mesh = generate_rect_mesh((0, 1, 0, 1), 2, 2, 1)
     edges = snap_interface(mesh, [Segment((0, 0.5), (1, 0.5))])
-    collar = mesh.cell_tags != 0
+    collar = oracles.collar_cells(mesh)
     assert collar.any() and not collar.all() and len(edges) > 0
     rng = np.random.default_rng(6)
     sx = np.where(collar, rng.uniform(10.0, 100.0, mesh.n_triangles), 0.0)
@@ -237,7 +235,7 @@ def test_merged_step_with_dirichlet_data_matches_dense(first_step):
     # field levels are nonzero on the boundary and the new level takes bc
     mesh = generate_rect_mesh((0, 1, 0, 1), 2, 2, 1)
     edges = snap_interface(mesh, [Segment((0, 0.5), (1, 0.5))])
-    collar = mesh.cell_tags != 0
+    collar = oracles.collar_cells(mesh)
     rng = np.random.default_rng(11)
     sx = np.where(collar, rng.uniform(10.0, 100.0, mesh.n_triangles), 0.0)
     sy = np.where(collar, rng.uniform(10.0, 100.0, mesh.n_triangles), 0.0)
@@ -273,7 +271,7 @@ def test_first_step_is_later_step_with_two_lead_mass():
     # same right-hand side b, checked on the free rows with dense matrices
     mesh = generate_rect_mesh((0, 1, 0, 1), 2, 2, 1)
     snap_interface(mesh, [Segment((0, 0.5), (1, 0.5))])
-    collar = mesh.cell_tags != 0
+    collar = oracles.collar_cells(mesh)
     rng = np.random.default_rng(13)
     sx = np.where(collar, rng.uniform(10.0, 100.0, mesh.n_triangles), 0.0)
     sy = np.where(collar, rng.uniform(10.0, 100.0, mesh.n_triangles), 0.0)
@@ -294,7 +292,7 @@ def test_first_step_is_later_step_with_two_lead_mass():
     e_later = stepper.step_e(state, h_term)
 
     md = oracles.dense_edge_mass(mesh)
-    c1 = (mesh.cell_tags == 0).astype(float)
+    c1 = oracles.physical(sx, sy).astype(float)
     damp = (oracles.dense_edge_mass(mesh, np.column_stack([sy, sx]))
             + (params.eps0 / params.tau0) * oracles.dense_edge_mass(mesh, c1))
     m_lead = (params.eps0 / tau ** 2) * md
@@ -439,18 +437,19 @@ def test_collar_free_state_carries_empty_split(small_setup):
 
 
 def test_damped_split_covers_exactly_the_damped_cells():
-    # sigma != 0 on collar cells and on some physical ones, sigma = 0 on
-    # some collar cells: the split follows the damping, not the cell tags
+    # sigma != 0 on cells outside the physical rectangle and on some inside,
+    # sigma = 0 on some outside: the split, like the collar, follows the
+    # damping, not the rectangle
     mesh = generate_rect_mesh((0, 1, 0, 1), 4, 4, 1)
     sx, sy = damping_at_centroids(mesh)
     sx[::3], sy[::3] = 0.0, 0.0
-    physical = np.flatnonzero(mesh.cell_tags == 0)
-    sx[physical[:5]] = 0.5
+    outside = oracles.collar_cells(mesh)
+    sx[np.flatnonzero(~outside)[:5]] = 0.5
     ops = build_operator_set(mesh, sx, sy)
     expected = np.flatnonzero((sx != 0.0) | (sy != 0.0))
     assert 0 < len(expected) < mesh.n_triangles
-    assert np.any(mesh.cell_tags[expected] == 0)
-    assert np.any((mesh.cell_tags != 0) & (sx == 0.0) & (sy == 0.0))
+    assert np.any(~outside[expected])
+    assert np.any(outside & (sx == 0.0) & (sy == 0.0))
     np.testing.assert_array_equal(ops.damped, expected)
     state = init_state(ops, UNIT, e0=_bump, dt_e0=_swirl, tau=0.01)
     assert state.hzx.shape == state.hzy.shape == expected.shape
@@ -561,7 +560,7 @@ def test_run_factors_each_step_matrix_once(small_setup, monkeypatch,
             if sp.issparse(value)}
     assert held.pop("a") == (mesh.n_edges, mesh.n_edges)
     assert held.pop("_ct") == (mesh.n_edges, mesh.n_triangles)
-    n_collar_edges = len(np.unique(mesh.tri_edges[collar.c1 == 0.0]))
+    n_collar_edges = len(np.unique(mesh.tri_edges[oracles.collar_cells(mesh)]))
     assert held == {"_collar": (n_collar_edges, mesh.n_edges),
                     "_lift": (len(stepper._lift_rows), int(collar.pec_mask.sum()))}
     assert n_collar_edges < mesh.n_edges and len(stepper._lift_rows) < mesh.n_edges
@@ -590,7 +589,7 @@ def test_edge_mass_kernel_runs_once_per_matrix(monkeypatch, n_steps):
     for layers in (1, 0):
         mesh = generate_rect_mesh((0, 1, 0, 1), 4, 4, layers)
         ops = build_operator_set(mesh, *damping_at_centroids(mesh))
-        n_collar = int(np.sum(ops.c1 == 0.0))
+        n_collar = int(oracles.collar_cells(mesh).sum())
         assert len(visits) == 1 and visits.pop() == mesh.n_triangles
         run_simulation(ops, UNIT, 0.01, n_steps, e0=_bump, dt_e0=_swirl,
                        energy_every=0)
@@ -626,7 +625,8 @@ def test_step_matrix_matches_weighted_edge_mass(monkeypatch, setup, passes):
     visits = _count_kernel_cells(monkeypatch)
     a = LeapfrogStepper(ops, params, tau).a
     assert len(visits) == passes
-    base = params.eps0 / tau ** 2 + ops.c1 * params.eps0 / (2 * tau * params.tau0)
+    phys = oracles.physical(ops.sigma_x, ops.sigma_y)
+    base = params.eps0 / tau ** 2 + phys * params.eps0 / (2 * tau * params.tau0)
     ref = assembly.assemble_edge_mass(mesh, np.column_stack(
         [base + ops.sigma_y / (2 * tau), base + ops.sigma_x / (2 * tau)]))
     assert abs(a - ref).max() <= 1e-13 * abs(ref).max()
@@ -677,7 +677,7 @@ def _collar_sheet_run():
     damped collar and a sheet."""
     mesh = generate_rect_mesh((0, 1, 0, 1), 4, 4, 1)
     snap_interface(mesh, [Segment((0, 0.5), (1, 0.5))])
-    collar = mesh.cell_tags != 0
+    collar = oracles.collar_cells(mesh)
     rng = np.random.default_rng(12)
     sx = np.where(collar, rng.uniform(10.0, 100.0, mesh.n_triangles), 0.0)
     sy = np.where(collar, rng.uniform(10.0, 100.0, mesh.n_triangles), 0.0)
@@ -767,7 +767,7 @@ def test_collar_term_lives_on_collar_edges(setup):
     # nonzero rows, which are edges of collar cells only
     ops, params, state, _ = setup()
     stepper = LeapfrogStepper(ops, params, state.tau)
-    collar_cells = (ops.c1 == 0.0) | (ops.sigma_x != 0.0) | (ops.sigma_y != 0.0)
+    collar_cells = ~oracles.physical(ops.sigma_x, ops.sigma_y)
     if not collar_cells.any():
         assert stepper._collar is None
         return

@@ -432,7 +432,7 @@ def test_run_damps_the_collar_of_a_mesh_file(tmp_path, monkeypatch):
     run(generated)
     run(from_file)
     (_, gen_x, gen_y), (mesh, file_x, file_y) = damping
-    absorber = mesh.cell_tags == 1
+    absorber = np.any(np.abs(mesh.centroids) > [3 * UM, 1 * UM], axis=1)
     assert absorber.sum() == 768 and mesh.n_triangles == 1368
     assert np.all(np.maximum(file_x, file_y)[absorber] > 0.0)
     assert np.all(file_x[~absorber] == 0.0) and np.all(file_y[~absorber] == 0.0)

@@ -1,7 +1,7 @@
-"""Every name a module of the package imports is used in that module, every
-parameter of its functions is read, so is every private attribute its
-classes store, and package code refers to every module-level function and
-class and to every method of those classes."""
+"""Every name a module of the package or of its tests imports is used in
+that module, every parameter of a package function is read, so is every
+private attribute its classes store, and package code refers to every
+module-level function and class and to every method of those classes."""
 
 import ast
 from pathlib import Path
@@ -12,6 +12,7 @@ import sppfetd
 
 MODULES = sorted(p for p in Path(sppfetd.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")   # __init__ imports to re-export
+TEST_MODULES = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -37,7 +38,7 @@ def test_unused_import_detector():
     assert unused_imports(source) == ["field (line 4)", "os (line 2)"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TEST_MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 

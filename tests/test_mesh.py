@@ -9,8 +9,8 @@ from scipy.sparse.csgraph import dijkstra
 
 import sppfetd.mesh as mesh_module
 from sppfetd.cli import main as cli_main
-from sppfetd.mesh import (Arc, CellTag, EdgeTag, Mesh, MeshError,
-                          Segment, generate_rect_mesh, load_mesh, snap_interface)
+from sppfetd.mesh import (Arc, EdgeTag, Mesh, MeshError, Segment, generate_rect_mesh,
+                          load_mesh, snap_interface)
 
 import oracles
 
@@ -36,7 +36,7 @@ def test_pml_collar_matches_paper_thickness():
     # collar thickness 12 h per side
     assert m.vertices[:, 0].min() == pytest.approx(-30 * UM - 12 * m.h_x)
     assert m.vertices[:, 1].max() == pytest.approx(10 * UM + 12 * m.h_y)
-    n_pml = int((m.cell_tags == CellTag.PML).sum())
+    n_pml = int(oracles.collar_cells(m).sum())
     assert n_pml == 2 * 12 * (100 + 2 * 12) * 2 + 2 * 12 * 100 * 2
 
 
@@ -51,7 +51,7 @@ def test_generate_rejects_bad_input():
 
 def test_classify_no_collar_all_physical():
     m = generate_rect_mesh((0, 1, 0, 1), 3, 3, 0)
-    assert np.all(m.cell_tags == CellTag.PHYSICAL)
+    assert not oracles.collar_cells(m).any()
     assert m.physical_bounds == (0, 1, 0, 1)
 
 
@@ -205,6 +205,31 @@ def test_snap_rejects_curve_in_collar():
         snap_interface(m, [Segment((0.5, 0.5), (1.4, 0.5))])
 
 
+@pytest.mark.parametrize("primitive", [
+    Segment((0.52, 0.31), (0.52, 0.31)),            # zero length
+    Arc((0.5, 0.5), 0.2, 1.0, 1.0),                 # zero sweep
+    Segment((0.51, 0.29), (0.53, 0.31)),            # a fifth of a cell
+], ids=["zero-length", "zero-sweep", "short"])
+def test_snap_refuses_a_primitive_on_no_edge(primitive):
+    # each snaps to one vertex; the run went on without that primitive
+    m = generate_rect_mesh((0, 1, 0, 1), 10, 10, 0)
+    tags = m.edge_tags.copy()
+    with pytest.raises(MeshError, match="interface primitive 1 snaps to the single vertex"):
+        snap_interface(m, [Segment((0, 0.5), (1, 0.5)), primitive])
+    assert np.array_equal(m.edge_tags, tags)
+
+
+def test_sheet_on_no_edge_exits_2(tmp_path, capsys):
+    # the README's minimal config with p0 = p1 completed with no sheet
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "version": 2, "mesh": {"bounds": [0, 1, 0, 1], "nx": 10, "ny": 10},
+        "interface": [{"type": "segment", "p0": [0.5, 0.5], "p1": [0.5, 0.5]}],
+        "tau": 1e-3, "steps": 2}))
+    assert cli_main(["run", str(config), "--out", ""]) == 2
+    assert "interface primitive 0 snaps to the single vertex" in capsys.readouterr().err
+
+
 def test_save_load_round_trip(tmp_path):
     m = generate_rect_mesh((0, 1, 0, 1), 4, 4, 1)
     snap_interface(m, [Segment((0, 0.5), (1, 0.5))])
@@ -213,7 +238,7 @@ def test_save_load_round_trip(tmp_path):
     m2 = load_mesh(path)
     assert np.array_equal(m.triangles, m2.triangles)
     assert np.allclose(m.vertices, m2.vertices)
-    assert np.array_equal(m.cell_tags, m2.cell_tags)
+    assert m2.physical_bounds == m.physical_bounds == (0, 1, 0, 1)
     assert np.array_equal(m.edge_tags, m2.edge_tags)
 
 
@@ -294,6 +319,7 @@ _DEFECTS = {
     "index-repeated": (9, "0 2 2 0", 9, {"triangles": [[0, 1, 2], [0, 2, 2]]},
                        ("triangle", 1)),
     "cell-tag-7": (9, "0 2 3 7", 9, {"cell_tags": [0, 7]}, ("triangle", 1)),
+    "tag-1-inside": (9, "0 2 3 1", 9, {"cell_tags": [0, 1]}, ("triangle", 1)),
     "clockwise": (9, "0 3 2 0", 9, {"triangles": [[0, 1, 2], [0, 3, 2]]}, ("triangle", 1)),
     "non-integer-index": (8, "0 1.5 2 0", 8, {"triangles": [[0, 1.5, 2], [0, 2, 3]]},
                           ("triangle", 0)),
@@ -311,8 +337,10 @@ _DEFECTS = {
 def test_mesh_defect_is_refused_by_mesh_and_named_by_line(line, text, named, args, row,
                                                           tmp_path, capsys):
     # before, a NaN vertex ran to a singular-matrix solver failure (exit 4),
-    # an out-of-range index raised IndexError, cell tag 7 was accepted and
-    # the edge tags after a too-small EDGETAGS count were dropped
+    # an out-of-range index raised IndexError, cell tag 7 was accepted, a
+    # tag-1 cell inside the physical rectangle (the tag-0 cells' bounding
+    # box) got neither damping nor relaxation, and the edge tags after a
+    # too-small EDGETAGS count were dropped
     with pytest.raises(MeshError) as exc:
         Mesh(**{**_ARGS, **args})
     assert (exc.value.kind, exc.value.index) == row
@@ -370,3 +398,16 @@ def test_mesh_needs_a_triangle():
     # a lone vertex meets the Euler relation; it ended in a traceback
     with pytest.raises(MeshError, match="at least one triangle"):
         Mesh([[0.0, 0.0]], np.empty((0, 3)))
+
+
+def test_cell_tags_set_and_agree_with_the_physical_rectangle():
+    # tag-0 cells bound the rectangle; a tag 0 outside given bounds is refused
+    m = Mesh(**_ARGS)
+    assert m.physical_bounds == (0, 1, 0, 1) and not hasattr(m, "cell_tags")
+    with pytest.raises(MeshError, match=r"cell tag 0, but its centroid lies outside") as exc:
+        Mesh(**_ARGS, physical_bounds=(0, 1, 0, 0.5))
+    assert (exc.value.kind, exc.value.index) == ("triangle", 1)
+    # a generated collar, written as tags, reads back as the same rectangle
+    g = generate_rect_mesh((-3 * UM, 3 * UM, -1 * UM, 1 * UM), 30, 10, 4)
+    assert Mesh(g.vertices, g.triangles, oracles.collar_cells(g)).physical_bounds == \
+        pytest.approx(g.physical_bounds, abs=1e-20)

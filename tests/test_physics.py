@@ -3,7 +3,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from sppfetd.mesh import CellTag, Mesh, generate_rect_mesh, load_mesh
+from sppfetd.mesh import Mesh, generate_rect_mesh, load_mesh
 from sppfetd.physics import (HBAR, K_B, Q_E, KuboParams, ManufacturedCase,
                              MaterialParams, SourceSpec, damping_at_centroids,
                              dipole_source_cells, eval_source, kubo_sigma0,
@@ -61,7 +61,7 @@ def test_damping_profile_values():
     mesh = generate_rect_mesh((0.0, 1e-5, 0.0, 1e-5), 25, 25, 3)
     sigma_max = -np.log(1e-7) * 5 / (2 * 1.2e-6 * 377)
     assert sigma_max == pytest.approx(8.907e4, rel=1e-3)
-    phys = mesh.cell_tags == CellTag.PHYSICAL
+    phys = np.all((mesh.centroids >= 0.0) & (mesh.centroids <= 1e-5), axis=1)
     for axis, sigma in enumerate(damping_at_centroids(mesh)):
         c = mesh.centroids[:, axis]
         depth = np.maximum(np.maximum(-c, c - 1e-5), 0.0)
@@ -102,7 +102,7 @@ def test_material_params_validation():
 
 def test_dipole_source_cells():
     mesh = generate_rect_mesh((0, 1, 0, 1), 4, 4, 1)
-    cell = int(np.flatnonzero(mesh.cell_tags == 0)[3])
+    cell = int(np.flatnonzero(oracles.physical(*damping_at_centroids(mesh)))[3])
     centroid = mesh.centroids[cell]
     spec = SourceSpec(((centroid[0], centroid[1], 1.0),), 1e13, 0.25)
     assert dipole_source_cells(mesh, spec) == [(cell, 1.0)]
@@ -132,7 +132,7 @@ def _perturbed_mesh_file(tmp_path):
     shift = np.random.default_rng(3).uniform(-0.15, 0.15, (interior.sum(), 2))
     verts[interior] += shift * [mesh.h_x, mesh.h_y]
     path = tmp_path / "perturbed.mesh"
-    oracles.save_mesh(Mesh(verts, mesh.triangles, mesh.cell_tags), path)
+    oracles.save_mesh(Mesh(verts, mesh.triangles, oracles.collar_cells(mesh)), path)
     return load_mesh(path)
 
 
@@ -164,6 +164,16 @@ def test_source_in_collar_rejected():
     spec = SourceSpec(((-0.2, 0.5, 1.0),), 1e13, 0.25)
     with pytest.raises(ValueError):
         dipole_source_cells(mesh, spec)
+    # a dipole at a centroid is refused exactly on the cells the collar damps
+    refused = []
+    for x, y in mesh.centroids:
+        try:
+            dipole_source_cells(mesh, SourceSpec(((x, y, 1.0),), 1e13, 0.25))
+        except ValueError:
+            refused.append(True)
+        else:
+            refused.append(False)
+    assert np.array_equal(refused, ~oracles.physical(*damping_at_centroids(mesh)))
 
 
 def test_eval_source_waveform():
