@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .assembly import OperatorSet, apply_pec, assemble_edge_mass
 from .checks import positive, validate
@@ -156,52 +157,54 @@ class LeapfrogStepper:
     mass with the per-cell weight eps0/tau^2 + p eps0/(2 tau tau0) +
     diag(sigma_y, sigma_x)/(2 tau): w_phys M_E (w_phys: a physical cell's
     weight) plus K_collar, weighted by the difference on the collar.
-    As 2 M_lead = r (A - K_collar), r = 2 eps0/(tau^2 w_phys),
-    every step builds b = R - r K_collar d, and a later step's
-    e_{n+1} - e_{n-1} is r d plus the solve of b: no M_E product.  With
-    e_prev = e_0 - 2 tau v (see `init_state`) the first step is the same
-    equation with 2 M_lead = r w_phys M_E in place of A, the initial
-    velocity v having eliminated the pre-initial level: it adds (r - 1) A d
-    to b, and its change is the solve of b by w_phys M_E, divided by r.
-    Without a collar w_phys M_E is A, whose factor, formed at the first
-    step, serves every step; a collar's start with a nonzero b or boundary
-    change factors w_phys M_E for that step alone.  Besides the solve, a step
-    multiplies once by C (for curl_e) and once by C^T, held as CSR.
+    As 2 M_lead = r (A - K_collar), r = 2 eps0/(tau^2 w_phys), a step's
+    right-hand side is b = B x - (sigma0/tau0) G e_n + load, B = [C^T |
+    -K_collar] acting on the buffer x = [h_term | r d]; a later step's
+    e_{n+1} - e_{n-1} is r d plus the solve of b.  With e_prev = e_0 -
+    2 tau v (see `init_state`) the first step is the same equation with
+    2 M_lead = r w_phys M_E in place of A, v eliminating the pre-initial
+    level: it adds (1 - 1/r) A (r d) to b, and its change is the solve of
+    b by w_phys M_E, over r.  Without a collar w_phys M_E is A, whose
+    factor, formed at the first step, serves every step; a collar's start
+    with a nonzero b or boundary change factors w_phys M_E then only.
+    Besides the solve a step multiplies once by B and once by C, never by M_E.
     """
 
     def __init__(self, ops: OperatorSet, params: MaterialParams, tau: float):
         positive("tau", tau)
-        self.ops = ops
-
+        self.ops, n_cells, n_edges = ops, len(ops.areas), ops.mesh.n_edges
         eps0, mu0, tau0 = params.eps0, params.mu0, params.tau0
         lead = eps0 / tau ** 2
         self._w_phys = lead + eps0 / (2.0 * tau * tau0)
         self.a = self._w_phys * ops.m_e
-        # r in a form that stays finite when eps0/tau^2 underflows
-        self._r, self._collar = 2.0 / (1.0 + tau / (2.0 * tau0)), None
+        self._r = 2.0 / (1.0 + tau / (2.0 * tau0))    # finite if eps0/tau^2 underflows
         d = self._damped = ops.damped
+        k = sp.csr_matrix((n_edges, n_edges))     # K_collar, empty without a collar
         if len(d):
             # E_x is damped by sigma_y and E_y by sigma_x; no relaxation term.
             w = np.column_stack([lead + ops.sigma_y[d] / (2.0 * tau),
                                  lead + ops.sigma_x[d] / (2.0 * tau)])
-            k_collar = assemble_edge_mass(ops.mesh, w - self._w_phys, d)
-            self.a += k_collar
-            self._collar_rows = np.flatnonzero(np.diff(k_collar.indptr))
-            self._collar = k_collar[self._collar_rows]
+            k = assemble_edge_mass(ops.mesh, w - self._w_phys, d)
+            self.a += k
+        # B = [C^T | -K_collar]: its CSC arrays are C^T's (C's CSR arrays), then K_collar's.
+        ct, k = ops.c.T, k.tocsc()
+        self._b = sp.csc_matrix((np.concatenate([ct.data, -k.data]),
+                                 np.concatenate([ct.indices, k.indices]),
+                                 np.concatenate([ct.indptr, k.indptr[1:] + ct.nnz])),
+                                shape=(n_edges, n_cells + n_edges)).tocsr()
         self._solve, self._bnd = None, np.flatnonzero(ops.pec_mask)   # factored lazily
-        self._ct = ops.c.T.tocsr()
-        self._drive, self._h_term, self._scratch = np.empty((3, len(ops.areas)))
-        self._delta = np.empty(ops.mesh.n_edges)     # r d
-        # All cells: H -= kappa drive, h_term = alpha H_old + beta drive.  Damped cells then
-        # split, H_a = keep_a H_a - feed_a drive (rows x, y); h_term adds w_new (H - that H).
-        p = np.ones(len(ops.areas))
-        p[d] = 0.0
-        self._kappa, self._alpha = tau / mu0, p / tau0
-        self._beta = -(1.0 + p * tau / (2.0 * tau0)) / mu0
+        self._x = np.empty(n_cells + n_edges)
+        self._h_term, self._delta = self._x[:n_cells], self._x[n_cells:]   # h_term | r d
+        self._drive, self._scratch = np.empty((2, n_cells))
+        # All cells: H -= kappa drive, h_term = alpha H_old + beta drive (w_old H_old on the
+        # damped cells, which split, H_a = keep_a H_a - feed_a drive, and add w_new H).
+        self._kappa, self._w_new = tau / mu0, 1.0 / tau
+        self._alpha = np.full(n_cells, 1.0 / tau0)
+        self._beta = np.full(n_cells, -(1.0 + tau / (2.0 * tau0)) / mu0)
+        self._alpha[d], self._beta[d] = -self._w_new, 0.0
         damp = mu0 * np.stack([ops.sigma_x[d], ops.sigma_y[d]]) / (2.0 * eps0)
         self._keep = (mu0 / tau - damp) / (mu0 / tau + damp)
         self._feed = 0.5 / (mu0 / tau + damp)
-        self._w_new = 1.0 / tau
         # G is diagonal, nonzero on the interface edges only: a gather there.
         g_diag = ops.g.diagonal()
         self._g_rows = np.flatnonzero(g_diag)
@@ -229,9 +232,8 @@ class LeapfrogStepper:
             for half, keep, feed in zip((state.hzx, state.hzy), self._keep, self._feed):
                 half *= keep
                 half -= feed * local
-            split = state.hzx + state.hzy
-            h_term[d] += self._w_new * (split - state.hz[d])
-            state.hz[d] = split
+            state.hz[d] = split = state.hzx + state.hzy
+            h_term[d] += self._w_new * split
         return h_term
 
     def step_e(self, state: FieldState, h_term, extra_load=None, bc_values=None):
@@ -240,28 +242,26 @@ class LeapfrogStepper:
         the class docstring); the boundary change enters through the
         matrix's boundary columns.  `bc_values` carries Dirichlet data on the
         `pec_mask` edges only; None imposes the conducting boundary."""
-        rhs = self._ct @ h_term
+        if h_term is not self._h_term:
+            self._h_term[:] = h_term
+        delta = np.subtract(state.e_curr, state.e_prev, out=self._delta)
+        delta *= self._r
+        rhs = self._b @ self._x
         if len(self._g_rows):
             rhs[self._g_rows] -= self._g_part * state.e_curr[self._g_rows]
         if extra_load is not None:
             rhs += extra_load
-        delta = np.subtract(state.e_curr, state.e_prev, out=self._delta)
-        if state.step == 0:
-            # 2 M_lead = r w_phys M_E, which is r A unless a collar makes them differ
-            rhs += (self._r - 1.0) * (self.a @ delta)
-        delta *= self._r
-        if self._collar is not None:
-            rhs[self._collar_rows] -= self._collar @ delta
-
         # A's boundary columns lift the known boundary change into the rows they
         # touch (A is symmetric); the factor's identity rows ignore rhs[bnd].
         if self._solve is None:
             self._solve, self._lift_rows, self._lift = self._factored(self.a)
         target = 0.0 if bc_values is None else bc_values
         if state.step == 0:
+            # 2 M_lead = r w_phys M_E, which is r A unless a collar makes them differ
+            rhs += (1.0 - 1.0 / self._r) * (self.a @ delta)
             change = target - state.e_curr[self._bnd]
             solve, rows, lift = self._solve, self._lift_rows, self._lift
-            if self._collar is not None and (rhs.any() or change.any()):
+            if len(self._damped) and (rhs.any() or change.any()):
                 solve, rows, lift = self._factored(self._w_phys * self.ops.m_e)
             rhs[rows] -= self._r * (lift @ change)
             e_next = state.e_curr + solve(rhs) / self._r

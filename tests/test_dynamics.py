@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -532,8 +534,8 @@ def test_run_factors_each_step_matrix_once(small_setup, monkeypatch,
     # a zero-step run factors nothing; any other run factors A once, and a
     # nonzero start inside a collar also factors the first step's matrix,
     # at step 0 only; the stepper keeps no second all-cell edge mass:
-    # besides A, its edge matrices hold only the collar's rows and the rows
-    # A's boundary columns touch
+    # besides A and the rows A's boundary columns touch, it holds one edge
+    # operator, whose collar block is nonzero on the collar's rows only
     _, collarless = small_setup
     mesh = generate_rect_mesh((0, 1, 0, 1), 4, 4, 1)
     collar = build_operator_set(mesh, *damping_at_centroids(mesh))
@@ -559,10 +561,11 @@ def test_run_factors_each_step_matrix_once(small_setup, monkeypatch,
     held = {name: value.shape for name, value in vars(stepper).items()
             if sp.issparse(value)}
     assert held.pop("a") == (mesh.n_edges, mesh.n_edges)
-    assert held.pop("_ct") == (mesh.n_edges, mesh.n_triangles)
+    assert held.pop("_lift") == (len(stepper._lift_rows), int(collar.pec_mask.sum()))
+    assert list(held.values()) == [(mesh.n_edges, mesh.n_triangles + mesh.n_edges)]
+    collar_block = _edge_operator(stepper)[:, mesh.n_triangles:].tocsr()
     n_collar_edges = len(np.unique(mesh.tri_edges[oracles.collar_cells(mesh)]))
-    assert held == {"_collar": (n_collar_edges, mesh.n_edges),
-                    "_lift": (len(stepper._lift_rows), int(collar.pec_mask.sum()))}
+    assert np.count_nonzero(np.diff(collar_block.indptr)) == n_collar_edges
     assert n_collar_edges < mesh.n_edges and len(stepper._lift_rows) < mesh.n_edges
 
 
@@ -761,25 +764,57 @@ def test_later_steps_never_multiply_by_edge_mass(setup):
     assert counting.products == 1
 
 
+def _edge_operator(stepper):
+    """The one sparse matrix the stepper holds besides A and its lift columns."""
+    (held,) = [value for name, value in vars(stepper).items()
+               if sp.issparse(value) and name not in ("a", "_lift")]
+    return held
+
+
 @pytest.mark.parametrize("setup", [_collar_sheet_run, _manufactured_run])
 def test_collar_term_lives_on_collar_edges(setup):
-    # the later-step correction K_collar is A - w_phys M_E, kept on its
-    # nonzero rows, which are edges of collar cells only
+    # the right-hand side's one edge operator is [C^T | -K_collar]: its cell
+    # block is exactly C^T, and its edge block, the later-step correction,
+    # is -(A - w_phys M_E), nonzero on edges of collar cells only and empty
+    # without a collar
     ops, params, state, _ = setup()
     stepper = LeapfrogStepper(ops, params, state.tau)
+    operator = _edge_operator(stepper).tocsr()
+    n_cells = ops.mesh.n_triangles
+    assert (operator[:, :n_cells] != ops.c.T).nnz == 0
+    collar_block = operator[:, n_cells:].tocsr()
     collar_cells = ~oracles.physical(ops.sigma_x, ops.sigma_y)
     if not collar_cells.any():
-        assert stepper._collar is None
+        assert collar_block.nnz == 0
         return
-    rows = stepper._collar_rows
+    rows = np.flatnonzero(np.diff(collar_block.indptr))
     assert np.all(np.isin(rows, ops.mesh.tri_edges[collar_cells]))
-    full = np.zeros(stepper.a.shape)
-    full[rows] = stepper._collar.toarray()
+    full = -collar_block.toarray()
     tau, p = state.tau, params
     w_phys = p.eps0 / tau ** 2 + p.eps0 / (2 * tau * p.tau0)
     ref = (stepper.a - w_phys * ops.m_e).toarray()
     assert np.abs(full - ref).max() <= 1e-12 * np.abs(ref).max()
     assert stepper._r * w_phys == pytest.approx(2 * p.eps0 / tau ** 2, rel=1e-15)
+
+
+@pytest.mark.parametrize("setup", [_collar_sheet_run, _manufactured_run])
+def test_step_e_copies_in_an_h_term_it_did_not_make(setup):
+    # a nonzero h_term that is not step_h's own buffer (a copy, handed to a
+    # twin stepper whose step_h never ran, on a twin state) gives bitwise
+    # the same field as the buffer path, at the first step and later ones,
+    # on the collar mesh and with boundary data and a load
+    ops, params, state, steps = setup()
+    twin = copy.deepcopy(state)
+    stepper, other = (LeapfrogStepper(ops, params, state.tau) for _ in range(2))
+    for inputs in steps[:4]:
+        loads = {k: v for k, v in inputs.items() if k != "ks_cells"}
+        h_term = stepper.step_h(state, inputs["ks_cells"])
+        assert np.abs(h_term).max() > 0.0
+        e_next = other.step_e(twin, h_term.copy(), **loads)
+        np.testing.assert_array_equal(e_next, stepper.step_e(state, h_term, **loads))
+        for s in (state, twin):
+            s.e_prev, s.e_curr, s.step = s.e_curr, e_next.copy(), s.step + 1
+            s.curl_e = ops.c @ s.e_curr
 
 
 def _poisoned_at_step_3(monkeypatch, field, value):
