@@ -11,8 +11,8 @@ from .elements import (CENTROID, DEGREE3, GAUSS2, QuadratureRule,
 from .harness import (ErrorTable, SimulationConfig, l2_errors, load_config,
                       run, run_convergence_study, scenario, write_energy_log,
                       write_snapshot)
-from .mesh import (Arc, EdgeTag, Mesh, MeshError, Segment,
-                   generate_rect_mesh, load_mesh, snap_interface)
+from .mesh import (Arc, Mesh, MeshError, Segment, generate_rect_mesh, load_mesh,
+                   snap_interface)
 from .physics import (KuboParams, ManufacturedCase, MaterialParams, SourceSpec,
                       damping_at_centroids, dipole_source_cells, eval_source,
                       kubo_sigma0)

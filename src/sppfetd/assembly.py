@@ -16,7 +16,7 @@ import scipy.sparse as sp
 
 from .elements import (_NEXT, DEGREE3, _barycentric_gradients,
                        quad_points_physical)
-from .mesh import TRI_EDGE_LOCAL, EdgeTag, Mesh
+from .mesh import TRI_EDGE_LOCAL, Mesh
 
 
 def _edge_mass_map() -> np.ndarray:
@@ -173,6 +173,6 @@ def build_operator_set(mesh: Mesh, sigma_x=None, sigma_y=None) -> OperatorSet:
         areas=mesh.areas.copy(),
         sigma_x=sigma_x,
         sigma_y=sigma_y,
-        pec_mask=mesh.edge_tags == EdgeTag.OUTER_BOUNDARY,
+        pec_mask=mesh.edge_triangle_count == 1,
         damped=np.flatnonzero((sigma_x != 0.0) | (sigma_y != 0.0)),
     )

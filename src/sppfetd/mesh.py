@@ -11,17 +11,10 @@ path of ordinary conforming edges.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import IntEnum
 
 import numpy as np
 
 from .checks import ConfigError, FieldError, finite, numbers, positive, validate
-
-
-class EdgeTag(IntEnum):
-    INTERIOR = 0
-    INTERFACE = 1
-    OUTER_BOUNDARY = 2
 
 
 # Local edges of a triangle in counterclockwise traversal order.
@@ -94,16 +87,16 @@ def sheet(name: str, value) -> tuple:
 
 
 class Mesh:
-    """Triangular mesh with oriented edges and edge tags.
+    """Triangular mesh with oriented edges and a graphene sheet of edges.
 
     Parameters
     ----------
     vertices : (nv, 2) finite coordinates in meters.
     triangles : (nt, 3) vertex indices, 0-based, counterclockwise.
     cell_tags : (nt,) a file's tag column, 1 where a centroid is out of bounds, else 0.
-    tagged_edges : (k, 3) rows (i, j, tag) that tag the edge between
-        vertices i and j INTERFACE or OUTER_BOUNDARY; untagged edges are
-        OUTER_BOUNDARY if one triangle has them, else INTERIOR.
+    tagged_edges : (k, 3) rows (i, j, tag) that put the edge between
+        vertices i and j on the sheet (tag 1) or name it as conducting wall
+        (tag 2).  The wall is every edge of one triangle, listed or not.
     h_x, h_y : maximum cell extents per axis, meters, finite and positive.
     physical_bounds : (xmin, xmax, ymin, ymax), finite with min < max; by
         default the bounding box of the tag-0 cells.
@@ -111,7 +104,7 @@ class Mesh:
     The constructor checks all it is given and the mesh invariants; a
     `MeshError` names the vertex, triangle or edge-tag row at fault.
     Instances are treated as immutable once built (the only sanctioned
-    mutation is interface tagging by `snap_interface`).
+    mutation is `snap_interface` adding edges to the sheet).
     """
 
     def __init__(self, vertices, triangles, cell_tags=None, tagged_edges=None,
@@ -145,18 +138,15 @@ class Mesh:
         if euler != 2:
             raise MeshError(f"Euler relation violated: V-E+T+1 = {euler}, expected 2")
 
-        self.edge_tags = np.where(self.edge_triangle_count == 1,
-                                  np.uint8(EdgeTag.OUTER_BOUNDARY),
-                                  np.uint8(EdgeTag.INTERIOR))
+        self._sheet = np.zeros(self.n_edges, dtype=bool)
         rows = _numbers(np.empty((0, 3)) if tagged_edges is None else tagged_edges,
                         (None, 3), "tagged edges must be a (k, 3) array")
-        _refuse(~np.isin(rows[:, 2], (EdgeTag.INTERFACE, EdgeTag.OUTER_BOUNDARY)),
-                "edge tag", lambda i: f"unknown edge tag {rows[i, 2]:g} "
-                "(1 interface, 2 outer boundary)")
+        _refuse(~np.isin(rows[:, 2], (1, 2)), "edge tag", lambda i: f"unknown edge tag "
+                f"{rows[i, 2]:g} (1 interface, 2 outer boundary)")
         edges = self.edge_index(rows[:, 0], rows[:, 1])
         _refuse(edges < 0, "edge tag", lambda i: f"({rows[i, 0]:g}, {rows[i, 1]:g}) "
                 "is not an edge of the mesh")
-        self._set_edge_tags(edges, rows[:, 2].astype(np.uint8), "edge tag")
+        self._add_to_sheet(edges, rows[:, 2] == 1, "edge tag")
 
         if h_x is None or h_y is None:
             extent = np.ptp(self.vertices[self.triangles], axis=1).max(axis=0)
@@ -211,24 +201,23 @@ class Mesh:
         self.areas = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
         self.centroids = (p[:, 0] + p[:, 1] + p[:, 2]) / 3.0
 
-    def _set_edge_tags(self, edges, tags, kind=None):
-        """Tag `edges` INTERFACE or OUTER_BOUNDARY by `tags`, where the edges of
-        one triangle, and only they, are OUTER_BOUNDARY and at most three
-        interface edges meet at a vertex; a `MeshError` names the entry of
-        `edges` (as `kind`) or the vertex."""
-        boundary = self.edge_triangle_count[edges] == 1
+    def _add_to_sheet(self, edges, sheet=True, kind=None):
+        """Add `edges` to the sheet where `sheet` holds; the others name the
+        conducting wall, which the edges of one triangle, and only they, are.
+        A sheet edge is not on the wall and at most three meet at a vertex; a
+        `MeshError` names the entry of `edges` (as `kind`) or the vertex."""
+        wall = self.edge_triangle_count[edges] == 1
         ends = self.edges[edges]
-        _refuse(boundary != (tags == EdgeTag.OUTER_BOUNDARY), kind, lambda i: (
+        _refuse(wall == sheet, kind, lambda i: (
             f"interface edge {tuple(ends[i].tolist())} lies on the outer boundary"
-            if boundary[i] else
+            if wall[i] else
             f"edge {tuple(ends[i].tolist())} of two triangles tagged outer boundary"))
-        new = self.edge_tags.copy()
-        new[edges] = tags
-        degree = np.bincount(self.edges[new == EdgeTag.INTERFACE].ravel(),
-                             minlength=self.n_vertices)
+        new = self._sheet.copy()
+        new[edges] |= sheet
+        degree = np.bincount(self.edges[new].ravel(), minlength=self.n_vertices)
         _refuse(degree > 3, "vertex",
                 lambda i: f"{degree[i]} interface edges meet here, more than 3")
-        self.edge_tags = new
+        self._sheet = new
 
     # -- queries ---------------------------------------------------------------
 
@@ -245,7 +234,7 @@ class Mesh:
         return len(self.edges)
 
     def interface_edges(self) -> np.ndarray:
-        return np.flatnonzero(self.edge_tags == EdgeTag.INTERFACE)
+        return np.flatnonzero(self._sheet)
 
     def edge_index(self, a, b):
         """Index of the edge between vertices a and b, elementwise over
@@ -329,7 +318,7 @@ def generate_rect_mesh(bounds, nx: int, ny: int, pml_layers: int = 0) -> Mesh:
 
 def snap_interface(mesh: Mesh, primitives) -> np.ndarray:
     """Snap a sheet's curve primitives (`Segment`s and `Arc`s) onto mesh
-    edges and tag them INTERFACE.
+    edges and add them to the mesh's sheet.
 
     Each primitive is sampled at sub-edge resolution, samples are moved to
     their nearest mesh vertex (on a tie, the lowest index of the four
@@ -337,7 +326,7 @@ def snap_interface(mesh: Mesh, primitives) -> np.ndarray:
     vertices are joined (`_join`).  A primitive with a step that `_join`
     cannot join is sampled again at half the spacing, at most SNAP_HALVINGS
     times; one that snaps to a single vertex is a `MeshError` naming its
-    index.  Returns the sorted interface edge indices; mutates ``mesh.edge_tags``.
+    index.  Returns the sorted interface edge indices; mutates the mesh's sheet.
     """
     from scipy.spatial import cKDTree
 
@@ -364,7 +353,7 @@ def snap_interface(mesh: Mesh, primitives) -> np.ndarray:
         pairs = np.concatenate([np.empty((0, 2), dtype=np.int64), *chains])
         edges, unjoined = _join(mesh, pairs)
         if not len(unjoined):
-            mesh._set_edge_tags(edges, EdgeTag.INTERFACE)
+            mesh._add_to_sheet(edges)
             return edges
         level[np.repeat(np.arange(len(chains)), list(map(len, chains)))[unjoined]] += 1
     a, b = pairs[unjoined[0]]

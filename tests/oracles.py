@@ -254,7 +254,7 @@ def dense_leapfrog_step(mesh, params, tau, e_prev, e_curr, h_old, ks,
     cd = dense_mixed_curl(mesh)
     gd = np.zeros_like(md) if g_dense is None else g_dense
     if mask is None:
-        mask = mesh.edge_tags == 2
+        mask = mesh.edge_triangle_count == 1
 
     h_new = h_old - tau / mu0 * ((cd @ e_curr) / mesh.areas + ks)
     hbar = 0.5 * (h_new + h_old)
@@ -310,7 +310,7 @@ def dense_merged_step(mesh, params, tau, e_prev, e_curr, hx_old, hy_old, ks,
     dyd = dense_partial_divergence(mesh, "y")
     gd = np.zeros_like(md) if g_dense is None else g_dense
     if mask is None:
-        mask = mesh.edge_tags == 2
+        mask = mesh.edge_triangle_count == 1
 
     area = mesh.areas
 
@@ -482,9 +482,9 @@ def edge_midpoints(mesh):
 def save_mesh(mesh, path):
     """Write `mesh` in the documented ASCII format that `load_mesh` reads.
 
-    A cell's tag is 1 in the collar (`collar_cells`), else 0.  Interior
-    edges (tag 0) are implicit in the format, so only the interface and
-    outer-boundary edges are listed.
+    A cell's tag is 1 in the collar (`collar_cells`), else 0.  The sheet's
+    edges are listed with tag 1 and the one-triangle edges (the conducting
+    wall, which the reader derives) with tag 2, so both row kinds are read.
     """
     with open(path, "w") as f:
         f.write(f"SPPMESH 1\nVERTICES {mesh.n_vertices}\n")
@@ -492,10 +492,12 @@ def save_mesh(mesh, path):
         f.write(f"TRIANGLES {mesh.n_triangles}\n")
         f.writelines(f"{i} {j} {k} {int(tag)}\n"
                      for (i, j, k), tag in zip(mesh.triangles, collar_cells(mesh)))
-        tagged = np.flatnonzero(mesh.edge_tags != 0)
+        tags = np.zeros(mesh.n_edges, dtype=int)
+        tags[mesh.interface_edges()] = 1
+        tags[mesh.edge_triangle_count == 1] = 2
+        tagged = np.flatnonzero(tags)
         f.write(f"EDGETAGS {len(tagged)}\n")
-        f.writelines(f"{a} {b} {int(mesh.edge_tags[e])}\n"
-                     for e, (a, b) in zip(tagged, mesh.edges[tagged]))
+        f.writelines(f"{a} {b} {tags[e]}\n" for e, (a, b) in zip(tagged, mesh.edges[tagged]))
 
 
 # -- pointwise fields and sources of the manufactured case ----------------------

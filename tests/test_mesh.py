@@ -9,8 +9,8 @@ from scipy.sparse.csgraph import dijkstra
 
 import sppfetd.mesh as mesh_module
 from sppfetd.cli import main as cli_main
-from sppfetd.mesh import (Arc, EdgeTag, Mesh, MeshError, Segment, generate_rect_mesh,
-                          load_mesh, snap_interface)
+from sppfetd.mesh import (Arc, Mesh, MeshError, Segment, generate_rect_mesh, load_mesh,
+                          snap_interface)
 
 import oracles
 
@@ -77,7 +77,7 @@ def test_snap_grid_aligned_segment():
     assert len(edges) == 6
     mids = oracles.edge_midpoints(m)[edges]
     assert np.allclose(mids[:, 1], 0.5)
-    assert np.all(m.edge_tags[edges] == EdgeTag.INTERFACE)
+    assert np.array_equal(m.interface_edges(), edges)
 
 
 def test_snap_bifurcated_sheet_segment():
@@ -213,10 +213,10 @@ def test_snap_rejects_curve_in_collar():
 def test_snap_refuses_a_primitive_on_no_edge(primitive):
     # each snaps to one vertex; the run went on without that primitive
     m = generate_rect_mesh((0, 1, 0, 1), 10, 10, 0)
-    tags = m.edge_tags.copy()
+    sheet = m.interface_edges()
     with pytest.raises(MeshError, match="interface primitive 1 snaps to the single vertex"):
         snap_interface(m, [Segment((0, 0.5), (1, 0.5)), primitive])
-    assert np.array_equal(m.edge_tags, tags)
+    assert np.array_equal(m.interface_edges(), sheet)
 
 
 def test_sheet_on_no_edge_exits_2(tmp_path, capsys):
@@ -239,7 +239,7 @@ def test_save_load_round_trip(tmp_path):
     assert np.array_equal(m.triangles, m2.triangles)
     assert np.allclose(m.vertices, m2.vertices)
     assert m2.physical_bounds == m.physical_bounds == (0, 1, 0, 1)
-    assert np.array_equal(m.edge_tags, m2.edge_tags)
+    assert np.array_equal(m.interface_edges(), m2.interface_edges())
 
 
 def test_load_rejects_negative_area_with_line_number(tmp_path):
@@ -271,8 +271,8 @@ def test_load_two_triangle_fixture_with_interface(tmp_path):
                     "EDGETAGS 1\n0 2 1\n")
     m = load_mesh(path)
     shared = m.edge_index(0, 2)
-    assert m.edge_tags[shared] == EdgeTag.INTERFACE
-    assert (m.edge_tags == EdgeTag.OUTER_BOUNDARY).sum() == 4
+    assert m.interface_edges().tolist() == [shared]
+    assert (m.edge_triangle_count == 1).sum() == 4
 
 
 def test_load_rejects_malformed_header(tmp_path):
@@ -295,7 +295,7 @@ def test_readme_mesh_example_loads(tmp_path):
     path.write_text(re.search(r"```text\n(.*?)```", section, re.S).group(1))
     m = load_mesh(path)
     assert (m.n_vertices, m.n_triangles, m.n_edges) == (4, 2, 5)
-    assert m.edge_tags[m.edge_index(0, 2)] == EdgeTag.INTERFACE
+    assert m.interface_edges().tolist() == [m.edge_index(0, 2)]
 
 
 # The two-triangle square with its diagonal as the sheet, as file lines and
@@ -327,6 +327,8 @@ _DEFECTS = {
     "tag-on-non-edge": (11, "1 3 1", 11, {"tagged_edges": [[1, 3, 1]]}, ("edge tag", 0)),
     "interface-on-boundary": (11, "0 1 1", 11, {"tagged_edges": [[0, 1, 1]]},
                               ("edge tag", 0)),
+    "boundary-tag-on-interior": (11, "0 2 2", 11, {"tagged_edges": [[0, 2, 2]]},
+                                 ("edge tag", 0)),
     "truncated-block": (9, None, 8, {"tagged_edges": [[0, 2]]}, (None, None)),
     "bad-count": (7, "TRIANGLES two", 7, {"cell_tags": [0]}, (None, None)),
     "count-too-small": (10, "EDGETAGS 0", 11, {"tagged_edges": [[0, 2, 1, 0]]}, (None, None)),
@@ -354,6 +356,24 @@ def test_mesh_defect_is_refused_by_mesh_and_named_by_line(line, text, named, arg
     err = capsys.readouterr().err
     assert err.startswith(f"configuration error: {path}:{named}: "), err
     assert len(err.splitlines()) == 1
+
+
+def test_mesh_refuses_four_sheet_edges_at_a_vertex():
+    # the four axis edges at the centre vertex of a 2x2 grid
+    m = generate_rect_mesh((0, 1, 0, 1), 2, 2, 0)
+    rows = [[1, 4, 1], [3, 4, 1], [4, 5, 1], [4, 7, 1]]
+    with pytest.raises(MeshError, match="4 interface edges meet here") as exc:
+        Mesh(m.vertices, m.triangles, tagged_edges=rows)
+    assert (exc.value.kind, exc.value.index) == ("vertex", 4)
+
+
+def test_load_accepts_a_wall_row_that_adds_nothing(tmp_path):
+    # a tag-2 row names a one-triangle edge, which is the wall listed or not
+    path = tmp_path / "wall.mesh"
+    path.write_text("\n".join(_FIXTURE[:9] + ["EDGETAGS 2", "0 2 1", "0 1 2"]) + "\n")
+    m = load_mesh(path)
+    assert m.interface_edges().tolist() == Mesh(**_ARGS).interface_edges().tolist()
+    assert m.interface_edges().tolist() == [m.edge_index(0, 2)]
 
 
 def test_edge_index_looks_up_arrays_of_pairs():
