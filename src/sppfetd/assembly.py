@@ -74,6 +74,7 @@ def assemble_edge_mass(mesh: Mesh, w: np.ndarray, cells=slice(None)) -> sp.csr_m
     g = _barycentric_gradients(mesh, cells)         # (3, 2, n)
     prods = w[:, 0] * (g[:, None, 0] * g[:, 0]) + w[:, 1] * (g[:, None, 1] * g[:, 1])
     local = _EDGE_MASS_MAP @ prods.reshape(9, -1)   # (9, n)
+    local[[3, 6, 7]] = local[[1, 2, 5]]     # symmetric bit for bit, as step_e's lift needs
     signs = mesh.tri_edge_signs[cells].T.astype(float)  # (3, n)
     local *= mesh.areas[cells] * (signs[:, None] * signs).reshape(9, -1)
     # Equal weights zero a right isosceles cell's hypotenuse-leg couplings.

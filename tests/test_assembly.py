@@ -91,6 +91,7 @@ def test_edge_mass_signed_weights_on_a_cell_subset(mesh):
     everywhere[cells] = w
     ref = oracles.dense_edge_mass(mesh, everywhere)
     np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-13 * np.abs(ref).max())
+    assert np.array_equal(got, got.T)
 
 
 def _stored(mat, rows, cols):
@@ -149,6 +150,15 @@ def test_right_isosceles_couplings_are_exact_zeros(monkeypatch):
     a = apply_pec(stepper.a, ops.pec_mask)
     dropped, full = _factor_sizes(monkeypatch, a)
     assert dropped == full == a.nnz + a.shape[0]    # L's unit diagonal is stored
+
+
+def test_step_matrix_is_exactly_symmetric():
+    # step_e lifts boundary data through A's columns as if they were its rows;
+    # with a damped collar A = w_phys M_E + K_collar
+    _, ops, stepper = _ring_grid(pml_layers=2)
+    assert len(ops.damped) > 0
+    for mat in (ops.m_e, stepper.a):
+        assert (mat != mat.T).nnz == 0
 
 
 def _published_and_manufactured_meshes():
