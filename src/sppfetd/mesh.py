@@ -202,10 +202,10 @@ class Mesh:
         self.centroids = (p[:, 0] + p[:, 1] + p[:, 2]) / 3.0
 
     def _add_to_sheet(self, edges, sheet=True, kind=None):
-        """Add `edges` to the sheet where `sheet` holds; the others name the
-        conducting wall, which the edges of one triangle, and only they, are.
-        A sheet edge is not on the wall and at most three meet at a vertex; a
-        `MeshError` names the entry of `edges` (as `kind`) or the vertex."""
+        """Add `edges` to the sheet where `sheet` holds; the others only name
+        the conducting wall.  A sheet edge has two triangles, a wall entry
+        one, and at most three sheet edges meet at a vertex; a `MeshError`
+        names the entry of `edges` (as `kind`) or the vertex."""
         wall = self.edge_triangle_count[edges] == 1
         ends = self.edges[edges]
         _refuse(wall == sheet, kind, lambda i: (
