@@ -6,6 +6,13 @@ diagonal.  Edges are stored with the lower vertex index first, which fixes
 the global tangent direction used by the edge-element spaces.  Graphene
 curves are snapped onto mesh edges, so the discrete interface is always a
 path of ordinary conforming edges.
+
+Edges are numbered in three groups, each in vertex-pair order: those that are
+no cell's longest side (the first on a tie), the collar cells' longest sides,
+then the physical cells'.  An equal-weight right isosceles cell's hypotenuse
+couples to nothing, so the step matrix ends in diagonal-only rows that
+`sparse_solve` divides, and SuperLU, which takes no ordering, finds a smaller
+factor; a permutation would cost a gather on every solve.
 """
 
 from __future__ import annotations
@@ -99,7 +106,8 @@ class Mesh:
         (tag 2).  The wall is every edge of one triangle, listed or not.
     h_x, h_y : maximum cell extents per axis, meters, finite and positive.
     physical_bounds : (xmin, xmax, ymin, ymax), finite with min < max; by
-        default the bounding box of the tag-0 cells.
+        default the bounding box of the tag-0 cells.  A physical cell has its
+        centroid in them (closed); its longest side is numbered last.
 
     The constructor checks all it is given and the mesh invariants; a
     `MeshError` names the vertex, triangle or edge-tag row at fault.
@@ -127,10 +135,19 @@ class Mesh:
         self._build_geometry()
         _refuse(self.areas <= 0.0, "triangle", lambda i: "not counterclockwise "
                 f"(signed area {self.areas[i]:.3e})")
-        self._build_edges()
-        ev = self.vertices[self.edges[:, 1]] - self.vertices[self.edges[:, 0]]
-        self.edge_lengths = np.hypot(ev[:, 0], ev[:, 1])
-        self.edge_tangents = ev / self.edge_lengths[:, None]
+        if physical_bounds is None:
+            phys = self.triangles[tags == 0]
+            corners = self.vertices[np.unique(phys)] if len(phys) else self.vertices
+            lo, hi = corners.min(axis=0), corners.max(axis=0)
+            physical_bounds = (lo[0], hi[0], lo[1], hi[1])
+        b = _numbers(physical_bounds, (4,), "physical bounds must be 4 numbers")
+        if not (np.all(np.isfinite(b)) and b[0] < b[1] and b[2] < b[3]):
+            raise MeshError("physical bounds (xmin, xmax, ymin, ymax) must be finite "
+                            f"with min < max on each axis, got {b.tolist()}")
+        self.physical_bounds = tuple(b.tolist())
+        x, y = self.centroids.T
+        inside = (x >= b[0]) & (x <= b[1]) & (y >= b[2]) & (y <= b[3])
+        self._build_edges(inside)
         shared = self.edge_triangle_count[self.tri_edges]
         _refuse(shared > 2, "triangle",
                 lambda i: f"has an edge of {shared[i].max()} triangles, more than 2")
@@ -155,49 +172,46 @@ class Mesh:
         if not np.all(np.isfinite(h) & (h > 0)):
             raise MeshError(f"h_x and h_y must be finite and positive, got {h.tolist()}")
         self.h_x, self.h_y = h.tolist()
-
-        if physical_bounds is None:
-            phys = self.triangles[tags == 0]
-            corners = self.vertices[np.unique(phys)] if len(phys) else self.vertices
-            lo, hi = corners.min(axis=0), corners.max(axis=0)
-            physical_bounds = (lo[0], hi[0], lo[1], hi[1])
-        b = _numbers(physical_bounds, (4,), "physical bounds must be 4 numbers")
-        if not (np.all(np.isfinite(b)) and b[0] < b[1] and b[2] < b[3]):
-            raise MeshError("physical bounds (xmin, xmax, ymin, ymax) must be finite "
-                            f"with min < max on each axis, got {b.tolist()}")
-        self.physical_bounds = tuple(b.tolist())
         if cell_tags is not None:
-            inside = np.all((self.centroids >= b[::2]) & (self.centroids <= b[1::2]), axis=1)
             _refuse(inside == (tags == 1), "triangle", lambda i: f"cell tag {tags[i]:g}, "
                     f"but its centroid lies {'in' if inside[i] else 'out'}side the "
                     f"physical rectangle {self.physical_bounds}")
 
     # -- construction helpers -------------------------------------------------
 
-    def _build_edges(self):
+    def _build_edges(self, physical):
         tris = self.triangles
-        raw = np.concatenate([tris[:, [i, j]] for i, j in TRI_EDGE_LOCAL])
-        lo = np.minimum(raw[:, 0], raw[:, 1])
-        hi = np.maximum(raw[:, 0], raw[:, 1])
+        nxt = np.roll(tris, -1, axis=1)     # local edge k: vertex k to vertex k + 1
+        lo, hi = (f(tris, nxt).T.ravel() for f in (np.minimum, np.maximum))
         # One integer key per vertex pair sorts like the pair itself.
         nv = len(self.vertices)
         self._edge_keys, inverse = np.unique(lo * nv + hi, return_inverse=True)
-        self.edges = np.column_stack([self._edge_keys // nv, self._edge_keys % nv])
-        nt = len(tris)
-        self.tri_edges = inverse.reshape(3, nt).T.copy()
+        ends = np.column_stack([self._edge_keys // nv, self._edge_keys % nv])
+        ev = (np.take(self.vertices, ends[:, 1], axis=0)
+              - np.take(self.vertices, ends[:, 0], axis=0))
+        lengths = np.hypot(ev[:, 0], ev[:, 1])
+        local = inverse.reshape(3, -1)
+        # Each cell's longest side is numbered last (see the module docstring).
+        l0, l1, l2 = lengths[local]
+        longest = np.where(l2 > np.maximum(l0, l1), local[2],
+                           np.where(l1 > l0, local[1], local[0]))
+        group = np.zeros(len(ends), dtype=np.int8)   # .at with int8 values: no slow cast
+        np.maximum.at(group, longest, physical.astype(np.int8) + 1)
+        order = np.concatenate([np.flatnonzero(group == g) for g in range(3)])
+        self._edge_number = np.empty_like(order)
+        self._edge_number[order] = np.arange(len(order))
+        self.edges = np.take(ends, order, axis=0)
+        self.edge_lengths = lengths[order]
+        self.edge_tangents = np.take(ev, order, axis=0) / self.edge_lengths[:, None]
+        self.tri_edges = np.take(self._edge_number, local.T)
         # +1 when the counterclockwise traversal runs from the lower to the
         # higher global vertex index (the stored tangent direction).
-        signs = np.empty((nt, 3), dtype=np.int8)
-        for k, (i, j) in enumerate(TRI_EDGE_LOCAL):
-            signs[:, k] = np.where(tris[:, i] < tris[:, j], 1, -1)
-        self.tri_edge_signs = signs
-        self.edge_triangle_count = np.bincount(self.tri_edges.ravel(),
-                                               minlength=len(self.edges))
+        self.tri_edge_signs = np.where(tris < nxt, 1, -1).astype(np.int8)
+        self.edge_triangle_count = np.bincount(self.tri_edges.ravel(), minlength=len(order))
 
     def _build_geometry(self):
-        p = self.vertices[self.triangles]
-        d1 = p[:, 1] - p[:, 0]
-        d2 = p[:, 2] - p[:, 0]
+        p = np.take(self.vertices, self.triangles, axis=0)
+        d1, d2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
         self.areas = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
         self.centroids = (p[:, 0] + p[:, 1] + p[:, 2]) / 3.0
 
@@ -243,7 +257,7 @@ class Mesh:
         keys = lo * self.n_vertices + hi
         k = np.minimum(np.searchsorted(self._edge_keys, keys), self.n_edges - 1)
         found = (self._edge_keys[k] == keys) & (lo >= 0) & (hi < self.n_vertices)
-        return np.where(found, k, -1)
+        return np.where(found, self._edge_number[k], -1)
 
 
 def _numbers(value, shape, rule: str) -> np.ndarray:

@@ -110,19 +110,20 @@ def _ring_grid(pml_layers):
 
 
 def _factor_sizes(monkeypatch, a):
-    """L+U entries of `factorize(a)` and of a full splu factor of the same
-    matrix with the same ordering options."""
+    """The matrix `factorize(a)` hands SuperLU (its leading block, as its
+    transpose), and the L+U entries of its dropped factor and of a full
+    splu factor of that matrix with the same ordering options."""
     seen, spilu = {}, sparse_solve.spilu
 
-    def spy(a_t, **kwargs):
-        seen["lu"], seen["kwargs"] = spilu(a_t, **kwargs), kwargs
+    def spy(lead_t, **kwargs):
+        seen["lu"], seen["lead_t"], seen["kwargs"] = spilu(lead_t, **kwargs), lead_t, kwargs
         return seen["lu"]
 
     monkeypatch.setattr(sparse_solve, "spilu", spy)
     factorize(a)
     kwargs = {k: v for k, v in seen["kwargs"].items() if not k.startswith("drop_")}
-    full = splu(a.T.tocsc(), **kwargs)
-    return seen["lu"].L.nnz + seen["lu"].U.nnz, full.L.nnz + full.U.nnz
+    full = splu(seen["lead_t"], **kwargs)
+    return seen["lead_t"], seen["lu"].L.nnz + seen["lu"].U.nnz, full.L.nnz + full.U.nnz
 
 
 def test_right_isosceles_couplings_are_exact_zeros(monkeypatch):
@@ -145,11 +146,15 @@ def test_right_isosceles_couplings_are_exact_zeros(monkeypatch):
     legs = mesh.tri_edges[unequal][~local_hyp].reshape(-1, 2)
     assert np.all(_stored(stepper.a, np.repeat(hyp_edge[:, None], 2, axis=1), legs))
 
-    # without a collar every cell is isotropic and the factor has A's pattern
-    _, ops, stepper = _ring_grid(pml_layers=0)
+    # without a collar every cell is isotropic: the hypotenuses, numbered
+    # last, are divided, and the factor of the rest has its pattern
+    mesh, ops, stepper = _ring_grid(pml_layers=0)
     a = apply_pec(stepper.a, ops.pec_mask)
-    dropped, full = _factor_sizes(monkeypatch, a)
-    assert dropped == full == a.nnz + a.shape[0]    # L's unit diagonal is stored
+    lead, dropped, full = _factor_sizes(monkeypatch, a)
+    assert dropped == full == lead.nnz + lead.shape[0]    # L's unit diagonal is stored
+    ends = mesh.vertices[mesh.edges]
+    hyp = np.flatnonzero(np.all(ends[:, 1] != ends[:, 0], axis=1))
+    assert len(hyp) == mesh.n_triangles // 2 and hyp.min() >= lead.shape[0]
 
 
 def test_step_matrix_is_exactly_symmetric():

@@ -9,8 +9,8 @@ from scipy.sparse.csgraph import dijkstra
 
 import sppfetd.mesh as mesh_module
 from sppfetd.cli import main as cli_main
-from sppfetd.mesh import (Arc, Mesh, MeshError, Segment, generate_rect_mesh, load_mesh,
-                          snap_interface)
+from sppfetd.mesh import (TRI_EDGE_LOCAL, Arc, Mesh, MeshError, Segment, generate_rect_mesh,
+                          load_mesh, snap_interface)
 
 import oracles
 
@@ -383,6 +383,43 @@ def test_edge_index_looks_up_arrays_of_pairs():
     # absent pairs, including out-of-range vertices whose key aliases an edge
     assert m.edge_index(1, 2) >= 0
     assert m.edge_index([0, 0, -1, 0], [2, 0, 1, m.n_vertices + 2]).tolist() == [-1] * 4
+
+
+def test_edges_number_each_cells_longest_side_last():
+    # a right isosceles cell's hypotenuse is its longest side; with equal
+    # weights it couples to nothing, and sparse_solve divides the rows that
+    # end the step matrix: the physical quads' diagonals last, the collar's
+    # just before, every axis-parallel edge before both
+    m = generate_rect_mesh((0, 3, 0, 2), 6, 4, 2)
+    n, n_quads, n_phys = m.n_edges, 10 * 8, 6 * 4
+    ends = m.vertices[m.edges]
+    diagonal = np.all(ends[:, 0] != ends[:, 1], axis=1)
+    mid = ends.mean(axis=1)
+    inside = np.all((mid > (0, 0)) & (mid < (3, 2)), axis=1)
+    assert np.flatnonzero(diagonal & inside).tolist() == list(range(n - n_phys, n))
+    assert np.flatnonzero(diagonal & ~inside).tolist() == list(range(n - n_quads, n - n_phys))
+    assert not diagonal[:n - n_quads].any()
+    # each group keeps the edges' lower-vertex-first vertex-pair order
+    assert np.all(m.edges[:, 0] < m.edges[:, 1])
+    for part in np.split(m.edges, [n - n_quads, n - n_phys]):
+        keys = part[:, 0] * m.n_vertices + part[:, 1]
+        assert np.all(np.diff(keys) > 0)
+    assert np.array_equal(m.edge_index(*m.edges.T), np.arange(n))
+    # a triangle's local edge k joins its vertices k and k + 1
+    for k, (i, j) in enumerate(TRI_EDGE_LOCAL):
+        pairs = np.sort(m.triangles[:, [i, j]], axis=1)
+        assert np.array_equal(m.edges[m.tri_edges[:, k]], pairs)
+    # of two equally long sides, the first (local edge 1, not 2) is the longest
+    assert Mesh([[0, 0], [2, 0], [1, 3]], [[0, 1, 2]]).edges[-1].tolist() == [1, 2]
+
+
+def test_readme_square_numbers_its_diagonal_last():
+    assert Mesh(**_ARGS).edges.tolist() == [[0, 1], [0, 3], [1, 2], [2, 3], [0, 2]]
+    # a side that is the longest of a physical cell and of a collar cell is
+    # numbered as the physical cell's: (0, 4) here, of the lower left cell
+    g = generate_rect_mesh((0, 2, 0, 1), 2, 1, 0)
+    m = Mesh(g.vertices, g.triangles, physical_bounds=(0, 1, 0, 0.5))
+    assert m.edges[-2:].tolist() == [[1, 5], [0, 4]]
 
 
 @pytest.mark.parametrize("args,rule", [

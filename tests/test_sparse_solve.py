@@ -138,3 +138,54 @@ def test_factor_rejects_inaccurate_drop(step_matrix, monkeypatch):
     monkeypatch.setattr(sparse_solve, "DROP_TOL", 1e-2)
     with pytest.raises(SolverError, match="relative residual"):
         factorize(step_matrix[0])
+
+
+def _spd_with_diagonal_tail(n, k, seed):
+    """An n x n SPD matrix whose rows from k on hold only their diagonal d."""
+    rng = np.random.default_rng(seed)
+    q = rng.standard_normal((k, k))
+    d = rng.uniform(1.0, 2.0, n - k)
+    dense = np.zeros((n, n))
+    dense[:k, :k] = q @ q.T + k * np.eye(k)
+    dense[k:, k:] = np.diag(d)
+    return dense, d, rng.standard_normal(n)
+
+
+def _assert_solves(dense, b):
+    x, ref = factorize(sp.csr_matrix(dense))(b), np.linalg.solve(dense, b)
+    assert np.abs(x - ref).max() <= 1e-14 * np.abs(ref).max()
+    return x
+
+
+def test_trailing_diagonal_rows_are_divided():
+    # the rows the mesh numbers last, uncoupled hypotenuses, are solved by
+    # division bit for bit, and the leading block by its factor
+    dense, d, b = _spd_with_diagonal_tail(12, 8, 3)
+    x = _assert_solves(dense, b)
+    assert np.array_equal(x[8:], b[8:] / d)
+
+
+def test_rows_up_to_the_last_coupled_one_are_factored():
+    # a coupled last row, and a coupling in the last column alone (a^T's
+    # last row), keep every row in the factor; diagonal rows before a
+    # coupled one are factored with it
+    dense, _, b = _spd_with_diagonal_tail(12, 8, 4)
+    dense[0, -1] = dense[-1, 0] = 0.5
+    _assert_solves(dense, b)
+    dense[-1, 0] = 0.0
+    _assert_solves(dense, b)
+    _assert_solves(dense[::-1, ::-1].copy(), b)
+
+
+def test_diagonal_matrix_is_divided_throughout():
+    # nothing is coupled, as in the README's two-triangle square: the
+    # factored block is empty and the solve is b / d
+    dense, d, b = _spd_with_diagonal_tail(6, 0, 5)
+    assert np.array_equal(_assert_solves(dense, b), b / d)
+
+
+def test_zero_on_a_trailing_diagonal_is_singular():
+    dense, _, _ = _spd_with_diagonal_tail(12, 8, 6)
+    dense[10, 10] = 0.0
+    with pytest.raises(SolverError, match="singular: row 10 is zero"):
+        factorize(sp.csr_matrix(dense))
